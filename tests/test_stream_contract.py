@@ -1,0 +1,175 @@
+"""The random-stream contract, pinned to exact values.
+
+Every Monte Carlo estimate is a function of the seed and the code alone:
+each 65536-path batch owns a Philox substream, every block of up to 64
+steps consumes exactly one ``rng.random((rows, blk))`` draw, and every
+uniform picks its step by the same Walker alias decision.  A rewrite of
+the step engine may change array layouts but must leave these values
+(and the bytes the CLI prints) exactly as they are.  A change that is
+meant to alter the stream must say so and update the pins together with
+``tool_version``.
+
+The cases cross a batch boundary and end on a partial block, cover
+trivial (uniform laws) and non-trivial (diag_heavy, twisted laws) alias
+tables, both absorption tests of the survival engine and both starts of
+the visit engine.
+"""
+
+import contextlib
+import hashlib
+import io
+import math
+from pathlib import Path
+
+import pytest
+
+from cornerwalk.cli import main
+from cornerwalk.curve import cramer_transform, find_extrema
+from cornerwalk.montecarlo import (
+    BATCH_SIZE,
+    SimConfig,
+    estimate_escape,
+    estimate_green,
+    estimate_halfplane_survival,
+    martin_kernel_profile,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+N_PATHS = BATCH_SIZE + 3001  # one full batch and a partial one
+HORIZON = 150  # two full blocks of 64 and a partial block of 22
+
+
+def _twist(dist, u):
+    n = math.hypot(*u)
+    return cramer_transform(find_extrema(dist), (u[0] / n, u[1] / n))
+
+
+def _escape(name, seed):
+    return lambda m: estimate_escape(
+        m[name], (1, 1), SimConfig(seed=seed, n_paths=N_PATHS, horizon=HORIZON)
+    )
+
+
+ESTIMATES = {
+    "escape_fibonacci": _escape("fib", 11),
+    "escape_diag_heavy": _escape("diag_heavy", 12),
+    "escape_big_jump": _escape("big_jump", 13),
+    "survival_diag_heavy": lambda m: estimate_halfplane_survival(
+        m["diag_heavy"], 2, SimConfig(seed=14, n_paths=N_PATHS, horizon=HORIZON)
+    ),
+    "escape_twisted": lambda m: estimate_escape(
+        m["all_five"], (2, 1),
+        SimConfig(seed=15, n_paths=N_PATHS, horizon=HORIZON,
+                  twist=_twist(m["all_five"], (2, 1))),
+    ),
+    "green_twisted": lambda m: estimate_green(
+        m["all_five"], (2, 2), (4, 3),
+        SimConfig(seed=16, n_paths=N_PATHS, horizon=70,
+                  twist=_twist(m["all_five"], (2, 1))),
+    ),
+    "martin_all_five": lambda m: martin_kernel_profile(
+        m["all_five"], (2, 3), [(5, 5), (7, 6)],
+        SimConfig(seed=17, n_paths=N_PATHS, horizon=HORIZON),
+    ),
+    "martin_diag_heavy": lambda m: martin_kernel_profile(
+        m["diag_heavy"], (3, 3), [(5, 5), (6, 4)],
+        SimConfig(seed=18, n_paths=N_PATHS, horizon=HORIZON),
+    ),
+}
+
+EXPECTED = {
+    "escape_fibonacci": (
+        "SimEstimate(mean=0.17136729066051914, std_error=0.0014394031748630512, "
+        "n_paths=68537, horizon=150, censored_fraction=0.0)"
+    ),
+    "escape_diag_heavy": (
+        "SimEstimate(mean=0.8205640748792623, std_error=0.0014657111895885352, "
+        "n_paths=68537, horizon=150, censored_fraction=0.0)"
+    ),
+    "escape_big_jump": (
+        "SimEstimate(mean=0.45988298291433827, std_error=0.0019037286892357762, "
+        "n_paths=68537, horizon=150, censored_fraction=0.0)"
+    ),
+    "survival_diag_heavy": (
+        "SimEstimate(mean=0.991201832586778, std_error=0.00035670944898242603, "
+        "n_paths=68537, horizon=150, censored_fraction=0.0)"
+    ),
+    "escape_twisted": (
+        "SimEstimate(mean=0.4574901148284868, std_error=0.001902970868409502, "
+        "n_paths=68537, horizon=150, censored_fraction=0.0)"
+    ),
+    "green_twisted": (
+        "SimEstimate(mean=0.2985454590013661, std_error=0.0018808469344377718, "
+        "n_paths=68537, horizon=70, censored_fraction=0.6986007557961393)"
+    ),
+    "martin_all_five": (
+        "[SimEstimate(mean=2.2802736896462688, std_error=0.030140744988238977, "
+        "n_paths=68537, horizon=150, censored_fraction=0.8512044589054087), "
+        "SimEstimate(mean=2.1597210692346005, std_error=0.03316321317444358, "
+        "n_paths=68537, horizon=150, censored_fraction=0.8512044589054087)]"
+    ),
+    "martin_diag_heavy": (
+        "[SimEstimate(mean=1.3626171659621393, std_error=0.004029578924719434, "
+        "n_paths=68537, horizon=150, censored_fraction=0.9984533901396326), "
+        "SimEstimate(mean=1.044114022837427, std_error=0.009637992531067742, "
+        "n_paths=68537, horizon=150, censored_fraction=0.9984533901396326)]"
+    ),
+}
+
+CLI = {
+    "escape_mc_check": [
+        "escape", "models/fibonacci.txt", "1", "1", "--mc-check", "70000", "300", "7",
+    ],
+    "simulate_green_twisted": [
+        "simulate", "models/all_five.txt", "green", "2", "2", "3", "3",
+        "--seed", "5", "--n-paths", "70000", "--horizon", "4", "--twist-u", "2", "1",
+    ],
+    "simulate_survival": [
+        "simulate", "models/diag_heavy.txt", "survival", "2",
+        "--seed", "6", "--n-paths", "70000", "--horizon", "100",
+    ],
+    "green_scan": [
+        "green-scan", "models/fibonacci.txt", "1", "1", "--u", "1", "1",
+        "--radii", "6,10", "--seed", "11", "--n-paths", "20000",
+    ],
+    "simulate_martin": [
+        "simulate", "models/all_five.txt", "martin", "2", "3", "6", "6",
+        "--seed", "4", "--n-paths", "20000", "--horizon", "90",
+    ],
+}
+
+CLI_SHA256 = {
+    "escape_mc_check": "075076a00906a5f51ca90236eb557d3aede266efcfc245cc16eba61becff137d",
+    "simulate_green_twisted":
+        "2354ad7ab08d19c4a610e1cf3df15c60a489fd7bc3cb1bba329313421d8be45a",
+    "simulate_survival":
+        "84f514c0ec244e7a9d3da05558ec607607df419c3e5f660fab675b711a34fd5a",
+    "green_scan": "7250f44d5cf6d8dae9a737b00e2f31ea6c7cd73a5b88f3972a0a82440364ceb3",
+    "simulate_martin": "fbc4faeef1fad510b7c124e9d65ac829f9c4d6453573eeffe7662c728a4cbe7f",
+}
+
+
+@pytest.fixture(scope="module")
+def models(fib, all_five, diag_heavy, big_jump):
+    return {"fib": fib, "all_five": all_five,
+            "diag_heavy": diag_heavy, "big_jump": big_jump}
+
+
+def cli_digest(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    assert code == 0
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATES))
+def test_estimate_is_pinned(models, case):
+    assert repr(ESTIMATES[case](models)) == EXPECTED[case]
+
+
+@pytest.mark.parametrize("case", sorted(CLI))
+def test_cli_output_is_pinned(monkeypatch, case):
+    monkeypatch.chdir(ROOT)  # the manifest records the model path as given
+    assert cli_digest(CLI[case]) == CLI_SHA256[case]
