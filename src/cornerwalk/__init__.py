@@ -24,6 +24,7 @@ from .model import (
     kernel_eval,
     parse_model_file,
     parse_model_text,
+    require_valid,
     validate_model,
 )
 from .curve import (
@@ -77,6 +78,7 @@ __all__ = [
     "parse_model_text",
     "parse_model_file",
     "validate_model",
+    "require_valid",
     "drift",
     "kernel_eval",
     "CurveGeometry",

@@ -25,6 +25,7 @@ from .model import (
     ModelFileError,
     StepDistribution,
     parse_model_file,
+    require_valid,
     validate_model,
 )
 from .curve import SolverError, cramer_transform, f_branch, find_extrema, g_branch
@@ -76,16 +77,9 @@ def _emit(args, manifest: RunManifest, body: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _load_model(path: str) -> StepDistribution:
-    return parse_model_file(path)
-
-
 def _load_valid_model(path: str) -> StepDistribution:
-    dist = _load_model(path)
-    report = validate_model(dist)
-    if not report.passed:
-        ids = ", ".join(rule for rule, _ in report.violations)
-        raise InvalidModelError(f"{path}: model fails validation rules: {ids}")
+    dist = parse_model_file(path)
+    require_valid(dist, where=path)
     return dist
 
 
@@ -93,7 +87,7 @@ def _load_valid_model(path: str) -> StepDistribution:
 
 
 def cmd_validate(args) -> int:
-    dist = _load_model(args.model)
+    dist = parse_model_file(args.model)
     report = validate_model(dist)
     man = RunManifest("validate", args.model, {})
     body = [

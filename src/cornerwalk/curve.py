@@ -38,7 +38,7 @@ from .model import (
     log_kernel_eval,
     log_kernel_grad,
     log_kernel_hess,
-    validate_model,
+    require_valid,
 )
 
 __all__ = [
@@ -322,10 +322,7 @@ def find_extrema(dist: StepDistribution, tol: float = 1e-12) -> CurveGeometry:
     Near-degenerate drift is rejected rather than returning maxima that
     exist only as numerical noise.
     """
-    report = validate_model(dist)
-    if not report.passed:
-        ids = ", ".join(rule for rule, _ in report.violations)
-        raise InvalidModelError(f"model fails validation rules: {ids}")
+    require_valid(dist)
     m1, m2 = drift(dist)
     if m1 <= DRIFT_FLOOR or m2 <= DRIFT_FLOOR:
         raise InvalidModelError(

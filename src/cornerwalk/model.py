@@ -28,6 +28,7 @@ __all__ = [
     "parse_model_file",
     "parse_model_text",
     "validate_model",
+    "require_valid",
     "drift",
     "kernel_eval",
     "log_kernel_eval",
@@ -76,7 +77,6 @@ class StepDistribution:
         exactly.  Steps with probability exactly zero are dropped.
         """
         items = []
-        all_exact = True
         for (di, dj), p in dict(pairs).items():
             di = int(di)
             dj = int(dj)
@@ -89,7 +89,6 @@ class StepDistribution:
                 pf = Fraction(p)
             elif isinstance(p, float):
                 pf = Fraction(p)  # exact binary value of the float
-                all_exact = all_exact and p == float(pf)
             else:
                 raise TypeError(f"unsupported probability type {type(p)!r}")
             if pf == 0:
@@ -99,7 +98,7 @@ class StepDistribution:
         steps = tuple(s for s, _ in items)
         exact = tuple(p for _, p in items)
         probs = tuple(float(p) for p in exact)
-        return cls(steps=steps, probs=probs, exact=exact if all_exact else exact)
+        return cls(steps=steps, probs=probs, exact=exact)
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], float]:
@@ -241,6 +240,20 @@ def validate_model(dist: StepDistribution, tol: float = 1e-12) -> ModelValidatio
         is_small_step=small,
         notes=tuple(notes),
     )
+
+
+def require_valid(dist: StepDistribution, where: str = "") -> ModelValidationReport:
+    """Validate ``dist`` and raise InvalidModelError naming the failed rules.
+
+    ``where`` (a file path, say) prefixes the message.  Returns the
+    report of a passing model so callers can read its classification.
+    """
+    report = validate_model(dist)
+    if not report.passed:
+        ids = ", ".join(rule for rule, _ in report.violations)
+        prefix = f"{where}: " if where else ""
+        raise InvalidModelError(f"{prefix}model fails validation rules: {ids}")
+    return report
 
 
 def drift(dist: StepDistribution) -> tuple[float, float]:

@@ -8,12 +8,21 @@ seed, i // 65536, and its slot within the batch — never on thread
 scheduling or on how many paths other workers got — so every estimate is
 bit-for-bit reproducible.
 
-Steps are sampled through a Walker alias table (O(1) per draw) and
-advanced in blocks of 64 via cumulative sums, with absorption detected
-inside the block; the survival engine additionally compacts away
-absorbed rows between blocks.  Cramer twisting replaces the step law by
-p_s * exp(<phi, s>) (a probability law because phi lies on the zero
-curve) and reweights Green-function visits by the constant
+Steps are drawn through a Walker alias table and advanced in blocks of
+64.  Each block consumes exactly one ``rng.random((rows, blk))`` draw and
+turns every uniform u into one code per step: with v = u * K and
+k = floor(v), the code is 2k + (v - k < accept[k]), the alias decision
+written as an index.  Two int8 tables, one per coordinate, map a code
+to its step (entry 2k + 1 is step k, entry 2k its alias); when every
+accept is 1, as for uniform laws, the alias is never taken and the code
+is just k.  Each coordinate is gathered and prefix-summed on its own
+in int32, and absorption is tested on those offsets; the survival
+engine compacts away absorbed rows between blocks and never touches x
+for half-plane survival.  The array layout may change, but this stream
+consumption and this alias decision are the reproducibility contract
+(pinned by tests/test_stream_contract.py).  Cramer twisting replaces the
+step law by p_s * exp(<phi, s>) (a probability law because phi lies on
+the zero curve) and reweights Green-function visits by the constant
 exp(-<phi, y - x>).
 """
 
@@ -26,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .curve import CramerData, CurveGeometry, SolverError, cramer_transform, find_extrema
-from .model import StepDistribution, validate_model, InvalidModelError
+from .model import StepDistribution, require_valid
 
 __all__ = [
     "BATCH_SIZE",
@@ -46,6 +55,7 @@ __all__ = [
 BATCH_SIZE = 65536  # fixed: part of the reproducibility contract, not a knob
 _BLOCK = 64
 _MASK64 = (1 << 64) - 1
+_POSITION_LIMIT = 1 << 31  # positions are int32
 
 
 @dataclass(frozen=True)
@@ -80,13 +90,6 @@ class ScanPoint:
     norm: float  # |y|, the abscissa of the scan
     value: float  # sqrt(|y|)-scaled, twist-corrected Green value
     std_error: float
-
-
-def _require_valid(dist: StepDistribution) -> None:
-    report = validate_model(dist)
-    if not report.passed:
-        ids = ", ".join(rule for rule, _ in report.violations)
-        raise InvalidModelError(f"model fails validation rules: {ids}")
 
 
 def _twisted_probs(dist: StepDistribution, twist: CramerData | None):
@@ -127,14 +130,6 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_steps(rng, steps, accept, alias, rows: int, cols: int):
-    u = rng.random((rows, cols))
-    v = u * len(accept)
-    k = np.minimum(v.astype(np.int64), len(accept) - 1)
-    idx = np.where(v - k < accept[k], k, alias[k])
-    return steps[idx]  # (rows, cols, 2) int32
-
-
 def _batch_sizes(n_paths: int):
     full, rem = divmod(n_paths, BATCH_SIZE)
     sizes = [BATCH_SIZE] * full
@@ -143,27 +138,74 @@ def _batch_sizes(n_paths: int):
     return sizes
 
 
+def _check_stream_inputs(dist, points, horizon: int, seed: int) -> None:
+    """Reject seeds that Philox keying would alias and points whose
+    reachable positions would overflow int32."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    reach = horizon * max(max(abs(di), abs(dj)) for di, dj in dist.steps)
+    for p in points:
+        if max(abs(p[0]), abs(p[1])) + reach >= _POSITION_LIMIT:
+            raise ValueError(
+                f"point {tuple(p)} with horizon {horizon} can reach "
+                f"coordinates beyond the int32 position range"
+            )
+
+
+class _StepSampler:
+    """One call's step source: int8 code tables and a reused uniform buffer."""
+
+    def __init__(self, dist, twist, n_paths: int, horizon: int):
+        steps, probs = _twisted_probs(dist, twist)
+        accept, alias = _alias_table(probs)
+        self.k = len(probs)
+        self.accept = accept
+        self.trivial = bool((accept == 1.0).all())  # then alias is the identity
+        if self.trivial:
+            self.tables = steps.T.astype(np.int8)  # code k -> step k
+        else:
+            self.tables = np.empty((2, 2 * self.k), dtype=np.int8)
+            self.tables[:, 1::2] = steps.T  # code 2k + 1 -> step k
+            self.tables[:, 0::2] = steps[alias].T  # code 2k -> alias of k
+        self._u = np.empty(min(n_paths, BATCH_SIZE) * min(horizon, _BLOCK))
+
+    def offsets(self, rng, rows: int, blk: int, axes=(0, 1)):
+        """Draw one block; per axis, the (rows, blk) int32 prefix sums of
+        the steps."""
+        v = self._u[: rows * blk].reshape(rows, blk)
+        rng.random(out=v)
+        v *= self.k
+        code = v.astype(np.intp)
+        np.minimum(code, self.k - 1, out=code)
+        if not self.trivial:
+            v -= code  # v - k, exactly as the alias decision reads it
+            take = v < self.accept.take(code)
+            code *= 2
+            code += take
+        return [
+            np.cumsum(self.tables[a].take(code), axis=1, dtype=np.int32) for a in axes
+        ]
+
+
 def _survival_count(dist, start, horizon, seed, n_paths, twist, halfplane):
-    steps, probs = _twisted_probs(dist, twist)
-    accept, alias = _alias_table(probs)
+    _check_stream_inputs(dist, [start], horizon, seed)
+    sampler = _StepSampler(dist, twist, n_paths, horizon)
+    axes = (1,) if halfplane else (1, 0)
     survived = 0
     for b_idx, rows in enumerate(_batch_sizes(n_paths)):
         rng = _batch_rng(seed, b_idx)
-        pos = np.tile(np.array(start, dtype=np.int32), (rows, 1))
+        pos = [np.full(rows, start[a], dtype=np.int32) for a in axes]
         t = 0
-        while t < horizon and len(pos):
+        while t < horizon and len(pos[0]):
             blk = min(_BLOCK, horizon - t)
-            inc = _draw_steps(rng, steps, accept, alias, len(pos), blk)
-            cum = np.cumsum(inc, axis=1, dtype=np.int32)
-            cum += pos[:, None, :]
-            if halfplane:
-                dead = cum[:, :, 1] <= 0
-            else:
-                dead = (cum[:, :, 0] <= 0) | (cum[:, :, 1] <= 0)
-            keep = ~dead.any(axis=1)
-            pos = cum[keep, -1, :]
+            offs = sampler.offsets(rng, len(pos[0]), blk, axes)
+            # a path survives the block iff its lowest point stays above 0
+            keep = offs[0].min(axis=1) > -pos[0]
+            for off, p in zip(offs[1:], pos[1:]):
+                keep &= off.min(axis=1) > -p
+            pos = [p[keep] + off[keep, -1] for p, off in zip(pos, offs)]
             t += blk
-        survived += len(pos)
+        survived += len(pos[0])
     return survived
 
 
@@ -177,7 +219,7 @@ def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
     used here.  Every path resolves (absorbed or survived), so the
     censored fraction is zero by construction.
     """
-    _require_valid(dist)
+    require_valid(dist)
     i, j = int(x[0]), int(x[1])
     if i < 1 or j < 1:
         raise ValueError("escape start must be strictly inside the quadrant")
@@ -197,12 +239,14 @@ def estimate_halfplane_survival(
     dist: StepDistribution, height: int, cfg: SimConfig
 ) -> SimEstimate:
     """Survival in the upper half plane from vertical distance ``height``."""
-    _require_valid(dist)
+    require_valid(dist)
     height = int(height)
     if height < 1:
         raise ValueError("height must be >= 1")
     if cfg.horizon is None:
         raise ValueError("half-plane survival requires an explicit horizon")
+    if cfg.n_paths < 1 or cfg.horizon < 1:
+        raise ValueError("n_paths and horizon must be >= 1")
     survived = _survival_count(
         dist, (0, height), cfg.horizon, cfg.seed, cfg.n_paths, cfg.twist,
         halfplane=True,
@@ -221,20 +265,21 @@ def _visit_stats(dist, starts, targets, horizon, seed, n_paths, twist):
       (only when two starts are given); alive_counts[si]: paths unabsorbed
       at the horizon.  All reductions run in batch order.
     """
-    steps, probs = _twisted_probs(dist, twist)
-    accept, alias = _alias_table(probs)
+    _check_stream_inputs(dist, list(starts) + list(targets), horizon, seed)
+    sampler = _StepSampler(dist, twist, n_paths, horizon)
     n_starts = len(starts)
     n_targets = len(targets)
-    tgt = np.array(targets, dtype=np.int32)
     sums = [[[] for _ in range(n_targets)] for _ in range(n_starts)]
     sumsqs = [[[] for _ in range(n_targets)] for _ in range(n_starts)]
     crosses = [[] for _ in range(n_targets)]
     alive_parts = [[] for _ in range(n_starts)]
-    arange_blk = np.arange(_BLOCK)
 
     for b_idx, rows in enumerate(_batch_sizes(n_paths)):
         rng = _batch_rng(seed, b_idx)
-        pos = [np.tile(np.array(s, dtype=np.int32), (rows, 1)) for s in starts]
+        pos = [
+            [np.full(rows, s[0], dtype=np.int32), np.full(rows, s[1], dtype=np.int32)]
+            for s in starts
+        ]
         alive = [np.ones(rows, dtype=bool) for _ in starts]
         visits = [
             [np.zeros(rows, dtype=np.int64) for _ in range(n_targets)]
@@ -243,22 +288,20 @@ def _visit_stats(dist, starts, targets, horizon, seed, n_paths, twist):
         t = 0
         while t < horizon:
             blk = min(_BLOCK, horizon - t)
-            inc = _draw_steps(rng, steps, accept, alias, rows, blk)
-            cum = np.cumsum(inc, axis=1, dtype=np.int32)
+            off_x, off_y = sampler.offsets(rng, rows, blk)
             for si in range(n_starts):
-                pcs = pos[si][:, None, :] + cum
-                bnd = (pcs[:, :, 0] <= 0) | (pcs[:, :, 1] <= 0)
+                px = pos[si][0][:, None] + off_x
+                py = pos[si][1][:, None] + off_y
+                bnd = (px <= 0) | (py <= 0)
                 any_hit = bnd.any(axis=1)
-                first = np.where(any_hit, bnd.argmax(axis=1), blk)
-                step_ok = (arange_blk[None, :blk] < first[:, None]) & alive[si][:, None]
-                for ti in range(n_targets):
-                    hits = (
-                        (pcs[:, :, 0] == tgt[ti, 0])
-                        & (pcs[:, :, 1] == tgt[ti, 1])
-                        & step_ok
-                    )
-                    visits[si][ti] += hits.sum(axis=1)
-                pos[si] = pcs[:, -1, :]
+                # steps of this block each row takes alive: none once dead,
+                # else those before its first boundary point
+                n_ok = np.where(any_hit, bnd.argmax(axis=1), blk)
+                n_ok[~alive[si]] = 0
+                for ti, (yx, yy) in enumerate(targets):
+                    r, c = np.divmod(np.flatnonzero((px == yx) & (py == yy)), blk)
+                    visits[si][ti] += np.bincount(r[c < n_ok[r]], minlength=rows)
+                pos[si] = [px[:, -1].copy(), py[:, -1].copy()]
                 alive[si] &= ~any_hit
             t += blk
         for si in range(n_starts):
@@ -303,7 +346,7 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     constant weight exp(-<phi, y - x>), which undoes the tilt exactly
     because all paths from x to y share the displacement y - x.
     """
-    _require_valid(dist)
+    require_valid(dist)
     x = (int(x[0]), int(x[1]))
     y = (int(y[0]), int(y[1]))
     if min(x) < 1 or min(y) < 1:
@@ -339,7 +382,7 @@ def martin_kernel_profile(
     numbers), which cancels most of the noise in the ratio; the standard
     error comes from the delta method with the across-path covariance.
     """
-    _require_valid(dist)
+    require_valid(dist)
     x = (int(x[0]), int(x[1]))
     ys = [(int(y[0]), int(y[1])) for y in ys]
     if min(x) < 1 or any(min(y) < 1 for y in ys):
@@ -399,7 +442,7 @@ def green_direction_scan(
     sqrt(|y|) * exp(-<phi, x - y>) * G(x, y), which converges to a
     positive limit along the ray.
     """
-    _require_valid(dist)
+    require_valid(dist)
     geom = find_extrema(dist)
     u1, u2 = float(u[0]), float(u[1])
     norm = math.hypot(u1, u2)
@@ -442,7 +485,7 @@ def skipfree_exit_root(
     the vertical drift is <= 0 (descent is then certain) and 0.0 in the
     degenerate case of no downward step at all.
     """
-    _require_valid(dist)
+    require_valid(dist)
     steps, probs = _twisted_probs(dist, twist)
     marg: dict[int, float] = {}
     for (_, dj), p in zip(steps.tolist(), probs.tolist()):

@@ -28,7 +28,7 @@ from .model import (
     InvalidModelError,
     StepDistribution,
     kernel_eval,
-    validate_model,
+    require_valid,
 )
 
 __all__ = [
@@ -62,11 +62,7 @@ def compute_params(dist: StepDistribution) -> UniformizationParams:
     time rescale p_s / (1 - p00), which leaves the kernel's zero set and
     all harmonic functions unchanged.
     """
-    report = validate_model(dist)
-    if not report.passed:
-        ids = ", ".join(rule for rule, _ in report.violations)
-        raise InvalidModelError(f"model fails validation rules: {ids}")
-    if not report.is_small_step:
+    if not require_valid(dist).is_small_step:
         raise InvalidModelError(
             "rational parameterization requires small-step support "
             "{(-1,1),(1,-1),(1,0),(0,1),(1,1)} (plus optional (0,0))"

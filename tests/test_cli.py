@@ -287,6 +287,41 @@ class TestSimulate:
         assert code == 3
         assert err.startswith("numerical failure")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, paths, seed):
+        code, out, err = run(
+            capsys, "simulate", paths["fib"], "escape", "1", "1",
+            "--seed", seed, "--n-paths", "64", "--horizon", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
+    def test_mc_check_seed_outside_64_bits_is_usage_error(self, capsys, paths):
+        code, _, err = run(
+            capsys, "escape", paths["fib"], "1", "1", "--mc-check", "64", "10", "-1",
+        )
+        assert code == 2
+        assert "seed" in err
+
+    def test_start_that_could_overflow_is_usage_error(self, capsys, paths):
+        code, out, err = run(
+            capsys, "simulate", paths["fib"], "escape", "3000000000", "1",
+            "--seed", "1", "--n-paths", "64", "--horizon", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert "int32" in err
+
+    @pytest.mark.parametrize("n_paths,horizon", [("0", "10"), ("64", "0")])
+    def test_survival_sizes_are_usage_errors(self, capsys, paths, n_paths, horizon):
+        code, _, err = run(
+            capsys, "simulate", paths["fib"], "survival", "1", "--seed", "1",
+            "--n-paths", n_paths, "--horizon", horizon,
+        )
+        assert code == 2
+        assert "usage error" in err
+
     def test_green_unreachable_reports_zero(self, capsys, paths):
         code, out, _ = run(
             capsys, "simulate", paths["fib"], "green", "1", "1", "2", "3",

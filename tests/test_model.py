@@ -13,6 +13,7 @@ from cornerwalk.model import (
     log_kernel_eval,
     log_kernel_grad,
     parse_model_text,
+    require_valid,
     validate_model,
 )
 
@@ -194,3 +195,21 @@ def test_invalid_model_error_is_value_error():
     # callers catch ValueError for both parse and validation failures
     assert issubclass(InvalidModelError, ValueError)
     assert issubclass(ModelFileError, ValueError)
+
+
+def test_require_valid_returns_the_passing_report():
+    report = require_valid(parse_model_text(FIB_TEXT))
+    assert report.passed and report.is_small_step
+
+
+def test_require_valid_names_rules_and_prefix():
+    bad = parse_model_text("1 1 1/2\n1 -1 1/2\n")  # no (-1,1) mass
+    with pytest.raises(InvalidModelError, match="^model fails validation rules: corner_jumps$"):
+        require_valid(bad)
+    with pytest.raises(InvalidModelError, match="^m.txt: model fails validation rules: "):
+        require_valid(bad, where="m.txt")
+
+
+def test_float_probabilities_keep_exact_values():
+    dist = StepDistribution.from_pairs({(1, 1): 0.5, (1, -1): 0.25, (-1, 1): 0.25})
+    assert dist.exact == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))

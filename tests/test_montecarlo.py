@@ -111,6 +111,64 @@ class TestHalfplaneSurvival:
         with pytest.raises(ValueError, match="height"):
             estimate_halfplane_survival(fib, 0, SimConfig(seed=0, n_paths=10, horizon=5))
 
+    @pytest.mark.parametrize("n_paths,horizon", [(0, 5), (10, 0)])
+    def test_sizes_must_be_positive(self, fib, n_paths, horizon):
+        cfg = SimConfig(seed=0, n_paths=n_paths, horizon=horizon)
+        with pytest.raises(ValueError, match="n_paths and horizon"):
+            estimate_halfplane_survival(fib, 1, cfg)
+
+
+class TestInputGuards:
+    """Inputs the int32 positions or the 64-bit Philox key cannot
+    represent are rejected, never wrapped or masked."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+    def test_seed_outside_64_bits_rejected(self, fib, all_five, seed):
+        cfg = SimConfig(seed=seed, n_paths=16, horizon=5)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_escape(fib, (1, 1), cfg)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_halfplane_survival(fib, 1, cfg)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_green(all_five, (1, 1), (2, 2), cfg)
+        with pytest.raises(ValueError, match="seed"):
+            martin_kernel_profile(all_five, (2, 3), [(3, 3)], cfg)
+
+    def test_largest_seed_accepted(self, fib):
+        cfg = SimConfig(seed=2**64 - 1, n_paths=16, horizon=5)
+        assert estimate_escape(fib, (1, 1), cfg).n_paths == 16
+
+    def test_start_that_could_overflow_rejected(self, fib):
+        # unguarded, positions wrap negative and the paths count as absorbed
+        cfg = SimConfig(seed=1, n_paths=4096, horizon=5)
+        with pytest.raises(ValueError, match="int32"):
+            estimate_escape(fib, (2**31 - 2, 5), cfg)
+        with pytest.raises(ValueError, match="int32"):
+            estimate_halfplane_survival(fib, 2**31 - 5, cfg)
+
+    def test_start_at_the_int32_edge_accepted(self, fib):
+        # |i| + horizon * max|step| = 2^31 - 1: the last position that fits
+        cfg = SimConfig(seed=1, n_paths=4096, horizon=5)
+        est = estimate_escape(fib, (2**31 - 6, 5), cfg)
+        # only five straight down-steps (chance 3^-5) leave the quadrant
+        assert abs(z_score(est, 1.0 - 3.0**-5)) < 3.5
+        with pytest.raises(ValueError, match="int32"):
+            estimate_escape(fib, (2**31 - 5, 5), cfg)
+
+    def test_reach_scales_with_the_longest_step(self, big_jump):
+        # big_jump moves up to 2 per step
+        cfg = SimConfig(seed=1, n_paths=16, horizon=5)
+        estimate_escape(big_jump, (2**31 - 11, 5), cfg)
+        with pytest.raises(ValueError, match="int32"):
+            estimate_escape(big_jump, (2**31 - 10, 5), cfg)
+
+    def test_green_target_that_could_overflow_rejected(self, all_five):
+        cfg = SimConfig(seed=1, n_paths=16, horizon=5)
+        with pytest.raises(ValueError, match="int32"):
+            estimate_green(all_five, (1, 1), (2**31, 1), cfg)
+        with pytest.raises(ValueError, match="int32"):
+            martin_kernel_profile(all_five, (2**31 - 3, 3), [(3, 3)], cfg)
+
 
 class TestGreen:
     def test_parity_unreachable_is_exact_zero(self, fib):
