@@ -71,7 +71,8 @@ def main() -> None:
     series = harmonic_eval(seq, 1, 1).value
     z = (est.mean - series) / est.std_error
     print(f"\nMC check at (1,1): {est.mean:.6f} +- {est.std_error:.6f} "
-          f"vs series {series:.6f}   (z = {z:+.2f}, seed {args.seed})")
+          f"vs series {series:.6f}   (z = {z:+.2f}, seed {args.seed}, "
+          f"bias bound {est.bias_bound:.1e})")
 
 
 if __name__ == "__main__":

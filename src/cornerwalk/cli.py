@@ -9,7 +9,7 @@ printed with 17 significant digits so values round-trip exactly.
 
 Exit codes: 0 success; 1 model parse/validation failure; 2 usage error
 (argparse, bad parameter values, missing --seed); 3 numerical failure
-(bracketing, convergence, SPD, division blowups).
+(bracketing, convergence, SPD, division blowups, float overflow).
 """
 
 from __future__ import annotations
@@ -162,12 +162,15 @@ def cmd_escape(args) -> int:
         params.update({"mc_n_paths": n_paths, "mc_horizon": horizon})
         est = mc.estimate_escape(
             dist, (i, j), mc.SimConfig(seed=seed, n_paths=n_paths, horizon=horizon)
-        ) if i >= 1 and j >= 1 else mc.SimEstimate(0.0, 0.0, n_paths, horizon, 0.0)
+        ) if i >= 1 and j >= 1 else mc.SimEstimate(
+            0.0, 0.0, n_paths, horizon, 0.0, 0.0
+        )
         delta = abs(est.mean - hv.value)
-        gate = 3.0 * est.std_error + hv.tail_bound
+        gate = 3.0 * est.std_error + hv.tail_bound + est.bias_bound
         body += [
             f"mc_mean: {_fmt(est.mean)}",
             f"mc_std_error: {_fmt(est.std_error)}",
+            f"mc_bias_bound: {_fmt(est.bias_bound)}",
             f"mc_delta: {_fmt(delta)}",
             f"mc_verdict: {'agree' if delta <= gate else 'disagree'}",
         ]
@@ -483,7 +486,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, ZeroDivisionError) as exc:
+    except (SolverError, ZeroDivisionError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -49,6 +49,15 @@ __all__ = [
 ]
 
 
+# Lattice coordinates beyond 2**53 are not exact floats; refuse them.
+_MAX_COORD = 1 << 53
+
+
+def _require_float_exact(i: int, j: int) -> None:
+    if max(i, j) >= _MAX_COORD:
+        raise ValueError("lattice coordinates must be below 2**53")
+
+
 class PrecisionWarning(UserWarning):
     """The requested evaluation exceeds what the built truncation supports."""
 
@@ -155,6 +164,12 @@ def canonicalize_start(geom: CurveGeometry, point, max_hops: int = 1000):
     raise SolverError(f"canonicalization exceeded {max_hops} hops")
 
 
+def _logaddexp(u: float, v: float) -> float:
+    """log(exp(u) + exp(v)) without overflow."""
+    hi, lo = max(u, v), min(u, v)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
 def _tail_pieces(i, j, a0, b0, c1, c2, n_max, n_neg):
     """Envelope tails beyond the stored range [-n_neg, n_max].
 
@@ -167,17 +182,27 @@ def _tail_pieces(i, j, a0, b0, c1, c2, n_max, n_neg):
     """
     m = i + j
     q = math.exp(-(c1 + c2) * m)
-    up = (
-        math.exp(m * b0)
-        * (math.exp(i * c2) + math.exp(-i * c1))
-        * q ** (n_max + 1)
-        / (1.0 - q)
-    )
-    down = (
-        math.exp(m * a0)
-        * (math.exp(j * c1) * q ** (n_neg + 1) + math.exp(-j * c2) * q**n_neg)
-        / (1.0 - q)
-    )
+    try:
+        up = (
+            math.exp(m * b0)
+            * (math.exp(i * c2) + math.exp(-i * c1))
+            * q ** (n_max + 1)
+            / (1.0 - q)
+        )
+        down = (
+            math.exp(m * a0)
+            * (math.exp(j * c1) * q ** (n_neg + 1) + math.exp(-j * c2) * q**n_neg)
+            / (1.0 - q)
+        )
+    except OverflowError:  # exp(i*c2) or exp(j*c1) for a far start
+        log_q = -(c1 + c2) * m
+        log_tail = -math.log1p(-q)
+        up = math.exp(
+            m * b0 + _logaddexp(i * c2, -i * c1) + (n_max + 1) * log_q + log_tail
+        )
+        down = math.exp(
+            m * a0 + _logaddexp(j * c1 + log_q, -j * c2) + n_neg * log_q + log_tail
+        )
     return up, down
 
 
@@ -217,21 +242,23 @@ def build_sequence(
     if not snapped:  # unreachable after the in_G0 gate, kept as a tripwire
         raise ValueError(f"start {start!r} matches neither graph piece of G0")
 
-    # Worst-case envelope at total degree imin decides the range.
+    # Worst-case envelope at total degree imin decides the range.  It is
+    # sized in log space: exp(m*c2) overflows for a start as far out as
+    # imin = 2000.
     m = imin if imin >= 2 else 1
-    q = math.exp(-(geom.c1 + geom.c2) * m)
-    half = 0.5 * truncation_tol
+    log_q = -(geom.c1 + geom.c2) * m
+    log_half = math.log(0.5 * truncation_tol)
 
-    def _need(anchor: float, bulge: float) -> int:
+    def _need(anchor: float, log_bulge: float) -> int:
         # smallest n with exp(m*anchor)*bulge*q^n/(1-q) <= half
-        lead = math.exp(m * anchor) * bulge / (1.0 - q)
-        if lead <= half:
+        log_lead = m * anchor + log_bulge - math.log1p(-math.exp(log_q))
+        if log_lead <= log_half:
             return 1
-        n = math.log(half / lead) / math.log(q)
+        n = (log_half - log_lead) / log_q
         return max(1, math.ceil(n - 1e-9))
 
-    n_pos = _need(b0, math.exp(m * geom.c2) + 1.0)
-    n_neg = _need(a0, math.exp(m * geom.c1) * q + 1.0) + 1
+    n_pos = _need(b0, _logaddexp(m * geom.c2, 0.0))
+    n_neg = _need(a0, _logaddexp(m * geom.c1 + log_q, 0.0)) + 1
     if max(n_pos, n_neg) > 100000:
         raise SolverError("truncation range exploded; tolerance unreachable")
 
@@ -297,15 +324,13 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
         raise ValueError("lattice point must be in the closed quadrant")
     if i == 0 or j == 0:
         return HarmonicValue(0.0, 0.0, 0)
+    _require_float_exact(i, j)
     if i + j < seq.imin:
         raise ValueError(
             f"evaluation at degree {i + j} below the built imin={seq.imin}"
         )
     terms: list[float] = []
-    # accumulate from the outermost indices inward; fsum is exact anyway,
-    # but the stated order costs nothing and documents intent
-    order = sorted(range(seq.n_min, seq.n_max + 1), key=lambda n: (-abs(n), n))
-    for n in order:
+    for n in range(seq.n_min, seq.n_max + 1):  # fsum rounds once: order is free
         an, bn, an1 = seq.a(n), seq.b(n), seq.a(n + 1)
         terms.append(math.exp(i * an + j * bn))
         terms.append(-math.exp(i * an1 + j * bn))
@@ -337,6 +362,7 @@ def escape_probability(
     i, j = int(i), int(j)
     if i < 1 or j < 1:
         raise ValueError("escape probability is defined for interior points")
+    _require_float_exact(i, j)
     seq = build_sequence(geom, (0.0, 0.0), truncation_tol=tol, imin=i + j)
     return harmonic_eval(seq, i, j)
 
@@ -350,7 +376,9 @@ def boundary_harmonic(
     the lower branch maximum (g(y0), y0) with respect to the anchor
     height.  The chain derivative recursion rides along the chain itself:
     each switch multiplies by the local inverse-branch slope, and the
-    leading coefficients are a0' = g'(y0) = 0, b0' = 1.
+    leading coefficients are a0' = g'(y0) = 0, b0' = 1.  The sum stops
+    once a heuristic remainder estimate drops below ``tol``; unlike the
+    tail bound of ``harmonic_eval`` it is not a certified bound.
     """
     i, j = int(i), int(j)
     if i < 1 or j < 1:
@@ -379,8 +407,8 @@ def boundary_harmonic(
         b_next = g_hat(geom, a_next)
         db_next = _slope(dist, a_next, b_next, "x") * da_next
         prod_max = max(prod_max, abs(da_next), abs(db_next))
-        # Remaining terms are dominated by the envelope times the largest
-        # derivative product seen (the products converge monotonically).
+        # Stopping heuristic, not a bound: the envelope times the largest
+        # derivative product seen so far, assuming the products settle.
         rem = 2.0 * m * 2.0 * prod_max * math.exp(i * a_next + j * b_next) / (1.0 - q)
         a_n, b_n, da_n, db_n = a_next, b_next, da_next, db_next
         if rem < tol and len(terms) >= 3:

@@ -7,7 +7,8 @@ below zero) exactly two roots.  All branch functions below are built from
 one primitive: locate the section minimizer by bisecting the increasing
 derivative, then expand geometrically outward to bracket the requested
 root, bisect to width 1e-13, and finish with a few safeguarded Newton
-steps.  No nested root-finding anywhere.
+steps.  The one nested search is ``find_extrema``: it bisects along a
+branch, and every probe of that bisection solves a section for its root.
 
 Branch conventions, for models with drift pointing strictly into the
 quadrant:
@@ -55,7 +56,6 @@ __all__ = [
     "f_prime",
     "g_prime",
     "f_hat_prime",
-    "g_hat_prime",
     "in_G0",
     "cramer_transform",
 ]
@@ -307,10 +307,6 @@ def g_prime(geom: CurveGeometry, y: float) -> float:
 def f_hat_prime(geom: CurveGeometry, y: float) -> float:
     """Derivative of f_hat; equals 1/f'(f_hat(y)), positive and -> 1 far out."""
     return _slope(geom.dist, f_hat(geom, y), y, "y")
-
-
-def g_hat_prime(geom: CurveGeometry, x: float) -> float:
-    return _slope(geom.dist, x, g_hat(geom, x), "x")
 
 
 def find_extrema(dist: StepDistribution, tol: float = 1e-12) -> CurveGeometry:

@@ -16,10 +16,15 @@ written as an index.  Two int8 tables, one per coordinate, map a code
 to its step (entry 2k + 1 is step k, entry 2k its alias); when every
 accept is 1, as for uniform laws, the alias is never taken and the code
 is just k.  Each coordinate is gathered and prefix-summed on its own
-in int32, and absorption is tested on those offsets; the survival
-engine compacts away absorbed rows between blocks and never touches x
-for half-plane survival.  The array layout may change, but this stream
-consumption and this alias decision are the reproducibility contract
+in int32, and absorption is tested on those offsets.  After every block
+the survival engine drops its absorbed rows, then retires as escaped
+the rows whose chance of ever exiting, bounded by c_x^i + c_y^j (the
+exit roots of skipfree_exit_root; c_y^j alone for half-plane survival,
+which never touches x), is below 1e-7; later blocks draw only for the
+rows left.  The bounds of the retired rows, and of the rows still
+walking at the horizon, make up the estimate's ``bias_bound``.  The
+array layout may change, but this stream consumption, this alias
+decision and this retirement rule are the reproducibility contract
 (pinned by tests/test_stream_contract.py).  Cramer twisting replaces the
 step law by p_s * exp(<phi, s>) (a probability law because phi lies on
 the zero curve) and reweights Green-function visits by the constant
@@ -56,6 +61,7 @@ BATCH_SIZE = 65536  # fixed: part of the reproducibility contract, not a knob
 _BLOCK = 64
 _MASK64 = (1 << 64) - 1
 _POSITION_LIMIT = 1 << 31  # positions are int32
+_RETIRE_EPS = 1e-7  # exit bound below which a survival path retires as escaped
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,9 @@ class SimEstimate:
     n_paths: int
     horizon: int
     censored_fraction: float
+    # escape and half-plane survival only: mean exit bound of the paths
+    # counted as surviving, whose expectation bounds the estimate's bias
+    bias_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -188,10 +197,15 @@ class _StepSampler:
 
 
 def _survival_count(dist, start, horizon, seed, n_paths, twist, halfplane):
+    """Paths that survive or retire, paths censored at the horizon, and the
+    summed exit bound of both (see estimate_escape)."""
     _check_stream_inputs(dist, [start], horizon, seed)
     sampler = _StepSampler(dist, twist, n_paths, horizon)
     axes = (1,) if halfplane else (1, 0)
-    survived = 0
+    steps, probs = _twisted_probs(dist, twist)
+    roots = [_exit_root(steps, probs, a) for a in axes]
+    survived = censored = 0
+    bound_parts = []
     for b_idx, rows in enumerate(_batch_sizes(n_paths)):
         rng = _batch_rng(seed, b_idx)
         pos = [np.full(rows, start[a], dtype=np.int32) for a in axes]
@@ -204,20 +218,46 @@ def _survival_count(dist, start, horizon, seed, n_paths, twist, halfplane):
             for off, p in zip(offs[1:], pos[1:]):
                 keep &= off.min(axis=1) > -p
             pos = [p[keep] + off[keep, -1] for p, off in zip(pos, offs)]
+            # chance of ever exiting from here, at most the sum over axes
+            bound = sum(c**p for c, p in zip(roots, pos))
+            retire = bound < _RETIRE_EPS
+            if retire.any():
+                survived += int(retire.sum())
+                bound_parts.append(float(bound[retire].sum()))
+                pos = [p[~retire] for p in pos]
+                bound = bound[~retire]
             t += blk
         survived += len(pos[0])
-    return survived
+        censored += len(pos[0])
+        bound_parts.append(float(np.minimum(bound, 1.0).sum()))
+    return survived, censored, math.fsum(bound_parts)
+
+
+def _survival_estimate(dist, start, cfg: SimConfig, halfplane: bool) -> SimEstimate:
+    survived, censored, bound = _survival_count(
+        dist, start, cfg.horizon, cfg.seed, cfg.n_paths, cfg.twist, halfplane
+    )
+    n = cfg.n_paths
+    p = survived / n
+    se = math.sqrt(p * (1.0 - p) / n)
+    return SimEstimate(p, se, n, cfg.horizon, censored / n, bound / n)
 
 
 def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
-    """Fraction of paths from x still strictly inside the quadrant at the
-    horizon.
+    """Fraction of paths from x that never leave the open quadrant, with
+    paths that provably escape retired early.
 
-    This estimates P(exit time > horizon), an upper proxy for the escape
-    probability; the gap P(horizon < exit < infinity) decays geometrically
-    in the horizon and is far below the binomial noise for the horizons
-    used here.  Every path resolves (absorbed or survived), so the
-    censored fraction is zero by construction.
+    Each coordinate moves down by at most one per step, so from (i, j)
+    the walk ever exits with probability at most c_x^i + c_y^j, where
+    c_x and c_y are the exit roots of the marginals of the law actually
+    sampled (twisted or not; see skipfree_exit_root).  After every block
+    a path whose bound is below 1e-7 retires and counts as escaped, as
+    does a path still inside at the horizon.  The estimate can therefore
+    only overstate the escape probability, and ``bias_bound`` says by how
+    much: it is the mean over paths of the bound at retirement, or at the
+    horizon (capped at 1) for paths neither absorbed nor retired, so
+    0 <= E[mean] - P(never exit) <= E[bias_bound].  ``censored_fraction``
+    is the share of those last paths.
     """
     require_valid(dist)
     i, j = int(x[0]), int(x[1])
@@ -227,18 +267,17 @@ def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
         raise ValueError("escape estimation requires an explicit horizon")
     if cfg.n_paths < 1 or cfg.horizon < 1:
         raise ValueError("n_paths and horizon must be >= 1")
-    survived = _survival_count(
-        dist, (i, j), cfg.horizon, cfg.seed, cfg.n_paths, cfg.twist, halfplane=False
-    )
-    p = survived / cfg.n_paths
-    se = math.sqrt(p * (1.0 - p) / cfg.n_paths)
-    return SimEstimate(p, se, cfg.n_paths, cfg.horizon, 0.0)
+    return _survival_estimate(dist, (i, j), cfg, halfplane=False)
 
 
 def estimate_halfplane_survival(
     dist: StepDistribution, height: int, cfg: SimConfig
 ) -> SimEstimate:
-    """Survival in the upper half plane from vertical distance ``height``."""
+    """Survival in the upper half plane from vertical distance ``height``.
+
+    Paths retire as in estimate_escape, with the bound c_y^z of the
+    current height z alone.
+    """
     require_valid(dist)
     height = int(height)
     if height < 1:
@@ -247,13 +286,7 @@ def estimate_halfplane_survival(
         raise ValueError("half-plane survival requires an explicit horizon")
     if cfg.n_paths < 1 or cfg.horizon < 1:
         raise ValueError("n_paths and horizon must be >= 1")
-    survived = _survival_count(
-        dist, (0, height), cfg.horizon, cfg.seed, cfg.n_paths, cfg.twist,
-        halfplane=True,
-    )
-    p = survived / cfg.n_paths
-    se = math.sqrt(p * (1.0 - p) / cfg.n_paths)
-    return SimEstimate(p, se, cfg.n_paths, cfg.horizon, 0.0)
+    return _survival_estimate(dist, (0, height), cfg, halfplane=True)
 
 
 def _visit_stats(dist, starts, targets, horizon, seed, n_paths, twist):
@@ -474,24 +507,20 @@ def green_direction_scan(
     return out
 
 
-def skipfree_exit_root(
-    dist: StepDistribution, twist: CramerData | None = None, tol: float = 1e-13
-) -> float:
-    """Root in (0, 1) of the vertical-marginal descent equation.
+def _exit_root(steps, probs, axis: int) -> float:
+    """Root in [0, 1] of the descent equation of one coordinate's marginal.
 
-    The height coordinate moves down by at most one per step, so the
-    chance of ever reaching the horizontal axis from height z is c^z,
-    where c solves sum_j P(dj = j) c^j = 1 on (0, 1).  Returns 1.0 when
-    the vertical drift is <= 0 (descent is then certain) and 0.0 in the
-    degenerate case of no downward step at all.
+    The coordinate moves down by at most one per step, so from level z
+    it ever reaches 0 with probability c^z, where c solves
+    sum_d P(d) c^d = 1 on (0, 1) (gambler's ruin for a skip-free walk).
+    Returns 1.0 when the drift on the axis is <= 0 (descent is then
+    certain) and 0.0 when the coordinate never steps down.
     """
-    require_valid(dist)
-    steps, probs = _twisted_probs(dist, twist)
     marg: dict[int, float] = {}
-    for (_, dj), p in zip(steps.tolist(), probs.tolist()):
-        marg[dj] = marg.get(dj, 0.0) + p
-    mu2 = math.fsum(j * p for j, p in marg.items())
-    if mu2 <= 1e-12:
+    for d, p in zip(steps[:, axis].tolist(), probs.tolist()):
+        marg[d] = marg.get(d, 0.0) + p
+    mu = math.fsum(d * p for d, p in marg.items())
+    if mu <= 1e-12:
         return 1.0
     if marg.get(-1, 0.0) <= 0.0:
         return 0.0
@@ -499,10 +528,10 @@ def skipfree_exit_root(
     items = sorted(marg.items())
 
     def psi(cv: float) -> float:
-        return math.fsum(p * cv**j for j, p in items) - 1.0
+        return math.fsum(p * cv**d for d, p in items) - 1.0
 
     def dpsi(cv: float) -> float:
-        return math.fsum(p * j * cv ** (j - 1) for j, p in items)
+        return math.fsum(p * d * cv ** (d - 1) for d, p in items)
 
     lo = 0.5
     while psi(lo) <= 0.0:
@@ -537,6 +566,22 @@ def skipfree_exit_root(
         if abs(step) < 1e-16:
             break
     return c
+
+
+def skipfree_exit_root(
+    dist: StepDistribution, twist: CramerData | None = None, tol: float = 1e-13
+) -> float:
+    """Root in (0, 1) of the vertical-marginal descent equation.
+
+    The height coordinate moves down by at most one per step, so the
+    chance of ever reaching the horizontal axis from height z is c^z,
+    where c solves sum_j P(dj = j) c^j = 1 on (0, 1).  Returns 1.0 when
+    the vertical drift is <= 0 (descent is then certain) and 0.0 in the
+    degenerate case of no downward step at all.
+    """
+    require_valid(dist)
+    steps, probs = _twisted_probs(dist, twist)
+    return _exit_root(steps, probs, 1)
 
 
 def brownian_halfplane_kernel(t: float, x, y, mu, sigma) -> float:

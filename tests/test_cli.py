@@ -53,7 +53,7 @@ class TestManifest:
             "# model: m.txt",
             "# param a: 0.5",
             "# param b: 2",
-            "# tool_version: 0.1.0",
+            "# tool_version: 0.2.0",
             "# seed: 7",
         ]
 
@@ -66,7 +66,7 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", paths["fib"])
         assert code == 0
         assert out.startswith(f"# command: validate\n# model: {paths['fib']}\n")
-        assert "# tool_version: 0.1.0" in out
+        assert "# tool_version: 0.2.0" in out
         assert body_value(out, "steps") == "3"
         assert body_value(out, "passed") == "yes"
         assert body_value(out, "small-step") == "yes"
@@ -156,10 +156,33 @@ class TestEscape:
         assert body_value(out, "mc_verdict") == "agree"
         delta = float(body_value(out, "mc_delta"))
         se = float(body_value(out, "mc_std_error"))
-        assert delta <= 3.0 * se + 1e-10
+        bias = float(body_value(out, "mc_bias_bound"))
+        assert 0.0 <= bias <= 1e-7
+        assert delta <= 3.0 * se + bias + 1e-10
+        keys = [ln.split(":")[0] for ln in out.splitlines() if ln.startswith("mc_")]
+        assert keys == ["mc_mean", "mc_std_error", "mc_bias_bound", "mc_delta",
+                        "mc_verdict"]
 
     def test_negative_coordinate(self, capsys, paths):
         code, _, err = run(capsys, "escape", paths["fib"], "-1", "2")
+        assert code == 2
+        assert "usage error" in err
+
+    @pytest.mark.parametrize("i,j", [("2000", "1"), ("1", "2000")])
+    def test_far_start_is_served(self, capsys, paths, i, j):
+        # the other axis is exited with chance 2^-2000 at most
+        code, out, _ = run(capsys, "escape", paths["fib"], i, j)
+        assert code == 0
+        value = float(body_value(out, "escape_probability"))
+        assert abs(value - 0.5) <= float(body_value(out, "tail_bound")) + 1e-14
+
+    @pytest.mark.parametrize("argv", [
+        ["3000000000", "1", "--mc-check", "64", "10", "1"],
+        [str(2**53), "1"],
+        [str(10**400), "1"],
+    ])
+    def test_unservable_start_is_usage_error(self, capsys, paths, argv):
+        code, _, err = run(capsys, "escape", paths["fib"], *argv)
         assert code == 2
         assert "usage error" in err
 
@@ -200,6 +223,12 @@ class TestBoundaryHarmonic:
     def test_axis_rejected(self, capsys, paths):
         code, _, _ = run(capsys, "boundary-harmonic", paths["fib"], "0", "1")
         assert code == 2
+
+    def test_overflow_is_numerical_failure(self, capsys, paths):
+        # the function grows exponentially along the boundary
+        code, _, err = run(capsys, "boundary-harmonic", paths["fib"], "100000", "1")
+        assert code == 3
+        assert "numerical failure" in err
 
 
 class TestSequence:
@@ -403,7 +432,7 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.strip() == "0.1.0"
+    assert capsys.readouterr().out.strip() == "0.2.0"
 
 
 def test_parser_builds_all_subcommands():

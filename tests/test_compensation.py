@@ -199,6 +199,20 @@ class TestEscapeProbability:
         with pytest.raises(ValueError):
             escape_probability(fib_geom, 1, 0)
 
+    @pytest.mark.parametrize("i,j", [(2000, 1), (1, 2000), (3_000_000_000, 1)])
+    def test_far_start_within_tail_bound(self, fib_geom, i, j):
+        # from (2000, 1) the walk exits through y = 0 with chance exactly
+        # 1/2 and through x = 0 with chance at most 2^-2000
+        hv = escape_probability(fib_geom, i, j)
+        assert abs(hv.value - 0.5) <= hv.tail_bound + 1e-14
+
+    def test_start_beyond_float_range_rejected(self, fib_geom):
+        seq = fib_seq(fib_geom)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            escape_probability(fib_geom, 2**53, 1)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            harmonic_eval(seq, 1, 10**400)
+
     def test_two_term_asymptote(self, fib_geom):
         # at (50,50) everything but the first alternation is negligible:
         # h = 1 - 2 (1/2)^50 + O(F5^-50)

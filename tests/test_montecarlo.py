@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cornerwalk.curve import SolverError, cramer_transform
+from cornerwalk.curve import SolverError, cramer_transform, find_extrema
 from cornerwalk.model import InvalidModelError, parse_model_text
 from cornerwalk.montecarlo import (
     BATCH_SIZE,
@@ -18,6 +19,8 @@ from cornerwalk.montecarlo import (
     martin_kernel_estimate,
     martin_kernel_profile,
     skipfree_exit_root,
+    _exit_root,
+    _twisted_probs,
 )
 
 from oracles import (
@@ -61,7 +64,10 @@ class TestEscape:
         cfg = SimConfig(seed=20260819, n_paths=20000, horizon=2000)
         est = estimate_escape(fib, (1, 1), cfg)
         truth = float(fib_escape_exact(1, 1))
+        # every path is absorbed or retired long before the horizon, and
+        # each retired path exits later with chance below 1e-7
         assert est.censored_fraction == 0.0
+        assert 0.0 <= est.bias_bound <= 1e-7
         assert abs(z_score(est, truth)) < 3.5
 
     def test_short_horizon_matches_enumeration(self, fib):
@@ -69,6 +75,29 @@ class TestEscape:
         est = estimate_escape(fib, (2, 1), cfg)
         truth = float(escape_truth(fib, (2, 1), 4))
         assert abs(z_score(est, truth)) < 3.5
+
+    def test_short_horizon_bias_bound_covers_gap(self, fib):
+        # at horizon 4 many paths are still walking: the estimate of
+        # P(exit time > 4) overstates escape, by no more than bias_bound
+        cfg = SimConfig(seed=17, n_paths=BATCH_SIZE, horizon=4)
+        est = estimate_escape(fib, (2, 1), cfg)
+        gap = est.mean - float(fib_escape_exact(2, 1))
+        assert est.censored_fraction > 0.0
+        assert gap > 4 * est.std_error
+        assert gap <= est.bias_bound + 4 * est.std_error
+
+    def test_zero_vertical_drift_never_retires(self):
+        # exit root 1 on the vertical axis: the bound never drops below 1,
+        # so every path still inside at the horizon is censored
+        dist = parse_model_text("1 -1 1/2\n-1 1 1/4\n1 1 1/4\n")
+        cfg = SimConfig(seed=8, n_paths=4096, horizon=300)
+        for est in (
+            estimate_escape(dist, (30, 30), cfg),
+            estimate_halfplane_survival(dist, 30, cfg),
+        ):
+            assert est.mean > 0.5
+            assert est.censored_fraction == est.mean
+            assert est.bias_bound == est.censored_fraction  # bound capped at 1
 
     def test_monotone_in_horizon(self, fib):
         # same seed: the horizon-2H survivors are a pathwise subset
@@ -201,6 +230,11 @@ class TestGreen:
         assert est.horizon == 10 * 5
         assert 0.0 <= est.censored_fraction <= 1.0
 
+    def test_no_bias_bound_claimed(self, all_five):
+        cfg = SimConfig(seed=2, n_paths=2048, horizon=20)
+        assert estimate_green(all_five, (1, 1), (3, 4), cfg).bias_bound is None
+        assert martin_kernel_estimate(all_five, (2, 3), (4, 4), cfg).bias_bound is None
+
     def test_twist_weight_overflow_guarded(self, fib, fib_geom):
         tw = cramer_transform(fib_geom, (2 / math.sqrt(5), 1 / math.sqrt(5)))
         with pytest.raises(SolverError, match="overflow"):
@@ -318,6 +352,18 @@ class TestSkipfreeRoot:
     def test_validates_model(self):
         with pytest.raises(InvalidModelError):
             skipfree_exit_root(parse_model_text("1 1 1\n"))
+
+    def test_twisted_x_root_is_swapped_y_root(self):
+        dist = parse_model_text("1 -1 1/4\n-1 1 1/4\n1 0 1/4\n1 1 1/4\n")
+        swapped = parse_model_text("-1 1 1/4\n1 -1 1/4\n0 1 1/4\n1 1 1/4\n")
+        tw = cramer_transform(find_extrema(dist), (2 / math.sqrt(5), 1 / math.sqrt(5)))
+        c_x = _exit_root(*_twisted_probs(dist, tw), 0)
+        mirrored = dataclasses.replace(tw, phi=(tw.phi[1], tw.phi[0]))
+        assert 0.0 < c_x < 1.0
+        assert c_x == pytest.approx(
+            skipfree_exit_root(swapped, twist=mirrored), abs=1e-13
+        )
+        assert c_x != pytest.approx(skipfree_exit_root(dist, twist=tw), abs=1e-3)
 
 
 class TestBrownianKernel:

@@ -3,7 +3,10 @@
 Every Monte Carlo estimate is a function of the seed and the code alone:
 each 65536-path batch owns a Philox substream, every block of up to 64
 steps consumes exactly one ``rng.random((rows, blk))`` draw, and every
-uniform picks its step by the same Walker alias decision.  A rewrite of
+uniform picks its step by the same Walker alias decision.  After every
+block the survival engine drops its absorbed rows and retires the rows
+whose exit bound is below 1e-7, so later blocks draw only for the rows
+still walking (this retirement came with tool_version 0.2.0).  A rewrite of
 the step engine may change array layouts but must leave these values
 (and the bytes the CLI prints) exactly as they are.  A change that is
 meant to alter the stream must say so and update the pins together with
@@ -80,40 +83,52 @@ ESTIMATES = {
 
 EXPECTED = {
     "escape_fibonacci": (
-        "SimEstimate(mean=0.17136729066051914, std_error=0.0014394031748630512, "
-        "n_paths=68537, horizon=150, censored_fraction=0.0)"
+        "SimEstimate(mean=0.17139647197863928, "
+        "std_error=0.0014395003766389605, n_paths=68537, horizon=150, "
+        "censored_fraction=0.0017362884281482995, "
+        "bias_bound=8.695453720991209e-09)"
     ),
     "escape_diag_heavy": (
-        "SimEstimate(mean=0.8205640748792623, std_error=0.0014657111895885352, "
-        "n_paths=68537, horizon=150, censored_fraction=0.0)"
+        "SimEstimate(mean=0.8205640748792623, "
+        "std_error=0.0014657111895885352, n_paths=68537, horizon=150, "
+        "censored_fraction=0.0, bias_bound=7.794318600271688e-38)"
     ),
     "escape_big_jump": (
-        "SimEstimate(mean=0.45988298291433827, std_error=0.0019037286892357762, "
-        "n_paths=68537, horizon=150, censored_fraction=0.0)"
+        "SimEstimate(mean=0.45988298291433827, "
+        "std_error=0.0019037286892357762, n_paths=68537, horizon=150, "
+        "censored_fraction=0.0, bias_bound=1.9343187838868775e-15)"
     ),
     "survival_diag_heavy": (
-        "SimEstimate(mean=0.991201832586778, std_error=0.00035670944898242603, "
-        "n_paths=68537, horizon=150, censored_fraction=0.0)"
+        "SimEstimate(mean=0.991201832586778, "
+        "std_error=0.00035670944898242603, n_paths=68537, horizon=150, "
+        "censored_fraction=0.0, bias_bound=7.086658896915335e-39)"
     ),
     "escape_twisted": (
-        "SimEstimate(mean=0.4574901148284868, std_error=0.001902970868409502, "
-        "n_paths=68537, horizon=150, censored_fraction=0.0)"
+        "SimEstimate(mean=0.45751929614660697, "
+        "std_error=0.0019029803763714083, n_paths=68537, horizon=150, "
+        "censored_fraction=0.013321271721843676, "
+        "bias_bound=2.1813627405128297e-06)"
     ),
     "green_twisted": (
         "SimEstimate(mean=0.2985454590013661, std_error=0.0018808469344377718, "
-        "n_paths=68537, horizon=70, censored_fraction=0.6986007557961393)"
+        "n_paths=68537, horizon=70, censored_fraction=0.6986007557961393, "
+        "bias_bound=None)"
     ),
     "martin_all_five": (
         "[SimEstimate(mean=2.2802736896462688, std_error=0.030140744988238977, "
-        "n_paths=68537, horizon=150, censored_fraction=0.8512044589054087), "
+        "n_paths=68537, horizon=150, censored_fraction=0.8512044589054087, "
+        "bias_bound=None), "
         "SimEstimate(mean=2.1597210692346005, std_error=0.03316321317444358, "
-        "n_paths=68537, horizon=150, censored_fraction=0.8512044589054087)]"
+        "n_paths=68537, horizon=150, censored_fraction=0.8512044589054087, "
+        "bias_bound=None)]"
     ),
     "martin_diag_heavy": (
         "[SimEstimate(mean=1.3626171659621393, std_error=0.004029578924719434, "
-        "n_paths=68537, horizon=150, censored_fraction=0.9984533901396326), "
+        "n_paths=68537, horizon=150, censored_fraction=0.9984533901396326, "
+        "bias_bound=None), "
         "SimEstimate(mean=1.044114022837427, std_error=0.009637992531067742, "
-        "n_paths=68537, horizon=150, censored_fraction=0.9984533901396326)]"
+        "n_paths=68537, horizon=150, censored_fraction=0.9984533901396326, "
+        "bias_bound=None)]"
     ),
 }
 
@@ -140,13 +155,13 @@ CLI = {
 }
 
 CLI_SHA256 = {
-    "escape_mc_check": "075076a00906a5f51ca90236eb557d3aede266efcfc245cc16eba61becff137d",
+    "escape_mc_check": "38ac37feb8a1155c0a6ad002e7ace0c1c7d44564cdf17bb1ef7ca75adae2eac1",
     "simulate_green_twisted":
-        "2354ad7ab08d19c4a610e1cf3df15c60a489fd7bc3cb1bba329313421d8be45a",
+        "dc527bdb6844bab525ea5b4a4c55e063d93b35541cea57b8e1ac2afbb1242279",
     "simulate_survival":
-        "84f514c0ec244e7a9d3da05558ec607607df419c3e5f660fab675b711a34fd5a",
-    "green_scan": "7250f44d5cf6d8dae9a737b00e2f31ea6c7cd73a5b88f3972a0a82440364ceb3",
-    "simulate_martin": "fbc4faeef1fad510b7c124e9d65ac829f9c4d6453573eeffe7662c728a4cbe7f",
+        "7c292bd45cdf71fa34b4a4273469081d7227e29e62bd69999d0c21c63d87448b",
+    "green_scan": "ef0a8c86babcbc2c2a014bbab47bd7bbc3094341e0a22c642ce424deb3a6eb9a",
+    "simulate_martin": "dbdc63be13d28d07a5183a639d69d0e74bb0c6b0bc3a6b74d5efc6007b28604d",
 }
 
 
