@@ -106,6 +106,19 @@ def _on_curve(geom: CurveGeometry, point, tol: float = 1e-6) -> bool:
     return abs(log_kernel_eval(geom.dist, point[0], point[1])) <= tol
 
 
+def _snap_to_G0(geom: CurveGeometry, a: float, b: float, tol: float = 1e-7):
+    """(a, b) moved exactly onto the G0 graph piece within ``tol`` of it, or None."""
+    if geom.x0 < a <= tol:
+        fa = f_branch(geom, min(a, 0.0))
+        if abs(b - fa) <= tol:
+            return (min(a, 0.0), fa)
+    if geom.y0 < b <= tol:
+        gb = g_branch(geom, min(b, 0.0))
+        if abs(a - gb) <= tol:
+            return (gb, min(b, 0.0))
+    return None
+
+
 def canonicalize_start(geom: CurveGeometry, point, max_hops: int = 1000):
     """Walk a curve point along the switching orbit until it lands in G0.
 
@@ -125,14 +138,8 @@ def canonicalize_start(geom: CurveGeometry, point, max_hops: int = 1000):
     snap = 1e-7
     for _ in range(max_hops):
         # Done when the point sits on one of the two G0 graph pieces.
-        if geom.x0 < a <= snap:
-            fa = f_branch(geom, min(a, 0.0))
-            if abs(b - fa) <= snap:
-                return (min(a, 0.0), fa)
-        if geom.y0 < b <= snap:
-            gb = g_branch(geom, min(b, 0.0))
-            if abs(a - gb) <= snap:
-                return (gb, min(b, 0.0))
+        if (snapped := _snap_to_G0(geom, a, b, snap)) is not None:
+            return snapped
         if b > snap:
             # Positive height: (a, b) = (f_hat(b), b) with b in (0, f(x0)];
             # cross to the inverse branch of f.
@@ -228,19 +235,10 @@ def build_sequence(
         raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
     # Snap exactly onto whichever graph piece the start sits on, so the
     # switching recursion does not inherit the caller's rounding.
-    snapped = False
-    if geom.x0 < a0 <= 1e-7:
-        fa = f_branch(geom, min(a0, 0.0))
-        if abs(b0 - fa) <= 1e-7:
-            a0, b0 = min(a0, 0.0), fa
-            snapped = True
-    if not snapped and geom.y0 < b0 <= 1e-7:
-        ga = g_branch(geom, min(b0, 0.0))
-        if abs(a0 - ga) <= 1e-7:
-            a0, b0 = ga, min(b0, 0.0)
-            snapped = True
-    if not snapped:  # unreachable after the in_G0 gate, kept as a tripwire
+    snapped = _snap_to_G0(geom, a0, b0)
+    if snapped is None:  # unreachable after the in_G0 gate, kept as a tripwire
         raise ValueError(f"start {start!r} matches neither graph piece of G0")
+    a0, b0 = snapped
 
     # Worst-case envelope at total degree imin decides the range.  It is
     # sized in log space: exp(m*c2) overflows for a start as far out as
@@ -396,23 +394,29 @@ def boundary_harmonic(
     db_n = 1.0
     prod_max = 1.0
     terms: list[float] = []
-    for _ in range(10000):
-        a_next = f_hat(geom, b_n)
-        # slope of the lower x-root in y at (a_{n+1}, b_n)
-        da_next = _slope(dist, a_next, b_n, "y") * db_n
-        terms.append(
-            (i * da_n + j * db_n) * math.exp(i * a_n + j * b_n)
-            - (i * da_next + j * db_n) * math.exp(i * a_next + j * b_n)
-        )
-        b_next = g_hat(geom, a_next)
-        db_next = _slope(dist, a_next, b_next, "x") * da_next
-        prod_max = max(prod_max, abs(da_next), abs(db_next))
-        # Stopping heuristic, not a bound: the envelope times the largest
-        # derivative product seen so far, assuming the products settle.
-        rem = 2.0 * m * 2.0 * prod_max * math.exp(i * a_next + j * b_next) / (1.0 - q)
-        a_n, b_n, da_n, db_n = a_next, b_next, da_next, db_next
-        if rem < tol and len(terms) >= 3:
-            break
-    else:
-        raise SolverError("boundary-harmonic series failed to converge")
-    return 2.0 * math.fsum(terms)
+    try:
+        for _ in range(10000):
+            a_next = f_hat(geom, b_n)
+            # slope of the lower x-root in y at (a_{n+1}, b_n)
+            da_next = _slope(dist, a_next, b_n, "y") * db_n
+            terms.append(
+                (i * da_n + j * db_n) * math.exp(i * a_n + j * b_n)
+                - (i * da_next + j * db_n) * math.exp(i * a_next + j * b_n)
+            )
+            b_next = g_hat(geom, a_next)
+            db_next = _slope(dist, a_next, b_next, "x") * da_next
+            prod_max = max(prod_max, abs(da_next), abs(db_next))
+            # Stopping heuristic, not a bound: the envelope times the largest
+            # derivative product seen so far, assuming the products settle.
+            rem = 4.0 * m * prod_max * math.exp(i * a_next + j * b_next) / (1.0 - q)
+            a_n, b_n, da_n, db_n = a_next, b_next, da_next, db_next
+            if rem < tol and len(terms) >= 3:
+                break
+        else:
+            raise SolverError("boundary-harmonic series failed to converge")
+        value = 2.0 * math.fsum(terms)
+    except OverflowError:  # exp of the leading terms for a far start
+        value = math.inf
+    if not math.isfinite(value):
+        raise SolverError(f"boundary harmonic at ({i}, {j}) exceeds the float range")
+    return value

@@ -3,12 +3,24 @@
 Every one-variable section of G(x, y) = sum p exp(di*x + dj*y) - 1 is a
 strictly convex sum of exponentials whose derivative runs from -inf to
 +inf, so each section has exactly one minimizer and (when the section dips
-below zero) exactly two roots.  All branch functions below are built from
-one primitive: locate the section minimizer by bisecting the increasing
-derivative, then expand geometrically outward to bracket the requested
-root, bisect to width 1e-13, and finish with a few safeguarded Newton
-steps.  The one nested search is ``find_extrema``: it bisects along a
-branch, and every probe of that bisection solves a section for its root.
+below zero) exactly two roots.
+
+Every scalar search in the package is one chain of three primitives:
+``_bracket`` walks outward from a point whose value the caller already
+holds, doubling its step until the sign changes; ``_bisect`` shrinks the
+bracket to a width (1e-13 unless the caller asks otherwise); and
+``_newton_polish`` takes a few Newton steps that may not leave the
+bracket.  A branch value brackets and bisects the increasing derivative
+for the section minimizer, then brackets, bisects and polishes the
+requested root.  ``find_extrema`` runs the same chain along a branch, and
+every probe of that search solves a section for its root;
+``cramer_transform`` bisects the gradient angle along the arc.
+
+The one exception is ``montecarlo._exit_root``.  It shares ``_bisect``
+but keeps its own bounded bracket toward 0 and 1 and its own Newton
+steps.  Those stop by other rules than ``_newton_polish``: routing them
+through it moves the last ulp of some twisted exit roots, and with them
+the pinned Monte Carlo ``bias_bound`` digits.
 
 Branch conventions, for models with drift pointing strictly into the
 quadrant:
@@ -102,42 +114,32 @@ class CramerData:
 # scalar section solvers
 
 
-def _increasing_root(fun, t0: float = 0.0, step0: float = 1.0) -> float:
-    """Root of a strictly increasing function with limits -inf/+inf."""
-    lo = hi = t0
-    flo = fhi = fun(t0)
-    step = step0
-    for _ in range(200):
-        if fhi > 0.0 and flo <= 0.0:
+def _bracket(
+    fun, inner: float, f_inner: float, side: int, step: float, tries: int = 200
+) -> tuple[float, float, float]:
+    """Walk from ``inner`` by side*step, doubling the step, until fun changes sign.
+
+    ``f_inner`` = fun(inner) is the value the caller already holds.
+    Returns the sign-change bracket (lo, hi, fun(lo)) with lo < hi.
+    """
+    for _ in range(tries):
+        probe = inner + side * step
+        f_probe = fun(probe)
+        if (f_probe <= 0.0) != (f_inner <= 0.0):
             break
-        if fhi <= 0.0:
-            lo, flo = hi, fhi
-            hi = hi + step
-            fhi = fun(hi)
-        else:
-            hi, fhi = lo, flo
-            lo = lo - step
-            flo = fun(lo)
+        inner, f_inner = probe, f_probe
         step *= 2.0
     else:
-        raise SolverError("monotone bracket expansion failed")
-    for _ in range(200):
-        if hi - lo <= BISECT_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if fun(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        raise SolverError("bracket expansion found no sign change")
+    return (inner, probe, f_inner) if side > 0 else (probe, inner, f_probe)
 
 
-def _bisect(fun, lo: float, hi: float, flo: float) -> tuple[float, float, float]:
-    """Shrink a sign-change bracket to width BISECT_WIDTH; returns (root, lo, hi)."""
+def _bisect(
+    fun, lo: float, hi: float, flo: float, width: float = BISECT_WIDTH
+) -> tuple[float, float, float]:
+    """Shrink a sign-change bracket to ``width``; returns (root, lo, hi)."""
     for _ in range(200):
-        if hi - lo <= BISECT_WIDTH:
+        if hi - lo <= width:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket at float resolution
@@ -167,31 +169,6 @@ def _newton_polish(fun, dfun, x: float, lo: float, hi: float) -> float:
     return x
 
 
-def _section_root(fun, dfun, tmin: float, side: int, fmin: float) -> float:
-    """Root of a convex section on one side of its minimizer.
-
-    side = +1 for the root right of tmin, -1 for the one to its left.
-    ``fmin`` = fun(tmin) must be < 0; the tangent case is handled by the
-    callers before getting here.
-    """
-    step = 0.25
-    inner, f_inner = tmin, fmin
-    outer = None
-    for _ in range(200):
-        probe = inner + side * step
-        fp = fun(probe)
-        if fp > 0.0:
-            outer = probe
-            break
-        inner, f_inner = probe, fp
-        step *= 2.0
-    if outer is None:
-        raise SolverError("convex section does not recross zero")
-    lo, hi = (inner, outer) if side > 0 else (outer, inner)
-    root, lo, hi = _bisect(fun, lo, hi, fun(lo))
-    return _newton_polish(fun, dfun, root, lo, hi)
-
-
 # tangent tolerance: a section whose minimum is closer to zero than this is
 # treated as a double root (the branch maxima are exactly such sections)
 _TANGENT_EPS = 1e-15
@@ -212,7 +189,8 @@ def _x_section(dist: StepDistribution, y: float):
 def _section_extreme_root(dist, fixed: float, axis: str, side: int) -> float:
     """Upper (+1) or lower (-1) root of the y-section (axis='y') or x-section."""
     fun, dfun = (_y_section if axis == "y" else _x_section)(dist, fixed)
-    tmin = _increasing_root(dfun, t0=0.0)
+    d0 = dfun(0.0)  # the minimizer is the root of the increasing derivative
+    tmin = _bisect(dfun, *_bracket(dfun, 0.0, d0, 1 if d0 <= 0.0 else -1, 1.0))[0]
     fmin = fun(tmin)
     if fmin > _TANGENT_EPS:
         raise SolverError(
@@ -220,25 +198,35 @@ def _section_extreme_root(dist, fixed: float, axis: str, side: int) -> float:
         )
     if fmin >= -_TANGENT_EPS:
         return tmin  # double root at the section minimum
-    return _section_root(fun, dfun, tmin, side, fmin)
+    root, lo, hi = _bisect(fun, *_bracket(fun, tmin, fmin, side, 0.25))
+    return _newton_polish(fun, dfun, root, lo, hi)
 
 
 # ---------------------------------------------------------------------------
 # public branch functions
 
 
+def _branch(
+    geom: CurveGeometry, t: float, name: str, axis: str, side: int, lo: float, hi: float
+) -> float:
+    """Upper (+1) or lower (-1) root of the ``axis``-section at t.
+
+    t must lie in [lo, hi] up to geom.tol; it is clamped into the interval.
+    """
+    if t < lo - geom.tol or t > hi + geom.tol:
+        var = "x" if axis == "y" else "y"
+        raise ValueError(f"{name} defined for {var} in [{lo!r}, {hi!r}], got {t!r}")
+    return _section_extreme_root(geom.dist, min(max(t, lo), hi), axis, side)
+
+
 def f_branch(geom: CurveGeometry, x: float) -> float:
     """Upper y-root at abscissa x <= 0."""
-    if x > geom.tol:
-        raise ValueError(f"f_branch defined for x <= 0, got {x!r}")
-    return _section_extreme_root(geom.dist, min(x, 0.0), "y", +1)
+    return _branch(geom, x, "f_branch", "y", +1, -math.inf, 0.0)
 
 
 def g_branch(geom: CurveGeometry, y: float) -> float:
     """Upper x-root at height y <= 0."""
-    if y > geom.tol:
-        raise ValueError(f"g_branch defined for y <= 0, got {y!r}")
-    return _section_extreme_root(geom.dist, min(y, 0.0), "x", +1)
+    return _branch(geom, y, "g_branch", "x", +1, -math.inf, 0.0)
 
 
 def f_hat(geom: CurveGeometry, y: float) -> float:
@@ -246,42 +234,22 @@ def f_hat(geom: CurveGeometry, y: float) -> float:
 
     Defined for y <= f(x0); at the endpoint it returns x0 (double root).
     """
-    if y > geom.f_at_x0 + geom.tol:
-        raise ValueError(
-            f"f_hat defined for y <= f(x0) = {geom.f_at_x0!r}, got {y!r}"
-        )
-    return _section_extreme_root(geom.dist, min(y, geom.f_at_x0), "x", -1)
+    return _branch(geom, y, "f_hat", "x", -1, -math.inf, geom.f_at_x0)
 
 
 def g_hat(geom: CurveGeometry, x: float) -> float:
     """Lower y-root at abscissa x, defined for x <= g(y0)."""
-    if x > geom.g_at_y0 + geom.tol:
-        raise ValueError(
-            f"g_hat defined for x <= g(y0) = {geom.g_at_y0!r}, got {x!r}"
-        )
-    return _section_extreme_root(geom.dist, min(x, geom.g_at_y0), "y", -1)
+    return _branch(geom, x, "g_hat", "y", -1, -math.inf, geom.g_at_y0)
 
 
 def f_tilde(geom: CurveGeometry, y: float) -> float:
     """Upper x-root at height y in [0, f(x0)]: inverse of f on (x0, 0]."""
-    if y < -geom.tol or y > geom.f_at_x0 + geom.tol:
-        raise ValueError(
-            f"f_tilde defined for 0 <= y <= f(x0) = {geom.f_at_x0!r}, got {y!r}"
-        )
-    return _section_extreme_root(
-        geom.dist, min(max(y, 0.0), geom.f_at_x0), "x", +1
-    )
+    return _branch(geom, y, "f_tilde", "x", +1, 0.0, geom.f_at_x0)
 
 
 def g_tilde(geom: CurveGeometry, x: float) -> float:
     """Upper y-root at abscissa x in [0, g(y0)]: inverse of g on (y0, 0]."""
-    if x < -geom.tol or x > geom.g_at_y0 + geom.tol:
-        raise ValueError(
-            f"g_tilde defined for 0 <= x <= g(y0) = {geom.g_at_y0!r}, got {x!r}"
-        )
-    return _section_extreme_root(
-        geom.dist, min(max(x, 0.0), geom.g_at_y0), "y", +1
-    )
+    return _branch(geom, x, "g_tilde", "y", +1, 0.0, geom.g_at_y0)
 
 
 def _slope(dist: StepDistribution, x: float, y: float, along: str) -> float:
@@ -331,40 +299,26 @@ def find_extrema(dist: StepDistribution, tol: float = 1e-12) -> CurveGeometry:
         # the cross partial of G along the branch.  The sign of that
         # partial at t=0 is the corresponding drift coordinate (> 0), and
         # it turns negative left of the maximum, so expand left.
+        peak = lambda t: _section_extreme_root(dist, t, "y" if axis == "x" else "x", +1)
         if axis == "x":
-            along = lambda t: log_kernel_grad(dist, t, _section_extreme_root(dist, t, "y", +1))[0]
+            along = lambda t: log_kernel_grad(dist, t, peak(t))[0]
         else:
-            along = lambda t: log_kernel_grad(dist, _section_extreme_root(dist, t, "x", +1), t)[1]
-        hi, fhi = 0.0, (m1 if axis == "x" else m2)
-        lo, flo = -0.5, along(-0.5)
-        steps = 0
-        while flo >= 0.0:
-            hi, fhi = lo, flo
-            lo *= 2.0
-            flo = along(lo)
-            steps += 1
-            if steps > 60:
-                raise SolverError("no branch maximum found (drift too flat?)")
-        root, lo_b, hi_b = _bisect(along, lo, hi, flo)
+            along = lambda t: log_kernel_grad(dist, peak(t), t)[1]
+        m = m1 if axis == "x" else m2
+        root, lo, hi = _bisect(along, *_bracket(along, 0.0, m, -1, 0.5, tries=60))
 
         # Newton polish on the same equation; the derivative along the
         # branch is Gxx + Gxy * slope (slope -> 0 at the maximum).
         def dalong(t: float) -> float:
+            s = peak(t)
             if axis == "x":
-                s = _section_extreme_root(dist, t, "y", +1)
                 hxx, hxy, _ = log_kernel_hess(dist, t, s)
                 return hxx + hxy * _slope(dist, t, s, "x")
-            s = _section_extreme_root(dist, t, "x", +1)
             _, hxy, hyy = log_kernel_hess(dist, s, t)
             return hyy + hxy * _slope(dist, s, t, "y")
 
-        t_star = _newton_polish(along, dalong, root, lo_b, hi_b)
-        peak = (
-            _section_extreme_root(dist, t_star, "y", +1)
-            if axis == "x"
-            else _section_extreme_root(dist, t_star, "x", +1)
-        )
-        return t_star, peak
+        t_star = _newton_polish(along, dalong, root, lo, hi)
+        return t_star, peak(t_star)
 
     x0, f_at_x0 = _branch_max("x")
     y0, g_at_y0 = _branch_max("y")
@@ -440,22 +394,13 @@ def cramer_transform(geom: CurveGeometry, u) -> CramerData:
             gx, gy = log_kernel_grad(geom.dist, px, py)
             return theta - math.atan2(gy, gx)  # increasing in t
 
-        lo, hi = 0.0, 2.0
-        flo = angle_gap(lo)
+        flo = angle_gap(0.0)
         if flo > 0.0:
             phi = (geom.x0, geom.f_at_x0)
-        elif angle_gap(hi) < 0.0:
+        elif angle_gap(2.0) < 0.0:
             phi = (geom.g_at_y0, geom.y0)
         else:
-            for _ in range(100):
-                if hi - lo <= 1e-15:
-                    break
-                mid = 0.5 * (lo + hi)
-                if angle_gap(mid) <= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            phi = _arc_point(geom, 0.5 * (lo + hi))
+            phi = _arc_point(geom, _bisect(angle_gap, 0.0, 2.0, flo, width=1e-15)[0])
 
     px, py = phi
     residual = log_kernel_eval(geom.dist, px, py)

@@ -107,9 +107,6 @@ class StepDistribution:
     def prob(self, step: tuple[int, int]) -> float:
         return self._lookup.get(tuple(step), 0.0)
 
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return dict(self._lookup)
-
     def __len__(self) -> int:
         return len(self.steps)
 

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curve import CramerData, CurveGeometry, SolverError, cramer_transform, find_extrema
+from .curve import CramerData, SolverError, _bisect, cramer_transform, find_extrema
 from .model import StepDistribution, require_valid
 
 __all__ = [
@@ -534,7 +534,7 @@ def _exit_root(steps, probs, axis: int) -> float:
         return math.fsum(p * d * cv ** (d - 1) for d, p in items)
 
     lo = 0.5
-    while psi(lo) <= 0.0:
+    while (flo := psi(lo)) <= 0.0:
         lo *= 0.5
         if lo < 1e-300:
             raise SolverError("no sign change for the exit root")
@@ -543,17 +543,9 @@ def _exit_root(steps, probs, axis: int) -> float:
         hi = 1.0 - (1.0 - hi) * 0.25
         if 1.0 - hi < 1e-14:
             return 1.0
-    for _ in range(200):
-        if hi - lo <= 1e-14:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if psi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
+    c, lo, hi = _bisect(psi, lo, hi, flo, width=1e-14)
+    # Its own Newton steps, not curve._newton_polish: the stopping rules
+    # differ, and sharing them moves the last ulp of some twisted roots.
     for _ in range(5):
         d = dpsi(c)
         if d == 0.0:
@@ -569,7 +561,7 @@ def _exit_root(steps, probs, axis: int) -> float:
 
 
 def skipfree_exit_root(
-    dist: StepDistribution, twist: CramerData | None = None, tol: float = 1e-13
+    dist: StepDistribution, twist: CramerData | None = None
 ) -> float:
     """Root in (0, 1) of the vertical-marginal descent equation.
 

@@ -13,7 +13,7 @@ from cornerwalk.compensation import (
     escape_probability,
     harmonic_eval,
 )
-from cornerwalk.curve import f_branch, f_hat, find_extrema, g_branch
+from cornerwalk.curve import SolverError, f_branch, f_hat, find_extrema, g_branch
 from cornerwalk.model import InvalidModelError, StepDistribution, drift
 
 from oracles import fib_boundary_harmonic, fib_escape_exact, fib_numbers
@@ -241,6 +241,15 @@ class TestBoundaryHarmonic:
     def test_positive(self, all_five_geom):
         for i, j in [(1, 1), (2, 1), (1, 3), (4, 4)]:
             assert boundary_harmonic(all_five_geom, i, j) > 0.0
+
+    def test_beyond_float_range_is_a_solver_error(self, fib_geom):
+        # The function grows like exp(i * g(y0)) along the boundary.
+        # (100000, 1) overflows inside exp; at (6354, 3) every exp is finite
+        # but the value overflows to inf.  Either way the library names the start.
+        for i, j in [(100000, 1), (6354, 3)]:
+            with pytest.raises(SolverError, match=rf"\({i}, {j}\)"):
+                boundary_harmonic(fib_geom, i, j)
+        assert math.isfinite(boundary_harmonic(fib_geom, 6340, 1))
 
     def test_harmonicity(self, fib, fib_geom):
         h = {}
