@@ -15,20 +15,30 @@ meant to alter the stream must say so and update the pins together with
 The cases cross a batch boundary and end on a partial block, cover
 trivial (uniform laws) and non-trivial (diag_heavy, twisted laws) alias
 tables, both absorption tests of the survival engine and both starts of
-the visit engine.
+the visit engine.  Four more cases pin the visit engine's dropping of
+absorbed rows: a Green run over two full batches and a partial one that
+loses most rows in its first block, a Martin profile whose base start
+(1, 1) dies in rows where x still walks and whose far target is
+reached only after the first block, a Martin profile of a weak-drift
+law whose walks, absorbed from one start, re-enter the quadrant near
+the targets, and a run whose every row is absorbed long before the
+horizon.
 """
 
 import contextlib
 import hashlib
 import io
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cornerwalk.cli import main
 from cornerwalk.curve import cramer_transform, find_extrema
+from cornerwalk.model import parse_model_text
 from cornerwalk.montecarlo import (
+    _BLOCK,
     BATCH_SIZE,
     SimConfig,
     estimate_escape,
@@ -36,6 +46,8 @@ from cornerwalk.montecarlo import (
     estimate_halfplane_survival,
     martin_kernel_profile,
 )
+
+from oracles import sf2_model_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,6 +90,21 @@ ESTIMATES = {
     "martin_diag_heavy": lambda m: martin_kernel_profile(
         m["diag_heavy"], (3, 3), [(5, 5), (6, 4)],
         SimConfig(seed=18, n_paths=N_PATHS, horizon=HORIZON),
+    ),
+    "green_fibonacci": lambda m: estimate_green(
+        m["fib"], (1, 1), (3, 3),
+        SimConfig(seed=19, n_paths=2 * BATCH_SIZE + 17, horizon=HORIZON),
+    ),
+    "martin_fibonacci_base_dies": lambda m: martin_kernel_profile(
+        m["fib"], (4, 4), [(5, 5), (24, 24)],
+        SimConfig(seed=20, n_paths=N_PATHS, horizon=HORIZON),
+    ),
+    "martin_weak_drift_reentry": lambda m: martin_kernel_profile(
+        m["weak_drift"], (3, 3), [(2, 4), (1, 5)],
+        SimConfig(seed=21, n_paths=N_PATHS, horizon=HORIZON),
+    ),
+    "green_all_absorbed": lambda m: estimate_green(
+        m["fib"], (1, 1), (2, 2), SimConfig(seed=29, n_paths=12, horizon=2000)
     ),
 }
 
@@ -130,6 +157,31 @@ EXPECTED = {
         "n_paths=68537, horizon=150, censored_fraction=0.9984533901396326, "
         "bias_bound=None)]"
     ),
+    "green_fibonacci": (
+        "SimEstimate(mean=0.2344437748399942, std_error=0.0015915817065046492, "
+        "n_paths=131089, horizon=150, censored_fraction=0.17301222833342234, "
+        "bias_bound=None)"
+    ),
+    "martin_fibonacci_base_dies": (
+        "[SimEstimate(mean=6.598395977974622, std_error=0.08908815165110893, "
+        "n_paths=68537, horizon=150, censored_fraction=0.8768840188511315, "
+        "bias_bound=None), "
+        "SimEstimate(mean=4.805723498589278, std_error=0.13035521673930217, "
+        "n_paths=68537, horizon=150, censored_fraction=0.8768840188511315, "
+        "bias_bound=None)]"
+    ),
+    "martin_weak_drift_reentry": (
+        "[SimEstimate(mean=29.715844937899885, std_error=0.9603179442923643, "
+        "n_paths=68537, horizon=150, censored_fraction=0.11412813516786553, "
+        "bias_bound=None), "
+        "SimEstimate(mean=30.07828282828283, std_error=1.1525877483696654, "
+        "n_paths=68537, horizon=150, censored_fraction=0.11412813516786553, "
+        "bias_bound=None)]"
+    ),
+    "green_all_absorbed": (
+        "SimEstimate(mean=0.4166666666666667, std_error=0.2599047999758855, "
+        "n_paths=12, horizon=2000, censored_fraction=0.0, bias_bound=None)"
+    ),
 }
 
 CLI = {
@@ -168,7 +220,8 @@ CLI_SHA256 = {
 @pytest.fixture(scope="module")
 def models(fib, all_five, diag_heavy, big_jump):
     return {"fib": fib, "all_five": all_five,
-            "diag_heavy": diag_heavy, "big_jump": big_jump}
+            "diag_heavy": diag_heavy, "big_jump": big_jump,
+            "weak_drift": parse_model_text(sf2_model_text(Fraction(1, 10)))}
 
 
 def cli_digest(argv) -> str:
@@ -188,3 +241,10 @@ def test_estimate_is_pinned(models, case):
 def test_cli_output_is_pinned(monkeypatch, case):
     monkeypatch.chdir(ROOT)  # the manifest records the model path as given
     assert cli_digest(CLI[case]) == CLI_SHA256[case]
+
+
+def test_all_absorbed_case_ends_before_its_horizon(models):
+    """The pin above is meant to cover a batch with no row left: every
+    path of it is absorbed within its first block of 64 steps."""
+    cfg = SimConfig(seed=29, n_paths=12, horizon=_BLOCK)
+    assert estimate_green(models["fib"], (1, 1), (2, 2), cfg).censored_fraction == 0.0
