@@ -268,6 +268,8 @@ def _sim_rows(quantity: str, est: mc.SimEstimate, seed: int) -> list[str]:
 def cmd_simulate(args) -> int:
     dist = _load_valid_model(args.model)
     cfg = mc.SimConfig(seed=args.seed, n_paths=args.n_paths, horizon=args.horizon)
+    if args.twist_u is not None and args.quantity != "green":
+        raise ValueError(f"--twist-u applies to green only, not {args.quantity}")
     if args.quantity == "escape":
         params = {"i": args.coords[0], "j": args.coords[1],
                   "n_paths": args.n_paths, "horizon": args.horizon}
@@ -281,8 +283,6 @@ def cmd_simulate(args) -> int:
         params = {"x": f"({x[0]} {x[1]})", "y": f"({y[0]} {y[1]})",
                   "n_paths": args.n_paths, "horizon": args.horizon}
         if args.twist_u is not None:
-            if args.quantity == "martin":
-                raise ValueError("martin ratios pick their own twist; drop --twist-u")
             u1, u2 = args.twist_u
             nrm = math.hypot(u1, u2)
             if nrm <= 0:
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n-paths", type=int, required=True)
     q.add_argument("--horizon", type=int, default=None)
     q.add_argument("--twist-u", nargs=2, type=float, default=None,
-                   metavar=("U1", "U2"))
+                   metavar=("U1", "U2"), help="green only: twist toward U")
 
     q = add("green-scan", cmd_green_scan)
     q.add_argument("x", type=int, nargs=2, metavar=("XI", "XJ"))

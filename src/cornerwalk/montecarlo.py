@@ -15,15 +15,22 @@ k = floor(v), the code is 2k + (v - k < accept[k]), the alias decision
 written as an index.  Two int8 tables, one per coordinate, map a code
 to its step (entry 2k + 1 is step k, entry 2k its alias); when every
 accept is 1, as for uniform laws, the alias is never taken and the code
-is just k.  Each coordinate is gathered and prefix-summed on its own
-in int32, and absorption is tested on those offsets.  After every block
-the survival engine drops its absorbed rows, then retires as escaped
-the rows whose chance of ever exiting, bounded by c_x^i + c_y^j (the
-exit roots of skipfree_exit_root; c_y^j alone for half-plane survival,
-which never touches x), is below 1e-7; later blocks draw only for the
-rows left.  The bounds of the retired rows, and of the rows still
-walking at the horizon, make up the estimate's ``bias_bound``.  The
-array layout may change, but this stream consumption, this alias
+is just k.  Each coordinate is gathered on its own and prefix-summed
+in int32 into a (blk, rows) array, step t in row t, by running adds of
+one row onto the next (cheaper than np.cumsum along the short axis);
+absorption is tested on those offsets, a row's lowest offset against
+minus its position.  After every block the survival engine drops its
+absorbed rows, then retires as escaped the rows whose chance of ever
+exiting, bounded by c_x^i + c_y^j (the exit roots of
+skipfree_exit_root; c_y^j alone for half-plane survival, which never
+touches x), is below 1e-7; later blocks draw only for the rows left.
+The bounds of the retired rows, and of the rows still walking at the
+horizon, make up the estimate's ``bias_bound``.  The visit engine
+(Green function, Martin kernel) still draws each block for the whole
+batch, because a Martin profile's two starts share its stream, but
+codes and tests only the rows alive from some start: a row absorbed
+from every start is dropped, which changes no output.  The array
+layout may change, but this stream consumption, this alias
 decision and this retirement rule are the reproducibility contract
 (pinned by tests/test_stream_contract.py).  Cramer twisting replaces the
 step law by p_s * exp(<phi, s>) (a probability law because phi lies on
@@ -178,11 +185,17 @@ class _StepSampler:
             self.tables[:, 0::2] = steps[alias].T  # code 2k -> alias of k
         self._u = np.empty(min(n_paths, BATCH_SIZE) * min(horizon, _BLOCK))
 
-    def offsets(self, rng, rows: int, blk: int, axes=(0, 1)):
-        """Draw one block; per axis, the (rows, blk) int32 prefix sums of
-        the steps."""
+    def offsets(self, rng, rows: int, blk: int, axes=(0, 1), live=None):
+        """Draw one block for ``rows`` rows; per axis, the (blk, rows)
+        int32 prefix sums of the steps, step t in row t.
+
+        With ``live`` (an index into the drawn rows) only those rows are
+        coded, in that order, and the sums have one column per entry.
+        """
         v = self._u[: rows * blk].reshape(rows, blk)
         rng.random(out=v)
+        if live is not None:
+            v = v[live]
         v *= self.k
         code = v.astype(np.intp)
         np.minimum(code, self.k - 1, out=code)
@@ -191,9 +204,14 @@ class _StepSampler:
             take = v < self.accept.take(code)
             code *= 2
             code += take
-        return [
-            np.cumsum(self.tables[a].take(code), axis=1, dtype=np.int32) for a in axes
-        ]
+        out = []
+        for a in axes:
+            off = np.empty((blk, len(code)), dtype=np.int32)
+            off[...] = self.tables[a].take(code).T
+            for t in range(1, blk):  # running row adds beat np.cumsum
+                np.add(off[t - 1], off[t], out=off[t])
+            out.append(off)
+        return out
 
 
 def _survival_count(dist, start, horizon, seed, n_paths, twist, halfplane):
@@ -214,10 +232,10 @@ def _survival_count(dist, start, horizon, seed, n_paths, twist, halfplane):
             blk = min(_BLOCK, horizon - t)
             offs = sampler.offsets(rng, len(pos[0]), blk, axes)
             # a path survives the block iff its lowest point stays above 0
-            keep = offs[0].min(axis=1) > -pos[0]
+            keep = offs[0].min(axis=0) > -pos[0]
             for off, p in zip(offs[1:], pos[1:]):
-                keep &= off.min(axis=1) > -p
-            pos = [p[keep] + off[keep, -1] for p, off in zip(pos, offs)]
+                keep &= off.min(axis=0) > -p
+            pos = [(p + off[-1])[keep] for p, off in zip(pos, offs)]
             # chance of ever exiting from here, at most the sum over axes
             bound = sum(c**p for c, p in zip(roots, pos))
             retire = bound < _RETIRE_EPS
@@ -297,6 +315,11 @@ def _visit_stats(dist, starts, targets, horizon, seed, n_paths, twist):
       crosses[ti]: sum over paths of visits-from-start0 * visits-from-start1
       (only when two starts are given); alive_counts[si]: paths unabsorbed
       at the horizon.  All reductions run in batch order.
+
+    Every block draws for the whole batch, but only the rows still alive
+    from some start are coded and tested; a row absorbed from every start
+    is dropped, and a batch ends early once none is left.  Visit counts
+    stay indexed by batch row, so the reductions see the same arrays.
     """
     _check_stream_inputs(dist, list(starts) + list(targets), horizon, seed)
     sampler = _StepSampler(dist, twist, n_paths, horizon)
@@ -309,6 +332,7 @@ def _visit_stats(dist, starts, targets, horizon, seed, n_paths, twist):
 
     for b_idx, rows in enumerate(_batch_sizes(n_paths)):
         rng = _batch_rng(seed, b_idx)
+        live = None  # batch rows still walking from some start; None: all
         pos = [
             [np.full(rows, s[0], dtype=np.int32), np.full(rows, s[1], dtype=np.int32)]
             for s in starts
@@ -319,24 +343,35 @@ def _visit_stats(dist, starts, targets, horizon, seed, n_paths, twist):
             for _ in range(n_starts)
         ]
         t = 0
-        while t < horizon:
+        while t < horizon and len(alive[0]):
             blk = min(_BLOCK, horizon - t)
-            off_x, off_y = sampler.offsets(rng, rows, blk)
+            off_x, off_y = sampler.offsets(rng, rows, blk, live=live)
+            low_x, low_y = off_x.min(axis=0), off_y.min(axis=0)
             for si in range(n_starts):
-                px = pos[si][0][:, None] + off_x
-                py = pos[si][1][:, None] + off_y
-                bnd = (px <= 0) | (py <= 0)
-                any_hit = bnd.any(axis=1)
+                x0, y0 = pos[si]
+                hit = alive[si] & ((low_x <= -x0) | (low_y <= -y0))
                 # steps of this block each row takes alive: none once dead,
                 # else those before its first boundary point
-                n_ok = np.where(any_hit, bnd.argmax(axis=1), blk)
-                n_ok[~alive[si]] = 0
+                n_ok = np.where(alive[si], blk, 0)
+                h = np.flatnonzero(hit)
+                if len(h):
+                    bnd = (off_x[:, h] <= -x0[h]) | (off_y[:, h] <= -y0[h])
+                    n_ok[h] = bnd.argmax(axis=0)
                 for ti, (yx, yy) in enumerate(targets):
-                    r, c = np.divmod(np.flatnonzero((px == yx) & (py == yy)), blk)
-                    visits[si][ti] += np.bincount(r[c < n_ok[r]], minlength=rows)
-                pos[si] = [px[:, -1].copy(), py[:, -1].copy()]
-                alive[si] &= ~any_hit
+                    at = (off_x == yx - x0) & (off_y == yy - y0)
+                    c, r = np.divmod(np.flatnonzero(at), len(x0))
+                    r = r[c < n_ok[r]]
+                    if len(r):
+                        ids = r if live is None else live[r]
+                        visits[si][ti] += np.bincount(ids, minlength=rows)
+                pos[si] = [x0 + off_x[-1], y0 + off_y[-1]]
+                alive[si] &= ~hit
             t += blk
+            keep = np.logical_or.reduce(alive)
+            if not keep.all():
+                live = np.flatnonzero(keep) if live is None else live[keep]
+                pos = [[p[keep] for p in ps] for ps in pos]
+                alive = [a[keep] for a in alive]
         for si in range(n_starts):
             alive_parts[si].append(int(alive[si].sum()))
             for ti in range(n_targets):
@@ -418,6 +453,8 @@ def martin_kernel_profile(
     require_valid(dist)
     x = (int(x[0]), int(x[1]))
     ys = [(int(y[0]), int(y[1])) for y in ys]
+    if not ys:
+        raise ValueError("martin profile needs at least one target y; got an empty list")
     if min(x) < 1 or any(min(y) < 1 for y in ys):
         raise ValueError("martin endpoints must be strictly inside the quadrant")
     horizon = (

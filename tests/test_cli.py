@@ -308,6 +308,20 @@ class TestSimulate:
         assert code == 2
         assert "twist" in err
 
+    @pytest.mark.parametrize("quantity, coords", [
+        ("escape", ["1", "1"]), ("survival", ["2"]),
+    ])
+    def test_escape_and_survival_reject_twist_flag(self, capsys, paths, quantity,
+                                                   coords):
+        code, out, err = run(
+            capsys, "simulate", paths["fib"], quantity, *coords,
+            "--seed", "2", "--n-paths", "64", "--horizon", "10",
+            "--twist-u", "2", "1",
+        )
+        assert code == 2
+        assert "--twist-u" in err
+        assert out == ""
+
     def test_martin_parity_degenerate_is_numerical_failure(self, capsys, paths):
         code, _, err = run(
             capsys, "simulate", paths["fib"], "martin", "2", "3", "3", "4",

@@ -19,6 +19,9 @@ from cornerwalk.montecarlo import (
     martin_kernel_estimate,
     martin_kernel_profile,
     skipfree_exit_root,
+    _StepSampler,
+    _alias_table,
+    _batch_rng,
     _exit_root,
     _twisted_probs,
 )
@@ -278,6 +281,12 @@ class TestMartinKernel:
         for y, est in zip([(8, 8), (9, 9)], prof):
             assert martin_kernel_estimate(all_five, (2, 3), y, cfg) == est
 
+    @pytest.mark.parametrize("horizon", [None, 40])
+    def test_empty_target_list_rejected(self, all_five, horizon):
+        cfg = SimConfig(seed=1, n_paths=64, horizon=horizon)
+        with pytest.raises(ValueError, match="empty list"):
+            martin_kernel_profile(all_five, (2, 3), [], cfg)
+
     def test_converges_toward_harmonic_ratio(self, all_five, all_five_geom):
         from cornerwalk.compensation import build_sequence, harmonic_eval
 
@@ -288,6 +297,43 @@ class TestMartinKernel:
         )
         assert est.std_error > 0.0
         assert abs(est.mean - ref) / ref < 0.1
+
+
+class TestStepSampler:
+    """offsets() against np.cumsum of the steps picked by the alias rule
+    from the same uniforms."""
+
+    @staticmethod
+    def reference(dist, twist, u):
+        steps, probs = _twisted_probs(dist, twist)
+        accept, alias = _alias_table(probs)
+        v = u * len(probs)
+        k = np.minimum(v.astype(np.intp), len(probs) - 1)
+        picked = np.where(v - k < accept[k], k, alias[k])
+        return [np.cumsum(steps[picked, a], axis=1) for a in (0, 1)]
+
+    @pytest.mark.parametrize("law", ["fib", "diag_heavy", "all_five_twisted"])
+    @pytest.mark.parametrize("blk", [1, 64])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_matches_cumsum_reference(self, fib, diag_heavy, all_five,
+                                      all_five_geom, law, blk, subset):
+        dist, twist = {
+            "fib": (fib, None),
+            "diag_heavy": (diag_heavy, None),
+            "all_five_twisted": (
+                all_five, cramer_transform(all_five_geom, (0.8, 0.6))),
+        }[law]
+        rows = 300
+        sampler = _StepSampler(dist, twist, rows, 200)
+        assert sampler.trivial == (law == "fib")
+        live = np.arange(3, rows, 7) if subset else None
+        offs = sampler.offsets(_batch_rng(5, 0), rows, blk, live=live)
+        u = _batch_rng(5, 0).random((rows, blk))
+        ref = self.reference(dist, twist, u if live is None else u[live])
+        for off, r in zip(offs, ref):
+            assert off.dtype == np.int32
+            assert off.shape == (blk, rows if live is None else len(live))
+            np.testing.assert_array_equal(off, r.T)
 
 
 class TestDirectionScan:
