@@ -357,9 +357,16 @@ def _visit_stats(dist, starts, targets, horizon, seed, n_paths, twist):
                 if len(h):
                     bnd = (off_x[:, h] <= -x0[h]) | (off_y[:, h] <= -y0[h])
                     n_ok[h] = bnd.argmax(axis=0)
-                for ti, (yx, yy) in enumerate(targets):
-                    at = (off_x == yx - x0) & (off_y == yy - y0)
-                    c, r = np.divmod(np.flatnonzero(at), len(x0))
+                # match the targets only in the rows alive from this start
+                cols = None if alive[si].all() else np.flatnonzero(alive[si])
+                ox, oy, ax, ay = (off_x, off_y, x0, y0) if cols is None else (
+                    off_x.take(cols, axis=1), off_y.take(cols, axis=1),
+                    x0[cols], y0[cols])
+                for ti, (yx, yy) in enumerate(targets if len(ax) else ()):
+                    at = (ox == yx - ax) & (oy == yy - ay)
+                    c, r = np.divmod(np.flatnonzero(at), len(ax))
+                    if cols is not None:
+                        r = cols[r]
                     r = r[c < n_ok[r]]
                     if len(r):
                         ids = r if live is None else live[r]
