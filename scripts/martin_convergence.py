@@ -47,11 +47,12 @@ def main() -> None:
     prof = martin_kernel_profile(
         dist, x, ys, SimConfig(seed=args.seed, n_paths=args.n_paths)
     )
-    print("radius   ratio        std_err    rel_error   censored")
+    print("radius   ratio        std_err    rel_error   censored   bias_bound")
     for y, est in zip(ys, prof):
         rel = abs(est.mean - ref) / ref
         print(f"{y[0]:>6}   {est.mean:.6f}   {est.std_error:.2e}   "
-              f"{rel:.2e}    {est.censored_fraction:.3f}")
+              f"{rel:.2e}    {est.censored_fraction:.3f}      "
+              f"{est.bias_bound:.1e}")
 
     print("\nscaled Green values along the diagonal (importance-sampled):")
     pts = green_direction_scan(

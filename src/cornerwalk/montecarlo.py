@@ -26,16 +26,17 @@ skipfree_exit_root; c_y^j alone for half-plane survival, which never
 touches x), is below 1e-7; later blocks draw only for the rows left.
 The bounds of the retired rows, and of the rows still walking at the
 horizon, make up the estimate's ``bias_bound``.  The visit engine
-(Green function, Martin kernel) still draws each block for the whole
-batch, because a Martin profile's two starts share its stream, but
-codes and tests only the rows alive from some start: a row absorbed
-from every start is dropped, which changes no output.  The array
-layout may change, but this stream consumption, this alias
-decision and this retirement rule are the reproducibility contract
-(pinned by tests/test_stream_contract.py).  Cramer twisting replaces the
-step law by p_s * exp(<phi, s>) (a probability law because phi lies on
-the zero curve) and reweights Green-function visits by the constant
-exp(-<phi, y - x>).
+(Green function, Martin kernel) retires the same way by a bound on the
+visits a row can still make to each target (a gambler's-ruin bound per
+coordinate, see _visit_bounds), and it too draws each block only for
+its live rows: a row is dropped once it is absorbed from every start or
+retired from every target.  Both starts of a Martin profile share each
+row's draws.  The array layout may change, but this stream consumption,
+this alias decision and these retirement rules are the reproducibility
+contract (pinned by tests/test_stream_contract.py).  Cramer twisting
+replaces the step law by p_s * exp(<phi, s>) (a probability law because
+phi lies on the zero curve) and reweights Green-function visits by the
+constant exp(-<phi, y - x>).
 """
 
 from __future__ import annotations
@@ -94,8 +95,10 @@ class SimEstimate:
     n_paths: int
     horizon: int
     censored_fraction: float
-    # escape and half-plane survival only: mean exit bound of the paths
-    # counted as surviving, whose expectation bounds the estimate's bias
+    # its expectation bounds the estimate's bias: for escape and survival
+    # the mean exit bound of the paths counted as surviving, for Green the
+    # mean weighted visit bound of the paths stopped before absorption,
+    # for a Martin ratio the half-width the two Green bounds induce
     bias_bound: float | None = None
 
 
@@ -185,17 +188,11 @@ class _StepSampler:
             self.tables[:, 0::2] = steps[alias].T  # code 2k -> alias of k
         self._u = np.empty(min(n_paths, BATCH_SIZE) * min(horizon, _BLOCK))
 
-    def offsets(self, rng, rows: int, blk: int, axes=(0, 1), live=None):
+    def offsets(self, rng, rows: int, blk: int, axes=(0, 1)):
         """Draw one block for ``rows`` rows; per axis, the (blk, rows)
-        int32 prefix sums of the steps, step t in row t.
-
-        With ``live`` (an index into the drawn rows) only those rows are
-        coded, in that order, and the sums have one column per entry.
-        """
+        int32 prefix sums of the steps, step t in row t."""
         v = self._u[: rows * blk].reshape(rows, blk)
         rng.random(out=v)
-        if live is not None:
-            v = v[live]
         v *= self.k
         code = v.astype(np.intp)
         np.minimum(code, self.k - 1, out=code)
@@ -307,52 +304,104 @@ def estimate_halfplane_survival(
     return _survival_estimate(dist, (0, height), cfg, halfplane=True)
 
 
-def _visit_stats(dist, starts, targets, horizon, seed, n_paths, twist):
+def _visit_bounds(steps, probs):
+    """Per axis (c, g): from level z a coordinate's expected visits to
+    level l, now and later, are at most g * c**max(z - l, 0).
+
+    The coordinate moves down by at most one per step, so from above l
+    it ever reaches l with probability c^(z - l), c its exit root.  From
+    l it returns with probability at most p0 + p_-1 + sum_{d>=1} p_d c^d
+    = 1 - p_-1 (1/c - 1), so it visits l at most c / (p_-1 (1 - c))
+    times (gambler's ruin for a left-continuous walk, Feller vol. 1,
+    ch. XIV).  An axis whose drift is <= 0 gives no bound (g = inf); one
+    that never steps down never returns from above l (c = 0) and stays
+    at l for 1 / (1 - p0) steps on average.
+    """
+    out = []
+    for a in (0, 1):
+        c = _exit_root(steps, probs, a)
+        if c == 1.0:
+            g = math.inf
+        elif c == 0.0:
+            g = 1.0 / (1.0 - float(probs[steps[:, a] == 0].sum()))
+        else:
+            g = c / (float(probs[steps[:, a] == -1].sum()) * (1.0 - c))
+        out.append((c, g))
+    return out
+
+
+def _visit_bound(axis_bounds, z, y):
+    """Bound on the expected further visits to y of walks now at z: a
+    visit needs both coordinates at y's levels, so the smaller of the two
+    axis bounds holds, and killing only removes visits."""
+    return np.minimum(
+        *(g * c ** np.maximum(p - q, 0) for (c, g), p, q in zip(axis_bounds, z, y))
+    )
+
+
+def _visit_stats(dist, starts, targets, weights, horizon, seed, n_paths, twist):
     """Counts of pre-absorption visits, shared increments across starts.
 
-    Returns (sums, sumsqs, crosses, alive_counts):
+    Returns (sums, sumsqs, crosses, open_counts, bounds), each reduced in
+    batch order:
       sums[si][ti], sumsqs[si][ti]: per-path visit count moments;
       crosses[ti]: sum over paths of visits-from-start0 * visits-from-start1
-      (only when two starts are given); alive_counts[si]: paths unabsorbed
-      at the horizon.  All reductions run in batch order.
+      (only when two starts are given);
+      open_counts[si][ti]: paths neither absorbed from start si nor
+      retired from target ti at the horizon;
+      bounds[si][ti]: summed bounds on the visits from si to ti that go
+      uncounted: those of each path retired from ti, at its retirement,
+      and those of each path still open for ti when the last block
+      begins, at that point (its start if that block is the first),
+      which cover its visits after the horizon.
 
-    Every block draws for the whole batch, but only the rows still alive
-    from some start are coded and tested; a row absorbed from every start
-    is dropped, and a batch ends early once none is left.  Visit counts
-    stay indexed by batch row, so the reductions see the same arrays.
+    Every block draws only for the rows still live, and both starts of a
+    row share its draws.  After each block but the last, a row retires
+    from target ti once its visit bound times weights[si][ti] is below
+    _RETIRE_EPS for every start still alive in it; from then on it adds
+    no visit to ti.  A row absorbed from every start or retired from
+    every target is dropped.  Nothing is bounded after the last block, so
+    a target's numbers do not depend on the other targets' draws there.
+    Visit counts stay indexed by batch row.
     """
     _check_stream_inputs(dist, list(starts) + list(targets), horizon, seed)
     sampler = _StepSampler(dist, twist, n_paths, horizon)
+    axis_bounds = _visit_bounds(*_twisted_probs(dist, twist))
     n_starts = len(starts)
     n_targets = len(targets)
-    sums = [[[] for _ in range(n_targets)] for _ in range(n_starts)]
-    sumsqs = [[[] for _ in range(n_targets)] for _ in range(n_starts)]
+    pairs = [(si, ti) for si in range(n_starts) for ti in range(n_targets)]
+    grid = lambda: [[[] for _ in range(n_targets)] for _ in range(n_starts)]
+    sums, sumsqs, bounds, open_parts = grid(), grid(), grid(), grid()
     crosses = [[] for _ in range(n_targets)]
-    alive_parts = [[] for _ in range(n_starts)]
 
     for b_idx, rows in enumerate(_batch_sizes(n_paths)):
         rng = _batch_rng(seed, b_idx)
-        live = None  # batch rows still walking from some start; None: all
+        live = np.arange(rows)  # batch rows still walking
         pos = [
             [np.full(rows, s[0], dtype=np.int32), np.full(rows, s[1], dtype=np.int32)]
             for s in starts
         ]
         alive = [np.ones(rows, dtype=bool) for _ in starts]
+        open_ = [np.ones(rows, dtype=bool) for _ in targets]  # not retired from ti
         visits = [
             [np.zeros(rows, dtype=np.int64) for _ in range(n_targets)]
             for _ in range(n_starts)
         ]
+        if horizon <= _BLOCK:  # one block: every row is bounded at its start
+            for si, ti in pairs:
+                b = _visit_bound(axis_bounds, starts[si], targets[ti])
+                bounds[si][ti].append(rows * float(b))
         t = 0
-        while t < horizon and len(alive[0]):
+        while t < horizon and len(live):
             blk = min(_BLOCK, horizon - t)
-            off_x, off_y = sampler.offsets(rng, rows, blk, live=live)
+            off_x, off_y = sampler.offsets(rng, len(live), blk)
             low_x, low_y = off_x.min(axis=0), off_y.min(axis=0)
             for si in range(n_starts):
                 x0, y0 = pos[si]
                 hit = alive[si] & ((low_x <= -x0) | (low_y <= -y0))
-                # steps of this block each row takes alive: none once dead,
-                # else those before its first boundary point
-                n_ok = np.where(alive[si], blk, 0)
+                # steps of this block each row takes alive: those before
+                # its first boundary point
+                n_ok = np.full(len(live), blk)
                 h = np.flatnonzero(hit)
                 if len(h):
                     bnd = (off_x[:, h] <= -x0[h]) | (off_y[:, h] <= -y0[h])
@@ -367,21 +416,36 @@ def _visit_stats(dist, starts, targets, horizon, seed, n_paths, twist):
                     c, r = np.divmod(np.flatnonzero(at), len(ax))
                     if cols is not None:
                         r = cols[r]
-                    r = r[c < n_ok[r]]
+                    r = r[(c < n_ok[r]) & open_[ti][r]]
                     if len(r):
-                        ids = r if live is None else live[r]
-                        visits[si][ti] += np.bincount(ids, minlength=rows)
+                        visits[si][ti] += np.bincount(live[r], minlength=rows)
                 pos[si] = [x0 + off_x[-1], y0 + off_y[-1]]
                 alive[si] &= ~hit
             t += blk
+            if t == horizon:
+                break
             keep = np.logical_or.reduce(alive)
+            last = t + _BLOCK >= horizon
+            for ti, y in enumerate(targets):
+                vb = [_visit_bound(axis_bounds, p, y) for p in pos]
+                done = open_[ti] & keep
+                for si in range(n_starts):
+                    done &= ~alive[si] | (vb[si] < _RETIRE_EPS / weights[si][ti])
+                # before the last block every open row is bounded here: its
+                # visits after the horizon are among those after now
+                counted = open_[ti] & keep if last else done
+                for si in range(n_starts):
+                    bounds[si][ti].append(float(vb[si][counted & alive[si]].sum()))
+                open_[ti] &= ~done
+            keep &= np.logical_or.reduce(open_)
             if not keep.all():
-                live = np.flatnonzero(keep) if live is None else live[keep]
+                live = live[keep]
                 pos = [[p[keep] for p in ps] for ps in pos]
                 alive = [a[keep] for a in alive]
+                open_ = [o[keep] for o in open_]
         for si in range(n_starts):
-            alive_parts[si].append(int(alive[si].sum()))
             for ti in range(n_targets):
+                open_parts[si][ti].append(int((alive[si] & open_[ti]).sum()))
                 v = visits[si][ti].astype(np.float64)
                 sums[si][ti].append(float(v.sum()))
                 sumsqs[si][ti].append(float((v * v).sum()))
@@ -393,12 +457,9 @@ def _visit_stats(dist, starts, targets, horizon, seed, n_paths, twist):
                     )
                 )
 
-    red = lambda parts: math.fsum(parts)
-    sums_r = [[red(sums[si][ti]) for ti in range(n_targets)] for si in range(n_starts)]
-    sq_r = [[red(sumsqs[si][ti]) for ti in range(n_targets)] for si in range(n_starts)]
-    cross_r = [red(crosses[ti]) for ti in range(n_targets)] if n_starts == 2 else None
-    alive_r = [sum(alive_parts[si]) for si in range(n_starts)]
-    return sums_r, sq_r, cross_r, alive_r
+    red = lambda g: [[math.fsum(parts) for parts in row] for row in g]
+    cross_r = [math.fsum(c) for c in crosses] if n_starts == 2 else None
+    return red(sums), red(sumsqs), cross_r, red(open_parts), red(bounds)
 
 
 def _default_horizon(x, y) -> int:
@@ -420,6 +481,18 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     Under a twist the sampling law is tilted and every visit carries the
     constant weight exp(-<phi, y - x>), which undoes the tilt exactly
     because all paths from x to y share the displacement y - x.
+
+    From z, a path's expected further visits to y (under the law actually
+    sampled) are at most min over the axes of c^((z - y)+) * G1, with c
+    the axis's exit root and G1 = c / (p_-1 (1 - c)) (see _visit_bounds).
+    After every block but the last a path whose weighted bound is below
+    1e-7 retires: its later visits go uncounted.  The estimate can only
+    understate the Green value, and ``bias_bound`` says by how much: the
+    mean weighted bound of the retired paths at retirement, plus that of
+    the paths still walking when the last block begins (at the start
+    when it is the first), so 0 <= G - E[mean] <= E[bias_bound].
+    ``censored_fraction`` is the share of paths neither absorbed nor
+    retired at the horizon.
     """
     require_valid(dist)
     x = (int(x[0]), int(x[1]))
@@ -430,8 +503,8 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     if horizon < 1 or cfg.n_paths < 1:
         raise ValueError("n_paths and horizon must be >= 1")
     w = _twist_weight(cfg.twist, x, y)
-    sums, sqs, _, alive = _visit_stats(
-        dist, [x], [y], horizon, cfg.seed, cfg.n_paths, cfg.twist
+    sums, sqs, _, alive, bounds = _visit_stats(
+        dist, [x], [y], [[w]], horizon, cfg.seed, cfg.n_paths, cfg.twist
     )
     n = cfg.n_paths
     mean_v = sums[0][0] / n
@@ -441,7 +514,8 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
         std_error=w * math.sqrt(var_v / n),
         n_paths=n,
         horizon=horizon,
-        censored_fraction=alive[0] / n,
+        censored_fraction=alive[0][0] / n,
+        bias_bound=w * bounds[0][0] / n,
     )
 
 
@@ -456,6 +530,16 @@ def martin_kernel_profile(
     Both starts consume the same increment stream (common random
     numbers), which cancels most of the noise in the ratio; the standard
     error comes from the delta method with the across-path covariance.
+
+    A path retires from target y once its visit bound (see estimate_green)
+    is below 1e-7 from every start still alive in it, and stops drawing
+    once retired from every target.  The Green means A (from x) and B
+    (from (1, 1)) then understate theirs by at most beta_A and beta_B, so
+    the ratio of the expectations lies in [A / (B + beta_B),
+    (A + beta_A) / B]; ``bias_bound`` is the larger distance from the
+    ratio to an end of that interval.  ``censored_fraction`` is the larger
+    share, over the two starts, of paths neither absorbed nor retired
+    from y at the horizon.
     """
     require_valid(dist)
     x = (int(x[0]), int(x[1]))
@@ -471,14 +555,15 @@ def martin_kernel_profile(
     )
     if horizon < 1 or cfg.n_paths < 1:
         raise ValueError("n_paths and horizon must be >= 1")
-    sums, sqs, crosses, alive = _visit_stats(
-        dist, [x, _MARTIN_BASE], ys, horizon, cfg.seed, cfg.n_paths, cfg.twist
+    starts = [x, _MARTIN_BASE]
+    weights = [[_twist_weight(cfg.twist, s, y) for y in ys] for s in starts]
+    sums, sqs, crosses, alive, bounds = _visit_stats(
+        dist, starts, ys, weights, horizon, cfg.seed, cfg.n_paths, cfg.twist
     )
     n = cfg.n_paths
     out = []
     for ti, y in enumerate(ys):
-        w_a = _twist_weight(cfg.twist, x, y)
-        w_b = _twist_weight(cfg.twist, _MARTIN_BASE, y)
+        w_a, w_b = weights[0][ti], weights[1][ti]
         sum_a, sum_b = w_a * sums[0][ti], w_b * sums[1][ti]
         if sum_b == 0.0:
             raise SolverError(
@@ -492,13 +577,20 @@ def martin_kernel_profile(
         var_r = max(
             0.0, (var_a + ratio * ratio * var_b - 2.0 * ratio * cov)
         ) / (n * mean_b * mean_b)
+        # the visit bounds put the ratio of the expected counts in
+        # [A / (B + beta_B), (A + beta_A) / B]
+        beta_a, beta_b = w_a * bounds[0][ti] / n, w_b * bounds[1][ti] / n
         out.append(
             SimEstimate(
                 mean=ratio,
                 std_error=math.sqrt(var_r),
                 n_paths=n,
                 horizon=horizon,
-                censored_fraction=max(alive[0], alive[1]) / n,
+                censored_fraction=max(alive[0][ti], alive[1][ti]) / n,
+                bias_bound=max(
+                    ratio - mean_a / (mean_b + beta_b),
+                    (mean_a + beta_a) / mean_b - ratio,
+                ),
             )
         )
     return out

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cornerwalk.curve import SolverError, cramer_transform, find_extrema
 from cornerwalk.model import InvalidModelError, parse_model_text
+from cornerwalk import montecarlo
 from cornerwalk.montecarlo import (
     BATCH_SIZE,
     SimConfig,
@@ -24,6 +25,9 @@ from cornerwalk.montecarlo import (
     _batch_rng,
     _exit_root,
     _twisted_probs,
+    _visit_bound,
+    _visit_bounds,
+    _visit_stats,
 )
 
 from oracles import (
@@ -233,10 +237,13 @@ class TestGreen:
         assert est.horizon == 10 * 5
         assert 0.0 <= est.censored_fraction <= 1.0
 
-    def test_no_bias_bound_claimed(self, all_five):
+    def test_bias_bound_reported(self, all_five):
         cfg = SimConfig(seed=2, n_paths=2048, horizon=20)
-        assert estimate_green(all_five, (1, 1), (3, 4), cfg).bias_bound is None
-        assert martin_kernel_estimate(all_five, (2, 3), (4, 4), cfg).bias_bound is None
+        for est in (
+            estimate_green(all_five, (1, 1), (3, 4), cfg),
+            martin_kernel_estimate(all_five, (2, 3), (4, 4), cfg),
+        ):
+            assert 0.0 < est.bias_bound < math.inf
 
     def test_twist_weight_overflow_guarded(self, fib, fib_geom):
         tw = cramer_transform(fib_geom, (2 / math.sqrt(5), 1 / math.sqrt(5)))
@@ -299,6 +306,62 @@ class TestMartinKernel:
         assert abs(est.mean - ref) / ref < 0.1
 
 
+class TestVisitBound:
+    """The gambler's-ruin bound on further visits, by which the visit
+    engine retires rows and states its bias."""
+
+    @pytest.mark.parametrize("law", ["fib", "all_five", "diag_heavy"])
+    def test_bounds_exact_green_values(self, request, law):
+        dist = request.getfixturevalue(law)
+        axis_bounds = _visit_bounds(*_twisted_probs(dist, None))
+        for z in [(1, 1), (2, 3), (4, 1)]:
+            for y in [(2, 2), (3, 3), (1, 4)]:
+                exact = float(green_enum(exact_steps(dist), z, y, 24))
+                assert exact <= _visit_bound(axis_bounds, z, y), (z, y)
+
+    def test_nonpositive_drift_never_retires(self, all_five, monkeypatch):
+        # no drift on either axis (not a valid model, so run the engine)
+        flat = parse_model_text("1 1 1/4\n-1 -1 1/4\n1 -1 1/4\n-1 1 1/4\n")
+        bounds = _visit_bounds(*_twisted_probs(flat, None))
+        assert [g for _, g in bounds] == [math.inf, math.inf]
+        runs = [
+            (dist, [(6, 6)], [(4, 5)], [[1.0]], 200, 3, 3000, None)
+            for dist in (flat, all_five)
+        ]
+        with_eps = [_visit_stats(*args) for args in runs]
+        monkeypatch.setattr(montecarlo, "_RETIRE_EPS", 0.0)  # no row retires
+        without = [_visit_stats(*args) for args in runs]
+        assert with_eps[0] == without[0]
+        assert with_eps[0][3][0][0] > 0  # rows still open at the horizon
+        assert with_eps[0][4][0][0] == math.inf
+        # the positive-drift law does retire rows
+        assert with_eps[1][3][0][0] < without[1][3][0][0]
+
+    @pytest.mark.parametrize("horizon", [6, 70])
+    def test_short_horizon_gap_within_bias_bound(self, fib, horizon):
+        truth = float(green_enum(exact_steps(fib), (1, 1), (3, 3), 40))
+        est = estimate_green(
+            fib, (1, 1), (3, 3),
+            SimConfig(seed=31, n_paths=BATCH_SIZE, horizon=horizon),
+        )
+        assert est.bias_bound > 0.0
+        assert abs(truth - est.mean) <= 4 * est.std_error + est.bias_bound
+
+    def test_martin_interval_holds_exact_ratio(self, all_five):
+        x, y = (2, 3), (4, 4)
+        exact = float(
+            green_enum(exact_steps(all_five), x, y, 24)
+            / green_enum(exact_steps(all_five), (1, 1), y, 24)
+        )
+        for horizon in (8, 70):
+            est = martin_kernel_estimate(
+                all_five, x, y,
+                SimConfig(seed=7, n_paths=BATCH_SIZE, horizon=horizon),
+            )
+            assert 0.0 < est.bias_bound < math.inf
+            assert abs(est.mean - exact) <= 4 * est.std_error + est.bias_bound
+
+
 class TestStepSampler:
     """offsets() against np.cumsum of the steps picked by the alias rule
     from the same uniforms."""
@@ -323,16 +386,16 @@ class TestStepSampler:
             "all_five_twisted": (
                 all_five, cramer_transform(all_five_geom, (0.8, 0.6))),
         }[law]
-        rows = 300
-        sampler = _StepSampler(dist, twist, rows, 200)
+        sampler = _StepSampler(dist, twist, 300, 200)
         assert sampler.trivial == (law == "fib")
-        live = np.arange(3, rows, 7) if subset else None
-        offs = sampler.offsets(_batch_rng(5, 0), rows, blk, live=live)
-        u = _batch_rng(5, 0).random((rows, blk))
-        ref = self.reference(dist, twist, u if live is None else u[live])
+        # subset: a draw for fewer rows than the sampler was sized for, as
+        # once the engines have dropped rows
+        rows = 43 if subset else 300
+        offs = sampler.offsets(_batch_rng(5, 0), rows, blk)
+        ref = self.reference(dist, twist, _batch_rng(5, 0).random((rows, blk)))
         for off, r in zip(offs, ref):
             assert off.dtype == np.int32
-            assert off.shape == (blk, rows if live is None else len(live))
+            assert off.shape == (blk, rows)
             np.testing.assert_array_equal(off, r.T)
 
 
