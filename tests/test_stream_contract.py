@@ -6,23 +6,25 @@ steps consumes exactly one ``rng.random((rows, blk))`` draw, and every
 uniform picks its step by the same Walker alias decision.  After every
 block the survival engine drops its absorbed rows and retires the rows
 whose exit bound is below 1e-7, so later blocks draw only for the rows
-still walking (this retirement came with tool_version 0.2.0).  A rewrite of
-the step engine may change array layouts but must leave these values
-(and the bytes the CLI prints) exactly as they are.  A change that is
-meant to alter the stream must say so and update the pins together with
-``tool_version``.
+still walking (this retirement came with tool_version 0.2.0).  The visit
+engine does the same with a bound on the visits a row can still make,
+per target, and drops a row absorbed from every start or retired from
+every target (tool_version 0.3.0).  A rewrite of the step engine may
+change array layouts but must leave these values (and the bytes the CLI
+prints) exactly as they are.  A change that is meant to alter the stream
+must say so and update the pins together with ``tool_version``.
 
 The cases cross a batch boundary and end on a partial block, cover
 trivial (uniform laws) and non-trivial (diag_heavy, twisted laws) alias
 tables, both absorption tests of the survival engine and both starts of
 the visit engine.  Four more cases pin the visit engine's dropping of
-absorbed rows: a Green run over two full batches and a partial one that
-loses most rows in its first block, a Martin profile whose base start
-(1, 1) dies in rows where x still walks and whose far target is
-reached only after the first block, a Martin profile of a weak-drift
-law whose walks, absorbed from one start, re-enter the quadrant near
-the targets, and a run whose every row is absorbed long before the
-horizon.
+absorbed and retired rows: a Green run over two full batches and a
+partial one that loses most rows in its first block, a Martin profile
+whose base start (1, 1) dies in rows where x still walks and whose far
+target is reached only after the first block, a Martin profile of a
+weak-drift law whose walks, absorbed from one start, re-enter the
+quadrant near the targets, and a run whose every row is absorbed long
+before the horizon.
 """
 
 import contextlib
@@ -137,50 +139,52 @@ EXPECTED = {
         "bias_bound=2.1813627405128297e-06)"
     ),
     "green_twisted": (
-        "SimEstimate(mean=0.2985454590013661, std_error=0.0018808469344377718, "
-        "n_paths=68537, horizon=70, censored_fraction=0.6986007557961393, "
-        "bias_bound=None)"
+        "SimEstimate(mean=0.2985454590013661, "
+        "std_error=0.0018808469344377718, n_paths=68537, horizon=70, "
+        "censored_fraction=7.295329530034871e-05, "
+        "bias_bound=4.382306184537829e-11)"
     ),
     "martin_all_five": (
-        "[SimEstimate(mean=2.2802736896462688, std_error=0.030140744988238977, "
-        "n_paths=68537, horizon=150, censored_fraction=0.8512044589054087, "
-        "bias_bound=None), "
+        "[SimEstimate(mean=2.2802736896462688, "
+        "std_error=0.030140744988238977, n_paths=68537, horizon=150, "
+        "censored_fraction=0.0, bias_bound=2.679618749112933e-09), "
         "SimEstimate(mean=2.1597210692346005, std_error=0.03316321317444358, "
-        "n_paths=68537, horizon=150, censored_fraction=0.8512044589054087, "
-        "bias_bound=None)]"
+        "n_paths=68537, horizon=150, censored_fraction=0.0, "
+        "bias_bound=9.236791775890651e-09)]"
     ),
     "martin_diag_heavy": (
-        "[SimEstimate(mean=1.3626171659621393, std_error=0.004029578924719434, "
-        "n_paths=68537, horizon=150, censored_fraction=0.9984533901396326, "
-        "bias_bound=None), "
+        "[SimEstimate(mean=1.3626171659621393, "
+        "std_error=0.004029578924719434, n_paths=68537, horizon=150, "
+        "censored_fraction=0.0, bias_bound=0.0), "
         "SimEstimate(mean=1.044114022837427, std_error=0.009637992531067742, "
-        "n_paths=68537, horizon=150, censored_fraction=0.9984533901396326, "
-        "bias_bound=None)]"
+        "n_paths=68537, horizon=150, censored_fraction=0.0, bias_bound=0.0)]"
     ),
     "green_fibonacci": (
-        "SimEstimate(mean=0.2344437748399942, std_error=0.0015915817065046492, "
-        "n_paths=131089, horizon=150, censored_fraction=0.17301222833342234, "
-        "bias_bound=None)"
+        "SimEstimate(mean=0.2344437748399942, "
+        "std_error=0.0015915817065046492, n_paths=131089, horizon=150, "
+        "censored_fraction=2.2885215388018827e-05, "
+        "bias_bound=1.5151794949146896e-09)"
     ),
     "martin_fibonacci_base_dies": (
         "[SimEstimate(mean=6.598395977974622, std_error=0.08908815165110893, "
-        "n_paths=68537, horizon=150, censored_fraction=0.8768840188511315, "
-        "bias_bound=None), "
-        "SimEstimate(mean=4.805723498589278, std_error=0.13035521673930217, "
-        "n_paths=68537, horizon=150, censored_fraction=0.8768840188511315, "
-        "bias_bound=None)]"
+        "n_paths=68537, horizon=150, "
+        "censored_fraction=2.9181318120139488e-05, "
+        "bias_bound=1.0321882637498447e-07), "
+        "SimEstimate(mean=5.145106382978723, std_error=0.14143303194441711, "
+        "n_paths=68537, horizon=150, censored_fraction=0.23919926463078336, "
+        "bias_bound=0.0012133188660810035)]"
     ),
     "martin_weak_drift_reentry": (
         "[SimEstimate(mean=29.715844937899885, std_error=0.9603179442923643, "
-        "n_paths=68537, horizon=150, censored_fraction=0.11412813516786553, "
-        "bias_bound=None), "
-        "SimEstimate(mean=30.07828282828283, std_error=1.1525877483696654, "
-        "n_paths=68537, horizon=150, censored_fraction=0.11412813516786553, "
-        "bias_bound=None)]"
+        "n_paths=68537, horizon=150, censored_fraction=0.11455126428060755, "
+        "bias_bound=0.827551935008163), SimEstimate(mean=30.07828282828283, "
+        "std_error=1.1525877483696654, n_paths=68537, horizon=150, "
+        "censored_fraction=0.11455126428060755, "
+        "bias_bound=1.8244151718323813)]"
     ),
     "green_all_absorbed": (
         "SimEstimate(mean=0.4166666666666667, std_error=0.2599047999758855, "
-        "n_paths=12, horizon=2000, censored_fraction=0.0, bias_bound=None)"
+        "n_paths=12, horizon=2000, censored_fraction=0.0, bias_bound=0.0)"
     ),
 }
 
@@ -207,13 +211,13 @@ CLI = {
 }
 
 CLI_SHA256 = {
-    "escape_mc_check": "38ac37feb8a1155c0a6ad002e7ace0c1c7d44564cdf17bb1ef7ca75adae2eac1",
+    "escape_mc_check": "4e9fbe8a7999a55a422b5030d26443fe3d1f8207fd2840bdf6e251bf5c4fdc3b",
     "simulate_green_twisted":
-        "dc527bdb6844bab525ea5b4a4c55e063d93b35541cea57b8e1ac2afbb1242279",
+        "46d9cb52b7a34b9f133fd14a9c3808709f6414ed0296f879bcb1c51fb4f99ed9",
     "simulate_survival":
-        "7c292bd45cdf71fa34b4a4273469081d7227e29e62bd69999d0c21c63d87448b",
-    "green_scan": "ef0a8c86babcbc2c2a014bbab47bd7bbc3094341e0a22c642ce424deb3a6eb9a",
-    "simulate_martin": "dbdc63be13d28d07a5183a639d69d0e74bb0c6b0bc3a6b74d5efc6007b28604d",
+        "99682277c195cfe239fe964b6fd3a937a5ebb57c89e1fc83f210a239bcc193c5",
+    "green_scan": "181d5ef75db20abe83cc5ecb124d908c93ea4d3f56d1250c01d563fba0386c96",
+    "simulate_martin": "b5e9a64b526b768461b56796154de5beef599b1c133847e05dfdc3039533c8f2",
 }
 
 
