@@ -369,7 +369,6 @@ def _visit_stats(dist, starts, targets, weights, horizon, seed, n_paths, twist):
     axis_bounds = _visit_bounds(*_twisted_probs(dist, twist))
     n_starts = len(starts)
     n_targets = len(targets)
-    pairs = [(si, ti) for si in range(n_starts) for ti in range(n_targets)]
     grid = lambda: [[[] for _ in range(n_targets)] for _ in range(n_starts)]
     sums, sumsqs, bounds, open_parts = grid(), grid(), grid(), grid()
     crosses = [[] for _ in range(n_targets)]
@@ -388,9 +387,10 @@ def _visit_stats(dist, starts, targets, weights, horizon, seed, n_paths, twist):
             for _ in range(n_starts)
         ]
         if horizon <= _BLOCK:  # one block: every row is bounded at its start
-            for si, ti in pairs:
-                b = _visit_bound(axis_bounds, starts[si], targets[ti])
-                bounds[si][ti].append(rows * float(b))
+            for si, s in enumerate(starts):
+                for ti, y in enumerate(targets):
+                    b = _visit_bound(axis_bounds, s, y)
+                    bounds[si][ti].append(rows * float(b))
         t = 0
         while t < horizon and len(live):
             blk = min(_BLOCK, horizon - t)
@@ -503,7 +503,7 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     if horizon < 1 or cfg.n_paths < 1:
         raise ValueError("n_paths and horizon must be >= 1")
     w = _twist_weight(cfg.twist, x, y)
-    sums, sqs, _, alive, bounds = _visit_stats(
+    sums, sqs, _, open_counts, bounds = _visit_stats(
         dist, [x], [y], [[w]], horizon, cfg.seed, cfg.n_paths, cfg.twist
     )
     n = cfg.n_paths
@@ -514,7 +514,7 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
         std_error=w * math.sqrt(var_v / n),
         n_paths=n,
         horizon=horizon,
-        censored_fraction=alive[0][0] / n,
+        censored_fraction=open_counts[0][0] / n,
         bias_bound=w * bounds[0][0] / n,
     )
 
@@ -557,7 +557,7 @@ def martin_kernel_profile(
         raise ValueError("n_paths and horizon must be >= 1")
     starts = [x, _MARTIN_BASE]
     weights = [[_twist_weight(cfg.twist, s, y) for y in ys] for s in starts]
-    sums, sqs, crosses, alive, bounds = _visit_stats(
+    sums, sqs, crosses, open_counts, bounds = _visit_stats(
         dist, starts, ys, weights, horizon, cfg.seed, cfg.n_paths, cfg.twist
     )
     n = cfg.n_paths
@@ -577,8 +577,6 @@ def martin_kernel_profile(
         var_r = max(
             0.0, (var_a + ratio * ratio * var_b - 2.0 * ratio * cov)
         ) / (n * mean_b * mean_b)
-        # the visit bounds put the ratio of the expected counts in
-        # [A / (B + beta_B), (A + beta_A) / B]
         beta_a, beta_b = w_a * bounds[0][ti] / n, w_b * bounds[1][ti] / n
         out.append(
             SimEstimate(
@@ -586,7 +584,7 @@ def martin_kernel_profile(
                 std_error=math.sqrt(var_r),
                 n_paths=n,
                 horizon=horizon,
-                censored_fraction=max(alive[0][ti], alive[1][ti]) / n,
+                censored_fraction=max(open_counts[0][ti], open_counts[1][ti]) / n,
                 bias_bound=max(
                     ratio - mean_a / (mean_b + beta_b),
                     (mean_a + beta_a) / mean_b - ratio,

@@ -337,6 +337,28 @@ class TestVisitBound:
         # the positive-drift law does retire rows
         assert with_eps[1][3][0][0] < without[1][3][0][0]
 
+    def test_retired_rows_stay_below_the_weighted_threshold(self, all_five):
+        # the twist weight here is about 2e4, so a row may retire only once
+        # its bound is below 5e-12; none is censored at this horizon
+        tw = cramer_transform(find_extrema(all_five), (3 / 10**0.5, 1 / 10**0.5))
+        est = estimate_green(
+            all_five, (2, 2), (30, 62),
+            SimConfig(seed=4, n_paths=4096, twist=tw),
+        )
+        assert est.censored_fraction == 0.0
+        assert est.bias_bound < montecarlo._RETIRE_EPS
+
+    def test_retired_target_gets_no_more_visits(self, fib, monkeypatch):
+        # every row retires from the near target after block one and walks
+        # on for the far one, whose threshold the weight keeps out of reach
+        monkeypatch.setattr(montecarlo, "_RETIRE_EPS", 1e3)
+        near, far = (20, 20), (60, 60)
+        both = _visit_stats(fib, [(1, 1)], [near, far], [[1.0, 1e6]],
+                            200, 5, 4000, None)
+        alone = _visit_stats(fib, [(1, 1)], [near], [[1.0]], 200, 5, 4000, None)
+        assert both[0][0][0] == alone[0][0][0] > 0.0
+        assert both[0][0][1] > 0.0  # the far target was walked on to
+
     @pytest.mark.parametrize("horizon", [6, 70])
     def test_short_horizon_gap_within_bias_bound(self, fib, horizon):
         truth = float(green_enum(exact_steps(fib), (1, 1), (3, 3), 40))
