@@ -19,21 +19,25 @@ is just k.  Each coordinate is gathered on its own and prefix-summed
 in int32 into a (blk, rows) array, step t in row t, by running adds of
 one row onto the next (cheaper than np.cumsum along the short axis);
 absorption is tested on those offsets, a row's lowest offset against
-minus its position.  After every block the survival engine drops its
-absorbed rows, then retires as escaped the rows whose chance of ever
-exiting, bounded by c_x^i + c_y^j (the exit roots of
+minus its position.
+
+Every estimator reduces one engine, _walk: rows walk from one start, or
+from the two of a Martin profile, which share each row's draws, and
+are stopped per target, a lattice point whose visits are counted or
+none for escape and survival.  After every block, the last included, a
+row retires from a target once a bound on what it can still add there
+is below 1e-7 from every start still alive in it: for escape its
+chance of ever exiting, at most c_x^i + c_y^j (the exit roots of
 skipfree_exit_root; c_y^j alone for half-plane survival, which never
-touches x), is below 1e-7; later blocks draw only for the rows left.
-The bounds of the retired rows, and of the rows still walking at the
-horizon, make up the estimate's ``bias_bound``.  The visit engine
-(Green function, Martin kernel) retires the same way by a bound on the
-visits a row can still make to each target (a gambler's-ruin bound per
-coordinate, see _visit_bounds), and it too draws each block only for
-its live rows: a row is dropped once it is absorbed from every start or
-retired from every target.  Both starts of a Martin profile share each
-row's draws.  The array layout may change, but this stream consumption,
-this alias decision and these retirement rules are the reproducibility
-contract (pinned by tests/test_stream_contract.py).  Cramer twisting
+touches x), for Green and Martin its further visits to the point (a
+gambler's-ruin bound per coordinate, see _visit_bounds).  A row is
+dropped once absorbed from every start or retired from every target,
+and later blocks draw only for the rows left.  The bounds of the
+retired rows, at retirement, and of the rows still open at the
+horizon, there, make up each estimate's ``bias_bound``.  The array
+layout may change, but this stream consumption, this alias decision
+and this retirement rule are the reproducibility contract (pinned by
+tests/test_stream_contract.py).  Cramer twisting
 replaces the step law by p_s * exp(<phi, s>) (a probability law because
 phi lies on the zero curve) and reweights Green-function visits by the
 constant exp(-<phi, y - x>).
@@ -157,9 +161,11 @@ def _batch_sizes(n_paths: int):
     return sizes
 
 
-def _check_stream_inputs(dist, points, horizon: int, seed: int) -> None:
-    """Reject seeds that Philox keying would alias and points whose
-    reachable positions would overflow int32."""
+def _check_stream_inputs(dist, points, horizon: int, seed: int, n_paths: int) -> None:
+    """Reject empty runs, seeds that Philox keying would alias and points
+    whose reachable positions would overflow int32."""
+    if n_paths < 1 or horizon < 1:
+        raise ValueError("n_paths and horizon must be >= 1")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     reach = horizon * max(max(abs(di), abs(dj)) for di, dj in dist.steps)
@@ -211,51 +217,148 @@ class _StepSampler:
         return out
 
 
-def _survival_count(dist, start, horizon, seed, n_paths, twist, halfplane):
-    """Paths that survive or retire, paths censored at the horizon, and the
-    summed exit bound of both (see estimate_escape)."""
-    _check_stream_inputs(dist, [start], horizon, seed)
+def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
+          axes=(0, 1)):
+    """One batched walk from every start at once, stopped per target.
+
+    A target is a lattice point, whose visits before absorption are
+    counted, or None, which counts nothing (survival uses one).
+    ``bound(pos, ti)``, with ``pos`` a start's [x, y] row arrays, bounds
+    per row what a row there can still add to target ti: its further
+    visits to the point, or its chance of ever exiting.  Absorption is
+    tested on ``axes`` only; a coordinate off them keeps its start value.
+
+    Every block draws only for the live rows, and all starts of a row
+    share its draws.  After every block, the last included, a row
+    retires from target ti once its bound times weights[si][ti] is below
+    _RETIRE_EPS from every start still alive in it; from then on it adds
+    no visit to ti.  A row absorbed from every start or retired from
+    every target is dropped before the next block.
+
+    Returns (sums, sumsqs, crosses, open_counts, bounds, survived), each
+    reduced in batch order:
+      sums[si][ti], sumsqs[si][ti]: per-path visit count moments (0 for a
+      None target);
+      crosses[ti]: sum over paths of visits-from-start0 * visits-from-start1
+      (None unless two starts are given);
+      open_counts[si][ti]: paths neither absorbed from si nor retired from
+      ti at the horizon;
+      bounds[si][ti]: summed bounds from si for ti, of each path retired
+      from ti at its retirement and of each path still open for ti at the
+      horizon;
+      survived[si]: paths never absorbed from si, retired or open.
+    Visit counts stay indexed by batch row.
+    """
+    points = [ti for ti, y in enumerate(targets) if y is not None]
+    _check_stream_inputs(
+        dist, list(starts) + [targets[ti] for ti in points], horizon, seed, n_paths
+    )
     sampler = _StepSampler(dist, twist, n_paths, horizon)
-    axes = (1,) if halfplane else (1, 0)
-    steps, probs = _twisted_probs(dist, twist)
-    roots = [_exit_root(steps, probs, a) for a in axes]
-    survived = censored = 0
-    bound_parts = []
+    n_starts = len(starts)
+    grid = lambda: [[[] for _ in targets] for _ in starts]
+    sums, sumsqs, bounds, open_parts = grid(), grid(), grid(), grid()
+    crosses = [[] for _ in targets]
+    survived = [n_paths] * n_starts
+
     for b_idx, rows in enumerate(_batch_sizes(n_paths)):
         rng = _batch_rng(seed, b_idx)
-        pos = [np.full(rows, start[a], dtype=np.int32) for a in axes]
+        live = np.arange(rows)  # batch rows still walking
+        pos = [[np.full(rows, c, dtype=np.int32) for c in s] for s in starts]
+        alive = [np.ones(rows, dtype=bool) for _ in starts]
+        open_ = [np.ones(rows, dtype=bool) for _ in targets]  # not retired from ti
+        visits = [{ti: np.zeros(rows, dtype=np.int64) for ti in points} for _ in starts]
+        vb = [None] * len(targets)  # per target and start, the latest bounds
+        keep = np.ones(rows, dtype=bool)  # rows to walk on
         t = 0
-        while t < horizon and len(pos[0]):
+        while t < horizon and keep.any():
+            if not keep.all():
+                live = live[keep]
+                pos = [[c[keep] for c in p] for p in pos]
+                alive = [a[keep] for a in alive]
+                open_ = [o[keep] for o in open_]
             blk = min(_BLOCK, horizon - t)
-            offs = sampler.offsets(rng, len(pos[0]), blk, axes)
-            # a path survives the block iff its lowest point stays above 0
-            keep = offs[0].min(axis=0) > -pos[0]
-            for off, p in zip(offs[1:], pos[1:]):
-                keep &= off.min(axis=0) > -p
-            pos = [(p + off[-1])[keep] for p, off in zip(pos, offs)]
-            # chance of ever exiting from here, at most the sum over axes
-            bound = sum(c**p for c, p in zip(roots, pos))
-            retire = bound < _RETIRE_EPS
-            if retire.any():
-                survived += int(retire.sum())
-                bound_parts.append(float(bound[retire].sum()))
-                pos = [p[~retire] for p in pos]
-                bound = bound[~retire]
+            offs = sampler.offsets(rng, len(live), blk, axes)
+            lows = [off.min(axis=0) for off in offs]
+            for si, p in enumerate(pos):
+                hit = lows[0] <= -p[axes[0]]
+                for low, a in zip(lows[1:], axes[1:]):
+                    hit |= low <= -p[a]
+                hit &= alive[si]
+                survived[si] -= int(hit.sum())
+                if points:
+                    (off_x, off_y), (x0, y0) = offs, p
+                    # steps of this block each row takes alive: those
+                    # before its first boundary point
+                    n_ok = np.full(len(live), blk)
+                    h = np.flatnonzero(hit)
+                    if len(h):
+                        bnd = (off_x[:, h] <= -x0[h]) | (off_y[:, h] <= -y0[h])
+                        n_ok[h] = bnd.argmax(axis=0)
+                    # match the targets only in the rows alive from this start
+                    cols = None if alive[si].all() else np.flatnonzero(alive[si])
+                    ox, oy, ax, ay = (off_x, off_y, x0, y0) if cols is None else (
+                        off_x.take(cols, axis=1), off_y.take(cols, axis=1),
+                        x0[cols], y0[cols])
+                    for ti in points if len(ax) else ():
+                        yx, yy = targets[ti]
+                        at = (ox == yx - ax) & (oy == yy - ay)
+                        c, r = np.divmod(np.flatnonzero(at), len(ax))
+                        if cols is not None:
+                            r = cols[r]
+                        r = r[(c < n_ok[r]) & open_[ti][r]]
+                        if len(r):
+                            visits[si][ti] += np.bincount(live[r], minlength=rows)
+                for off, a in zip(offs, axes):
+                    p[a] = p[a] + off[-1]
+                alive[si] &= ~hit
             t += blk
-        survived += len(pos[0])
-        censored += len(pos[0])
-        bound_parts.append(float(np.minimum(bound, 1.0).sum()))
-    return survived, censored, math.fsum(bound_parts)
+            keep = np.logical_or.reduce(alive)
+            for ti in range(len(targets)):
+                vb[ti] = [bound(p, ti) for p in pos]
+                done = open_[ti] & keep
+                for si, b in enumerate(vb[ti]):
+                    done &= ~alive[si] | (b < _RETIRE_EPS / weights[si][ti])
+                for si, b in enumerate(vb[ti]):
+                    bounds[si][ti].append(float(b[done & alive[si]].sum()))
+                open_[ti] &= ~done
+            keep &= np.logical_or.reduce(open_)
+        # the rows still open at the horizon, bounded where they stop
+        for ti, b_ti in enumerate(vb):
+            for si, b in enumerate(b_ti):
+                still = alive[si] & open_[ti]
+                open_parts[si][ti].append(int(still.sum()))
+                bounds[si][ti].append(float(b[still].sum()))
+        for si in range(n_starts):
+            for ti, v in visits[si].items():
+                v = v.astype(np.float64)
+                sums[si][ti].append(float(v.sum()))
+                sumsqs[si][ti].append(float((v * v).sum()))
+        if n_starts == 2:
+            for ti in points:
+                crosses[ti].append(
+                    float((visits[0][ti].astype(np.float64) * visits[1][ti]).sum())
+                )
+
+    red = lambda g: [[math.fsum(parts) for parts in row] for row in g]
+    cross_r = [math.fsum(c) for c in crosses] if n_starts == 2 else None
+    return red(sums), red(sumsqs), cross_r, red(open_parts), red(bounds), survived
 
 
-def _survival_estimate(dist, start, cfg: SimConfig, halfplane: bool) -> SimEstimate:
-    survived, censored, bound = _survival_count(
-        dist, start, cfg.horizon, cfg.seed, cfg.n_paths, cfg.twist, halfplane
+def _survival_estimate(dist, start, cfg: SimConfig, axes) -> SimEstimate:
+    """Escape or survival by the walk from ``start`` with one target, None,
+    whose bound is the chance of ever exiting: at most the sum over
+    ``axes`` of c**z, c the axis's exit root (see estimate_escape)."""
+    steps, probs = _twisted_probs(dist, cfg.twist)
+    roots = {a: _exit_root(steps, probs, a) for a in axes}
+    bound = lambda p, ti: np.minimum(sum(roots[a] ** p[a] for a in axes), 1.0)
+    _, _, _, open_counts, bounds, survived = _walk(
+        dist, [start], [None], [[1.0]], bound, cfg.horizon, cfg.seed,
+        cfg.n_paths, cfg.twist, axes,
     )
     n = cfg.n_paths
-    p = survived / n
+    p = survived[0] / n
     se = math.sqrt(p * (1.0 - p) / n)
-    return SimEstimate(p, se, n, cfg.horizon, censored / n, bound / n)
+    return SimEstimate(p, se, n, cfg.horizon, open_counts[0][0] / n, bounds[0][0] / n)
 
 
 def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
@@ -280,9 +383,7 @@ def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
         raise ValueError("escape start must be strictly inside the quadrant")
     if cfg.horizon is None:
         raise ValueError("escape estimation requires an explicit horizon")
-    if cfg.n_paths < 1 or cfg.horizon < 1:
-        raise ValueError("n_paths and horizon must be >= 1")
-    return _survival_estimate(dist, (i, j), cfg, halfplane=False)
+    return _survival_estimate(dist, (i, j), cfg, (0, 1))
 
 
 def estimate_halfplane_survival(
@@ -299,9 +400,7 @@ def estimate_halfplane_survival(
         raise ValueError("height must be >= 1")
     if cfg.horizon is None:
         raise ValueError("half-plane survival requires an explicit horizon")
-    if cfg.n_paths < 1 or cfg.horizon < 1:
-        raise ValueError("n_paths and horizon must be >= 1")
-    return _survival_estimate(dist, (0, height), cfg, halfplane=True)
+    return _survival_estimate(dist, (0, height), cfg, (1,))
 
 
 def _visit_bounds(steps, probs):
@@ -339,127 +438,14 @@ def _visit_bound(axis_bounds, z, y):
     )
 
 
-def _visit_stats(dist, starts, targets, weights, horizon, seed, n_paths, twist):
-    """Counts of pre-absorption visits, shared increments across starts.
-
-    Returns (sums, sumsqs, crosses, open_counts, bounds), each reduced in
-    batch order:
-      sums[si][ti], sumsqs[si][ti]: per-path visit count moments;
-      crosses[ti]: sum over paths of visits-from-start0 * visits-from-start1
-      (only when two starts are given);
-      open_counts[si][ti]: paths neither absorbed from start si nor
-      retired from target ti at the horizon;
-      bounds[si][ti]: summed bounds on the visits from si to ti that go
-      uncounted: those of each path retired from ti, at its retirement,
-      and those of each path still open for ti when the last block
-      begins, at that point (its start if that block is the first),
-      which cover its visits after the horizon.
-
-    Every block draws only for the rows still live, and both starts of a
-    row share its draws.  After each block but the last, a row retires
-    from target ti once its visit bound times weights[si][ti] is below
-    _RETIRE_EPS for every start still alive in it; from then on it adds
-    no visit to ti.  A row absorbed from every start or retired from
-    every target is dropped.  Nothing is bounded after the last block, so
-    a target's numbers do not depend on the other targets' draws there.
-    Visit counts stay indexed by batch row.
-    """
-    _check_stream_inputs(dist, list(starts) + list(targets), horizon, seed)
-    sampler = _StepSampler(dist, twist, n_paths, horizon)
-    axis_bounds = _visit_bounds(*_twisted_probs(dist, twist))
-    n_starts = len(starts)
-    n_targets = len(targets)
-    grid = lambda: [[[] for _ in range(n_targets)] for _ in range(n_starts)]
-    sums, sumsqs, bounds, open_parts = grid(), grid(), grid(), grid()
-    crosses = [[] for _ in range(n_targets)]
-
-    for b_idx, rows in enumerate(_batch_sizes(n_paths)):
-        rng = _batch_rng(seed, b_idx)
-        live = np.arange(rows)  # batch rows still walking
-        pos = [
-            [np.full(rows, s[0], dtype=np.int32), np.full(rows, s[1], dtype=np.int32)]
-            for s in starts
-        ]
-        alive = [np.ones(rows, dtype=bool) for _ in starts]
-        open_ = [np.ones(rows, dtype=bool) for _ in targets]  # not retired from ti
-        visits = [
-            [np.zeros(rows, dtype=np.int64) for _ in range(n_targets)]
-            for _ in range(n_starts)
-        ]
-        if horizon <= _BLOCK:  # one block: every row is bounded at its start
-            for si, s in enumerate(starts):
-                for ti, y in enumerate(targets):
-                    b = _visit_bound(axis_bounds, s, y)
-                    bounds[si][ti].append(rows * float(b))
-        t = 0
-        while t < horizon and len(live):
-            blk = min(_BLOCK, horizon - t)
-            off_x, off_y = sampler.offsets(rng, len(live), blk)
-            low_x, low_y = off_x.min(axis=0), off_y.min(axis=0)
-            for si in range(n_starts):
-                x0, y0 = pos[si]
-                hit = alive[si] & ((low_x <= -x0) | (low_y <= -y0))
-                # steps of this block each row takes alive: those before
-                # its first boundary point
-                n_ok = np.full(len(live), blk)
-                h = np.flatnonzero(hit)
-                if len(h):
-                    bnd = (off_x[:, h] <= -x0[h]) | (off_y[:, h] <= -y0[h])
-                    n_ok[h] = bnd.argmax(axis=0)
-                # match the targets only in the rows alive from this start
-                cols = None if alive[si].all() else np.flatnonzero(alive[si])
-                ox, oy, ax, ay = (off_x, off_y, x0, y0) if cols is None else (
-                    off_x.take(cols, axis=1), off_y.take(cols, axis=1),
-                    x0[cols], y0[cols])
-                for ti, (yx, yy) in enumerate(targets if len(ax) else ()):
-                    at = (ox == yx - ax) & (oy == yy - ay)
-                    c, r = np.divmod(np.flatnonzero(at), len(ax))
-                    if cols is not None:
-                        r = cols[r]
-                    r = r[(c < n_ok[r]) & open_[ti][r]]
-                    if len(r):
-                        visits[si][ti] += np.bincount(live[r], minlength=rows)
-                pos[si] = [x0 + off_x[-1], y0 + off_y[-1]]
-                alive[si] &= ~hit
-            t += blk
-            if t == horizon:
-                break
-            keep = np.logical_or.reduce(alive)
-            last = t + _BLOCK >= horizon
-            for ti, y in enumerate(targets):
-                vb = [_visit_bound(axis_bounds, p, y) for p in pos]
-                done = open_[ti] & keep
-                for si in range(n_starts):
-                    done &= ~alive[si] | (vb[si] < _RETIRE_EPS / weights[si][ti])
-                # before the last block every open row is bounded here: its
-                # visits after the horizon are among those after now
-                counted = open_[ti] & keep if last else done
-                for si in range(n_starts):
-                    bounds[si][ti].append(float(vb[si][counted & alive[si]].sum()))
-                open_[ti] &= ~done
-            keep &= np.logical_or.reduce(open_)
-            if not keep.all():
-                live = live[keep]
-                pos = [[p[keep] for p in ps] for ps in pos]
-                alive = [a[keep] for a in alive]
-                open_ = [o[keep] for o in open_]
-        for si in range(n_starts):
-            for ti in range(n_targets):
-                open_parts[si][ti].append(int((alive[si] & open_[ti]).sum()))
-                v = visits[si][ti].astype(np.float64)
-                sums[si][ti].append(float(v.sum()))
-                sumsqs[si][ti].append(float((v * v).sum()))
-        if n_starts == 2:
-            for ti in range(n_targets):
-                crosses[ti].append(
-                    float(
-                        (visits[0][ti].astype(np.float64) * visits[1][ti]).sum()
-                    )
-                )
-
-    red = lambda g: [[math.fsum(parts) for parts in row] for row in g]
-    cross_r = [math.fsum(c) for c in crosses] if n_starts == 2 else None
-    return red(sums), red(sumsqs), cross_r, red(open_parts), red(bounds)
+def _visit_walk(dist, starts, ys, weights, horizon, cfg: SimConfig):
+    """The walk counting visits to the points ys, each row bounded by
+    _visit_bound."""
+    axis_bounds = _visit_bounds(*_twisted_probs(dist, cfg.twist))
+    bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti])
+    return _walk(
+        dist, starts, ys, weights, bound, horizon, cfg.seed, cfg.n_paths, cfg.twist
+    )
 
 
 def _default_horizon(x, y) -> int:
@@ -485,12 +471,12 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     From z, a path's expected further visits to y (under the law actually
     sampled) are at most min over the axes of c^((z - y)+) * G1, with c
     the axis's exit root and G1 = c / (p_-1 (1 - c)) (see _visit_bounds).
-    After every block but the last a path whose weighted bound is below
-    1e-7 retires: its later visits go uncounted.  The estimate can only
+    After every block a path whose weighted bound is below 1e-7
+    retires: its later visits go uncounted.  The estimate can only
     understate the Green value, and ``bias_bound`` says by how much: the
     mean weighted bound of the retired paths at retirement, plus that of
-    the paths still walking when the last block begins (at the start
-    when it is the first), so 0 <= G - E[mean] <= E[bias_bound].
+    the paths still walking at the horizon, so
+    0 <= G - E[mean] <= E[bias_bound].
     ``censored_fraction`` is the share of paths neither absorbed nor
     retired at the horizon.
     """
@@ -500,11 +486,9 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     if min(x) < 1 or min(y) < 1:
         raise ValueError("green endpoints must be strictly inside the quadrant")
     horizon = cfg.horizon if cfg.horizon is not None else _default_horizon(x, y)
-    if horizon < 1 or cfg.n_paths < 1:
-        raise ValueError("n_paths and horizon must be >= 1")
     w = _twist_weight(cfg.twist, x, y)
-    sums, sqs, _, open_counts, bounds = _visit_stats(
-        dist, [x], [y], [[w]], horizon, cfg.seed, cfg.n_paths, cfg.twist
+    sums, sqs, _, open_counts, bounds, _ = _visit_walk(
+        dist, [x], [y], [[w]], horizon, cfg
     )
     n = cfg.n_paths
     mean_v = sums[0][0] / n
@@ -553,12 +537,10 @@ def martin_kernel_profile(
         if cfg.horizon is not None
         else max(_default_horizon(x, y) for y in ys)
     )
-    if horizon < 1 or cfg.n_paths < 1:
-        raise ValueError("n_paths and horizon must be >= 1")
     starts = [x, _MARTIN_BASE]
     weights = [[_twist_weight(cfg.twist, s, y) for y in ys] for s in starts]
-    sums, sqs, crosses, open_counts, bounds = _visit_stats(
-        dist, starts, ys, weights, horizon, cfg.seed, cfg.n_paths, cfg.twist
+    sums, sqs, crosses, open_counts, bounds, _ = _visit_walk(
+        dist, starts, ys, weights, horizon, cfg
     )
     n = cfg.n_paths
     out = []

@@ -27,7 +27,7 @@ from cornerwalk.montecarlo import (
     _twisted_probs,
     _visit_bound,
     _visit_bounds,
-    _visit_stats,
+    _visit_walk,
 )
 
 from oracles import (
@@ -282,11 +282,16 @@ class TestMartinKernel:
             )
 
     def test_profile_matches_single_target_runs(self, all_five):
-        # target bookkeeping must not perturb the stream
+        # target bookkeeping must not perturb the visits.  The bias bound
+        # may move in its last digits: a row retired from one target keeps
+        # drawing for another, which shifts the uniforms of later rows
+        # against a single-target run and so where their open rows stop
         cfg = SimConfig(seed=12, n_paths=8192, horizon=120)
         prof = martin_kernel_profile(all_five, (2, 3), [(8, 8), (9, 9)], cfg)
         for y, est in zip([(8, 8), (9, 9)], prof):
-            assert martin_kernel_estimate(all_five, (2, 3), y, cfg) == est
+            one = martin_kernel_estimate(all_five, (2, 3), y, cfg)
+            assert dataclasses.replace(one, bias_bound=est.bias_bound) == est
+            assert one.bias_bound == pytest.approx(est.bias_bound, rel=1e-6)
 
     @pytest.mark.parametrize("horizon", [None, 40])
     def test_empty_target_list_rejected(self, all_five, horizon):
@@ -324,13 +329,13 @@ class TestVisitBound:
         flat = parse_model_text("1 1 1/4\n-1 -1 1/4\n1 -1 1/4\n-1 1 1/4\n")
         bounds = _visit_bounds(*_twisted_probs(flat, None))
         assert [g for _, g in bounds] == [math.inf, math.inf]
+        cfg = SimConfig(seed=3, n_paths=3000)
         runs = [
-            (dist, [(6, 6)], [(4, 5)], [[1.0]], 200, 3, 3000, None)
-            for dist in (flat, all_five)
+            (dist, [(6, 6)], [(4, 5)], [[1.0]], 200, cfg) for dist in (flat, all_five)
         ]
-        with_eps = [_visit_stats(*args) for args in runs]
+        with_eps = [_visit_walk(*args) for args in runs]
         monkeypatch.setattr(montecarlo, "_RETIRE_EPS", 0.0)  # no row retires
-        without = [_visit_stats(*args) for args in runs]
+        without = [_visit_walk(*args) for args in runs]
         assert with_eps[0] == without[0]
         assert with_eps[0][3][0][0] > 0  # rows still open at the horizon
         assert with_eps[0][4][0][0] == math.inf
@@ -353,9 +358,9 @@ class TestVisitBound:
         # on for the far one, whose threshold the weight keeps out of reach
         monkeypatch.setattr(montecarlo, "_RETIRE_EPS", 1e3)
         near, far = (20, 20), (60, 60)
-        both = _visit_stats(fib, [(1, 1)], [near, far], [[1.0, 1e6]],
-                            200, 5, 4000, None)
-        alone = _visit_stats(fib, [(1, 1)], [near], [[1.0]], 200, 5, 4000, None)
+        cfg = SimConfig(seed=5, n_paths=4000)
+        both = _visit_walk(fib, [(1, 1)], [near, far], [[1.0, 1e6]], 200, cfg)
+        alone = _visit_walk(fib, [(1, 1)], [near], [[1.0]], 200, cfg)
         assert both[0][0][0] == alone[0][0][0] > 0.0
         assert both[0][0][1] > 0.0  # the far target was walked on to
 
@@ -368,6 +373,9 @@ class TestVisitBound:
         )
         assert est.bias_bound > 0.0
         assert abs(truth - est.mean) <= 4 * est.std_error + est.bias_bound
+        if horizon == 6:  # one block: open rows are bounded at the horizon
+            axis_bounds = _visit_bounds(*_twisted_probs(fib, None))
+            assert est.bias_bound < _visit_bound(axis_bounds, (1, 1), (3, 3))
 
     def test_martin_interval_holds_exact_ratio(self, all_five):
         x, y = (2, 3), (4, 4)
