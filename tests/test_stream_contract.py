@@ -3,22 +3,27 @@
 Every Monte Carlo estimate is a function of the seed and the code alone:
 each 65536-path batch owns a Philox substream, every block of up to 64
 steps consumes exactly one ``rng.random((rows, blk))`` draw, and every
-uniform picks its step by the same Walker alias decision.  After every
-block the survival engine drops its absorbed rows and retires the rows
-whose exit bound is below 1e-7, so later blocks draw only for the rows
-still walking (this retirement came with tool_version 0.2.0).  The visit
-engine does the same with a bound on the visits a row can still make,
-per target, and drops a row absorbed from every start or retired from
-every target (tool_version 0.3.0).  A rewrite of the step engine may
-change array layouts but must leave these values (and the bytes the CLI
+uniform picks its step by the same Walker alias decision.  One engine
+runs every estimator.  After every block, the last included, a row
+retires from a target once its bound there is below 1e-7 from every
+start still alive in it: its exit bound for escape and survival, a bound
+on the visits it can still make for Green and Martin.  A row absorbed
+from every start or retired from every target is dropped, so later
+blocks draw only for the rows still walking; the rows still open at the
+horizon are bounded there.  Retirement came with tool_version 0.2.0 for
+escape and survival and with 0.3.0 for Green and Martin.  Merging the
+two engines moved no draw: it changed only the censored_fraction and
+bias_bound of four visit pins, which the CLI does not print, so
+tool_version stayed 0.3.0.  A rewrite of the step engine may change
+array layouts but must leave these values (and the bytes the CLI
 prints) exactly as they are.  A change that is meant to alter the stream
 must say so and update the pins together with ``tool_version``.
 
 The cases cross a batch boundary and end on a partial block, cover
 trivial (uniform laws) and non-trivial (diag_heavy, twisted laws) alias
-tables, both absorption tests of the survival engine and both starts of
-the visit engine.  Four more cases pin the visit engine's dropping of
-absorbed and retired rows: a Green run over two full batches and a
+tables, both absorption tests (quadrant and half plane) and both starts
+of a Martin profile.  Four more cases pin the dropping of absorbed and
+retired rows in visit runs: a Green run over two full batches and a
 partial one that loses most rows in its first block, a Martin profile
 whose base start (1, 1) dies in rows where x still walks and whose far
 target is reached only after the first block, a Martin profile of a
@@ -141,8 +146,8 @@ EXPECTED = {
     "green_twisted": (
         "SimEstimate(mean=0.2985454590013661, "
         "std_error=0.0018808469344377718, n_paths=68537, horizon=70, "
-        "censored_fraction=7.295329530034871e-05, "
-        "bias_bound=4.382306184537829e-11)"
+        "censored_fraction=1.4590659060069744e-05, "
+        "bias_bound=2.2872373572046243e-11)"
     ),
     "martin_all_five": (
         "[SimEstimate(mean=2.2802736896462688, "
@@ -162,25 +167,25 @@ EXPECTED = {
     "green_fibonacci": (
         "SimEstimate(mean=0.2344437748399942, "
         "std_error=0.0015915817065046492, n_paths=131089, horizon=150, "
-        "censored_fraction=2.2885215388018827e-05, "
-        "bias_bound=1.5151794949146896e-09)"
+        "censored_fraction=0.0, "
+        "bias_bound=1.5111099659398113e-09)"
     ),
     "martin_fibonacci_base_dies": (
         "[SimEstimate(mean=6.598395977974622, std_error=0.08908815165110893, "
         "n_paths=68537, horizon=150, "
-        "censored_fraction=2.9181318120139488e-05, "
-        "bias_bound=1.0321882637498447e-07), "
+        "censored_fraction=0.0, "
+        "bias_bound=1.0321351950892677e-07), "
         "SimEstimate(mean=5.145106382978723, std_error=0.14143303194441711, "
-        "n_paths=68537, horizon=150, censored_fraction=0.23919926463078336, "
-        "bias_bound=0.0012133188660810035)]"
+        "n_paths=68537, horizon=150, censored_fraction=0.037716853670280284, "
+        "bias_bound=1.5142879516538699e-05)]"
     ),
     "martin_weak_drift_reentry": (
         "[SimEstimate(mean=29.715844937899885, std_error=0.9603179442923643, "
         "n_paths=68537, horizon=150, censored_fraction=0.11455126428060755, "
-        "bias_bound=0.827551935008163), SimEstimate(mean=30.07828282828283, "
+        "bias_bound=0.4898287425958472), SimEstimate(mean=30.07828282828283, "
         "std_error=1.1525877483696654, n_paths=68537, horizon=150, "
         "censored_fraction=0.11455126428060755, "
-        "bias_bound=1.8244151718323813)]"
+        "bias_bound=1.0816061189929869)]"
     ),
     "green_all_absorbed": (
         "SimEstimate(mean=0.4166666666666667, std_error=0.2599047999758855, "
