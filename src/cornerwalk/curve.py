@@ -65,9 +65,6 @@ __all__ = [
     "g_hat",
     "f_tilde",
     "g_tilde",
-    "f_prime",
-    "g_prime",
-    "f_hat_prime",
     "in_G0",
     "cramer_transform",
 ]
@@ -261,20 +258,6 @@ def _slope(dist: StepDistribution, x: float, y: float, along: str) -> float:
     if gx == 0.0:
         raise SolverError("horizontal tangent: slope undefined")
     return -gy / gx
-
-
-def f_prime(geom: CurveGeometry, x: float) -> float:
-    """f'(x) = -Gx/Gy along the upper branch; vanishes exactly at x0."""
-    return _slope(geom.dist, x, f_branch(geom, x), "x")
-
-
-def g_prime(geom: CurveGeometry, y: float) -> float:
-    return _slope(geom.dist, g_branch(geom, y), y, "y")
-
-
-def f_hat_prime(geom: CurveGeometry, y: float) -> float:
-    """Derivative of f_hat; equals 1/f'(f_hat(y)), positive and -> 1 far out."""
-    return _slope(geom.dist, f_hat(geom, y), y, "y")
 
 
 def find_extrema(dist: StepDistribution, tol: float = 1e-12) -> CurveGeometry:

@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornerwalk.curve import (
+    _slope,
     cramer_transform,
     f_branch,
     f_hat,
-    f_hat_prime,
-    f_prime,
     f_tilde,
     find_extrema,
     g_branch,
     g_hat,
-    g_prime,
     g_tilde,
     in_G0,
 )
@@ -131,31 +129,40 @@ class TestBranches:
 
 
 class TestDerivatives:
+    """Branch slopes by _slope: f'(x) = -Gx/Gy along the upper branch, and
+    the slope of f_hat, 1/f'(f_hat(y))."""
+
     @pytest.mark.parametrize("frac", [0.15, 0.4, 0.75])
     def test_f_prime_finite_difference(self, fib_geom, frac):
         x = FIB_X0 * frac
         h = 1e-6
         fd = (f_branch(fib_geom, x + h) - f_branch(fib_geom, x - h)) / (2 * h)
-        assert f_prime(fib_geom, x) == pytest.approx(fd, abs=1e-8)
+        slope = _slope(fib_geom.dist, x, f_branch(fib_geom, x), "x")
+        assert slope == pytest.approx(fd, abs=1e-8)
 
     def test_g_prime_matches_f_prime_symmetric(self, fib_geom):
-        assert g_prime(fib_geom, -0.1) == pytest.approx(
-            f_prime(fib_geom, -0.1), abs=1e-12
+        dist = fib_geom.dist
+        assert _slope(dist, g_branch(fib_geom, -0.1), -0.1, "y") == pytest.approx(
+            _slope(dist, -0.1, f_branch(fib_geom, -0.1), "x"), abs=1e-12
         )
 
     def test_f_hat_prime_finite_difference(self, fib_geom):
         y = -0.3
         h = 1e-6
         fd = (f_hat(fib_geom, y + h) - f_hat(fib_geom, y - h)) / (2 * h)
-        assert f_hat_prime(fib_geom, y) == pytest.approx(fd, abs=1e-7)
+        slope = _slope(fib_geom.dist, f_hat(fib_geom, y), y, "y")
+        assert slope == pytest.approx(fd, abs=1e-7)
 
     def test_branch_max_is_flat(self, fib_geom):
         # x0 maximizes f, so the branch derivative vanishes there
-        assert f_prime(fib_geom, fib_geom.x0) == pytest.approx(0.0, abs=1e-5)
+        x0 = fib_geom.x0
+        slope = _slope(fib_geom.dist, x0, f_branch(fib_geom, x0), "x")
+        assert slope == pytest.approx(0.0, abs=1e-5)
 
     def test_hat_slope_diverges_near_root_merge(self, fib_geom):
         # the two x-roots meet at height f(x0) with square-root contact
-        assert abs(f_hat_prime(fib_geom, fib_geom.f_at_x0 - 1e-8)) > 50.0
+        y = fib_geom.f_at_x0 - 1e-8
+        assert abs(_slope(fib_geom.dist, f_hat(fib_geom, y), y, "y")) > 50.0
 
 
 class TestInG0:
