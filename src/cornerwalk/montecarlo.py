@@ -280,6 +280,7 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
             offs = sampler.offsets(rng, len(live), blk, axes)
             lows = [off.min(axis=0) for off in offs]
             for si, p in enumerate(pos):
+                # absorbed in this block: its lowest point reaches 0 on an axis
                 hit = lows[0] <= -p[axes[0]]
                 for low, a in zip(lows[1:], axes[1:]):
                     hit |= low <= -p[a]
