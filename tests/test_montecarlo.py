@@ -106,6 +106,14 @@ class TestEscape:
             assert est.censored_fraction == est.mean
             assert est.bias_bound == est.censored_fraction  # bound capped at 1
 
+    def test_open_row_bound_capped_at_one(self):
+        # exit roots 9/11 on both axes: after one step from (1, 1) the only
+        # open rows are at (2, 2), where c_x^2 + c_y^2 = 1.34 exceeds 1
+        dist = parse_model_text(sf2_model_text(Fraction(1, 10)))
+        est = estimate_escape(dist, (1, 1), SimConfig(seed=2, n_paths=4096, horizon=1))
+        assert est.censored_fraction > 0.0
+        assert est.bias_bound == est.censored_fraction
+
     def test_monotone_in_horizon(self, fib):
         # same seed: the horizon-2H survivors are a pathwise subset
         short = estimate_escape(fib, (1, 2), SimConfig(seed=5, n_paths=20000, horizon=200))
