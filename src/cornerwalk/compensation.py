@@ -225,20 +225,30 @@ def build_sequence(
     ``imin`` (the worst case; tails only shrink as i+j grows) is below
     ``truncation_tol``.  ``start`` must lie in G0 — canonicalize first if
     it does not.
+
+    The chain is stored on ``geom``, one per start, and the G0 gate runs
+    once per start.  A call returns a slice of the stored chain and grows
+    it only when its ``imin`` and ``truncation_tol`` need more terms.  The
+    recursion from the start is deterministic, so the slice has the same
+    bits as a chain built for this call alone.
     """
     if imin < 1:
         raise ValueError("imin must be >= 1")
     if not (truncation_tol > 0):
         raise ValueError("truncation_tol must be positive")
     a0, b0 = float(start[0]), float(start[1])
-    if not in_G0(geom, (a0, b0), tol_perp=1e-7):
-        raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
-    # Snap exactly onto whichever graph piece the start sits on, so the
-    # switching recursion does not inherit the caller's rounding.
-    snapped = _snap_to_G0(geom, a0, b0)
-    if snapped is None:  # unreachable after the in_G0 gate, kept as a tripwire
-        raise ValueError(f"start {start!r} matches neither graph piece of G0")
-    a0, b0 = snapped
+    # Key on the exact bits: -0.0 == 0.0, but the two snap apart.
+    key = (a0.hex(), b0.hex())
+    if key not in geom._chains:  # a start that fails the gate is never stored
+        if not in_G0(geom, (a0, b0), tol_perp=1e-7):
+            raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
+        # Snap exactly onto whichever graph piece the start sits on, so the
+        # switching recursion does not inherit the caller's rounding.
+        snapped = _snap_to_G0(geom, a0, b0)
+        if snapped is None:  # unreachable after the in_G0 gate, kept as a tripwire
+            raise ValueError(f"start {start!r} matches neither graph piece of G0")
+        geom._chains[key] = (snapped, snapped[:1], snapped[1:], (), ())
+    (a0, b0), a_up, b_up, a_dn, b_dn = geom._chains[key]
 
     # Worst-case envelope at total degree imin decides the range.  It is
     # sized in log space: exp(m*c2) overflows for a start as far out as
@@ -260,31 +270,27 @@ def build_sequence(
     if max(n_pos, n_neg) > 100000:
         raise SolverError("truncation range exploded; tolerance unreachable")
 
-    a_up = [a0]
-    b_up = [b0]
-    for n in range(1, n_pos + 2):  # one extra a for the last term
-        a_next = f_hat(geom, b_up[-1])
-        a_up.append(a_next)
-        if n <= n_pos:
-            b_up.append(g_hat(geom, a_next))
-    a_dn = []
-    b_dn = []
-    a_ref = a0
-    for n in range(1, n_neg + 1):
-        b_prev = g_hat(geom, a_ref)
-        a_prev = f_hat(geom, b_prev)
-        b_dn.append(b_prev)
-        a_dn.append(a_prev)
-        a_ref = a_prev
+    if len(a_up) < n_pos + 2 or len(a_dn) < n_neg:
+        # Grow in local lists and rebind the entry whole: a concurrent
+        # caller sees the old chain or the new one, never half of one.
+        a_up, b_up, a_dn, b_dn = map(list, (a_up, b_up, a_dn, b_dn))
+        # b_n = g_hat(a_n) and a_{n+1} = f_hat(b_n); a keeps one extra term
+        while len(a_up) < n_pos + 2:
+            if len(b_up) < len(a_up):
+                b_up.append(g_hat(geom, a_up[-1]))
+            a_up.append(f_hat(geom, b_up[-1]))
+        while len(a_dn) < n_neg:
+            b_dn.append(g_hat(geom, a_dn[-1] if a_dn else a0))
+            a_dn.append(f_hat(geom, b_dn[-1]))
+        a_up, b_up, a_dn, b_dn = map(tuple, (a_up, b_up, a_dn, b_dn))
+        geom._chains[key] = ((a0, b0), a_up, b_up, a_dn, b_dn)
 
-    a_vals = tuple(reversed(a_dn)) + tuple(a_up)
-    b_vals = tuple(reversed(b_dn)) + tuple(b_up)
     seq = CompensationSequence(
         start=(a0, b0),
         n_min=-n_neg,
         n_max=n_pos,
-        a_vals=a_vals,
-        b_vals=b_vals,
+        a_vals=a_dn[:n_neg][::-1] + a_up[: n_pos + 2],
+        b_vals=b_dn[:n_neg][::-1] + b_up[: n_pos + 1],
         c1=geom.c1,
         c2=geom.c2,
         a0=a0,
@@ -328,8 +334,8 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
             f"evaluation at degree {i + j} below the built imin={seq.imin}"
         )
     terms: list[float] = []
-    for n in range(seq.n_min, seq.n_max + 1):  # fsum rounds once: order is free
-        an, bn, an1 = seq.a(n), seq.b(n), seq.a(n + 1)
+    # term n uses (a_n, b_n, a_{n+1}); fsum rounds once, so order is free
+    for an, bn, an1 in zip(seq.a_vals, seq.b_vals, seq.a_vals[1:]):
         terms.append(math.exp(i * an + j * bn))
         terms.append(-math.exp(i * an1 + j * bn))
     value = math.fsum(terms)
@@ -355,7 +361,8 @@ def escape_probability(
     This is the normalized harmonic function built from the start (0, 0)
     (the curve point with alpha = beta = 1).  Defined for interior points
     i, j >= 1; the drift-interior requirement is inherited from the
-    geometry construction.
+    geometry construction.  Repeat calls on one ``geom`` share one chain
+    (see ``build_sequence``), so reuse the geometry for many queries.
     """
     i, j = int(i), int(j)
     if i < 1 or j < 1:

@@ -42,7 +42,7 @@ inverts the gradient direction map along the closed arc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import (
     StepDistribution,
@@ -90,6 +90,9 @@ class CurveGeometry:
     c1: float  # f(x0) - x0 > 0: minimal horizontal switch gap
     c2: float  # g(y0) - y0 > 0: minimal vertical switch gap
     tol: float
+    # Switching chains grown by ``compensation.build_sequence``, keyed by
+    # the start's exact float bits; outside equality, hash and repr.
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

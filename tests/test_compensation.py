@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -218,6 +221,68 @@ class TestEscapeProbability:
         # h = 1 - 2 (1/2)^50 + O(F5^-50)
         got = escape_probability(fib_geom, 50, 50).value
         assert got == pytest.approx(1.0 - 2.0 * 0.5**50, rel=1e-12)
+
+
+class TestStoredChain:
+    """build_sequence slices one chain stored per geometry and start."""
+
+    def test_query_order_does_not_change_bits(self, fib):
+        grid = [(i, j) for i in range(1, 11) for j in range(1, 11)]
+        random.Random(3).shuffle(grid)
+        # far first, so the stored chain starts short and each side grows
+        # on its own: n_pos and n_neg do not step up at the same degree
+        grid.sort(key=lambda p: -sum(p))
+        geom = find_extrema(fib)
+        for i, j in [(2000, 1), (1, 2000)] + grid:
+            fresh = escape_probability(find_extrema(fib), i, j)
+            assert repr(escape_probability(geom, i, j)) == repr(fresh)
+
+    def test_start_outside_G0_raises_on_every_call(self, fib):
+        geom = find_extrema(fib)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="G0"):
+                build_sequence(geom, (-1.0, -1.2), imin=2)
+        assert geom._chains == {}
+
+    def test_signed_zero_start_has_its_own_chain(self, fib):
+        # -0.0 == 0.0, but the start snaps to (-0.0, 0.0) and a_0 = -0.0
+        geom = find_extrema(fib)
+        build_sequence(geom, (0.0, 0.0), imin=2)
+        got = build_sequence(geom, (-0.0, 0.0), imin=2)
+        assert repr(got) == repr(build_sequence(find_extrema(fib), (-0.0, 0.0), imin=2))
+
+    def test_geometry_equality_hash_and_repr_unchanged(self, fib):
+        used, unused = find_extrema(fib), find_extrema(fib)
+        escape_probability(used, 1, 1)
+        assert used._chains and not unused._chains
+        assert used == unused
+        assert hash(used) == hash(unused)
+        assert repr(used) == repr(unused)
+
+    def test_threads_sharing_one_geometry_get_the_same_bits(self, all_five):
+        grid = [(i, j) for i in range(1, 9) for j in range(1, 9)]
+        alone = find_extrema(all_five)
+        want = {p: repr(escape_probability(alone, *p)) for p in grid}
+        geom = find_extrema(all_five)
+        got: list[dict] = []
+
+        def worker(seed):
+            order = grid[:]
+            random.Random(seed).shuffle(order)
+            got.append({p: repr(escape_probability(geom, *p)) for p in order})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
 
 
 class TestBoundaryHarmonic:
