@@ -5,22 +5,24 @@ strictly convex sum of exponentials whose derivative runs from -inf to
 +inf, so each section has exactly one minimizer and (when the section dips
 below zero) exactly two roots.
 
-Every scalar search in the package is one chain of three primitives:
+Every scalar search on the curve is one chain of two primitives:
 ``_bracket`` walks outward from a point whose value the caller already
-holds, doubling its step until the sign changes; ``_bisect`` shrinks the
-bracket to a width (1e-13 unless the caller asks otherwise); and
-``_newton_polish`` takes a few Newton steps that may not leave the
-bracket.  A branch value brackets and bisects the increasing derivative
-for the section minimizer, then brackets, bisects and polishes the
-requested root.  ``find_extrema`` runs the same chain along a branch, and
-every probe of that search solves a section for its root;
-``cramer_transform`` bisects the gradient angle along the arc.
+holds, doubling its step until the sign changes; ``_solve`` then runs a
+bracket-safeguarded Newton iteration (Press et al., *Numerical Recipes*,
+section 9.4, "rtsafe") inside that bracket.  Every point it evaluates
+narrows the bracket, and a Newton step that would leave it is replaced by
+the midpoint.  It stops on a zero value, on a Newton fixed point or when
+two iterates agree to a few ulps, and returns only points it evaluated.
+A branch value solves the increasing derivative of its section (with the
+second derivative) for the section minimizer, then the section itself
+(with its derivative) for the requested root.  ``find_extrema`` solves
+the cross partial along a branch, where every probe is one section root,
+and ``cramer_transform`` solves the gradient angle along the arc.
 
-The one exception is ``montecarlo._exit_root``.  It shares ``_bisect``
-but keeps its own bounded bracket toward 0 and 1 and its own Newton
-steps.  Those stop by other rules than ``_newton_polish``: routing them
-through it moves the last ulp of some twisted exit roots, and with them
-the pinned Monte Carlo ``bias_bound`` digits.
+The one exception is ``montecarlo._exit_root``.  It keeps ``_bisect``,
+its own bounded bracket toward 0 and 1 and its own Newton steps, because
+the pinned Monte Carlo ``bias_bound`` digits depend on the last ulp of
+its roots.
 
 Branch conventions, for models with drift pointing strictly into the
 quadrant:
@@ -69,8 +71,8 @@ __all__ = [
     "cramer_transform",
 ]
 
-BISECT_WIDTH = 1e-13
-NEWTON_POLISH_STEPS = 5
+# iterates this many ulps apart count as converged
+AGREE_ULPS = 4
 DRIFT_FLOOR = 1e-10
 
 
@@ -116,11 +118,11 @@ class CramerData:
 
 def _bracket(
     fun, inner: float, f_inner: float, side: int, step: float, tries: int = 200
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float, float]:
     """Walk from ``inner`` by side*step, doubling the step, until fun changes sign.
 
     ``f_inner`` = fun(inner) is the value the caller already holds.
-    Returns the sign-change bracket (lo, hi, fun(lo)) with lo < hi.
+    Returns the sign-change bracket (lo, hi, fun(lo), fun(hi)) with lo < hi.
     """
     for _ in range(tries):
         probe = inner + side * step
@@ -131,11 +133,13 @@ def _bracket(
         step *= 2.0
     else:
         raise SolverError("bracket expansion found no sign change")
-    return (inner, probe, f_inner) if side > 0 else (probe, inner, f_probe)
+    if side > 0:
+        return inner, probe, f_inner, f_probe
+    return probe, inner, f_probe, f_inner
 
 
 def _bisect(
-    fun, lo: float, hi: float, flo: float, width: float = BISECT_WIDTH
+    fun, lo: float, hi: float, flo: float, width: float
 ) -> tuple[float, float, float]:
     """Shrink a sign-change bracket to ``width``; returns (root, lo, hi)."""
     for _ in range(200):
@@ -152,21 +156,49 @@ def _bisect(
     return 0.5 * (lo + hi), lo, hi
 
 
-def _newton_polish(fun, dfun, x: float, lo: float, hi: float) -> float:
-    for _ in range(NEWTON_POLISH_STEPS):
-        fx = fun(x)
+def _solve(fdf, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Root in the sign-change bracket [lo, hi] by safeguarded Newton.
+
+    ``fdf(t)`` returns the value and the derivative at t; flo and fhi are
+    the values at the ends.  The first point is the secant point of the
+    bracket.  A Newton step is taken when it stays strictly inside the
+    bracket and is at most half the step before last; otherwise the
+    midpoint is.  Each evaluated point replaces the end of its sign.
+    """
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    prev = None
+    for _ in range(200):
+        fx, dfx = fdf(x)
         if fx == 0.0:
             return x
-        d = dfun(x)
-        if d == 0.0 or not math.isfinite(d):
-            return x
-        xn = x - fx / d
-        if not (lo - BISECT_WIDTH <= xn <= hi + BISECT_WIDTH):
-            return x  # safeguard: never leave the bracket
-        if xn == x:
-            return x
-        x = xn
-    return x
+        if prev is not None and abs(x - prev[0]) <= AGREE_ULPS * math.ulp(
+            max(abs(x), abs(prev[0]))
+        ):
+            return x if abs(fx) <= abs(prev[1]) else prev[0]
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+        prev = (x, fx)
+        newton = x - fx / dfx if dfx else math.nan
+        if newton == x:
+            return x  # Newton fixed point
+        if lo < newton < hi and 2.0 * abs(newton - x) <= abs(step_old):
+            nxt = newton
+        else:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:  # no float left inside the bracket
+                return lo if abs(flo) <= abs(fhi) else hi
+        step_old, step = step, nxt - x
+        x = nxt
+    raise SolverError("safeguarded Newton iteration did not converge")
 
 
 # tangent tolerance: a section whose minimum is closer to zero than this is
@@ -174,23 +206,18 @@ def _newton_polish(fun, dfun, x: float, lo: float, hi: float) -> float:
 _TANGENT_EPS = 1e-15
 
 
-def _y_section(dist: StepDistribution, x: float):
-    fun = lambda y: log_kernel_eval(dist, x, y)
-    dfun = lambda y: log_kernel_grad(dist, x, y)[1]
-    return fun, dfun
-
-
-def _x_section(dist: StepDistribution, y: float):
-    fun = lambda x: log_kernel_eval(dist, x, y)
-    dfun = lambda x: log_kernel_grad(dist, x, y)[0]
-    return fun, dfun
-
-
 def _section_extreme_root(dist, fixed: float, axis: str, side: int) -> float:
     """Upper (+1) or lower (-1) root of the y-section (axis='y') or x-section."""
-    fun, dfun = (_y_section if axis == "y" else _x_section)(dist, fixed)
-    d0 = dfun(0.0)  # the minimizer is the root of the increasing derivative
-    tmin = _bisect(dfun, *_bracket(dfun, 0.0, d0, 1 if d0 <= 0.0 else -1, 1.0))[0]
+    k = 1 if axis == "y" else 0
+    at = (lambda t: (fixed, t)) if k else (lambda t: (t, fixed))
+    fun = lambda t: log_kernel_eval(dist, *at(t))
+    dfun = lambda t: log_kernel_grad(dist, *at(t))[k]
+    # the minimizer is the root of the increasing derivative
+    d0 = dfun(0.0)
+    tmin = _solve(
+        lambda t: (dfun(t), log_kernel_hess(dist, *at(t))[2 * k]),
+        *_bracket(dfun, 0.0, d0, 1 if d0 <= 0.0 else -1, 1.0),
+    )
     fmin = fun(tmin)
     if fmin > _TANGENT_EPS:
         raise SolverError(
@@ -198,8 +225,7 @@ def _section_extreme_root(dist, fixed: float, axis: str, side: int) -> float:
         )
     if fmin >= -_TANGENT_EPS:
         return tmin  # double root at the section minimum
-    root, lo, hi = _bisect(fun, *_bracket(fun, tmin, fmin, side, 0.25))
-    return _newton_polish(fun, dfun, root, lo, hi)
+    return _solve(lambda t: (fun(t), dfun(t)), *_bracket(fun, tmin, fmin, side, 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -285,25 +311,21 @@ def find_extrema(dist: StepDistribution, tol: float = 1e-12) -> CurveGeometry:
         # the cross partial of G along the branch.  The sign of that
         # partial at t=0 is the corresponding drift coordinate (> 0), and
         # it turns negative left of the maximum, so expand left.
-        peak = lambda t: _section_extreme_root(dist, t, "y" if axis == "x" else "x", +1)
-        if axis == "x":
-            along = lambda t: log_kernel_grad(dist, t, peak(t))[0]
-        else:
-            along = lambda t: log_kernel_grad(dist, peak(t), t)[1]
+        k = 0 if axis == "x" else 1
+        at = (lambda t, s: (t, s)) if k == 0 else (lambda t, s: (s, t))
+        peak = lambda t: _section_extreme_root(dist, t, "y" if k == 0 else "x", +1)
+        along = lambda t: log_kernel_grad(dist, *at(t, peak(t)))[k]
+
+        def along_d(t: float) -> tuple[float, float]:
+            # the partial and its derivative along the branch,
+            # G_tt + G_xy * slope with slope = -G_t / G_s (-> 0 at the maximum)
+            point = at(t, peak(t))
+            grad = log_kernel_grad(dist, *point)
+            hess = log_kernel_hess(dist, *point)
+            return grad[k], hess[2 * k] - hess[1] * grad[k] / grad[1 - k]
+
         m = m1 if axis == "x" else m2
-        root, lo, hi = _bisect(along, *_bracket(along, 0.0, m, -1, 0.5, tries=60))
-
-        # Newton polish on the same equation; the derivative along the
-        # branch is Gxx + Gxy * slope (slope -> 0 at the maximum).
-        def dalong(t: float) -> float:
-            s = peak(t)
-            if axis == "x":
-                hxx, hxy, _ = log_kernel_hess(dist, t, s)
-                return hxx + hxy * _slope(dist, t, s, "x")
-            _, hxy, hyy = log_kernel_hess(dist, s, t)
-            return hyy + hxy * _slope(dist, s, t, "y")
-
-        t_star = _newton_polish(along, dalong, root, lo, hi)
+        t_star = _solve(along_d, *_bracket(along, 0.0, m, -1, 0.5, tries=60))
         return t_star, peak(t_star)
 
     x0, f_at_x0 = _branch_max("x")
@@ -357,7 +379,7 @@ def cramer_transform(geom: CurveGeometry, u) -> CramerData:
     u must lie on the closed first-quadrant unit arc (it is normalized
     internally); the gradient direction sweeps monotonically from
     vertical at (x0, f(x0)) to horizontal at (g(y0), y0) because the
-    kernel is strictly convex, so a single bisection inverts it.
+    kernel is strictly convex, so one root solve along the arc inverts it.
     """
     u1, u2 = float(u[0]), float(u[1])
     if u1 < -1e-9 or u2 < -1e-9:
@@ -374,19 +396,35 @@ def cramer_transform(geom: CurveGeometry, u) -> CramerData:
         phi = (geom.g_at_y0, geom.y0)
     else:
         theta = math.atan2(u2, u1)
+        dist = geom.dist
 
-        def angle_gap(t: float) -> float:
+        def angle_gap(t: float) -> tuple[float, float]:
+            # theta minus the gradient angle, increasing in t, and its
+            # derivative along the arc: the point moves by (dx, dy) per unit
+            # t, along the branch slope, and the gradient by H (dx, dy)
             px, py = _arc_point(geom, t)
-            gx, gy = log_kernel_grad(geom.dist, px, py)
-            return theta - math.atan2(gy, gx)  # increasing in t
+            gx, gy = log_kernel_grad(dist, px, py)
+            hxx, hxy, hyy = log_kernel_hess(dist, px, py)
+            if t <= 1.0:
+                dx = -geom.x0
+                dy = -dx * gx / gy
+            else:
+                dy = geom.y0
+                dx = -dy * gy / gx
+            dgx, dgy = hxx * dx + hxy * dy, hxy * dx + hyy * dy
+            return (
+                theta - math.atan2(gy, gx),
+                (gy * dgx - gx * dgy) / (gx * gx + gy * gy),
+            )
 
-        flo = angle_gap(0.0)
+        flo = angle_gap(0.0)[0]
+        fhi = angle_gap(2.0)[0]
         if flo > 0.0:
             phi = (geom.x0, geom.f_at_x0)
-        elif angle_gap(2.0) < 0.0:
+        elif fhi < 0.0:
             phi = (geom.g_at_y0, geom.y0)
         else:
-            phi = _arc_point(geom, _bisect(angle_gap, 0.0, 2.0, flo, width=1e-15)[0])
+            phi = _arc_point(geom, _solve(angle_gap, 0.0, 2.0, flo, fhi))
 
     px, py = phi
     residual = log_kernel_eval(geom.dist, px, py)

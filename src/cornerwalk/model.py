@@ -278,10 +278,18 @@ def _exp(t: float) -> float:
 
 
 def log_kernel_eval(dist: StepDistribution, x: float, y: float) -> float:
-    """G(x, y) = sum p exp(di*x + dj*y) - 1; equals exp(-x-y) K(e^x, e^y)."""
+    """G(x, y) = sum p exp(di*x + dj*y) - 1; equals exp(-x-y) K(e^x, e^y).
+
+    Summed as sum p expm1(di*x + dj*y), which equals G because the
+    probabilities of a valid model sum to one.  Near the origin this keeps
+    the relative accuracy that ``exp(s) - 1`` loses, so G vanishes exactly
+    only at a root, and a Newton iteration can resolve roots such as
+    f(0) = 0 to the last bit.  Exponents saturate at 600 as in ``_exp``.
+    """
     return math.fsum(
-        p * _exp(di * x + dj * y) for (di, dj), p in zip(dist.steps, dist.probs)
-    ) - 1.0
+        p * math.expm1(min(di * x + dj * y, 600.0))
+        for (di, dj), p in zip(dist.steps, dist.probs)
+    )
 
 
 def log_kernel_grad(dist: StepDistribution, x: float, y: float) -> tuple[float, float]:

@@ -661,7 +661,7 @@ def _exit_root(steps, probs, axis: int) -> float:
         if 1.0 - hi < 1e-14:
             return 1.0
     c, lo, hi = _bisect(psi, lo, hi, flo, width=1e-14)
-    # Its own Newton steps, not curve._newton_polish: the stopping rules
+    # Its own Newton steps, not curve._solve: the stopping rules
     # differ, and sharing them moves the last ulp of some twisted roots.
     for _ in range(5):
         d = dpsi(c)

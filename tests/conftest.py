@@ -10,6 +10,8 @@ BIG_JUMP_TEXT = (
     "2 1 1/9\n2 2 1/9\n2 0 1/9\n1 2 1/9\n0 2 1/9\n"
     "-1 2 1/9\n2 -1 1/9\n1 -1 1/9\n-1 1 1/9\n"
 )
+# asymmetric, so that a swap of the x and y sections cannot hide
+LOPSIDED_TEXT = "2 0 1/4\n1 -1 1/4\n-1 1 1/4\n0 1 1/4\n"
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,11 @@ def big_jump():
 
 
 @pytest.fixture(scope="session")
+def lopsided():
+    return parse_model_text(LOPSIDED_TEXT)
+
+
+@pytest.fixture(scope="session")
 def fib_geom(fib):
     return find_extrema(fib)
 
@@ -50,3 +57,17 @@ def diag_heavy_geom(diag_heavy):
 @pytest.fixture(scope="session")
 def big_jump_geom(big_jump):
     return find_extrema(big_jump)
+
+
+@pytest.fixture(scope="session")
+def lopsided_geom(lopsided):
+    return find_extrema(lopsided)
+
+
+# the five laws whose solver outputs tests/test_solver_pins.py pins
+PIN_MODELS = ("fib", "all_five", "diag_heavy", "big_jump", "lopsided")
+
+
+@pytest.fixture(params=PIN_MODELS)
+def pin_geom(request):
+    return request.getfixturevalue(f"{request.param}_geom")

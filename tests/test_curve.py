@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cornerwalk import curve
 from cornerwalk.curve import (
     _slope,
     cramer_transform,
@@ -15,13 +16,20 @@ from cornerwalk.curve import (
     g_tilde,
     in_G0,
 )
-from cornerwalk.model import InvalidModelError, log_kernel_eval, parse_model_text
+from cornerwalk.model import (
+    InvalidModelError,
+    drift,
+    log_kernel_eval,
+    parse_model_text,
+)
 
 from oracles import fib_lower_x_branch, fib_upper_y_branch
 
 # frozen geometry of the three-diagonal-step model
 FIB_X0 = math.log(math.sqrt(5) / 3)  # -0.2938933324510595
-FIB_F_AT_X0 = math.log(math.sqrt(5) / 2)  # 0.11157177565710494
+# log(sqrt(5)/2), written so that its float is the correctly rounded value
+# (the float of sqrt(5)/2 carries a rounding error that log turns into 3 ulps)
+FIB_F_AT_X0 = 0.5 * math.log1p(0.25)  # 0.11157177565710488
 FIB_C = math.log(3 / 2)  # both decay rates coincide by symmetry
 
 
@@ -40,6 +48,10 @@ class TestFindExtrema:
         assert all_five_geom.x0 == pytest.approx(-0.46575393082459249, abs=1e-12)
         assert all_five_geom.f_at_x0 == pytest.approx(0.17758961330375102, abs=1e-12)
         assert all_five_geom.c1 == pytest.approx(0.6433435441283435, abs=1e-12)
+
+    def test_fibonacci_maxima_to_the_last_bits(self, fib_geom):
+        assert abs(fib_geom.x0 - FIB_X0) <= 2 * math.ulp(FIB_X0)
+        assert abs(fib_geom.f_at_x0 - FIB_F_AT_X0) <= 2 * math.ulp(FIB_F_AT_X0)
 
     def test_decay_rates_are_branch_gaps(self, fib_geom):
         # c1 = -f_hat(0), c2 = f(x has the g-side mirror); for the
@@ -93,6 +105,14 @@ class TestBranches:
         assert lo < hi
         for x in (lo, hi):
             assert abs(log_kernel_eval(fib_geom.dist, x, y)) < 1e-12
+
+    def test_origin_is_an_exact_root(self, pin_geom):
+        assert f_branch(pin_geom, 0.0) == 0.0
+        assert g_branch(pin_geom, 0.0) == 0.0
+
+    def test_f_hat_at_zero_is_minus_log_two(self, fib_geom):
+        # G(x, 0) = (2e^x + e^-x)/3 - 1 has roots x = 0 and x = -log 2
+        assert abs(f_hat(fib_geom, 0.0) + math.log(2)) <= math.ulp(math.log(2))
 
     def test_tangency_endpoint(self, fib_geom):
         assert f_branch(fib_geom, fib_geom.x0) == pytest.approx(
@@ -231,6 +251,19 @@ class TestCramer:
         assert s11 > 0 and s22 > 0
         assert s11 * s22 - s12 * s12 > 0
 
+    def test_twisted_drift_matches_every_direction(self, pin_geom):
+        for deg in range(1, 90):
+            a = math.radians(deg)
+            u = (math.cos(a), math.sin(a))
+            m1, m2 = cramer_transform(pin_geom, u).mu_u
+            m = math.hypot(m1, m2)
+            assert abs(m1 / m - u[0]) <= 1e-14, deg
+            assert abs(m2 / m - u[1]) <= 1e-14, deg
+
+    def test_drift_direction_twists_by_nothing(self, pin_geom):
+        phi = cramer_transform(pin_geom, drift(pin_geom.dist)).phi
+        assert abs(phi[0]) <= 1e-15 and abs(phi[1]) <= 1e-15
+
     @settings(deadline=None, max_examples=30)
     @given(st.floats(0.05, 1.5))
     def test_gradient_sweep_is_onto(self, fib_geom, angle):
@@ -241,3 +274,40 @@ class TestCramer:
         m = math.hypot(*d.mu_u)
         assert d.mu_u[0] / m == pytest.approx(u[0], abs=1e-9)
         assert d.mu_u[1] / m == pytest.approx(u[1], abs=1e-9)
+
+
+class TestSolverWork:
+    """Kernel evaluations (G, its gradient and its Hessian, each one call)
+    that the safeguarded Newton solves spend, counted through ``curve``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        for name in ("log_kernel_eval", "log_kernel_grad", "log_kernel_hess"):
+            def counted(*args, _fun=getattr(curve, name)):
+                count[0] += 1
+                return _fun(*args)
+
+            monkeypatch.setattr(curve, name, counted)
+        return count
+
+    def test_find_extrema(self, pin_geom, calls):
+        find_extrema(pin_geom.dist)
+        assert calls[0] <= 1000
+
+    def test_cramer_transform(self, pin_geom, calls):
+        cramer_transform(pin_geom, (2, 1))
+        assert calls[0] <= 1000
+
+    def test_branch_solve(self, pin_geom, calls):
+        g = pin_geom
+        solves = 0
+        for k in range(21):
+            f_branch(g, g.x0 * k / 20)
+            g_branch(g, g.y0 * k / 20)
+            f_hat(g, g.f_at_x0 - 2.0 * k / 20)
+            g_hat(g, g.g_at_y0 - 2.0 * k / 20)
+            f_tilde(g, g.f_at_x0 * k / 20)
+            g_tilde(g, g.g_at_y0 * k / 20)
+            solves += 6
+        assert calls[0] <= 60 * solves

@@ -29,10 +29,7 @@ from cornerwalk.curve import (
     g_hat,
     g_tilde,
 )
-from cornerwalk.model import parse_model_text
 from cornerwalk.montecarlo import _exit_root, _twisted_probs
-
-LOPSIDED_TEXT = "2 0 1/4\n1 -1 1/4\n-1 1 1/4\n0 1 1/4\n"
 
 DIRECTIONS = ((1, 3), (1, 1), (3, 1))
 TWISTS = ((2, 1), (1, 3))
@@ -203,9 +200,9 @@ PINS = {
 
 
 @pytest.fixture(scope="module")
-def models(fib, all_five, diag_heavy, big_jump):
+def models(fib, all_five, diag_heavy, big_jump, lopsided):
     return {"fib": fib, "all_five": all_five, "diag_heavy": diag_heavy,
-            "big_jump": big_jump, "lopsided": parse_model_text(LOPSIDED_TEXT)}
+            "big_jump": big_jump, "lopsided": lopsided}
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
