@@ -10,8 +10,17 @@ sides alike.  Runs go one at a time.
 
 The JSON written to ``--out`` holds every run's result line and, for
 each end-to-end metric of ``BENCHMARK.json``, each side's median and
-quartiles, the change-over-parent median ratio and the number of pairs
-the change won (ties count for neither side).
+quartiles, the change-over-parent median ratio, the number of pairs
+the change won (ties count for neither side) and a verdict:
+
+* ``gain``: the change won at least nine tenths of the pairs and its
+  median is better than the parent's by more than the parent's
+  interquartile range;
+* ``regression``: the change's median is worse than the parent's by more
+  than the metric's ``bound`` (a fraction of the parent's median);
+* ``unresolved``: neither, and the parent's interquartile range is wider
+  than the bound, so the runs cannot tell a regression from noise;
+* ``unchanged``: none of the above.
 
 Usage: python scripts/bench_pairs.py --parent REV --workload series
            --pairs 10 --seed0 9101 --out BENCH.json [--workload W ...]
@@ -61,6 +70,21 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def verdict(metric: dict, parent: dict, change: dict, wins: int,
+            pairs: int) -> str:
+    """Judge one metric from each side's spread and the change's wins."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    better_by = sign * (parent["median"] - change["median"])
+    allowed = metric["bound"] * abs(parent["median"])
+    if 10 * wins >= 9 * pairs and better_by > parent["iqr"]:
+        return "gain"
+    if -better_by > allowed:
+        return "regression"
+    if parent["iqr"] > allowed:
+        return "unresolved"
+    return "unchanged"
+
+
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for metric in metrics:
@@ -76,6 +100,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "ratio": (change["median"] / parent["median"]
                       if parent["median"] else None),
             "change_wins": wins, "ties": ties, "pairs": len(runs),
+            "verdict": verdict(metric, parent, change, wins, len(runs)),
         }
     return out
 
