@@ -19,10 +19,9 @@ second derivative) for the section minimizer, then the section itself
 the cross partial along a branch, where every probe is one section root,
 and ``cramer_transform`` solves the gradient angle along the arc.
 
-The one exception is ``montecarlo._exit_root``.  It keeps ``_bisect``,
-its own bounded bracket toward 0 and 1 and its own Newton steps, because
-the pinned Monte Carlo ``bias_bound`` digits depend on the last ulp of
-its roots.
+``montecarlo._exit_root`` runs the same chain on the kernel section of
+one coordinate's marginal in t = log c, then rounds exp(t) up to a float
+certified in exact arithmetic to lie at or above the true root.
 
 Branch conventions, for models with drift pointing strictly into the
 quadrant:
@@ -136,24 +135,6 @@ def _bracket(
     if side > 0:
         return inner, probe, f_inner, f_probe
     return probe, inner, f_probe, f_inner
-
-
-def _bisect(
-    fun, lo: float, hi: float, flo: float, width: float
-) -> tuple[float, float, float]:
-    """Shrink a sign-change bracket to ``width``; returns (root, lo, hi)."""
-    for _ in range(200):
-        if hi - lo <= width:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at float resolution
-            break
-        fm = fun(mid)
-        if (fm <= 0.0) == (flo <= 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), lo, hi
 
 
 def _solve(fdf, lo: float, hi: float, flo: float, fhi: float) -> float:

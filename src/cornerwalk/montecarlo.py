@@ -47,12 +47,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .curve import CramerData, SolverError, _bisect, cramer_transform, find_extrema
-from .model import StepDistribution, require_valid
+from .curve import CramerData, SolverError, _bracket, _solve, cramer_transform, find_extrema
+from .model import (
+    StepDistribution,
+    log_kernel_eval,
+    log_kernel_grad,
+    log_kernel_hess,
+    require_valid,
+)
 
 __all__ = [
     "BATCH_SIZE",
@@ -430,20 +437,31 @@ def _visit_bounds(steps, probs):
     return out
 
 
-def _visit_bound(axis_bounds, z, y):
+def _visit_bound(axis_bounds, z, y, singular=False):
     """Bound on the expected further visits to y of walks now at z: a
     visit needs both coordinates at y's levels, so the smaller of the two
-    axis bounds holds, and killing only removes visits."""
-    return np.minimum(
+    axis bounds holds, and killing only removes visits.
+
+    ``singular`` says that no step of the law lowers x + y.  A walk then
+    never returns below its anti-diagonal, so from z with
+    z_x + z_y > y_x + y_y it never visits y and the bound is exactly 0.
+    """
+    b = np.minimum(
         *(g * c ** np.maximum(p - q, 0) for (c, g), p, q in zip(axis_bounds, z, y))
     )
+    if singular:
+        b = np.where(np.add(z[0], z[1], dtype=np.int64) > y[0] + y[1], 0.0, b)
+    return b
 
 
 def _visit_walk(dist, starts, ys, weights, horizon, cfg: SimConfig):
     """The walk counting visits to the points ys, each row bounded by
-    _visit_bound."""
-    axis_bounds = _visit_bounds(*_twisted_probs(dist, cfg.twist))
-    bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti])
+    _visit_bound.  Twisting keeps the support, so whether the law is
+    singular is decided once from its steps."""
+    steps, probs = _twisted_probs(dist, cfg.twist)
+    axis_bounds = _visit_bounds(steps, probs)
+    singular = bool((steps.sum(axis=1) >= 0).all())
+    bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti], singular)
     return _walk(
         dist, starts, ys, weights, bound, horizon, cfg.seed, cfg.n_paths, cfg.twist
     )
@@ -629,51 +647,51 @@ def _exit_root(steps, probs, axis: int) -> float:
 
     The coordinate moves down by at most one per step, so from level z
     it ever reaches 0 with probability c^z, where c solves
-    sum_d P(d) c^d = 1 on (0, 1) (gambler's ruin for a skip-free walk).
+    psi(c) = sum_d P(d) c^d - 1 = 0 on (0, 1) (gambler's ruin for a
+    skip-free walk).  In t = log c, psi is the kernel section
+    f(t) = sum_d P(d) e^(d t) - 1 of the marginal, convex with slope
+    f'(0) = mu > 0, and the root is its lower one: the curve solver
+    brackets and solves f' for the section minimizer, then f for the
+    root left of it.  exp(t) is then rounded up to the least float c
+    with psi(c) <= 0, psi evaluated exactly in Fraction on the float
+    probabilities, so c^z bounds the exit chance of the float law.
     Returns 1.0 when the drift on the axis is <= 0 (descent is then
     certain) and 0.0 when the coordinate never steps down.
     """
-    marg: dict[int, float] = {}
+    marg: dict[int, Fraction] = {}
     for d, p in zip(steps[:, axis].tolist(), probs.tolist()):
-        marg[d] = marg.get(d, 0.0) + p
-    mu = math.fsum(d * p for d, p in marg.items())
+        marg[d] = marg.get(d, 0) + Fraction(p)
+    section = StepDistribution(
+        steps=tuple((d, 0) for d in marg), probs=tuple(map(float, marg.values()))
+    )
+    mu = log_kernel_grad(section, 0.0, 0.0)[0]
     if mu <= 1e-12:
         return 1.0
-    if marg.get(-1, 0.0) <= 0.0:
+    if marg.get(-1, 0) <= 0:
         return 0.0
 
-    items = sorted(marg.items())
+    excess = float(sum(marg.values()) - 1)  # the float law need not sum to 1
+    f = lambda t: log_kernel_eval(section, t, 0.0) + excess
+    df = lambda t: log_kernel_grad(section, t, 0.0)[0]
+    tmin = _solve(
+        lambda t: (df(t), log_kernel_hess(section, t, 0.0)[0]),
+        *_bracket(df, 0.0, mu, -1, 1.0),
+    )
+    fmin = f(tmin)
+    if fmin >= 0.0:
+        return 1.0
+    c = math.exp(_solve(lambda t: (f(t), df(t)), *_bracket(f, tmin, fmin, -1, 0.25)))
 
-    def psi(cv: float) -> float:
-        return math.fsum(p * cv**d for d, p in items) - 1.0
+    def psi(v: float) -> Fraction:
+        x = Fraction(v)
+        return sum(p * x**d for d, p in marg.items()) - 1
 
-    def dpsi(cv: float) -> float:
-        return math.fsum(p * d * cv ** (d - 1) for d, p in items)
-
-    lo = 0.5
-    while (flo := psi(lo)) <= 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise SolverError("no sign change for the exit root")
-    hi = 1.0 - 2.0**-20
-    while psi(hi) >= 0.0:
-        hi = 1.0 - (1.0 - hi) * 0.25
-        if 1.0 - hi < 1e-14:
-            return 1.0
-    c, lo, hi = _bisect(psi, lo, hi, flo, width=1e-14)
-    # Its own Newton steps, not curve._solve: the stopping rules
-    # differ, and sharing them moves the last ulp of some twisted roots.
-    for _ in range(5):
-        d = dpsi(c)
-        if d == 0.0:
-            break
-        step = psi(c) / d
-        cn = c - step
-        if not (lo - 1e-12 <= cn <= hi + 1e-12) or cn == c:
-            break
-        c = cn
-        if abs(step) < 1e-16:
-            break
+    if psi(c) > 0:  # below the root: up to the first float past it
+        while c < 1.0 and psi(c := math.nextafter(c, 1.0)) > 0:
+            pass
+    else:  # at or past the root: down while the next float still is
+        while psi(below := math.nextafter(c, 0.0)) <= 0:
+            c = below
     return c
 
 

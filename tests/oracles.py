@@ -163,3 +163,22 @@ def sf2_exact_ratio(delta: Fraction) -> Fraction:
     c = sf2_exact_root(delta)
     variance = 1 - delta * delta  # E[dj^2] = 1, mean = delta
     return (1 - c) * variance / (2 * delta)
+
+
+def skipfree_root_bounds(marginal: dict) -> tuple[Fraction, Fraction]:
+    """Rational bounds lo <= c <= hi on the exit root of a marginal with
+    steps in {-1, 0, 1}, to within 2^-200; lo == hi when c is rational.
+
+    marginal maps d -> Fraction P(d), which need not sum to one.  The
+    root in (0, 1) of sum P(d) c^d = 1 is then the smaller root of
+    P(1) c^2 - (1 - P(0)) c + P(-1) = 0, bounded here by integer
+    square roots.
+    """
+    a, b, m = marginal.get(1, 0), 1 - marginal.get(0, 0), marginal.get(-1, 0)
+    disc = b * b - 4 * a * m
+    scale = 1 << 200
+    n = disc.numerator * disc.denominator * scale * scale
+    r = math.isqrt(n)
+    root_lo = Fraction(r, scale * disc.denominator)  # <= sqrt(disc)
+    root_hi = root_lo if r * r == n else Fraction(r + 1, scale * disc.denominator)
+    return (b - root_hi) / (2 * a), (b - root_lo) / (2 * a)

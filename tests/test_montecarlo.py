@@ -36,6 +36,7 @@ from oracles import (
     sf2_exact_ratio,
     sf2_exact_root,
     sf2_model_text,
+    skipfree_root_bounds,
 )
 
 
@@ -246,12 +247,16 @@ class TestGreen:
         assert 0.0 <= est.censored_fraction <= 1.0
 
     def test_bias_bound_reported(self, all_five):
-        cfg = SimConfig(seed=2, n_paths=2048, horizon=20)
-        for est in (
-            estimate_green(all_five, (1, 1), (3, 4), cfg),
-            martin_kernel_estimate(all_five, (2, 3), (4, 4), cfg),
-        ):
-            assert 0.0 < est.bias_bound < math.inf
+        for horizon in (6, 20):
+            cfg = SimConfig(seed=2, n_paths=2048, horizon=horizon)
+            for est in (
+                estimate_green(all_five, (1, 1), (3, 4), cfg),
+                martin_kernel_estimate(all_five, (2, 3), (4, 4), cfg),
+            ):
+                if horizon == 6:  # rows still stand at or before y's anti-diagonal
+                    assert 0.0 < est.bias_bound < math.inf
+                else:  # every row left is past it, where no visit is possible
+                    assert est.bias_bound == 0.0
 
     def test_twist_weight_overflow_guarded(self, fib, fib_geom):
         tw = cramer_transform(fib_geom, (2 / math.sqrt(5), 1 / math.sqrt(5)))
@@ -332,6 +337,61 @@ class TestVisitBound:
                 exact = float(green_enum(exact_steps(dist), z, y, 24))
                 assert exact <= _visit_bound(axis_bounds, z, y), (z, y)
 
+    @pytest.mark.parametrize("law", ["fib", "all_five", "diag_heavy", "big_jump"])
+    def test_zero_past_the_anti_diagonal_and_bounds_elsewhere(self, request, law):
+        # no step of these laws lowers x + y, so a walk past y's
+        # anti-diagonal never visits y: the bound is exactly 0 there
+        dist = request.getfixturevalue(law)
+        assert all(di + dj >= 0 for di, dj in dist.steps)
+        axis_bounds = _visit_bounds(*_twisted_probs(dist, None))
+        for z in [(1, 1), (2, 3), (4, 1), (3, 3), (5, 4), (6, 2)]:
+            for y in [(2, 2), (3, 2), (1, 4)]:
+                exact = green_enum(exact_steps(dist), z, y, 10)
+                bound = _visit_bound(axis_bounds, z, y, singular=True)
+                if z[0] + z[1] > y[0] + y[1]:
+                    assert exact == 0 and bound == 0.0, (z, y)
+                else:
+                    assert float(exact) <= bound, (z, y)
+        if law == "all_five":  # 0.278 by the gambler's-ruin bound alone
+            assert _visit_bound(axis_bounds, (5, 4), (3, 2)) > 0.25
+
+    def test_non_singular_law_keeps_gamblers_ruin_bound(self, monkeypatch):
+        # a (-1, -1) step lowers x + y, so a walk past y's anti-diagonal
+        # can come back to y; the engine must not cut its bound to 0
+        dist = parse_model_text("1 1 1/2\n-1 -1 1/8\n1 -1 1/8\n-1 1 1/4\n")
+        z, y = (4, 4), (3, 3)
+        assert green_enum(exact_steps(dist), z, y, 12) > 0
+        axis_bounds = _visit_bounds(*_twisted_probs(dist, None))
+        ruin = min(g * c ** max(p - q, 0) for (c, g), p, q in zip(axis_bounds, z, y))
+        seen = []
+
+        def spy(axis_bounds, p, q, singular=False):
+            seen.append(singular)
+            return _visit_bound(axis_bounds, p, q, singular)
+
+        monkeypatch.setattr(montecarlo, "_visit_bound", spy)
+        _visit_walk(dist, [z], [y], [[1.0]], 8, SimConfig(seed=1, n_paths=64))
+        assert seen and not any(seen)
+        assert _visit_bound(axis_bounds, z, y) == pytest.approx(ruin, rel=1e-15)
+        assert ruin > 0.0
+
+    def test_martin_profile_draws_one_block_per_row(self, all_five, monkeypatch):
+        # every row passes the targets' anti-diagonals within its first
+        # block or two of 64 steps (1 338 304 row-steps without the cut)
+        drawn = []
+        offsets = _StepSampler.offsets
+
+        def counting(self, rng, rows, blk, axes=(0, 1)):
+            drawn.append(rows * blk)
+            return offsets(self, rng, rows, blk, axes)
+
+        monkeypatch.setattr(_StepSampler, "offsets", counting)
+        martin_kernel_profile(
+            all_five, (2, 3), [(10, 10), (15, 15), (20, 20)],
+            SimConfig(seed=7, n_paths=12500),
+        )
+        assert sum(drawn) <= 810_000
+
     def test_nonpositive_drift_never_retires(self, all_five, monkeypatch):
         # no drift on either axis (not a valid model, so run the engine)
         flat = parse_model_text("1 1 1/4\n-1 -1 1/4\n1 -1 1/4\n-1 1 1/4\n")
@@ -379,11 +439,13 @@ class TestVisitBound:
             fib, (1, 1), (3, 3),
             SimConfig(seed=31, n_paths=BATCH_SIZE, horizon=horizon),
         )
-        assert est.bias_bound > 0.0
         assert abs(truth - est.mean) <= 4 * est.std_error + est.bias_bound
         if horizon == 6:  # one block: open rows are bounded at the horizon
+            assert est.bias_bound > 0.0
             axis_bounds = _visit_bounds(*_twisted_probs(fib, None))
             assert est.bias_bound < _visit_bound(axis_bounds, (1, 1), (3, 3))
+        else:  # every row left is past y's anti-diagonal
+            assert est.bias_bound == 0.0
 
     def test_martin_interval_holds_exact_ratio(self, all_five):
         x, y = (2, 3), (4, 4)
@@ -396,7 +458,10 @@ class TestVisitBound:
                 all_five, x, y,
                 SimConfig(seed=7, n_paths=BATCH_SIZE, horizon=horizon),
             )
-            assert 0.0 < est.bias_bound < math.inf
+            if horizon == 8:  # rows still stand at or before y's anti-diagonal
+                assert 0.0 < est.bias_bound < math.inf
+            else:  # every row left is past it
+                assert est.bias_bound == 0.0
             assert abs(est.mean - exact) <= 4 * est.std_error + est.bias_bound
 
 
@@ -511,6 +576,35 @@ class TestSkipfreeRoot:
             skipfree_exit_root(swapped, twist=mirrored), abs=1e-13
         )
         assert c_x != pytest.approx(skipfree_exit_root(dist, twist=tw), abs=1e-3)
+
+
+class TestExitRootRounding:
+    """_exit_root returns a float at or above the exact root of the float
+    law it samples, and within 4 ulps of it."""
+
+    @pytest.mark.parametrize("case,axis,root", [
+        ("fib", 1, Fraction(1, 2)),
+        ("all_five", 0, Fraction(1, 3)),
+        ("diag_heavy", 1, Fraction(1, 11)),
+        ("sf2_1/10", 1, sf2_exact_root(Fraction(1, 10))),
+        ("sf2_1/3", 1, sf2_exact_root(Fraction(1, 3))),
+    ])
+    def test_rounded_up_within_four_ulps(self, request, case, axis, root):
+        if case.startswith("sf2_"):
+            dist = parse_model_text(sf2_model_text(Fraction(case[4:])))
+        else:
+            dist = request.getfixturevalue(case)
+        steps, probs = _twisted_probs(dist, None)
+        marginal = {}
+        for d, p in zip(steps[:, axis].tolist(), probs.tolist()):
+            marginal[d] = marginal.get(d, 0) + Fraction(p)
+        lo, hi = skipfree_root_bounds(marginal)
+        c = _exit_root(steps, probs, axis)
+        ulp = Fraction(math.ulp(c))
+        assert Fraction(c) >= hi
+        assert Fraction(c) - lo <= 4 * ulp
+        # the float law's root lies within a few ulps of the exact law's
+        assert abs(Fraction(c) - root) <= 4 * ulp
 
 
 class TestBrownianKernel:
