@@ -28,9 +28,11 @@ none for escape and survival.  After every block, the last included, a
 row retires from a target once a bound on what it can still add there
 is below 1e-7 from every start still alive in it: for escape its
 chance of ever exiting, at most c_x^i + c_y^j (the exit roots of
-skipfree_exit_root; c_y^j alone for half-plane survival, which never
-touches x), for Green and Martin its further visits to the point (a
-gambler's-ruin bound per coordinate, see _visit_bounds).  A row is
+skipfree_exit_root, rounded up; c_y^j alone for half-plane survival,
+which never touches x), for Green and Martin its further visits to the
+point (a gambler's-ruin bound per coordinate, see _visit_bounds, and
+exactly 0 once the row is past the point's anti-diagonal, which a
+walk whose steps never lower x + y cannot recross).  A row is
 dropped once absorbed from every start or retired from every target,
 and later blocks draw only for the rows left.  The bounds of the
 retired rows, at retirement, and of the rows still open at the
@@ -490,8 +492,11 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     From z, a path's expected further visits to y (under the law actually
     sampled) are at most min over the axes of c^((z - y)+) * G1, with c
     the axis's exit root and G1 = c / (p_-1 (1 - c)) (see _visit_bounds).
-    After every block a path whose weighted bound is below 1e-7
-    retires: its later visits go uncounted.  The estimate can only
+    No step of a valid model lowers x + y, so once z_x + z_y > y_x + y_y
+    the bound is exactly 0.  After every block a path whose weighted
+    bound is below 1e-7 retires: its later visits go uncounted.  A path
+    past y's anti-diagonal thus retires after the block in which it
+    crosses, at no cost to the bias.  The estimate can only
     understate the Green value, and ``bias_bound`` says by how much: the
     mean weighted bound of the retired paths at retirement, plus that of
     the paths still walking at the horizon, so
@@ -535,8 +540,9 @@ def martin_kernel_profile(
     error comes from the delta method with the across-path covariance.
 
     A path retires from target y once its visit bound (see estimate_green)
-    is below 1e-7 from every start still alive in it, and stops drawing
-    once retired from every target.  The Green means A (from x) and B
+    is below 1e-7 from every start still alive in it, as it is once past
+    y's anti-diagonal from both, and stops drawing once retired from
+    every target.  The Green means A (from x) and B
     (from (1, 1)) then understate theirs by at most beta_A and beta_B, so
     the ratio of the expectations lies in [A / (B + beta_B),
     (A + beta_A) / B]; ``bias_bound`` is the larger distance from the
@@ -702,7 +708,8 @@ def skipfree_exit_root(
 
     The height coordinate moves down by at most one per step, so the
     chance of ever reaching the horizontal axis from height z is c^z,
-    where c solves sum_j P(dj = j) c^j = 1 on (0, 1).  Returns 1.0 when
+    where c solves sum_j P(dj = j) c^j = 1 on (0, 1); the float returned
+    is the least one at or above that root.  Returns 1.0 when
     the vertical drift is <= 0 (descent is then certain) and 0.0 in the
     degenerate case of no downward step at all.
     """
