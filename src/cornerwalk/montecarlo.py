@@ -439,7 +439,7 @@ def _visit_bounds(steps, probs):
     return out
 
 
-def _visit_bound(axis_bounds, z, y, singular=False):
+def _visit_bound(axis_bounds, z, y, singular: bool):
     """Bound on the expected further visits to y of walks now at z: a
     visit needs both coordinates at y's levels, so the smaller of the two
     axis bounds holds, and killing only removes visits.
