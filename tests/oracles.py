@@ -167,7 +167,8 @@ def sf2_exact_ratio(delta: Fraction) -> Fraction:
 
 def skipfree_root_bounds(marginal: dict) -> tuple[Fraction, Fraction]:
     """Rational bounds lo <= c <= hi on the exit root of a marginal with
-    steps in {-1, 0, 1}, to within 2^-200; lo == hi when c is rational.
+    steps in {-1, 0, 1}, far closer than one ulp; lo == hi when c is
+    rational.
 
     marginal maps d -> Fraction P(d), which need not sum to one.  The
     root in (0, 1) of sum P(d) c^d = 1 is then the smaller root of
