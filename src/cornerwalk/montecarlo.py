@@ -226,6 +226,16 @@ class _StepSampler:
         return out
 
 
+def _keep_rows(keep, axes, pos, alive, open_, live):
+    """The row state of _walk restricted to the rows marked in ``keep``."""
+    return (
+        [[c[keep] if a in axes else c for a, c in enumerate(p)] for p in pos],
+        [a[keep] for a in alive],
+        [o[keep] for o in open_],
+        None if live is None else live[keep],
+    )
+
+
 def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
           axes=(0, 1)):
     """One batched walk from every start at once, stopped per target.
@@ -271,22 +281,22 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
 
     for b_idx, rows in enumerate(_batch_sizes(n_paths)):
         rng = _batch_rng(seed, b_idx)
-        live = np.arange(rows)  # batch rows still walking
-        pos = [[np.full(rows, c, dtype=np.int32) for c in s] for s in starts]
+        # a coordinate off ``axes`` stays a scalar: it never moves the test
+        pos = [[np.full(rows, c, dtype=np.int32) if a in axes else c
+                for a, c in enumerate(s)] for s in starts]
         alive = [np.ones(rows, dtype=bool) for _ in starts]
         open_ = [np.ones(rows, dtype=bool) for _ in targets]  # not retired from ti
+        live = np.arange(rows) if points else None  # batch rows, for visits
         visits = [{ti: np.zeros(rows, dtype=np.int64) for ti in points} for _ in starts]
         vb = [None] * len(targets)  # per target and start, the latest bounds
         keep = np.ones(rows, dtype=bool)  # rows to walk on
         t = 0
         while t < horizon and keep.any():
             if not keep.all():
-                live = live[keep]
-                pos = [[c[keep] for c in p] for p in pos]
-                alive = [a[keep] for a in alive]
-                open_ = [o[keep] for o in open_]
+                pos, alive, open_, live = _keep_rows(keep, axes, pos, alive, open_, live)
+            n = len(alive[0])
             blk = min(_BLOCK, horizon - t)
-            offs = sampler.offsets(rng, len(live), blk, axes)
+            offs = sampler.offsets(rng, n, blk, axes)
             lows = [off.min(axis=0) for off in offs]
             for si, p in enumerate(pos):
                 # absorbed in this block: its lowest point reaches 0 on an axis
@@ -299,7 +309,7 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
                     (off_x, off_y), (x0, y0) = offs, p
                     # steps of this block each row takes alive: those
                     # before its first boundary point
-                    n_ok = np.full(len(live), blk)
+                    n_ok = np.full(n, blk)
                     h = np.flatnonzero(hit)
                     if len(h):
                         bnd = (off_x[:, h] <= -x0[h]) | (off_y[:, h] <= -y0[h])
@@ -322,16 +332,19 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
                     p[a] = p[a] + off[-1]
                 alive[si] &= ~hit
             t += blk
+            # bound only the rows still alive from some start
             keep = np.logical_or.reduce(alive)
+            if not keep.all():
+                pos, alive, open_, live = _keep_rows(keep, axes, pos, alive, open_, live)
             for ti in range(len(targets)):
                 vb[ti] = [bound(p, ti) for p in pos]
-                done = open_[ti] & keep
+                done = open_[ti].copy()
                 for si, b in enumerate(vb[ti]):
                     done &= ~alive[si] | (b < _RETIRE_EPS / weights[si][ti])
                 for si, b in enumerate(vb[ti]):
                     bounds[si][ti].append(float(b[done & alive[si]].sum()))
                 open_[ti] &= ~done
-            keep &= np.logical_or.reduce(open_)
+            keep = np.logical_or.reduce(open_)
         # the rows still open at the horizon, bounded where they stop
         for ti, b_ti in enumerate(vb):
             for si, b in enumerate(b_ti):
