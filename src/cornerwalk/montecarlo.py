@@ -372,7 +372,7 @@ def _survival_estimate(dist, start, cfg: SimConfig, axes) -> SimEstimate:
     whose bound is the chance of ever exiting: at most the sum over
     ``axes`` of c**z, c the axis's exit root (see estimate_escape)."""
     steps, probs = _twisted_probs(dist, cfg.twist)
-    roots = {a: _exit_root(steps, probs, a) for a in axes}
+    roots = dict(zip(axes, _exit_roots(steps, probs, axes)))
     bound = lambda p, ti: np.minimum(sum(roots[a] ** p[a] for a in axes), 1.0)
     _, _, _, open_counts, bounds, survived = _walk(
         dist, [start], [None], [[1.0]], bound, cfg.horizon, cfg.seed,
@@ -440,8 +440,7 @@ def _visit_bounds(steps, probs):
     at l for 1 / (1 - p0) steps on average.
     """
     out = []
-    for a in (0, 1):
-        c = _exit_root(steps, probs, a)
+    for a, c in enumerate(_exit_roots(steps, probs, (0, 1))):
         if c == 1.0:
             g = math.inf
         elif c == 0.0:
@@ -661,6 +660,28 @@ def green_direction_scan(
     return out
 
 
+def _marginal(steps, probs, axis: int) -> dict[int, Fraction]:
+    """One coordinate's step law, summed exactly from the float probabilities."""
+    marg: dict[int, Fraction] = {}
+    for d, p in zip(steps[:, axis].tolist(), probs.tolist()):
+        marg[d] = marg.get(d, 0) + Fraction(p)
+    return marg
+
+
+def _exit_roots(steps, probs, axes) -> list[float]:
+    """_exit_root of each axis in ``axes``, solved once per distinct
+    marginal: the root is a function of the marginal alone, and laws
+    symmetric in x and y have one."""
+    solved: dict[frozenset, float] = {}
+    out = []
+    for a in axes:
+        key = frozenset(_marginal(steps, probs, a).items())
+        if key not in solved:
+            solved[key] = _exit_root(steps, probs, a)
+        out.append(solved[key])
+    return out
+
+
 def _exit_root(steps, probs, axis: int) -> float:
     """Root in [0, 1] of the descent equation of one coordinate's marginal.
 
@@ -677,9 +698,7 @@ def _exit_root(steps, probs, axis: int) -> float:
     Returns 1.0 when the drift on the axis is <= 0 (descent is then
     certain) and 0.0 when the coordinate never steps down.
     """
-    marg: dict[int, Fraction] = {}
-    for d, p in zip(steps[:, axis].tolist(), probs.tolist()):
-        marg[d] = marg.get(d, 0) + Fraction(p)
+    marg = _marginal(steps, probs, axis)
     section = StepDistribution(
         steps=tuple((d, 0) for d in marg), probs=tuple(map(float, marg.values()))
     )

@@ -24,6 +24,7 @@ from cornerwalk.montecarlo import (
     _alias_table,
     _batch_rng,
     _exit_root,
+    _exit_roots,
     _twisted_probs,
     _visit_bound,
     _visit_bounds,
@@ -605,6 +606,38 @@ class TestExitRootRounding:
         assert Fraction(c) - lo <= 4 * ulp
         # the float law's root lies within a few ulps of the exact law's
         assert abs(Fraction(c) - root) <= 4 * ulp
+
+
+class TestExitRootsPerCall:
+    """An estimator call solves one exit root per distinct marginal."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        exit_root = montecarlo._exit_root
+
+        def counting(steps, probs, axis):
+            calls.append(axis)
+            return exit_root(steps, probs, axis)
+
+        monkeypatch.setattr(montecarlo, "_exit_root", counting)
+        return calls
+
+    def test_equal_marginals_solved_once(self, fib, solves):
+        cfg = SimConfig(seed=1, n_paths=64, horizon=8)
+        estimate_escape(fib, (1, 1), cfg)
+        assert len(solves) == 1
+        estimate_green(fib, (1, 1), (3, 3), cfg)
+        assert len(solves) == 2
+
+    def test_distinct_marginals_solved_each(self, lopsided, solves):
+        steps, probs = _twisted_probs(lopsided, None)
+        assert _exit_roots(steps, probs, (0, 1)) == [
+            _exit_root(steps, probs, 0), _exit_root(steps, probs, 1)
+        ]
+        solves.clear()
+        estimate_escape(lopsided, (1, 1), SimConfig(seed=1, n_paths=64, horizon=8))
+        assert len(solves) == 2
 
 
 class TestBrownianKernel:
