@@ -43,7 +43,9 @@ whose base start (1, 1) dies in rows where x still walks and whose far
 target is reached only after the first block, a Martin profile of a
 weak-drift law whose walks, absorbed from one start, re-enter the
 quadrant near the targets, and a run whose every row is absorbed long
-before the horizon.
+before the horizon.  One twisted Green run stops at horizon 6, while
+rows still stand before its target's anti-diagonal, so its pinned
+bias_bound is the gambler's-ruin term of _visit_bounds and not 0.
 """
 
 import contextlib
@@ -104,6 +106,11 @@ ESTIMATES = {
         SimConfig(seed=16, n_paths=N_PATHS, horizon=70,
                   twist=_twist(m["all_five"], (2, 1))),
     ),
+    "green_twisted_short": lambda m: estimate_green(
+        m["all_five"], (2, 2), (4, 3),
+        SimConfig(seed=22, n_paths=N_PATHS, horizon=6,
+                  twist=_twist(m["all_five"], (2, 1))),
+    ),
     "martin_all_five": lambda m: martin_kernel_profile(
         m["all_five"], (2, 3), [(5, 5), (7, 6)],
         SimConfig(seed=17, n_paths=N_PATHS, horizon=HORIZON),
@@ -162,6 +169,12 @@ EXPECTED = {
         "std_error=0.0018808469344377716, n_paths=68537, horizon=70, "
         "censored_fraction=0.0, "
         "bias_bound=0.0)"
+    ),
+    "green_twisted_short": (
+        "SimEstimate(mean=0.2802621459226482, "
+        "std_error=0.0017861826302650549, n_paths=68537, horizon=6, "
+        "censored_fraction=0.1393699753417862, "
+        "bias_bound=0.17236775771699525)"
     ),
     "martin_all_five": (
         "[SimEstimate(mean=2.2802736896462688, "
@@ -264,6 +277,14 @@ def test_estimate_is_pinned(models, case):
 def test_cli_output_is_pinned(monkeypatch, case):
     monkeypatch.chdir(ROOT)  # the manifest records the model path as given
     assert cli_digest(CLI[case]) == CLI_SHA256[case]
+
+
+def test_short_green_case_pins_a_gamblers_ruin_bound(models):
+    """The horizon-6 pin above reads a nonzero bias_bound: rows still
+    open at its horizon are bounded by _visit_bounds."""
+    est = ESTIMATES["green_twisted_short"](models)
+    assert est.censored_fraction > 0.0
+    assert est.bias_bound > 0.0
 
 
 def test_all_absorbed_case_ends_before_its_horizon(models):
