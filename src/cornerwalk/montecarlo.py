@@ -8,9 +8,12 @@ seed, i // 65536, and its slot within the batch — never on thread
 scheduling or on how many paths other workers got — so every estimate is
 bit-for-bit reproducible.
 
-Steps are drawn through a Walker alias table and advanced in blocks of
-64.  Each block consumes exactly one ``rng.random((rows, blk))`` draw and
-turns every uniform u into one code per step: with v = u * K and
+Steps are drawn through a Walker alias table and advanced in blocks:
+of 64 steps in visit runs (Green, Martin), and of 16, then 32, then 64
+for good in survival runs (escape, half plane), most of whose rows are
+absorbed within a few steps; the block that reaches the horizon is cut
+there.  Each block consumes exactly one ``rng.random((rows, blk))`` draw
+and turns every uniform u into one code per step: with v = u * K and
 k = floor(v), the code is 2k + (v - k < accept[k]), the alias decision
 written as an index.  Two int8 tables, one per coordinate, map a code
 to its step (entry 2k + 1 is step k, entry 2k its alias); when every
@@ -37,9 +40,9 @@ dropped once absorbed from every start or retired from every target,
 and later blocks draw only for the rows left.  The bounds of the
 retired rows, at retirement, and of the rows still open at the
 horizon, there, make up each estimate's ``bias_bound``.  The array
-layout may change, but this stream consumption, this alias decision
-and this retirement rule are the reproducibility contract (pinned by
-tests/test_stream_contract.py).  Cramer twisting
+layout may change, but these block lengths, this stream consumption,
+this alias decision and this retirement rule are the reproducibility
+contract (pinned by tests/test_stream_contract.py).  Cramer twisting
 replaces the step law by p_s * exp(<phi, s>) (a probability law because
 phi lies on the zero curve) and reweights Green-function visits by the
 constant exp(-<phi, y - x>).
@@ -47,6 +50,7 @@ constant exp(-<phi, y - x>).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,6 +84,9 @@ __all__ = [
 
 BATCH_SIZE = 65536  # fixed: part of the reproducibility contract, not a knob
 _BLOCK = 64
+# survival runs open with shorter blocks: most of their absorptions come
+# in the first few steps, and an absorbed row draws to its block's end
+_SURVIVAL_RAMP = (16, 32)
 _MASK64 = (1 << 64) - 1
 _POSITION_LIMIT = 1 << 31  # positions are int32
 _RETIRE_EPS = 1e-7  # exit bound below which a survival path retires as escaped
@@ -236,6 +243,18 @@ def _keep_rows(keep, axes, pos, alive, open_, live):
     )
 
 
+def _block_lengths(horizon: int, ramp):
+    """The lengths of a run's blocks: ``ramp``, then _BLOCK for good,
+    the block that reaches the horizon cut there."""
+    t = 0
+    for blk in itertools.chain(ramp, itertools.repeat(_BLOCK)):
+        if t >= horizon:
+            return
+        blk = min(blk, horizon - t)
+        yield blk
+        t += blk
+
+
 def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
           axes=(0, 1)):
     """One batched walk from every start at once, stopped per target.
@@ -247,8 +266,9 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
     visits to the point, or its chance of ever exiting.  Absorption is
     tested on ``axes`` only; a coordinate off them keeps its start value.
 
-    Every block draws only for the live rows, and all starts of a row
-    share its draws.  After every block, the last included, a row
+    Blocks are _BLOCK steps long, after those of _SURVIVAL_RAMP when no
+    target is a point.  Every block draws only for the live rows, and
+    all starts of a row share its draws.  After every block, the last included, a row
     retires from target ti once its bound times weights[si][ti] is below
     _RETIRE_EPS from every start still alive in it; from then on it adds
     no visit to ti.  A row absorbed from every start or retired from
@@ -290,12 +310,12 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
         visits = [{ti: np.zeros(rows, dtype=np.int64) for ti in points} for _ in starts]
         vb = [None] * len(targets)  # per target and start, the latest bounds
         keep = np.ones(rows, dtype=bool)  # rows to walk on
-        t = 0
-        while t < horizon and keep.any():
+        for blk in _block_lengths(horizon, () if points else _SURVIVAL_RAMP):
+            if not keep.any():
+                break
             if not keep.all():
                 pos, alive, open_, live = _keep_rows(keep, axes, pos, alive, open_, live)
             n = len(alive[0])
-            blk = min(_BLOCK, horizon - t)
             offs = sampler.offsets(rng, n, blk, axes)
             lows = [off.min(axis=0) for off in offs]
             for si, p in enumerate(pos):
@@ -331,7 +351,6 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
                 for off, a in zip(offs, axes):
                     p[a] = p[a] + off[-1]
                 alive[si] &= ~hit
-            t += blk
             # bound only the rows still alive from some start
             keep = np.logical_or.reduce(alive)
             if not keep.all():
@@ -391,8 +410,9 @@ def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
     Each coordinate moves down by at most one per step, so from (i, j)
     the walk ever exits with probability at most c_x^i + c_y^j, where
     c_x and c_y are the exit roots of the marginals of the law actually
-    sampled (twisted or not; see skipfree_exit_root).  After every block
-    a path whose bound is below 1e-7 retires and counts as escaped, as
+    sampled (twisted or not; see skipfree_exit_root).  Paths advance in
+    blocks of 16, 32, then 64 steps, and after every block a path whose
+    bound is below 1e-7 retires and counts as escaped, as
     does a path still inside at the horizon.  The estimate can therefore
     only overstate the escape probability, and ``bias_bound`` says by how
     much: it is the mean over paths of the bound at retirement, or at the

@@ -49,6 +49,20 @@ def z_score(est, truth):
     return (est.mean - truth) / est.std_error
 
 
+@pytest.fixture
+def drawn_blocks(monkeypatch):
+    """(rows, steps) of every block drawn while the test runs."""
+    drawn = []
+    offsets = _StepSampler.offsets
+
+    def recording(self, rng, rows, blk, axes=(0, 1)):
+        drawn.append((rows, blk))
+        return offsets(self, rng, rows, blk, axes)
+
+    monkeypatch.setattr(_StepSampler, "offsets", recording)
+    return drawn
+
+
 class TestReproducibility:
     def test_bit_identical_across_runs(self, fib):
         # n_paths straddles a batch boundary on purpose
@@ -376,22 +390,16 @@ class TestVisitBound:
         assert _visit_bound(axis_bounds, z, y, False) == pytest.approx(ruin, rel=1e-15)
         assert ruin > 0.0
 
-    def test_martin_profile_draws_one_block_per_row(self, all_five, monkeypatch):
+    def test_martin_profile_draws_one_block_per_row(self, all_five, drawn_blocks):
         # nearly every row passes the targets' anti-diagonals within its
-        # first block of 64 steps (1 338 304 row-steps without the cut)
-        drawn = []
-        offsets = _StepSampler.offsets
-
-        def counting(self, rng, rows, blk, axes=(0, 1)):
-            drawn.append(rows * blk)
-            return offsets(self, rng, rows, blk, axes)
-
-        monkeypatch.setattr(_StepSampler, "offsets", counting)
+        # first block of 64 steps (1 338 304 row-steps without the cut);
+        # visit runs draw 64-step blocks from the first
         martin_kernel_profile(
             all_five, (2, 3), [(10, 10), (15, 15), (20, 20)],
             SimConfig(seed=7, n_paths=12500),
         )
-        assert sum(drawn) <= 810_000
+        assert sum(rows * blk for rows, blk in drawn_blocks) <= 810_000
+        assert {blk for _, blk in drawn_blocks} == {64}
 
     def test_nonpositive_drift_never_retires(self, all_five, monkeypatch):
         # no drift on either axis (not a valid model, so run the engine)
@@ -464,6 +472,28 @@ class TestVisitBound:
             else:  # every row left is past it
                 assert est.bias_bound == 0.0
             assert abs(est.mean - exact) <= 4 * est.std_error + est.bias_bound
+
+
+class TestSurvivalBlocks:
+    """Survival runs draw blocks of 16, 32, then 64 steps, so a row
+    absorbed in its first few steps stops drawing after 16."""
+
+    @pytest.mark.parametrize("run", ["escape", "halfplane"])
+    def test_blocks_grow_and_end_at_the_horizon(self, drawn_blocks, run):
+        # weak drift (exit roots 9/11): rows still stand at the horizon
+        dist = parse_model_text(sf2_model_text(Fraction(1, 10)))
+        cfg = SimConfig(seed=3, n_paths=512, horizon=150)
+        if run == "escape":
+            est = estimate_escape(dist, (4, 4), cfg)
+        else:
+            est = estimate_halfplane_survival(dist, 1, cfg)
+        assert est.censored_fraction > 0.0
+        assert [blk for _, blk in drawn_blocks] == [16, 32, 64, 38]
+
+    def test_fibonacci_escape_row_steps(self, fib, drawn_blocks):
+        # 605 952 row-steps with 64-step blocks from the first
+        estimate_escape(fib, (1, 1), SimConfig(seed=101, n_paths=8192, horizon=1000))
+        assert sum(rows * blk for rows, blk in drawn_blocks) <= 300_000
 
 
 class TestStepSampler:
