@@ -268,11 +268,12 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
 
     Blocks are _BLOCK steps long, after those of _SURVIVAL_RAMP when no
     target is a point.  Every block draws only for the live rows, and
-    all starts of a row share its draws.  After every block, the last included, a row
-    retires from target ti once its bound times weights[si][ti] is below
-    _RETIRE_EPS from every start still alive in it; from then on it adds
-    no visit to ti.  A row absorbed from every start or retired from
-    every target is dropped before the next block.
+    all starts of a row share its draws.  After every block, the last
+    included, a row retires from target ti once its bound times
+    weights[si][ti] is below _RETIRE_EPS from every start still alive in
+    it; from then on it adds no visit to ti.  A row absorbed from every
+    start is dropped before it is bounded, and one retired from every
+    target before the next block.
 
     Returns (sums, sumsqs, crosses, open_counts, bounds, survived), each
     reduced in batch order:
@@ -301,7 +302,7 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
 
     for b_idx, rows in enumerate(_batch_sizes(n_paths)):
         rng = _batch_rng(seed, b_idx)
-        # a coordinate off ``axes`` stays a scalar: it never moves the test
+        # a coordinate off ``axes`` never moves and is never tested
         pos = [[np.full(rows, c, dtype=np.int32) if a in axes else c
                 for a, c in enumerate(s)] for s in starts]
         alive = [np.ones(rows, dtype=bool) for _ in starts]
