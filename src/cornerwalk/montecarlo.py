@@ -243,18 +243,6 @@ def _keep_rows(keep, axes, pos, alive, open_, live):
     )
 
 
-def _block_lengths(horizon: int, ramp):
-    """The lengths of a run's blocks: ``ramp``, then _BLOCK for good,
-    the block that reaches the horizon cut there."""
-    t = 0
-    for blk in itertools.chain(ramp, itertools.repeat(_BLOCK)):
-        if t >= horizon:
-            return
-        blk = min(blk, horizon - t)
-        yield blk
-        t += blk
-
-
 def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
           axes=(0, 1)):
     """One batched walk from every start at once, stopped per target.
@@ -311,9 +299,11 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
         visits = [{ti: np.zeros(rows, dtype=np.int64) for ti in points} for _ in starts]
         vb = [None] * len(targets)  # per target and start, the latest bounds
         keep = np.ones(rows, dtype=bool)  # rows to walk on
-        for blk in _block_lengths(horizon, () if points else _SURVIVAL_RAMP):
-            if not keep.any():
-                break
+        lengths = itertools.chain(() if points else _SURVIVAL_RAMP,
+                                  itertools.repeat(_BLOCK))
+        t = 0
+        while t < horizon and keep.any():
+            blk = min(next(lengths), horizon - t)
             if not keep.all():
                 pos, alive, open_, live = _keep_rows(keep, axes, pos, alive, open_, live)
             n = len(alive[0])
@@ -352,6 +342,7 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
                 for off, a in zip(offs, axes):
                     p[a] = p[a] + off[-1]
                 alive[si] &= ~hit
+            t += blk
             # bound only the rows still alive from some start
             keep = np.logical_or.reduce(alive)
             if not keep.all():
