@@ -2,20 +2,19 @@
 
 When the support lies in {(-1,1), (1,-1), (1,0), (0,1), (1,1)} the zero
 curve of the kernel is rational: there are constants a, b, c, b_hat,
-c_hat and a multiplier rho > 1 such that
+c_hat and a multiplier rho > 1 such that, with D = b^2 - a c and
+D_hat = b_hat^2 - a c_hat,
 
-    1/alpha(s) = (sqrt(D_a) / 2a) (s + 1/s)          + B_a / a
-    1/beta(s)  = (sqrt(D_b) / 2a) (rho s + 1/(rho s)) + B_b / a
+    1/alpha(s) = (sqrt(D_hat) / 2a) (s + 1/s)         + b_hat / a
+    1/beta(s)  = (sqrt(D) / 2a) (rho s + 1/(rho s))    + b / a
 
 sweep the curve as s varies, with the switching chain realized by
 s -> rho^2 s and the two root involutions by s -> 1/s and
-s -> 1/(rho^2 s).  Which of the constant pairs (b, b^2-ac) and
-(b_hat, b_hat^2 - a c_hat) feeds alpha and which feeds beta is not taken
-on faith: ``compute_params`` probes both assignments against the kernel
-and keeps the one that annihilates it (for x/y-symmetric models the two
-coincide).  A stay-put step only rescales time and is removed before the
-constants are computed; the curve, and hence the parameterization, is
-unchanged by that rescale.
+s -> 1/(rho^2 s).  The kernel K = alpha beta (sum p alpha^i beta^j - 1)
+decides which pair feeds alpha: as a quadratic in beta its discriminant
+is alpha^4 (a w^2 - 2 b_hat w + c_hat) with w = 1/alpha, which the form
+of 1/alpha(s) turns into alpha^4 (D_hat / 4a) (s - 1/s)^2, a square, so
+beta is rational in s; swapping the roles gives beta the pair (b, D).
 """
 
 from __future__ import annotations
@@ -51,12 +50,11 @@ class UniformizationParams:
     rho: float
     disc: float  # b^2 - a c > 0
     disc_hat: float  # b_hat^2 - a c_hat > 0
-    alpha_uses_hat: bool  # probe result: which constant pair feeds alpha
     p00: float  # stay-put mass removed by the time rescale
 
 
 def compute_params(dist: StepDistribution) -> UniformizationParams:
-    """Constants of the rational parameterization, probe-verified.
+    """Constants of the rational parameterization, checked on the kernel.
 
     Requires a valid small-step model.  Stay-put mass is removed by the
     time rescale p_s / (1 - p00), which leaves the kernel's zero set and
@@ -88,50 +86,31 @@ def compute_params(dist: StepDistribution) -> UniformizationParams:
         raise SolverError("discriminants of the parameterization not positive")
     rho = math.sqrt((1.0 + math.sqrt(a)) / (1.0 - math.sqrt(a)))
 
-    # Probe both constant assignments against the kernel; exactly one
-    # annihilates it for asymmetric models, both (identically) for
-    # symmetric ones.
-    best = None
-    for uses_hat in (True, False):
-        cand = UniformizationParams(
-            a=a, b=b, c=c, b_hat=b_hat, c_hat=c_hat, rho=rho,
-            disc=disc, disc_hat=disc_hat, alpha_uses_hat=uses_hat, p00=p00,
-        )
-        worst = 0.0
-        for s in (0.31, 0.57, 0.88, 1.0, 1.45, 2.3, 3.7):
-            alpha = alpha_of_s(cand, s)
-            beta = beta_of_s(cand, s)
-            worst = max(worst, abs(kernel_eval(dist, alpha, beta)))
-        if worst <= 1e-10:
-            best = cand
-            break
-    if best is None:
-        raise SolverError(
-            "neither constant assignment of the rational parameterization "
-            "annihilates the kernel; model outside the supported class?"
-        )
-    return best
+    params = UniformizationParams(
+        a=a, b=b, c=c, b_hat=b_hat, c_hat=c_hat, rho=rho,
+        disc=disc, disc_hat=disc_hat, p00=p00,
+    )
+    for s in (0.31, 0.57, 0.88, 1.0, 1.45, 2.3, 3.7):
+        if abs(kernel_eval(dist, alpha_of_s(params, s), beta_of_s(params, s))) > 1e-10:
+            raise SolverError(
+                f"the rational parameterization misses the kernel at s = {s!r}"
+            )
+    return params
 
 
 def _inv_alpha(params: UniformizationParams, s: float) -> float:
     if s == 0.0:
         raise ZeroDivisionError("parameterization pole at s = 0")
-    if params.alpha_uses_hat:
-        return (math.sqrt(params.disc_hat) / (2.0 * params.a)) * (s + 1.0 / s) \
-            + params.b_hat / params.a
-    return (math.sqrt(params.disc) / (2.0 * params.a)) * (s + 1.0 / s) \
-        + params.b / params.a
+    return (math.sqrt(params.disc_hat) / (2.0 * params.a)) * (s + 1.0 / s) \
+        + params.b_hat / params.a
 
 
 def _inv_beta(params: UniformizationParams, s: float) -> float:
     t = params.rho * s
     if t == 0.0:
         raise ZeroDivisionError("parameterization pole at s = 0")
-    if params.alpha_uses_hat:
-        return (math.sqrt(params.disc) / (2.0 * params.a)) * (t + 1.0 / t) \
-            + params.b / params.a
-    return (math.sqrt(params.disc_hat) / (2.0 * params.a)) * (t + 1.0 / t) \
-        + params.b_hat / params.a
+    return (math.sqrt(params.disc) / (2.0 * params.a)) * (t + 1.0 / t) \
+        + params.b / params.a
 
 
 def alpha_of_s(params: UniformizationParams, s: float) -> float:
