@@ -177,14 +177,14 @@ def _batch_sizes(n_paths: int):
     return sizes
 
 
-def _check_stream_inputs(dist, points, horizon: int, seed: int, n_paths: int) -> None:
+def _check_stream_inputs(steps, points, horizon: int, seed: int, n_paths: int) -> None:
     """Reject empty runs, seeds that Philox keying would alias and points
     whose reachable positions would overflow int32."""
     if n_paths < 1 or horizon < 1:
         raise ValueError("n_paths and horizon must be >= 1")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    reach = horizon * max(max(abs(di), abs(dj)) for di, dj in dist.steps)
+    reach = horizon * int(np.abs(steps).max())
     for p in points:
         if max(abs(p[0]), abs(p[1])) + reach >= _POSITION_LIMIT:
             raise ValueError(
@@ -196,8 +196,7 @@ def _check_stream_inputs(dist, points, horizon: int, seed: int, n_paths: int) ->
 class _StepSampler:
     """One call's step source: int8 code tables and a reused uniform buffer."""
 
-    def __init__(self, dist, twist, n_paths: int, horizon: int):
-        steps, probs = _twisted_probs(dist, twist)
+    def __init__(self, steps, probs, n_paths: int, horizon: int):
         accept, alias = _alias_table(probs)
         self.k = len(probs)
         self.accept = accept
@@ -243,11 +242,12 @@ def _keep_rows(keep, axes, pos, alive, open_, live):
     )
 
 
-def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
+def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
           axes=(0, 1)):
     """One batched walk from every start at once, stopped per target.
 
-    A target is a lattice point, whose visits before absorption are
+    Steps are drawn from ``probs`` on ``steps``, as _twisted_probs gives
+    them.  A target is a lattice point, whose visits before absorption are
     counted, or None, which counts nothing (survival uses one).
     ``bound(pos, ti)``, with ``pos`` a start's [x, y] row arrays, bounds
     per row what a row there can still add to target ti: its further
@@ -256,12 +256,13 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
 
     Blocks are _BLOCK steps long, after those of _SURVIVAL_RAMP when no
     target is a point.  Every block draws only for the live rows, and
-    all starts of a row share its draws.  After every block, the last
-    included, a row retires from target ti once its bound times
-    weights[si][ti] is below _RETIRE_EPS from every start still alive in
-    it; from then on it adds no visit to ti.  A row absorbed from every
-    start is dropped before it is bounded, and one retired from every
-    target before the next block.
+    all starts of a row share its draws, but a visit from a start counts
+    only at the steps the row takes alive from it, none once absorbed.
+    After every block, the last included, a row retires from target ti
+    once its bound times weights[si][ti] is below _RETIRE_EPS from every
+    start still alive in it; from then on it adds no visit to ti.  A row
+    absorbed from every start is dropped before it is bounded, and one
+    retired from every target before the next block.
 
     Returns (sums, sumsqs, crosses, open_counts, bounds, survived), each
     reduced in batch order:
@@ -279,9 +280,9 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
     """
     points = [ti for ti, y in enumerate(targets) if y is not None]
     _check_stream_inputs(
-        dist, list(starts) + [targets[ti] for ti in points], horizon, seed, n_paths
+        steps, list(starts) + [targets[ti] for ti in points], horizon, seed, n_paths
     )
-    sampler = _StepSampler(dist, twist, n_paths, horizon)
+    sampler = _StepSampler(steps, probs, n_paths, horizon)
     n_starts = len(starts)
     grid = lambda: [[[] for _ in targets] for _ in starts]
     sums, sumsqs, bounds, open_parts = grid(), grid(), grid(), grid()
@@ -319,23 +320,16 @@ def _walk(dist, starts, targets, weights, bound, horizon, seed, n_paths, twist,
                 if points:
                     (off_x, off_y), (x0, y0) = offs, p
                     # steps of this block each row takes alive: those
-                    # before its first boundary point
-                    n_ok = np.full(n, blk)
+                    # before its first boundary point, none if absorbed before
+                    n_ok = np.where(alive[si], blk, 0)
                     h = np.flatnonzero(hit)
                     if len(h):
                         bnd = (off_x[:, h] <= -x0[h]) | (off_y[:, h] <= -y0[h])
                         n_ok[h] = bnd.argmax(axis=0)
-                    # match the targets only in the rows alive from this start
-                    cols = None if alive[si].all() else np.flatnonzero(alive[si])
-                    ox, oy, ax, ay = (off_x, off_y, x0, y0) if cols is None else (
-                        off_x.take(cols, axis=1), off_y.take(cols, axis=1),
-                        x0[cols], y0[cols])
-                    for ti in points if len(ax) else ():
+                    for ti in points:
                         yx, yy = targets[ti]
-                        at = (ox == yx - ax) & (oy == yy - ay)
-                        c, r = np.divmod(np.flatnonzero(at), len(ax))
-                        if cols is not None:
-                            r = cols[r]
+                        at = (off_x == yx - x0) & (off_y == yy - y0)
+                        c, r = np.divmod(np.flatnonzero(at), n)
                         r = r[(c < n_ok[r]) & open_[ti][r]]
                         if len(r):
                             visits[si][ti] += np.bincount(live[r], minlength=rows)
@@ -386,8 +380,8 @@ def _survival_estimate(dist, start, cfg: SimConfig, axes) -> SimEstimate:
     roots = dict(zip(axes, _exit_roots(steps, probs, axes)))
     bound = lambda p, ti: np.minimum(sum(roots[a] ** p[a] for a in axes), 1.0)
     _, _, _, open_counts, bounds, survived = _walk(
-        dist, [start], [None], [[1.0]], bound, cfg.horizon, cfg.seed,
-        cfg.n_paths, cfg.twist, axes,
+        steps, probs, [start], [None], [[1.0]], bound, cfg.horizon, cfg.seed,
+        cfg.n_paths, axes,
     )
     n = cfg.n_paths
     p = survived[0] / n
@@ -447,16 +441,12 @@ def _visit_bounds(steps, probs):
     l it returns with probability at most p0 + p_-1 + sum_{d>=1} p_d c^d
     = 1 - p_-1 (1/c - 1), so it visits l at most c / (p_-1 (1 - c))
     times (gambler's ruin for a left-continuous walk, Feller vol. 1,
-    ch. XIV).  An axis whose drift is <= 0 gives no bound (g = inf); one
-    that never steps down never returns from above l (c = 0) and stays
-    at l for 1 / (1 - p0) steps on average.
+    ch. XIV).  An axis whose drift is <= 0 gives no bound (g = inf).
     """
     out = []
     for a, c in enumerate(_exit_roots(steps, probs, (0, 1))):
         if c == 1.0:
             g = math.inf
-        elif c == 0.0:
-            g = 1.0 / (1.0 - float(probs[steps[:, a] == 0].sum()))
         else:
             g = c / (float(probs[steps[:, a] == -1].sum()) * (1.0 - c))
         out.append((c, g))
@@ -489,7 +479,7 @@ def _visit_walk(dist, starts, ys, weights, horizon, cfg: SimConfig):
     singular = bool((steps.sum(axis=1) >= 0).all())
     bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti], singular)
     return _walk(
-        dist, starts, ys, weights, bound, horizon, cfg.seed, cfg.n_paths, cfg.twist
+        steps, probs, starts, ys, weights, bound, horizon, cfg.seed, cfg.n_paths
     )
 
 
@@ -708,7 +698,7 @@ def _exit_root(steps, probs, axis: int) -> float:
     with psi(c) <= 0, psi evaluated exactly in Fraction on the float
     probabilities, so c^z bounds the exit chance of the float law.
     Returns 1.0 when the drift on the axis is <= 0 (descent is then
-    certain) and 0.0 when the coordinate never steps down.
+    certain); every valid law, twisted or not, steps down on both axes.
     """
     marg = _marginal(steps, probs, axis)
     section = StepDistribution(
@@ -717,8 +707,6 @@ def _exit_root(steps, probs, axis: int) -> float:
     mu = log_kernel_grad(section, 0.0, 0.0)[0]
     if mu <= 1e-12:
         return 1.0
-    if marg.get(-1, 0) <= 0:
-        return 0.0
 
     excess = float(sum(marg.values()) - 1)  # the float law need not sum to 1
     f = lambda t: log_kernel_eval(section, t, 0.0) + excess
@@ -754,8 +742,7 @@ def skipfree_exit_root(
     chance of ever reaching the horizontal axis from height z is c^z,
     where c solves sum_j P(dj = j) c^j = 1 on (0, 1); the float returned
     is the least one at or above that root.  Returns 1.0 when
-    the vertical drift is <= 0 (descent is then certain) and 0.0 in the
-    degenerate case of no downward step at all.
+    the vertical drift is <= 0 (descent is then certain).
     """
     require_valid(dist)
     steps, probs = _twisted_probs(dist, twist)

@@ -520,7 +520,7 @@ class TestStepSampler:
             "all_five_twisted": (
                 all_five, cramer_transform(all_five_geom, (0.8, 0.6))),
         }[law]
-        sampler = _StepSampler(dist, twist, 300, 200)
+        sampler = _StepSampler(*_twisted_probs(dist, twist), 300, 200)
         assert sampler.trivial == (law == "fib")
         # subset: a draw for fewer rows than the sampler was sized for, as
         # once the engines have dropped rows
