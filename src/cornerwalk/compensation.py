@@ -32,7 +32,6 @@ from .curve import (
     g_hat,
     f_tilde,
     g_tilde,
-    in_G0,
     _slope,
 )
 from .model import log_kernel_eval
@@ -240,13 +239,11 @@ def build_sequence(
     # Key on the exact bits: -0.0 == 0.0, but the two snap apart.
     key = (a0.hex(), b0.hex())
     if key not in geom._chains:  # a start that fails the gate is never stored
-        if not in_G0(geom, (a0, b0), tol_perp=1e-7):
-            raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
         # Snap exactly onto whichever graph piece the start sits on, so the
         # switching recursion does not inherit the caller's rounding.
         snapped = _snap_to_G0(geom, a0, b0)
-        if snapped is None:  # unreachable after the in_G0 gate, kept as a tripwire
-            raise ValueError(f"start {start!r} matches neither graph piece of G0")
+        if snapped is None:
+            raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
         geom._chains[key] = (snapped, snapped[:1], snapped[1:], (), ())
     (a0, b0), a_up, b_up, a_dn, b_dn = geom._chains[key]
 

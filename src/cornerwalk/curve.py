@@ -412,16 +412,12 @@ def cramer_transform(geom: CurveGeometry, u) -> CramerData:
     if abs(residual) > 1e-9:
         raise SolverError(f"twist point off the curve (residual {residual!r})")
 
+    # the twisted law's first and second moments are G's derivatives at phi
     mu1, mu2 = log_kernel_grad(geom.dist, px, py)
-    terms11, terms12, terms22 = [], [], []
-    for (di, dj), p in zip(geom.dist.steps, geom.dist.probs):
-        w = p * math.exp(di * px + dj * py)
-        terms11.append(di * di * w)
-        terms12.append(di * dj * w)
-        terms22.append(dj * dj * w)
-    s11 = math.fsum(terms11) - mu1 * mu1
-    s12 = math.fsum(terms12) - mu1 * mu2
-    s22 = math.fsum(terms22) - mu2 * mu2
+    m11, m12, m22 = log_kernel_hess(geom.dist, px, py)
+    s11 = m11 - mu1 * mu1
+    s12 = m12 - mu1 * mu2
+    s22 = m22 - mu2 * mu2
     return CramerData(
         u=(u1, u2),
         phi=(px, py),
