@@ -320,9 +320,6 @@ def cmd_green_scan(args) -> int:
     )
     body = ["quantity,value,std_error,n_paths,horizon,seed"]
     for p in pts:
-        horizon = args.horizon if args.horizon is not None else mc._default_horizon(
-            (args.x[0], args.x[1]), p.y
-        )
         body.append(
             ",".join(
                 [
@@ -330,7 +327,7 @@ def cmd_green_scan(args) -> int:
                     _fmt(p.value),
                     _fmt(p.std_error),
                     str(args.n_paths),
-                    str(horizon),
+                    str(p.horizon),
                     str(args.seed),
                 ]
             )

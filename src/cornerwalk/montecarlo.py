@@ -129,6 +129,7 @@ class ScanPoint:
     norm: float  # |y|, the abscissa of the scan
     value: float  # sqrt(|y|)-scaled, twist-corrected Green value
     std_error: float
+    horizon: int  # steps simulated: cfg.horizon, or 10 * |y - x|_1 if None
 
 
 def _twisted_probs(dist: StepDistribution, twist: CramerData | None):
@@ -657,6 +658,7 @@ def green_direction_scan(
                 norm=ny,
                 value=corr * est.mean,
                 std_error=corr * est.std_error,
+                horizon=est.horizon,
             )
         )
     return out

@@ -146,6 +146,15 @@ class TestEscape:
         assert body_value(out, "escape_probability") == "0"
         assert body_value(out, "terms_used") == "0"
 
+    def test_boundary_mc_check_is_exact_zero(self, capsys, paths):
+        # an absorbed start is not simulated: its Monte Carlo value is 0 too
+        code, out, _ = run(
+            capsys, "escape", paths["fib"], "0", "3", "--mc-check", "64", "10", "1",
+        )
+        assert code == 0
+        assert body_value(out, "mc_mean") == "0"
+        assert body_value(out, "mc_verdict") == "agree"
+
     def test_mc_check_agrees(self, capsys, paths):
         code, out, _ = run(
             capsys, "escape", paths["fib"], "1", "1",
@@ -386,7 +395,17 @@ class TestGreenScan:
         assert rows[1][0] == "scaled_green_4_4"
         assert rows[2][0] == "scaled_green_7_7"
         assert rows[1][4] == "60"  # 10 * |y - x|_1 for y = (4,4)
+        assert rows[2][4] == "120"
         assert float(rows[1][1]) > 0.0
+
+    def test_explicit_horizon_column(self, capsys, paths):
+        code, out, _ = run(
+            capsys, "green-scan", paths["fib"], "1", "1", "--u", "1", "1",
+            "--radii", "6,10", "--seed", "11", "--n-paths", "64",
+            "--horizon", "25",
+        )
+        assert code == 0
+        assert [row[4] for row in csv_rows(out)[1:]] == ["25", "25"]
 
     def test_bad_direction(self, capsys, paths):
         code, _, _ = run(

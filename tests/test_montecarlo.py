@@ -544,6 +544,12 @@ class TestDirectionScan:
             assert p.norm == pytest.approx(math.hypot(*p.y))
             assert p.value > 0.0
             assert p.std_error > 0.0
+            assert p.horizon == 10 * (p.y[0] - 1 + p.y[1] - 1)
+
+    def test_explicit_horizon_recorded(self, fib):
+        cfg = SimConfig(seed=11, n_paths=64, horizon=25)
+        pts = green_direction_scan(fib, (1, 1), (1.0, 1.0), [6, 10], cfg)
+        assert [p.horizon for p in pts] == [25, 25]
 
     def test_scaled_values_order_by_start(self, fib):
         cfg = SimConfig(seed=12, n_paths=100000)
