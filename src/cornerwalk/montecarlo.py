@@ -12,8 +12,13 @@ Steps are drawn through a Walker alias table and advanced in blocks:
 of 64 steps in visit runs (Green, Martin), and of 16, then 32, then 64
 for good in survival runs (escape, half plane), most of whose rows are
 absorbed within a few steps; the block that reaches the horizon is cut
-there.  Each block consumes exactly one ``rng.random((rows, blk))`` draw
-and turns every uniform u into one code per step: with v = u * K and
+there.  A block consumes the rows * blk uniforms that one
+``rng.random((rows, blk))`` draw would give, in the same row-major order:
+its rows are cut into contiguous shards, at most one per available core
+and none under 2**15 uniforms, drawn on their own threads, and each
+shard takes its uniforms from a copy of the batch's Philox stream jumped
+ahead to them, so the shard count changes no bit.  It
+turns every uniform u into one code per step: with v = u * K and
 k = floor(v), the code is 2k + (v - k < accept[k]), the alias decision
 written as an index.  Two int8 tables, one per coordinate, map a code
 to its step (entry 2k + 1 is step k, entry 2k its alias); when every
@@ -52,6 +57,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -194,8 +202,54 @@ def _check_stream_inputs(steps, points, horizon: int, seed: int, n_paths: int) -
             )
 
 
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_CORES = _available_cores()  # the most shards one block is split into
+_SHARD_MIN = 1 << 15  # uniforms per shard below which a block is not split
+_ALIAS_CHUNK = 1 << 14  # uniforms per pass of the alias compare
+_PHILOX_OUTPUTS = 4  # uint64 outputs per Philox counter step
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _shard_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _CORES - 1))
+        return _pool
+
+
+def _drop_shard_pool() -> None:
+    """A forked child inherits the executor but none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_shard_pool)
+
+
+def _jump(bit_gen, state, skip: int) -> None:
+    """Set the Philox ``bit_gen`` to ``state`` advanced by ``skip`` uint64
+    outputs: those still buffered, then whole counter steps (advance drops
+    the buffer), then the rest one by one."""
+    bit_gen.state = state
+    buffered = _PHILOX_OUTPUTS - state["buffer_pos"]
+    if skip > buffered:
+        steps, skip = divmod(skip - buffered, _PHILOX_OUTPUTS)
+        bit_gen.advance(steps)
+    bit_gen.random_raw(skip)
+
+
 class _StepSampler:
-    """One call's step source: int8 code tables and a reused uniform buffer."""
+    """One call's step source: int8 code tables, a reused uniform buffer
+    and a Philox generator for each extra shard of a block."""
 
     def __init__(self, steps, probs, n_paths: int, horizon: int):
         accept, alias = _alias_table(probs)
@@ -209,28 +263,77 @@ class _StepSampler:
             self.tables[:, 1::2] = steps.T  # code 2k + 1 -> step k
             self.tables[:, 0::2] = steps[alias].T  # code 2k -> alias of k
         self._u = np.empty(min(n_paths, BATCH_SIZE) * min(horizon, _BLOCK))
+        self._gens = []
 
     def offsets(self, rng, rows: int, blk: int, axes=(0, 1)):
         """Draw one block for ``rows`` rows; per axis, the (blk, rows)
-        int32 prefix sums of the steps, step t in row t."""
-        v = self._u[: rows * blk].reshape(rows, blk)
-        rng.random(out=v)
-        v *= self.k
-        code = v.astype(np.intp)
-        np.minimum(code, self.k - 1, out=code)
-        if not self.trivial:
-            v -= code  # v - k, exactly as the alias decision reads it
-            take = v < self.accept.take(code)
-            code *= 2
-            code += take
-        out = []
-        for a in axes:
-            off = np.empty((blk, len(code)), dtype=np.int32)
-            off[...] = self.tables[a].take(code).T
+        int32 prefix sums of the steps, step t in row t.
+
+        The rows are cut into up to _CORES contiguous shards of at least
+        _SHARD_MIN uniforms.  Shard 0 draws from ``rng`` in this thread,
+        each other one on the shard pool from a Philox copy jumped to its
+        first row, and ``rng`` then takes the last shard's end state, so
+        the uniforms and the state left are those of one serial draw.
+        Every large buffer is allocated here, before the shards start
+        (temporaries allocated on the pool threads raised peak memory),
+        and the running row adds stay here, after the join (as many
+        small calls per shard, they contend for the interpreter lock).
+        """
+        n = rows * blk
+        w = max(1, min(_CORES, n // _SHARD_MIN))
+        cuts = [rows * s // w for s in range(w + 1)]
+        code = np.empty(n, dtype=np.intp)
+        picked = np.empty(n, dtype=np.int8)  # alias decisions, then steps
+        # per shard, one chunk of the alias compare's accept[k]
+        acc = None if self.trivial else np.empty((w, min(n, _ALIAS_CHUNK)))
+        offs = [np.empty((blk, rows), dtype=np.int32) for _ in axes]
+
+        def shard(gen, s):
+            """Draw, alias-code and gather the steps of shard s into its
+            columns of ``offs``, writing only through ``out=``."""
+            r0, r1 = cuts[s], cuts[s + 1]
+            lo, hi = r0 * blk, r1 * blk
+            v, c, p = self._u[lo:hi], code[lo:hi], picked[lo:hi]
+            gen.random(out=v)
+            v *= self.k
+            c[...] = v
+            np.minimum(c, self.k - 1, out=c)
+            if not self.trivial:
+                v -= c  # v - k, exactly as the alias decision reads it
+                take, a_s = p.view(np.bool_), acc[s]
+                for i in range(0, hi - lo, len(a_s)):
+                    j = min(i + len(a_s), hi - lo)
+                    self.accept.take(c[i:j], out=a_s[: j - i], mode="clip")
+                    np.less(v[i:j], a_s[: j - i], out=take[i:j])
+                c *= 2
+                c += take
+            for off, a in zip(offs, axes):
+                # mode="clip" writes straight into ``out``; "raise" buffers it
+                self.tables[a].take(c, out=p, mode="clip")
+                off[:, r0:r1] = p.reshape(r1 - r0, blk).T
+
+        futures = []
+        if w > 1:
+            state = rng.bit_generator.state
+            while len(self._gens) < w - 1:
+                self._gens.append(np.random.Generator(np.random.Philox(0)))
+            pool = _shard_pool()
+            for s, gen in enumerate(self._gens[: w - 1], start=1):
+                _jump(gen.bit_generator, state, cuts[s] * blk)
+                futures.append(pool.submit(shard, gen, s))
+        try:
+            shard(rng, 0)
+        finally:
+            for f in futures:
+                f.result()
+        if w > 1:
+            end = self._gens[w - 2].bit_generator.state
+            end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+            rng.bit_generator.state = end
+        for off in offs:
             for t in range(1, blk):  # running row adds beat np.cumsum
                 np.add(off[t - 1], off[t], out=off[t])
-            out.append(off)
-        return out
+        return offs
 
 
 def _keep_rows(keep, axes, pos, alive, open_, live):

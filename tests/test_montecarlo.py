@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,6 +536,113 @@ class TestStepSampler:
             assert off.dtype == np.int32
             assert off.shape == (blk, rows)
             np.testing.assert_array_equal(off, r.T)
+
+
+@pytest.fixture
+def shards(monkeypatch):
+    """set(w, shard_min): cut each block into at most w row shards of at
+    least shard_min uniforms."""
+
+    def set_shards(w, shard_min=1):
+        monkeypatch.setattr(montecarlo, "_CORES", w)
+        monkeypatch.setattr(montecarlo, "_SHARD_MIN", shard_min)
+
+    return set_shards
+
+
+def philox_state(rng):
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+class TestSharding:
+    """A block's row shards draw from jumped Philox copies: the offsets,
+    and the state the stream is left in, are those of one serial draw."""
+
+    @pytest.mark.parametrize("law", ["fib", "all_five_twisted"])
+    # odd row counts; 37 * 5 and 13 * 3 uniforms are not whole Philox
+    # counter steps of 4, and 3 rows give shards without rows at w = 4
+    @pytest.mark.parametrize("rows, blk", [(37, 5), (101, 64), (13, 3), (3, 2)])
+    def test_offsets_do_not_depend_on_shards(self, fib, all_five, all_five_geom,
+                                             shards, law, rows, blk):
+        dist, twist = {
+            "fib": (fib, None),
+            "all_five_twisted": (
+                all_five, cramer_transform(all_five_geom, (0.8, 0.6))),
+        }[law]
+        steps, probs = _twisted_probs(dist, twist)
+
+        def draw(w, pre, half):
+            shards(w)
+            sampler = _StepSampler(steps, probs, rows, blk)
+            rng = _batch_rng(5, 0)
+            rng.bit_generator.random_raw(pre)  # start at buffer position pre
+            if half:  # a 32-bit draw holds back the other half of its output
+                rng.integers(2**32, dtype=np.uint32)
+            offs = sampler.offsets(rng, rows, blk) + sampler.offsets(rng, rows - 1, blk)
+            return offs, philox_state(rng)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for pre, half in [(0, False), (1, False), (2, False), (3, False), (3, True)]:
+                ref, ref_state = draw(1, pre, half)
+                for w in (2, 3, 4):
+                    offs, state = draw(w, pre, half)
+                    for off, r in zip(offs, ref):
+                        np.testing.assert_array_equal(off, r)
+                    assert state == ref_state, (pre, half, w)
+        finally:
+            sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("w", [2, 3])
+    def test_estimates_do_not_depend_on_workers(self, fib, all_five, all_five_geom,
+                                                shards, w):
+        twist = cramer_transform(all_five_geom, (0.8, 0.6))
+        runs = [
+            lambda: estimate_escape(fib, (1, 1), SimConfig(seed=4, n_paths=8192,
+                                                           horizon=300)),
+            lambda: estimate_halfplane_survival(fib, 2, SimConfig(
+                seed=5, n_paths=4096, horizon=300)),
+            # two batches
+            lambda: estimate_green(all_five, (2, 2), (3, 3), SimConfig(
+                seed=6, n_paths=131072, horizon=6, twist=twist)),
+            lambda: martin_kernel_profile(all_five, (2, 3), [(6, 6), (9, 9)],
+                                          SimConfig(seed=7, n_paths=5000)),
+        ]
+        shards(1)
+        serial = [run() for run in runs]
+        # 256 uniforms a shard: every block but the smallest is cut
+        shards(w, 256)
+        assert [run() for run in runs] == serial
+
+    def test_forked_child_draws_the_same(self):
+        # a forked child inherits the shard pool but not its threads
+        script = textwrap.dedent("""
+            import os, signal
+            from cornerwalk import montecarlo
+            from cornerwalk.model import parse_model_text
+            from cornerwalk.montecarlo import SimConfig, estimate_escape
+
+            montecarlo._CORES, montecarlo._SHARD_MIN = 2, 256
+            fib = parse_model_text("1 1 1/3\\n1 -1 1/3\\n-1 1 1/3\\n")
+            run = lambda: estimate_escape(
+                fib, (1, 1), SimConfig(seed=3, n_paths=4096, horizon=200))
+            before = run()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                os._exit(0 if run() == before else 1)
+            _, status = os.waitpid(pid, 0)
+            raise SystemExit(os.waitstatus_to_exitcode(status))
+        """)
+        src = Path(montecarlo.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestDirectionScan:
