@@ -13,12 +13,12 @@ of 64 steps in visit runs (Green, Martin), and of 16, then 32, then 64
 for good in survival runs (escape, half plane), most of whose rows are
 absorbed within a few steps; the block that reaches the horizon is cut
 there.  A block consumes the rows * blk uniforms that one
-``rng.random((rows, blk))`` draw would give, in the same row-major order:
-its rows are cut into contiguous shards, at most one per available core
-and none under 2**15 uniforms, drawn on their own threads, and each
-shard takes its uniforms from a copy of the batch's Philox stream jumped
-ahead to them, so the shard count changes no bit.  It
-turns every uniform u into one code per step: with v = u * K and
+``rng.random((rows, blk))`` draw would give, in the same row-major
+order: its rows are cut into contiguous shards, at most one per
+available core and none under 2**15 uniforms, drawn on their own
+threads, and each shard takes its uniforms from a copy of the batch's
+Philox stream jumped ahead to them, so the shard count changes no bit.
+Every uniform u becomes one code per step: with v = u * K and
 k = floor(v), the code is 2k + (v - k < accept[k]), the alias decision
 written as an index.  Two int8 tables, one per coordinate, map a code
 to its step (entry 2k + 1 is step k, entry 2k its alias); when every
@@ -557,10 +557,28 @@ def _visit_bounds(steps, probs):
     return out
 
 
+class _Powers:
+    """Stands in for a root c in ``c ** k``, k a non-negative integer
+    array: gathers from a table of c ** arange(n), grown when a larger k
+    comes.  np.power fills it from the same operands, so a gathered power
+    has the bits of the direct one."""
+
+    def __init__(self, c: float):
+        self.c = c
+        self.table = np.empty(0)
+
+    def __pow__(self, k):
+        top = int(np.max(k, initial=0))
+        if top >= len(self.table):
+            self.table = self.c ** np.arange(max(top + 1, 2 * len(self.table)))
+        return self.table[k]
+
+
 def _visit_bound(axis_bounds, z, y, singular: bool):
     """Bound on the expected further visits to y of walks now at z: a
     visit needs both coordinates at y's levels, so the smaller of the two
-    axis bounds holds, and killing only removes visits.
+    axis bounds holds, and killing only removes visits.  Each axis's c is
+    a float or, per call of _visit_walk, its _Powers.
 
     ``singular`` says that no step of the law lowers x + y.  A walk then
     never returns below its anti-diagonal, so from z with
@@ -579,7 +597,7 @@ def _visit_walk(dist, starts, ys, weights, horizon, cfg: SimConfig):
     _visit_bound.  Twisting keeps the support, so whether the law is
     singular is decided once from its steps."""
     steps, probs = _twisted_probs(dist, cfg.twist)
-    axis_bounds = _visit_bounds(steps, probs)
+    axis_bounds = [(_Powers(c), g) for c, g in _visit_bounds(steps, probs)]
     singular = bool((steps.sum(axis=1) >= 0).all())
     bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti], singular)
     return _walk(

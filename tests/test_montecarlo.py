@@ -395,6 +395,21 @@ class TestVisitBound:
         assert _visit_bound(axis_bounds, z, y, False) == pytest.approx(ruin, rel=1e-15)
         assert ruin > 0.0
 
+    @pytest.mark.parametrize("law", ["fib", "all_five", "big_jump"])
+    def test_power_table_gives_the_direct_bits(self, request, law):
+        axis_bounds = _visit_bounds(*_twisted_probs(request.getfixturevalue(law), None))
+        tabled = [(montecarlo._Powers(c), g) for c, g in axis_bounds]
+        rng = np.random.default_rng(1)
+        # rising reach, so the tables grow between calls; then no rows
+        for top in (10, 300, 5000, 5000, 1):
+            z = [rng.integers(1, top + 1, 2000 if top > 1 else 0).astype(np.int32)
+                 for _ in range(2)]
+            for y, singular in [((3, 3), False), ((40, 7), True)]:
+                np.testing.assert_array_equal(
+                    _visit_bound(tabled, z, y, singular),
+                    _visit_bound(axis_bounds, z, y, singular),
+                )
+
     def test_martin_profile_draws_one_block_per_row(self, all_five, drawn_blocks):
         # nearly every row passes the targets' anti-diagonals within its
         # first block of 64 steps (1 338 304 row-steps without the cut);
