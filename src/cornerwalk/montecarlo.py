@@ -202,14 +202,9 @@ def _check_stream_inputs(steps, points, horizon: int, seed: int, n_paths: int) -
             )
 
 
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-_CORES = _available_cores()  # the most shards one block is split into
+# the most shards one block is cut into: the cores this process may run on
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 _SHARD_MIN = 1 << 15  # uniforms per shard below which a block is not split
 _ALIAS_CHUNK = 1 << 14  # uniforms per pass of the alias compare
 _PHILOX_OUTPUTS = 4  # uint64 outputs per Philox counter step
@@ -221,7 +216,7 @@ def _shard_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _CORES - 1))
+            _pool = ThreadPoolExecutor(_CORES - 1)  # shard 0 runs in the caller
         return _pool
 
 
