@@ -59,7 +59,6 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -208,14 +207,18 @@ _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _SHARD_MIN = 1 << 15  # uniforms per shard below which a block is not split
 _ALIAS_CHUNK = 1 << 14  # uniforms per pass of the alias compare
 _PHILOX_OUTPUTS = 4  # uint64 outputs per Philox counter step
-_pool: ThreadPoolExecutor | None = None
+_pool = None  # the shards' ThreadPoolExecutor, made on first use
 _pool_lock = threading.Lock()
 
 
-def _shard_pool() -> ThreadPoolExecutor:
+def _shard_pool():
     global _pool
     with _pool_lock:
         if _pool is None:
+            # imported here: concurrent.futures, with logging, adds about
+            # 7 ms to the import of cornerwalk
+            from concurrent.futures import ThreadPoolExecutor
+
             _pool = ThreadPoolExecutor(_CORES - 1)  # shard 0 runs in the caller
         return _pool
 
