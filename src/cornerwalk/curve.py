@@ -42,6 +42,7 @@ inverts the gradient direction map along the closed arc.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -294,7 +295,10 @@ def find_extrema(dist: StepDistribution, tol: float = 1e-12) -> CurveGeometry:
         # it turns negative left of the maximum, so expand left.
         k = 0 if axis == "x" else 1
         at = (lambda t, s: (t, s)) if k == 0 else (lambda t, s: (s, t))
-        peak = lambda t: _section_extreme_root(dist, t, "y" if k == 0 else "x", +1)
+        # memoized: ``_solve`` returns a point it evaluated, whose peak is held
+        peak = functools.cache(
+            lambda t: _section_extreme_root(dist, t, "y" if k == 0 else "x", +1)
+        )
         along = lambda t: log_kernel_grad(dist, *at(t, peak(t)))[k]
 
         def along_d(t: float) -> tuple[float, float]:
@@ -378,12 +382,19 @@ def cramer_transform(geom: CurveGeometry, u) -> CramerData:
     else:
         theta = math.atan2(u2, u1)
         dist = geom.dist
+        # memoized, so that the root ``_solve`` returns is not solved again
+        arc_point = functools.cache(lambda t: _arc_point(geom, t))
+
+        def gap(t: float) -> float:
+            # theta minus the gradient angle, increasing in t
+            gx, gy = log_kernel_grad(dist, *arc_point(t))
+            return theta - math.atan2(gy, gx)
 
         def angle_gap(t: float) -> tuple[float, float]:
-            # theta minus the gradient angle, increasing in t, and its
-            # derivative along the arc: the point moves by (dx, dy) per unit
-            # t, along the branch slope, and the gradient by H (dx, dy)
-            px, py = _arc_point(geom, t)
+            # the gap and its derivative along the arc: the point moves by
+            # (dx, dy) per unit t, along the branch slope, and the gradient
+            # by H (dx, dy)
+            px, py = arc_point(t)
             gx, gy = log_kernel_grad(dist, px, py)
             hxx, hxy, hyy = log_kernel_hess(dist, px, py)
             if t <= 1.0:
@@ -398,14 +409,14 @@ def cramer_transform(geom: CurveGeometry, u) -> CramerData:
                 (gy * dgx - gx * dgy) / (gx * gx + gy * gy),
             )
 
-        flo = angle_gap(0.0)[0]
-        fhi = angle_gap(2.0)[0]
+        flo = gap(0.0)
+        fhi = gap(2.0)
         if flo > 0.0:
             phi = (geom.x0, geom.f_at_x0)
         elif fhi < 0.0:
             phi = (geom.g_at_y0, geom.y0)
         else:
-            phi = _arc_point(geom, _solve(angle_gap, 0.0, 2.0, flo, fhi))
+            phi = arc_point(_solve(angle_gap, 0.0, 2.0, flo, fhi))
 
     px, py = phi
     residual = log_kernel_eval(geom.dist, px, py)

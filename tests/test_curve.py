@@ -292,8 +292,10 @@ class TestSolverWork:
         return count
 
     def test_find_extrema(self, pin_geom, calls):
+        # 310-438 calls on the five pin laws (438 for big_jump), with
+        # about 15% margin; each branch maximum solves its peak once
         find_extrema(pin_geom.dist)
-        assert calls[0] <= 1000
+        assert calls[0] <= 500
 
     def test_cramer_transform(self, pin_geom, calls):
         cramer_transform(pin_geom, (2, 1))
