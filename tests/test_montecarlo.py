@@ -552,6 +552,18 @@ class TestStepSampler:
             assert off.shape == (blk, rows)
             np.testing.assert_array_equal(off, r.T)
 
+    def test_code_stays_below_k(self):
+        # A Generator's largest uniform is (2**53 - 1) / 2**53, and
+        # (1 - 2**-53) * K rounds below K for every K, so offsets() casts
+        # u * K to at most K - 1 without a clamp.
+        top = 1.0 - 2.0**-53
+        assert top == np.nextafter(1.0, 0.0)
+        ks = np.arange(1, 4097)
+        v = np.full(len(ks), top)
+        v *= ks  # the product offsets() forms
+        assert (v < ks).all()
+        np.testing.assert_array_equal(v.astype(np.intp), ks - 1)
+
 
 @pytest.fixture
 def shards(monkeypatch):
