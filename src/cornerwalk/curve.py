@@ -5,7 +5,15 @@ strictly convex sum of exponentials whose derivative runs from -inf to
 +inf, so each section has exactly one minimizer and (when the section dips
 below zero) exactly two roots.
 
-Every scalar search on the curve is one chain of two primitives:
+The lower roots ``f_hat`` and ``g_hat``, which every switch of the
+compensation chain takes, have a closed form when every step moves the
+section's own coordinate by -1, 0 or +1: the section is then a quadratic
+in the exponential of that coordinate, and ``_small_step_lower_root``
+takes its smaller root without cancellation.  They fall back to the
+Newton solve below when the coordinate has a jump of 2, and near a branch
+maximum, where the two roots merge and the closed form would lose digits.
+
+Every other scalar search on the curve is one chain of two primitives:
 ``_bracket`` walks outward from a point whose value the caller already
 holds, doubling its step until the sign changes; ``_solve`` then runs a
 bracket-safeguarded Newton iteration (Press et al., *Numerical Recipes*,
@@ -16,8 +24,8 @@ two iterates agree to a few ulps, and returns only points it evaluated.
 A branch value solves the increasing derivative of its section (with the
 second derivative) for the section minimizer, then the section itself
 (with its derivative) for the requested root.  ``find_extrema`` solves
-the cross partial along a branch, where every probe is one section root,
-and ``cramer_transform`` solves the gradient angle along the arc.
+the cross partial along a branch, where every probe is one upper section
+root, and ``cramer_transform`` solves the gradient angle along the arc.
 
 ``montecarlo._exit_root`` runs the same chain on the kernel section of
 one coordinate's marginal in t = log c, then rounds exp(t) up to a float
@@ -210,6 +218,48 @@ def _section_extreme_root(dist, fixed: float, axis: str, side: int) -> float:
     return _solve(lambda t: (fun(t), dfun(t)), *_bracket(fun, tmin, fmin, side, 0.25))
 
 
+# a discriminant at most this share of (1 - B)**2 lies near a branch
+# maximum, where the two roots merge and the closed form loses digits
+_MERGE_DISC = 0.01
+
+
+def _small_step_lower_root(dist, fixed: float, axis: str) -> float | None:
+    """Lower root of the ``axis``-section in closed form, or None.
+
+    When every step moves the section's own coordinate by -1, 0 or +1,
+    the section in Z = e^t is A*Z**2 - (1 - B)*Z + C = 0, where A, B and C
+    are the masses of the +1, 0 and -1 steps, each weighted by
+    exp(d_s*fixed) for its move d_s along the fixed coordinate.  The lower
+    root is then 2C / ((1 - B) + sqrt(disc)), a form free of cancellation,
+    and 1 - B is summed as sum_{d!=0} p - sum_{d=0} p*expm1(d_s*fixed), the
+    way ``log_kernel_eval`` sums G.  The discriminant is not formed as
+    (1 - B)**2 - 4AC, which cancels near a branch maximum, but as
+    -G(t_min) * ((1 - B) + 2 sqrt(AC)) at the section minimizer
+    t_min = log(C/A) / 2, with G from ``log_kernel_eval``.  None (solve by
+    Newton instead) for a jump of 2 along the axis, an exponent past the
+    kernel's saturation at 600, or a discriminant within _MERGE_DISC of a
+    double root.
+    """
+    k = 1 if axis == "y" else 0
+    a, c, q = [], [], []
+    for step, p in zip(dist.steps, dist.probs):
+        d, e = step[k], step[1 - k] * fixed
+        if d not in (-1, 0, 1) or abs(e) > 600.0:
+            return None
+        if d:
+            q.append(p)
+            (a if d > 0 else c).append(p * math.exp(e))
+        else:
+            q.append(-p * math.expm1(e))
+    a, c, q = math.fsum(a), math.fsum(c), math.fsum(q)
+    t_min = 0.5 * (math.log(c) - math.log(a))
+    g_min = log_kernel_eval(dist, *((fixed, t_min) if k else (t_min, fixed)))
+    disc = -g_min * (q + 2.0 * math.sqrt(a) * math.sqrt(c))
+    if q <= 0.0 or disc <= _MERGE_DISC * q * q:
+        return None
+    return math.log(2.0 * c / (q + math.sqrt(disc)))
+
+
 # ---------------------------------------------------------------------------
 # public branch functions
 
@@ -220,11 +270,18 @@ def _branch(
     """Upper (+1) or lower (-1) root of the ``axis``-section at t.
 
     t must lie in [lo, hi] up to geom.tol; it is clamped into the interval.
+    A lower root is taken in closed form where ``_small_step_lower_root``
+    gives one.
     """
     if t < lo - geom.tol or t > hi + geom.tol:
         var = "x" if axis == "y" else "y"
         raise ValueError(f"{name} defined for {var} in [{lo!r}, {hi!r}], got {t!r}")
-    return _section_extreme_root(geom.dist, min(max(t, lo), hi), axis, side)
+    fixed = min(max(t, lo), hi)
+    if side < 0:
+        root = _small_step_lower_root(geom.dist, fixed, axis)
+        if root is not None:
+            return root
+    return _section_extreme_root(geom.dist, fixed, axis, side)
 
 
 def f_branch(geom: CurveGeometry, x: float) -> float:

@@ -216,6 +216,18 @@ class TestEscapeProbability:
         with pytest.raises(ValueError, match="2\\*\\*53"):
             harmonic_eval(seq, 1, 10**400)
 
+    def test_fibonacci_matches_exact_values(self, fib_geom):
+        # every chain value from f_hat and g_hat, most in closed form;
+        # 1.2e-15 is what the Newton solves of tool_version 0.6.0 reached.
+        # The exact series past 16 terms a side adds less than 1e-26.
+        worst = max(
+            abs(Fraction(escape_probability(fib_geom, i, j).value)
+                / fib_escape_exact(i, j, nterms=16) - 1)
+            for i in range(1, 25)
+            for j in range(1, 25)
+        )
+        assert worst <= 1.2e-15
+
     def test_two_term_asymptote(self, fib_geom):
         # at (50,50) everything but the first alternation is negligible:
         # h = 1 - 2 (1/2)^50 + O(F5^-50)

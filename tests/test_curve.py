@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cornerwalk import curve
 from cornerwalk.curve import (
+    _section_extreme_root,
     _slope,
+    _small_step_lower_root,
     cramer_transform,
     f_branch,
     f_hat,
@@ -18,6 +21,7 @@ from cornerwalk.curve import (
 )
 from cornerwalk.model import (
     InvalidModelError,
+    StepDistribution,
     drift,
     log_kernel_eval,
     parse_model_text,
@@ -313,3 +317,100 @@ class TestSolverWork:
             g_tilde(g, g.g_at_y0 * k / 20)
             solves += 6
         assert calls[0] <= 60 * solves
+
+
+# ROADMAP item 2's asymmetric small-step law, with a stay-put step
+ASYMMETRIC_TEXT = "1 0 3/8\n0 0 1/8\n1 -1 1/8\n-1 1 1/4\n0 1 1/8\n"
+# closed form against the Newton solve, in ulps of the Newton root
+CLOSED_FORM_ULPS = 16
+
+
+def lower_root_gaps(geom, axis):
+    """Closed-form against Newton lower roots on a 0.02 grid over 8 units
+    below the branch top of ``axis``: (worst gap in ulps, points taken in
+    closed form, points on the grid)."""
+    top = geom.f_at_x0 if axis == "x" else geom.g_at_y0
+    worst, taken = 0.0, 0
+    for k in range(401):
+        s = top - 0.02 * k
+        root = _small_step_lower_root(geom.dist, s, axis)
+        if root is None:
+            continue
+        taken += 1
+        newton = _section_extreme_root(geom.dist, s, axis, -1)
+        worst = max(worst, abs(root - newton) / math.ulp(newton))
+    return worst, taken, 401
+
+
+@st.composite
+def small_step_laws(draw):
+    """Singular small-step laws with drift into the quadrant and
+    probabilities of denominator at most 30."""
+    weights = {(1, -1): draw(st.integers(1, 5)), (-1, 1): draw(st.integers(1, 5))}
+    for step in ((1, 1), (1, 0), (0, 1), (0, 0)):
+        weights[step] = draw(st.integers(0, 5))
+    m1 = weights[(1, 1)] + weights[(1, 0)] + weights[(1, -1)] - weights[(-1, 1)]
+    m2 = weights[(1, 1)] + weights[(0, 1)] + weights[(-1, 1)] - weights[(1, -1)]
+    assume(m1 > 0 and m2 > 0)
+    total = sum(weights.values())
+    return StepDistribution.from_pairs(
+        {step: Fraction(w, total) for step, w in weights.items()}
+    )
+
+
+class TestClosedFormLowerRoot:
+    """f_hat and g_hat take the lower root of a small-step section in
+    closed form; it must agree with the Newton solve it replaces."""
+
+    @pytest.mark.parametrize("law,axes", [
+        ("fib", "xy"), ("all_five", "xy"), ("diag_heavy", "xy"),
+        ("lopsided", "y"), ("asymmetric", "xy"),
+    ])
+    def test_agrees_with_newton(self, request, law, axes):
+        if law == "asymmetric":
+            geom = find_extrema(parse_model_text(ASYMMETRIC_TEXT))
+        else:
+            geom = request.getfixturevalue(f"{law}_geom")
+        for axis in axes:
+            worst, taken, points = lower_root_gaps(geom, axis)
+            assert worst <= CLOSED_FORM_ULPS, (law, axis, worst)
+            # only the few points next to the branch top fall back
+            assert taken >= 0.9 * points, (law, axis, taken)
+
+    @settings(deadline=None, max_examples=25)
+    @given(small_step_laws())
+    def test_agrees_with_newton_on_random_laws(self, dist):
+        geom = find_extrema(dist)
+        for axis in "xy":
+            worst, taken, points = lower_root_gaps(geom, axis)
+            assert worst <= CLOSED_FORM_ULPS, (dist.steps, dist.exact, axis, worst)
+            assert taken >= 0.9 * points, (dist.steps, dist.exact, axis, taken)
+
+    def test_branch_uses_it(self, all_five_geom):
+        g = all_five_geom
+        for s in (-0.75, -3.0):
+            assert f_hat(g, s) == _small_step_lower_root(g.dist, s, "x")
+            assert g_hat(g, s) == _small_step_lower_root(g.dist, s, "y")
+
+    def test_branch_top_goes_to_newton(self, pin_geom):
+        g = pin_geom
+        assert _small_step_lower_root(g.dist, g.f_at_x0, "x") is None
+        assert _small_step_lower_root(g.dist, g.g_at_y0, "y") is None
+        assert f_hat(g, g.f_at_x0) == _section_extreme_root(
+            g.dist, g.f_at_x0, "x", -1)
+        assert g_hat(g, g.g_at_y0) == _section_extreme_root(
+            g.dist, g.g_at_y0, "y", -1)
+
+    def test_fibonacci_branch_top_is_x0(self, fib_geom):
+        assert f_hat(fib_geom, fib_geom.f_at_x0) == fib_geom.x0
+        assert g_hat(fib_geom, fib_geom.g_at_y0) == fib_geom.y0
+
+    @pytest.mark.parametrize("law,axes", [("big_jump", "xy"), ("lopsided", "x")])
+    def test_jump_of_two_goes_to_newton(self, request, law, axes):
+        g = request.getfixturevalue(f"{law}_geom")
+        for axis in axes:
+            hat = f_hat if axis == "x" else g_hat
+            for k in range(0, 401, 20):
+                s = -0.02 * k
+                assert _small_step_lower_root(g.dist, s, axis) is None
+                assert hat(g, s) == _section_extreme_root(g.dist, s, axis, -1)
