@@ -2,8 +2,10 @@
 
 Every Monte Carlo estimate is a function of the seed and the code alone:
 each 65536-path batch owns a Philox substream, every block consumes
-exactly one ``rng.random((rows, blk))`` draw, and every uniform picks
-its step by the same Walker alias decision.  Visit runs draw blocks of
+the rows * blk uniforms of one ``rng.random((rows, blk))`` draw in the
+same row-major order (drawn in row shards from Philox copies jumped
+ahead to them, which moves no bit), and every uniform picks its step by
+the same Walker alias decision.  Visit runs draw blocks of
 64 steps; escape and survival runs draw 16, then 32, then 64 for good;
 the block that reaches the horizon is cut there.  One engine
 runs every estimator.  After every block, the last included, a row
@@ -35,7 +37,11 @@ stops drawing sooner, so the rows left get other draws and rows retire
 at other block ends.  The five escape and survival pins moved, and so
 did the ``escape --mc-check`` and ``simulate survival`` digests; every
 visit pin stayed, and the other three digests moved only through the
-version line.  A rewrite of the step engine may change array layouts but must leave these
+version line.  With 0.7.0 the lower roots of the compensation chain are
+taken in closed form: no draw moved, but the series value that
+``escape --mc-check`` prints moved in its last digits, and with it that
+digest; the other four digests moved only through the version line.
+A rewrite of the step engine may change array layouts but must leave these
 values (and the bytes the CLI prints) exactly as they are.  A change
 that is meant to alter the stream must say so and update the pins
 together with ``tool_version``.
@@ -252,13 +258,13 @@ CLI = {
 }
 
 CLI_SHA256 = {
-    "escape_mc_check": "2c8c44ccc94aad9d19c2ad963179a144be45f166b92b92b06da6fda466ffb35e",
+    "escape_mc_check": "a29b170d87b9be61d51523ca5bdc98b8f43c776b1fa14643cbd8ebe7a3b853fc",
     "simulate_green_twisted":
-        "ac97653b032792ab78f20214bcb78002f7f94a08e18a7c2b40c3f72b710cebfa",
+        "0f7fcb5035b8fc1b0a85f721b25b7fdf2718bdc74eb32b56fd98bb6a463bbbd1",
     "simulate_survival":
-        "aeaf3ed29ec45d5ce145dbcb7d36c671fd73b9cd0ad9d21a477bd5124bd16e6a",
-    "green_scan": "5c7c588bdfdf76fe4bfa20fd90e2fdf7ddcef152fe246cb2dbeb4bd32e61c3f6",
-    "simulate_martin": "181d8df3c51f550e62a29fc911020444297c79ccaab998e131c4c80264aa9cb2",
+        "26302eca022dd255cdad0c9646f8ca40dd0c95a85ddff9a2053ad7add485d661",
+    "green_scan": "8977e8355601ab96070717f246fc0bae7b11caebfed7a910cfa86f3ed0c22c82",
+    "simulate_martin": "f8985b428756f04c51818e5d121eb200e8c339480ca8d79791a1888c809fc64f",
 }
 
 
