@@ -294,7 +294,7 @@ class _StepSampler:
             v, c, p = self._u[lo:hi], code[lo:hi], picked[lo:hi]
             gen.random(out=v)
             v *= self.k
-            c[...] = v  # below k: see TestStepSampler.test_code_stays_below_k
+            c[...] = v  # u <= 1 - 2**-53, so u * k rounds below k
             if not self.trivial:
                 v -= c  # v - k, exactly as the alias decision reads it
                 take, a_s = p.view(np.bool_), acc[s]
