@@ -18,17 +18,28 @@ maximum, twist point and exit root kept its bits.
 
 Besides the four shared models the cases use one asymmetric law, so that
 a swap of the x and y sections cannot hide behind a symmetric model.
+
+The series outputs are pinned too: the harmonic values of one chain
+built for degree 2 at four points from degree 2 to 48, and the bytes
+of two CLI runs that print them, ``harmonic-table --bounds`` and a small
+``compare``.  The CLI digests also cover the tail-bound column and the
+``tool_version`` line of the manifest.
 """
 
+import contextlib
 import hashlib
+import io
+from pathlib import Path
 
 import pytest
 
+from cornerwalk.cli import main
 from cornerwalk.compensation import (
     boundary_harmonic,
     build_sequence,
     canonicalize_start,
     escape_probability,
+    harmonic_eval,
 )
 from cornerwalk.curve import (
     cramer_transform,
@@ -41,6 +52,7 @@ from cornerwalk.curve import (
 )
 from cornerwalk.montecarlo import _exit_root, _twisted_probs
 
+ROOT = Path(__file__).resolve().parent.parent
 DIRECTIONS = ((1, 3), (1, 1), (3, 1))
 TWISTS = ((2, 1), (1, 3))
 
@@ -217,3 +229,64 @@ def models(fib, all_five, diag_heavy, big_jump, lopsided):
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_solver_outputs_are_pinned(models, name):
     assert solver_outputs(models[name]) == PINS[name]
+
+
+# (1, 1), (7, 5), (20, 20) and (24, 1) on the chain from (0, 0) built
+# for degree 2 at the default tolerance
+HARMONIC_POINTS = ((1, 1), (7, 5), (20, 20), (24, 1))
+HARMONIC_PINS = {
+    "fib": (
+        "(0.17317888355122066, 0.9609403999604266, 0.9999980926513672, "
+        "0.4999999523162842)"
+    ),
+    "all_five": (
+        "(0.3822012585537467, 0.9954275275888068, 0.9999999994264056, "
+        "0.6666666666633984)"
+    ),
+    "diag_heavy": (
+        "(0.8195600312502623, 0.9999937394709576, 1.0, 0.9090909090909091)"
+    ),
+    "big_jump": (
+        "(0.4611009960272348, 0.9981173992063691, 0.9999999999814544, "
+        "0.7192235935955297)"
+    ),
+    "lopsided": (
+        "(0.20501380353931684, 0.9666580918159279, 0.9999990242208987, "
+        "0.4999999994282395)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARMONIC_PINS))
+def test_harmonic_values_are_pinned(models, name):
+    seq = build_sequence(find_extrema(models[name]), (0.0, 0.0), imin=2)
+    got = tuple(harmonic_eval(seq, i, j).value for i, j in HARMONIC_POINTS)
+    assert repr(got) == HARMONIC_PINS[name]
+
+
+SERIES_CLI = {
+    "harmonic_table": [
+        "harmonic-table", "models/fibonacci.txt", "--imax", "10", "--jmax",
+        "10", "--bounds",
+    ],
+    "compare": [
+        "compare", "models/fibonacci.txt", "3", "3", "--seed", "31",
+        "--n-paths", "2000", "--horizon", "100",
+    ],
+}
+
+SERIES_CLI_SHA256 = {
+    "harmonic_table":
+        "eada1caa4751f168ebf0a5e6cfa0ceb3d1e7e425efaa8218f69d0b4e28e780c7",
+    "compare": "71d7ce56167bd2b2004d76a001a2572a675feff41bad197d4e3349caf054fac1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CLI))
+def test_series_cli_output_is_pinned(monkeypatch, case):
+    monkeypatch.chdir(ROOT)  # the manifest records the model path as given
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(SERIES_CLI[case]) == 0
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == SERIES_CLI_SHA256[case]
