@@ -63,6 +63,15 @@ class PrecisionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class HarmonicValue:
+    """A series value with a bound on the terms it left out.
+
+    ``tail_bound`` bounds the envelope of every term beyond the range
+    that was summed, and ``terms_used`` counts that range.  Both depend
+    on the degree i + j of the point, not only on the chain: a point of
+    higher degree sums fewer terms and leaves a larger (still below the
+    tolerance) tail.
+    """
+
     value: float
     tail_bound: float  # rigorous bound on the discarded mass
     terms_used: int
@@ -176,8 +185,8 @@ def _logaddexp(u: float, v: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _tail_pieces(i, j, a0, b0, c1, c2, n_max, n_neg):
-    """Envelope tails beyond the stored range [-n_neg, n_max].
+def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg):
+    """Envelope tails beyond the summed range [-n_neg, n_pos].
 
     Every discarded positive-side term is dominated by the chain anchored
     at b0 descending exactly (c1, c2) per switch:
@@ -192,7 +201,7 @@ def _tail_pieces(i, j, a0, b0, c1, c2, n_max, n_neg):
         up = (
             math.exp(m * b0)
             * (math.exp(i * c2) + math.exp(-i * c1))
-            * q ** (n_max + 1)
+            * q ** (n_pos + 1)
             / (1.0 - q)
         )
         down = (
@@ -204,12 +213,38 @@ def _tail_pieces(i, j, a0, b0, c1, c2, n_max, n_neg):
         log_q = -(c1 + c2) * m
         log_tail = -math.log1p(-q)
         up = math.exp(
-            m * b0 + _logaddexp(i * c2, -i * c1) + (n_max + 1) * log_q + log_tail
+            m * b0 + _logaddexp(i * c2, -i * c1) + (n_pos + 1) * log_q + log_tail
         )
         down = math.exp(
             m * a0 + _logaddexp(j * c1 + log_q, -j * c2) + n_neg * log_q + log_tail
         )
     return up, down
+
+
+def _need(log_lead: float, log_half: float, log_q: float) -> int:
+    """Smallest n >= 1 with exp(log_lead) * q^n <= exp(log_half)."""
+    if log_lead <= log_half:
+        return 1
+    return max(1, math.ceil((log_half - log_lead) / log_q - 1e-9))
+
+
+def _term_range(c1, c2, a0, b0, m: int, tol: float) -> tuple[int, int]:
+    """(n_pos, n_neg): the terms n in [-n_neg, n_pos] that degree m needs.
+
+    Each envelope tail of ``_tail_pieces`` beyond that range is at most
+    tol / 2 at every point of total degree m.  The tails fall
+    geometrically in m, so a point of higher degree needs fewer terms.
+    Sized in log space: exp(m*c2) overflows for a degree as far out as
+    2000.
+    """
+    log_q = -(c1 + c2) * m
+    log_half = math.log(0.5 * tol)
+    log_1mq = math.log1p(-math.exp(log_q))
+    n_pos = _need(m * b0 + _logaddexp(m * c2, 0.0) - log_1mq, log_half, log_q)
+    n_neg = _need(
+        m * a0 + _logaddexp(m * c1 + log_q, 0.0) - log_1mq, log_half, log_q
+    )
+    return n_pos, n_neg + 1
 
 
 def build_sequence(
@@ -220,16 +255,19 @@ def build_sequence(
 ) -> CompensationSequence:
     """Iterate the switching chain far enough for the requested accuracy.
 
-    The truncation range is chosen so the envelope tail at total degree
-    ``imin`` (the worst case; tails only shrink as i+j grows) is below
-    ``truncation_tol``.  ``start`` must lie in G0 — canonicalize first if
-    it does not.
+    The truncation range is the one ``_term_range`` gives at total degree
+    ``imin``, the lowest degree the chain serves: there the envelope tail
+    is below ``truncation_tol``, and ``harmonic_eval`` sums a shorter
+    range for points of higher degree.  ``start`` must lie in G0 —
+    canonicalize first if it does not.
 
     The chain is stored on ``geom``, one per start, and the G0 gate runs
     once per start.  A call returns a slice of the stored chain and grows
-    it only when its ``imin`` and ``truncation_tol`` need more terms.  The
-    recursion from the start is deterministic, so the slice has the same
-    bits as a chain built for this call alone.
+    it only when its ``imin`` and ``truncation_tol`` need more terms; the
+    interlacing check runs over the whole stored chain when it grows, so a
+    slice of it is checked already.  The recursion from the start is
+    deterministic, so the slice has the same bits as a chain built for
+    this call alone.
     """
     if imin < 1:
         raise ValueError("imin must be >= 1")
@@ -247,23 +285,7 @@ def build_sequence(
         geom._chains[key] = (snapped, snapped[:1], snapped[1:], (), ())
     (a0, b0), a_up, b_up, a_dn, b_dn = geom._chains[key]
 
-    # Worst-case envelope at total degree imin decides the range.  It is
-    # sized in log space: exp(m*c2) overflows for a start as far out as
-    # imin = 2000.
-    m = imin if imin >= 2 else 1
-    log_q = -(geom.c1 + geom.c2) * m
-    log_half = math.log(0.5 * truncation_tol)
-
-    def _need(anchor: float, log_bulge: float) -> int:
-        # smallest n with exp(m*anchor)*bulge*q^n/(1-q) <= half
-        log_lead = m * anchor + log_bulge - math.log1p(-math.exp(log_q))
-        if log_lead <= log_half:
-            return 1
-        n = (log_half - log_lead) / log_q
-        return max(1, math.ceil(n - 1e-9))
-
-    n_pos = _need(b0, _logaddexp(m * geom.c2, 0.0))
-    n_neg = _need(a0, _logaddexp(m * geom.c1 + log_q, 0.0)) + 1
+    n_pos, n_neg = _term_range(geom.c1, geom.c2, a0, b0, imin, truncation_tol)
     if max(n_pos, n_neg) > 100000:
         raise SolverError("truncation range exploded; tolerance unreachable")
 
@@ -280,9 +302,10 @@ def build_sequence(
             b_dn.append(g_hat(geom, a_dn[-1] if a_dn else a0))
             a_dn.append(f_hat(geom, b_dn[-1]))
         a_up, b_up, a_dn, b_dn = map(tuple, (a_up, b_up, a_dn, b_dn))
+        _check_descent(a_up, b_up, a_dn, b_dn)
         geom._chains[key] = ((a0, b0), a_up, b_up, a_dn, b_dn)
 
-    seq = CompensationSequence(
+    return CompensationSequence(
         start=(a0, b0),
         n_min=-n_neg,
         n_max=n_pos,
@@ -295,22 +318,21 @@ def build_sequence(
         truncation_tol=truncation_tol,
         imin=imin,
     )
-    _check_descent(seq)
-    return seq
 
 
-def _check_descent(seq: CompensationSequence) -> None:
+def _check_descent(a_up, b_up, a_dn, b_dn) -> None:
     # Interlacing (b_n > a_{n+1} > b_{n+1} above the start, and its mirror
     # a_{n+1} > b_n > a_n below) always holds for exact chains; a gross
     # violation means a solver landed on the wrong root, which must never
-    # pass silently.
+    # pass silently.  a_up and b_up hold n = 0, 1, ...; a_dn and b_dn hold
+    # n = -1, -2, ...
     slack = 1e-6
-    for n in range(0, seq.n_max):
-        if not (seq.b(n) > seq.a(n + 1) - slack > seq.b(n + 1) - 2 * slack):
+    for n, (bn, an1, bn1) in enumerate(zip(b_up, a_up[1:], b_up[1:])):
+        if not (bn > an1 - slack > bn1 - 2 * slack):
             raise SolverError(f"switching chain lost interlacing near n={n}")
-    for n in range(seq.n_min, 0):
-        if not (seq.a(n + 1) > seq.b(n) - slack > seq.a(n) - 2 * slack):
-            raise SolverError(f"switching chain lost interlacing near n={n}")
+    for k, (an1, bn, an) in enumerate(zip(a_up[:1] + a_dn, b_dn, a_dn)):
+        if not (an1 > bn - slack > an - 2 * slack):
+            raise SolverError(f"switching chain lost interlacing near n={-1 - k}")
 
 
 def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
@@ -319,6 +341,15 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     On either axis the series telescopes to an exact zero, so 0.0 is
     returned directly with a zero bound.  Interior evaluations require
     i + j >= imin, the degree the truncation was built for.
+
+    The sum runs over the range that degree i + j needs (``_term_range``),
+    clipped to the stored one: the chain was built for degree ``imin``,
+    and higher degrees converge faster.  ``tail_bound`` is the envelope
+    beyond the range actually summed and ``terms_used`` its length, so
+    both are counted per degree.  At degree ``imin`` the range is the
+    stored one.  The range depends on the degree, start and tolerance
+    alone, so every chain with ``imin <= i + j`` from that start and
+    tolerance gives the same bits, ``escape_probability`` among them.
     """
     i, j = int(i), int(j)
     if i < 0 or j < 0:
@@ -330,15 +361,21 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
         raise ValueError(
             f"evaluation at degree {i + j} below the built imin={seq.imin}"
         )
-    terms: list[float] = []
+    n_pos, n_neg = seq.n_max, -seq.n_min
+    if i + j > seq.imin:
+        need_pos, need_neg = _term_range(
+            seq.c1, seq.c2, seq.a0, seq.b0, i + j, seq.truncation_tol
+        )
+        n_pos, n_neg = min(n_pos, need_pos), min(n_neg, need_neg)
+    first = -n_neg - seq.n_min  # index of term n = -n_neg
+    a = seq.a_vals[first : first + n_neg + n_pos + 2]
+    b = seq.b_vals[first : first + n_neg + n_pos + 1]
     # term n uses (a_n, b_n, a_{n+1}); fsum rounds once, so order is free
-    for an, bn, an1 in zip(seq.a_vals, seq.b_vals, seq.a_vals[1:]):
-        terms.append(math.exp(i * an + j * bn))
-        terms.append(-math.exp(i * an1 + j * bn))
+    exp = math.exp
+    terms = [exp(i * an + j * bn) for an, bn in zip(a, b)]
+    terms += [-exp(i * an1 + j * bn) for an1, bn in zip(a[1:], b)]
     value = math.fsum(terms)
-    up, down = _tail_pieces(
-        i, j, seq.a0, seq.b0, seq.c1, seq.c2, seq.n_max, -seq.n_min
-    )
+    up, down = _tail_pieces(i, j, seq.a0, seq.b0, seq.c1, seq.c2, n_pos, n_neg)
     tail = up + down
     if tail > seq.truncation_tol:
         warnings.warn(
@@ -347,7 +384,7 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
             PrecisionWarning,
             stacklevel=2,
         )
-    return HarmonicValue(value, tail, seq.n_max - seq.n_min + 1)
+    return HarmonicValue(value, tail, n_pos + n_neg + 1)
 
 
 def escape_probability(

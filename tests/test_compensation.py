@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cornerwalk import compensation
 from cornerwalk.compensation import (
     PrecisionWarning,
     boundary_harmonic,
@@ -16,7 +17,14 @@ from cornerwalk.compensation import (
     escape_probability,
     harmonic_eval,
 )
-from cornerwalk.curve import SolverError, f_branch, f_hat, find_extrema, g_branch
+from cornerwalk.curve import (
+    SolverError,
+    cramer_transform,
+    f_branch,
+    f_hat,
+    find_extrema,
+    g_branch,
+)
 from cornerwalk.model import InvalidModelError, StepDistribution, drift
 
 from oracles import fib_boundary_harmonic, fib_escape_exact, fib_numbers
@@ -295,6 +303,65 @@ class TestStoredChain:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 4
+
+
+    def test_interlacing_is_checked_once_per_growth(self, fib, monkeypatch):
+        calls = []
+        check = compensation._check_descent
+        monkeypatch.setattr(
+            compensation, "_check_descent",
+            lambda *chain: calls.append(1) or check(*chain),
+        )
+        geom = find_extrema(fib)
+        growths, entry = 0, None
+        # far first, so the stored chain grows more than once
+        for i in range(10, 0, -1):
+            for j in range(10, 0, -1):
+                escape_probability(geom, i, j)
+                growths += geom._chains[(0.0).hex(), (0.0).hex()] is not entry
+                entry = geom._chains[(0.0).hex(), (0.0).hex()]
+        assert 2 <= growths < 100
+        assert len(calls) == growths
+
+    def test_doctored_chain_raises_on_its_next_growth(self, fib):
+        geom = find_extrema(fib)
+        build_sequence(geom, (0.0, 0.0), imin=2)
+        key = ((0.0).hex(), (0.0).hex())
+        start, a_up, b_up, a_dn, b_dn = geom._chains[key]
+        # b_1 above b_0 breaks b_0 > a_1 > b_1
+        b_up = b_up[:1] + (b_up[0] + 1.0,) + b_up[2:]
+        geom._chains[key] = (start, a_up, b_up, a_dn, b_dn)
+        with pytest.raises(SolverError, match="interlacing"):
+            build_sequence(geom, (0.0, 0.0), truncation_tol=1e-18, imin=2)
+        assert geom._chains[key][2] is b_up  # the failed growth is not stored
+
+
+def twist_start(geom, degrees):
+    t = math.radians(degrees)
+    phi = cramer_transform(geom, (math.cos(t), math.sin(t))).phi
+    return canonicalize_start(geom, phi)
+
+
+class TestRangePerDegree:
+    """harmonic_eval sums the range of the point's own degree."""
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-10])
+    @pytest.mark.parametrize("degrees", [None, 30, 60])
+    def test_value_does_not_depend_on_imin(self, pin_geom, degrees, tol):
+        start = (0.0, 0.0) if degrees is None else twist_start(pin_geom, degrees)
+        chains = [build_sequence(pin_geom, start, tol, imin) for imin in (1, 2)]
+        for i in range(1, 25):
+            for j in range(1, 25):
+                own = harmonic_eval(build_sequence(pin_geom, start, tol, i + j), i, j)
+                assert own.tail_bound <= tol
+                for seq in chains:
+                    assert repr(harmonic_eval(seq, i, j)) == repr(own)
+                if degrees is None:
+                    assert repr(escape_probability(pin_geom, i, j, tol)) == repr(own)
+
+    def test_work_bound(self, fib_geom):
+        # fixed before the first run; the range of degree 40 is 6 terms
+        assert harmonic_eval(fib_seq(fib_geom), 20, 20).terms_used <= 8
 
 
 class TestBoundaryHarmonic:
