@@ -67,7 +67,7 @@ from .montecarlo import (
     skipfree_exit_root,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "__version__",

@@ -23,7 +23,9 @@ The series outputs are pinned too: the harmonic values of one chain
 built for degree 2 at four points from degree 2 to 48, and the bytes
 of two CLI runs that print them, ``harmonic-table --bounds`` and a small
 ``compare``.  The CLI digests also cover the tail-bound column and the
-``tool_version`` line of the manifest.
+``tool_version`` line of the manifest.  With 0.8.0 each harmonic value
+sums the range of its own degree: every value kept its bits, and the
+two digests moved through the tail-bound column and the version line.
 """
 
 import contextlib
@@ -277,8 +279,8 @@ SERIES_CLI = {
 
 SERIES_CLI_SHA256 = {
     "harmonic_table":
-        "eada1caa4751f168ebf0a5e6cfa0ceb3d1e7e425efaa8218f69d0b4e28e780c7",
-    "compare": "71d7ce56167bd2b2004d76a001a2572a675feff41bad197d4e3349caf054fac1",
+        "ddd7432a2b55bb7a6727688c9fa96df85785bea001836df7dc41e7317fd34e96",
+    "compare": "ec0a3c62535a12e33825ad04501ddfa517689027ca782776a6888850e720b21b",
 }
 
 

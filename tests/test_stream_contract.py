@@ -41,6 +41,9 @@ version line.  With 0.7.0 the lower roots of the compensation chain are
 taken in closed form: no draw moved, but the series value that
 ``escape --mc-check`` prints moved in its last digits, and with it that
 digest; the other four digests moved only through the version line.
+With 0.8.0 the series prints the tail bound of the range each degree
+sums; no draw and no value moved, and all five digests moved only
+through the version line.
 A rewrite of the step engine may change array layouts but must leave these
 values (and the bytes the CLI prints) exactly as they are.  A change
 that is meant to alter the stream must say so and update the pins
@@ -258,13 +261,13 @@ CLI = {
 }
 
 CLI_SHA256 = {
-    "escape_mc_check": "a29b170d87b9be61d51523ca5bdc98b8f43c776b1fa14643cbd8ebe7a3b853fc",
+    "escape_mc_check": "431e605e844726df90d4f989ca6c08dcb0eca238cccca0497e3c26b4901c07e3",
     "simulate_green_twisted":
-        "0f7fcb5035b8fc1b0a85f721b25b7fdf2718bdc74eb32b56fd98bb6a463bbbd1",
+        "d0da033f455bb41e7cd99c3d013395606ee726a80276b469b95366d15c8a4569",
     "simulate_survival":
-        "26302eca022dd255cdad0c9646f8ca40dd0c95a85ddff9a2053ad7add485d661",
-    "green_scan": "8977e8355601ab96070717f246fc0bae7b11caebfed7a910cfa86f3ed0c22c82",
-    "simulate_martin": "f8985b428756f04c51818e5d121eb200e8c339480ca8d79791a1888c809fc64f",
+        "292f8f8422a2bd63d2e245562af35b64481724c20123bdcde5d7e9255b865883",
+    "green_scan": "566b2163d0058e276fb1e2607bf924693a1b076a0f869d8bed1c91285f2937b0",
+    "simulate_martin": "8ed53ce318802e8bce44bb50f245ff4ed9346dc33a1c93ffed62460f5725fc67",
 }
 
 
