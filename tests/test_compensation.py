@@ -304,7 +304,6 @@ class TestStoredChain:
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 4
 
-
     def test_interlacing_is_checked_once_per_growth(self, fib, monkeypatch):
         calls = []
         check = compensation._check_descent
@@ -313,13 +312,14 @@ class TestStoredChain:
             lambda *chain: calls.append(1) or check(*chain),
         )
         geom = find_extrema(fib)
+        key = ((0.0).hex(), (0.0).hex())
         growths, entry = 0, None
         # far first, so the stored chain grows more than once
         for i in range(10, 0, -1):
             for j in range(10, 0, -1):
                 escape_probability(geom, i, j)
-                growths += geom._chains[(0.0).hex(), (0.0).hex()] is not entry
-                entry = geom._chains[(0.0).hex(), (0.0).hex()]
+                growths += geom._chains[key] is not entry
+                entry = geom._chains[key]
         assert 2 <= growths < 100
         assert len(calls) == growths
 
