@@ -26,11 +26,18 @@ of two CLI runs that print them, ``harmonic-table --bounds`` and a small
 ``tool_version`` line of the manifest.  With 0.8.0 each harmonic value
 sums the range of its own degree: every value kept its bits, and the
 two digests moved through the tail-bound column and the version line.
+
+Two digests pin the section solvers on whole grids rather than at single
+points: every upper and lower root of ``_section_extreme_root`` on both
+axes at 426 fixed coordinates from -8 to 0.5 (the name of the exception
+class where a section has no root), and both exit roots of each law
+twisted toward 0, 3, ..., 90 degrees.
 """
 
 import contextlib
 import hashlib
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -44,6 +51,7 @@ from cornerwalk.compensation import (
     harmonic_eval,
 )
 from cornerwalk.curve import (
+    _section_extreme_root,
     cramer_transform,
     f_branch,
     f_hat,
@@ -292,3 +300,85 @@ def test_series_cli_output_is_pinned(monkeypatch, case):
         assert main(SERIES_CLI[case]) == 0
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert digest == SERIES_CLI_SHA256[case]
+
+
+# -8, -7.98, ..., 0.5: past the lower branch ends, through both maxima,
+# and onto the stretches where a section has no root
+SECTION_FIXED = tuple(-8.0 + k / 50 for k in range(426))
+# the twist directions at 0, 3, ..., 90 degrees
+EXIT_TWIST_DEGREES = tuple(range(0, 91, 3))
+
+
+def _outcome(fun, *args) -> str:
+    try:
+        return repr(fun(*args))
+    except Exception as exc:  # the class alone: messages may change
+        return type(exc).__name__
+
+
+def section_root_digest(dist) -> str:
+    rows = [
+        _outcome(_section_extreme_root, dist, fixed, axis, side)
+        for axis in ("x", "y")
+        for side in (+1, -1)
+        for fixed in SECTION_FIXED
+    ]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def exit_root_digest(dist) -> str:
+    geom = find_extrema(dist)
+    rows = []
+    for degrees in EXIT_TWIST_DEGREES:
+        a = math.radians(degrees)
+        twist = cramer_transform(geom, (math.cos(a), math.sin(a)))
+        steps, probs = _twisted_probs(dist, twist)
+        rows += [_outcome(_exit_root, steps, probs, axis) for axis in (0, 1)]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+SECTION_ROOT_SHA256 = {
+    "fib": (
+        "f73bd302550c464220e5ca0cc94dc5f27d38e9d748fdf01d0888d5ec49ff10de"
+    ),
+    "all_five": (
+        "22e6a72647a55742c7b5057970b1c2b3533a5daa937bd298e5b1cc3c82b438d0"
+    ),
+    "diag_heavy": (
+        "0f3951e3d8ba76e91bd32286a15d2803e805f9ce1c84a6fadad41a4cf4afaf00"
+    ),
+    "big_jump": (
+        "53a6a5b5ed7b8807dbdd6a6aceb8180baab77f804d762189fcfbbf1e0aa791b0"
+    ),
+    "lopsided": (
+        "26269bd14f74a9ac8b1afc5750051b274b2c898f58fd37c95609bef03a406b7e"
+    ),
+}
+
+EXIT_ROOT_SHA256 = {
+    "fib": (
+        "4bb8a23f480057e74fe7e38fb9305b6a6f5caa9e777b28b05f62edeadaad12f5"
+    ),
+    "all_five": (
+        "fd1149546696ab76abccedeb8e7b4bff5e25185c25267bf0650080a09bd43e76"
+    ),
+    "diag_heavy": (
+        "6a43ddf54d38326a89493310d2a9b2b0ba0fba5dda521aa4f63cff3e5d842e45"
+    ),
+    "big_jump": (
+        "72e7f78229c78a5d62c5f83118e2813819575f70dc49b16640afa098ab008ad3"
+    ),
+    "lopsided": (
+        "ca0194d278f15ebbe4300f0844b9d995bf8bcb567702ca75c05c2ad1d9f53fda"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_ROOT_SHA256))
+def test_section_roots_are_pinned(models, name):
+    assert section_root_digest(models[name]) == SECTION_ROOT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_ROOT_SHA256))
+def test_exit_roots_are_pinned(models, name):
+    assert exit_root_digest(models[name]) == EXIT_ROOT_SHA256[name]
