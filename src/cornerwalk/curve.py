@@ -21,6 +21,9 @@ section 9.4, "rtsafe") inside that bracket.  Every point it evaluates
 narrows the bracket, and a Newton step that would leave it is replaced by
 the midpoint.  It stops on a zero value, on a Newton fixed point or when
 two iterates agree to a few ulps, and returns only points it evaluated.
+A section is evaluated from its own terms (``_Section``), built once per
+solve, so that a probe sums the same floats as the 2-D kernels at that
+point but forms only the derivatives the solve needs.
 A branch value solves the increasing derivative of its section (with the
 second derivative) for the section minimizer, then the section itself
 (with its derivative) for the requested root.  ``find_extrema`` solves
@@ -196,26 +199,91 @@ def _solve(fdf, lo: float, hi: float, flo: float, fhi: float) -> float:
 _TANGENT_EPS = 1e-15
 
 
+class _Section:
+    """The section of G along coordinate k at the other coordinate ``fixed``.
+
+    G is t -> G(t, fixed) for k = 0 and t -> G(fixed, t) for k = 1.  Each
+    step keeps its move d = s[k] along t, its share e = s[1-k]*fixed of
+    the exponent and its mass p, so a probe forms only e + d*t, which
+    equals di*x + dj*y bit for bit because IEEE addition commutes.  Every
+    method returns the ``math.fsum`` of the same floats as the 2-D kernel
+    it stands for: ``value`` as ``log_kernel_eval``, ``slope`` as
+    component k of ``log_kernel_grad`` and ``curvature`` (here only with
+    the slope) as entry 2k of ``log_kernel_hess``.  An exponent above 600
+    is cut to 600, which is what both ``min(u, 600.0)`` in the value and
+    ``model._exp`` in the derivatives do to every float, NaN included.
+    """
+
+    __slots__ = ("terms", "moving")
+
+    def __init__(self, dist: StepDistribution, fixed: float, k: int):
+        self.terms = [
+            (s[k], s[1 - k] * fixed, p) for s, p in zip(dist.steps, dist.probs)
+        ]
+        self.moving = [term for term in self.terms if term[0]]
+
+    def value(self, t: float) -> float:
+        expm1 = math.expm1
+        val = []
+        for d, e, p in self.terms:
+            u = e + d * t
+            if u > 600.0:
+                u = 600.0
+            val.append(p * expm1(u))
+        return math.fsum(val)
+
+    def slope(self, t: float) -> float:
+        exp = math.exp
+        der = []
+        for d, e, p in self.moving:
+            u = e + d * t
+            if u > 600.0:
+                u = 600.0
+            der.append(d * (p * exp(u)))
+        return math.fsum(der)
+
+    def value_slope(self, t: float) -> tuple[float, float]:
+        exp, expm1 = math.exp, math.expm1
+        val, der = [], []
+        for d, e, p in self.terms:
+            u = e + d * t
+            if u > 600.0:
+                u = 600.0
+            val.append(p * expm1(u))
+            if d:
+                der.append(d * (p * exp(u)))
+        return math.fsum(val), math.fsum(der)
+
+    def slope_curvature(self, t: float) -> tuple[float, float]:
+        exp = math.exp
+        der, curv = [], []
+        for d, e, p in self.moving:
+            u = e + d * t
+            if u > 600.0:
+                u = 600.0
+            w = p * exp(u)
+            der.append(d * w)
+            curv.append(d * d * w)
+        return math.fsum(der), math.fsum(curv)
+
+
 def _section_extreme_root(dist, fixed: float, axis: str, side: int) -> float:
     """Upper (+1) or lower (-1) root of the y-section (axis='y') or x-section."""
-    k = 1 if axis == "y" else 0
-    at = (lambda t: (fixed, t)) if k else (lambda t: (t, fixed))
-    fun = lambda t: log_kernel_eval(dist, *at(t))
-    dfun = lambda t: log_kernel_grad(dist, *at(t))[k]
+    section = _Section(dist, fixed, 1 if axis == "y" else 0)
     # the minimizer is the root of the increasing derivative
-    d0 = dfun(0.0)
+    d0 = section.slope(0.0)
     tmin = _solve(
-        lambda t: (dfun(t), log_kernel_hess(dist, *at(t))[2 * k]),
-        *_bracket(dfun, 0.0, d0, 1 if d0 <= 0.0 else -1, 1.0),
+        section.slope_curvature,
+        *_bracket(section.slope, 0.0, d0, 1 if d0 <= 0.0 else -1, 1.0),
     )
-    fmin = fun(tmin)
+    fmin = section.value(tmin)
     if fmin > _TANGENT_EPS:
         raise SolverError(
             f"kernel section at {axis}-line {fixed!r} has no real root"
         )
     if fmin >= -_TANGENT_EPS:
         return tmin  # double root at the section minimum
-    return _solve(lambda t: (fun(t), dfun(t)), *_bracket(fun, tmin, fmin, side, 0.25))
+    return _solve(section.value_slope, *_bracket(section.value, tmin, fmin, side, 0.25))
 
 
 # a discriminant at most this share of (1 - B)**2 lies near a branch

@@ -65,14 +65,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .curve import CramerData, SolverError, _bracket, _solve, cramer_transform, find_extrema
-from .model import (
-    StepDistribution,
-    log_kernel_eval,
-    log_kernel_grad,
-    log_kernel_hess,
-    require_valid,
+from .curve import (
+    CramerData,
+    SolverError,
+    _bracket,
+    _Section,
+    _solve,
+    cramer_transform,
+    find_extrema,
 )
+from .model import StepDistribution, require_valid
 
 __all__ = [
     "BATCH_SIZE",
@@ -821,24 +823,28 @@ def _exit_root(steps, probs, axis: int) -> float:
     certain); every valid law, twisted or not, steps down on both axes.
     """
     marg = _marginal(steps, probs, axis)
-    section = StepDistribution(
+    marginal = StepDistribution(
         steps=tuple((d, 0) for d in marg), probs=tuple(map(float, marg.values()))
     )
-    mu = log_kernel_grad(section, 0.0, 0.0)[0]
+    section = _Section(marginal, 0.0, 0)
+    mu = section.slope(0.0)
     if mu <= 1e-12:
         return 1.0
 
     excess = float(sum(marg.values()) - 1)  # the float law need not sum to 1
-    f = lambda t: log_kernel_eval(section, t, 0.0) + excess
-    df = lambda t: log_kernel_grad(section, t, 0.0)[0]
+    f = lambda t: section.value(t) + excess
+
+    def fdf(t: float) -> tuple[float, float]:
+        value, slope = section.value_slope(t)
+        return value + excess, slope
+
     tmin = _solve(
-        lambda t: (df(t), log_kernel_hess(section, t, 0.0)[0]),
-        *_bracket(df, 0.0, mu, -1, 1.0),
+        section.slope_curvature, *_bracket(section.slope, 0.0, mu, -1, 1.0)
     )
     fmin = f(tmin)
     if fmin >= 0.0:
         return 1.0
-    c = math.exp(_solve(lambda t: (f(t), df(t)), *_bracket(f, tmin, fmin, -1, 0.25)))
+    c = math.exp(_solve(fdf, *_bracket(f, tmin, fmin, -1, 0.25)))
 
     def psi(v: float) -> Fraction:
         x = Fraction(v)

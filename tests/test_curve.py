@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cornerwalk import curve
 from cornerwalk.curve import (
+    _Section,
     _section_extreme_root,
     _slope,
     _small_step_lower_root,
@@ -24,9 +25,18 @@ from cornerwalk.model import (
     StepDistribution,
     drift,
     log_kernel_eval,
+    log_kernel_grad,
+    log_kernel_hess,
     parse_model_text,
 )
 
+from conftest import (
+    ALL_FIVE_TEXT,
+    BIG_JUMP_TEXT,
+    DIAG_HEAVY_TEXT,
+    FIB_TEXT,
+    LOPSIDED_TEXT,
+)
 from oracles import fib_lower_x_branch, fib_upper_y_branch
 
 # frozen geometry of the three-diagonal-step model
@@ -281,8 +291,9 @@ class TestCramer:
 
 
 class TestSolverWork:
-    """Kernel evaluations (G, its gradient and its Hessian, each one call)
-    that the safeguarded Newton solves spend, counted through ``curve``."""
+    """Kernel evaluations (G, its gradient and its Hessian, and each
+    evaluation of a section, each one call) that the safeguarded Newton
+    solves spend, counted through ``curve``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -293,6 +304,12 @@ class TestSolverWork:
                 return _fun(*args)
 
             monkeypatch.setattr(curve, name, counted)
+        for name in ("value", "slope", "value_slope", "slope_curvature"):
+            def counted(self, t, _fun=getattr(_Section, name)):
+                count[0] += 1
+                return _fun(self, t)
+
+            monkeypatch.setattr(_Section, name, counted)
         return count
 
     def test_find_extrema(self, pin_geom, calls):
@@ -317,6 +334,55 @@ class TestSolverWork:
             g_tilde(g, g.g_at_y0 * k / 20)
             solves += 6
         assert calls[0] <= 60 * solves
+
+
+PIN_LAWS = {
+    name: parse_model_text(text)
+    for name, text in (
+        ("fib", FIB_TEXT), ("all_five", ALL_FIVE_TEXT),
+        ("diag_heavy", DIAG_HEAVY_TEXT), ("big_jump", BIG_JUMP_TEXT),
+        ("lopsided", LOPSIDED_TEXT),
+    )
+}
+# every float, weighted toward signed zeros, infinities, NaN and exponents
+# on either side of the saturation at 600
+SECTION_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 300.0, -300.0,
+                     600.0, -600.0, 600.5, math.nextafter(600.0, 700.0)]),
+    st.floats(-1000.0, 1000.0),
+    st.floats(),
+)
+
+
+def outcome(fun, *args) -> str:
+    """repr of fun(*args), which tells -0.0 from 0.0, or the class of
+    the exception it raises."""
+    try:
+        return repr(fun(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+class TestSection:
+    """A section's value, slope and curvature are the floats that the 2-D
+    kernels give at the same point, bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(sorted(PIN_LAWS)), st.sampled_from((0, 1)),
+           SECTION_FLOATS, SECTION_FLOATS)
+    def test_matches_the_kernels(self, name, k, fixed, t):
+        dist = PIN_LAWS[name]
+        point = (t, fixed) if k == 0 else (fixed, t)
+        section = _Section(dist, fixed, k)
+        value = lambda: log_kernel_eval(dist, *point)
+        slope = lambda: log_kernel_grad(dist, *point)[k]
+        curvature = lambda: log_kernel_hess(dist, *point)[2 * k]
+        assert outcome(section.value, t) == outcome(value)
+        assert outcome(section.slope, t) == outcome(slope)
+        assert outcome(section.value_slope, t) == outcome(
+            lambda: (value(), slope()))
+        assert outcome(section.slope_curvature, t) == outcome(
+            lambda: (slope(), curvature()))
 
 
 # ROADMAP item 2's asymmetric small-step law, with a stay-put step
