@@ -205,13 +205,14 @@ class _Section:
     G is t -> G(t, fixed) for k = 0 and t -> G(fixed, t) for k = 1.  Each
     step keeps its move d = s[k] along t, its share e = s[1-k]*fixed of
     the exponent and its mass p, so a probe forms only e + d*t, which
-    equals di*x + dj*y bit for bit because IEEE addition commutes.  Every
-    method returns the ``math.fsum`` of the same floats as the 2-D kernel
-    it stands for: ``value`` as ``log_kernel_eval``, ``slope`` as
-    component k of ``log_kernel_grad`` and ``curvature`` (here only with
-    the slope) as entry 2k of ``log_kernel_hess``.  An exponent above 600
-    is cut to 600, which is what both ``min(u, 600.0)`` in the value and
-    ``model._exp`` in the derivatives do to every float, NaN included.
+    equals di*x + dj*y bit for bit because IEEE addition commutes.  The
+    value is the ``math.fsum`` of the same floats as ``log_kernel_eval``,
+    the slope as component k of ``log_kernel_grad`` and the curvature as
+    entry 2k of ``log_kernel_hess``; the derivatives sum only the
+    ``moving`` terms, those with d != 0, as those kernels do.  An exponent
+    above 600 is cut to 600, which is what both ``min(u, 600.0)`` in the
+    value and ``model._exp`` in the derivatives do to every float, NaN
+    included.
     """
 
     __slots__ = ("terms", "moving")

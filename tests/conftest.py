@@ -71,3 +71,12 @@ PIN_MODELS = ("fib", "all_five", "diag_heavy", "big_jump", "lopsided")
 @pytest.fixture(params=PIN_MODELS)
 def pin_geom(request):
     return request.getfixturevalue(f"{request.param}_geom")
+
+
+def outcome(fun, *args) -> str:
+    """repr of fun(*args), which tells -0.0 from 0.0, or the name of the
+    class of the exception it raises (messages may change)."""
+    try:
+        return repr(fun(*args))
+    except Exception as exc:
+        return type(exc).__name__

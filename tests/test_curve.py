@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cornerwalk import curve
 from cornerwalk.curve import (
@@ -30,13 +30,7 @@ from cornerwalk.model import (
     parse_model_text,
 )
 
-from conftest import (
-    ALL_FIVE_TEXT,
-    BIG_JUMP_TEXT,
-    DIAG_HEAVY_TEXT,
-    FIB_TEXT,
-    LOPSIDED_TEXT,
-)
+from conftest import outcome
 from oracles import fib_lower_x_branch, fib_upper_y_branch
 
 # frozen geometry of the three-diagonal-step model
@@ -336,14 +330,6 @@ class TestSolverWork:
         assert calls[0] <= 60 * solves
 
 
-PIN_LAWS = {
-    name: parse_model_text(text)
-    for name, text in (
-        ("fib", FIB_TEXT), ("all_five", ALL_FIVE_TEXT),
-        ("diag_heavy", DIAG_HEAVY_TEXT), ("big_jump", BIG_JUMP_TEXT),
-        ("lopsided", LOPSIDED_TEXT),
-    )
-}
 # every float, weighted toward signed zeros, infinities, NaN and exponents
 # on either side of the saturation at 600
 SECTION_FLOATS = st.one_of(
@@ -354,24 +340,16 @@ SECTION_FLOATS = st.one_of(
 )
 
 
-def outcome(fun, *args) -> str:
-    """repr of fun(*args), which tells -0.0 from 0.0, or the class of
-    the exception it raises."""
-    try:
-        return repr(fun(*args))
-    except Exception as exc:
-        return type(exc).__name__
-
-
 class TestSection:
     """A section's value, slope and curvature are the floats that the 2-D
     kernels give at the same point, bit for bit."""
 
-    @settings(deadline=None, max_examples=300)
-    @given(st.sampled_from(sorted(PIN_LAWS)), st.sampled_from((0, 1)),
-           SECTION_FLOATS, SECTION_FLOATS)
-    def test_matches_the_kernels(self, name, k, fixed, t):
-        dist = PIN_LAWS[name]
+    # pin_geom is the session's geometry, the same in every example
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from((0, 1)), SECTION_FLOATS, SECTION_FLOATS)
+    def test_matches_the_kernels(self, pin_geom, k, fixed, t):
+        dist = pin_geom.dist
         point = (t, fixed) if k == 0 else (fixed, t)
         section = _Section(dist, fixed, k)
         value = lambda: log_kernel_eval(dist, *point)

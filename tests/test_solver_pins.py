@@ -62,6 +62,8 @@ from cornerwalk.curve import (
 )
 from cornerwalk.montecarlo import _exit_root, _twisted_probs
 
+from conftest import outcome
+
 ROOT = Path(__file__).resolve().parent.parent
 DIRECTIONS = ((1, 3), (1, 1), (3, 1))
 TWISTS = ((2, 1), (1, 3))
@@ -309,16 +311,9 @@ SECTION_FIXED = tuple(-8.0 + k / 50 for k in range(426))
 EXIT_TWIST_DEGREES = tuple(range(0, 91, 3))
 
 
-def _outcome(fun, *args) -> str:
-    try:
-        return repr(fun(*args))
-    except Exception as exc:  # the class alone: messages may change
-        return type(exc).__name__
-
-
 def section_root_digest(dist) -> str:
     rows = [
-        _outcome(_section_extreme_root, dist, fixed, axis, side)
+        outcome(_section_extreme_root, dist, fixed, axis, side)
         for axis in ("x", "y")
         for side in (+1, -1)
         for fixed in SECTION_FIXED
@@ -333,7 +328,7 @@ def exit_root_digest(dist) -> str:
         a = math.radians(degrees)
         twist = cramer_transform(geom, (math.cos(a), math.sin(a)))
         steps, probs = _twisted_probs(dist, twist)
-        rows += [_outcome(_exit_root, steps, probs, axis) for axis in (0, 1)]
+        rows += [outcome(_exit_root, steps, probs, axis) for axis in (0, 1)]
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
