@@ -58,6 +58,7 @@ import math
 from dataclasses import dataclass, field
 
 from .model import (
+    _EXP_CAP,
     StepDistribution,
     InvalidModelError,
     drift,
@@ -210,9 +211,9 @@ class _Section:
     the slope as component k of ``log_kernel_grad`` and the curvature as
     entry 2k of ``log_kernel_hess``; the derivatives sum only the
     ``moving`` terms, those with d != 0, as those kernels do.  An exponent
-    above 600 is cut to 600, which is what both ``min(u, 600.0)`` in the
-    value and ``model._exp`` in the derivatives do to every float, NaN
-    included.
+    above ``model._EXP_CAP`` is cut to the cap, which is what both
+    ``min(u, _EXP_CAP)`` in the value and ``model._exp`` in the
+    derivatives do to every float, NaN included.
     """
 
     __slots__ = ("terms", "moving")
@@ -225,31 +226,34 @@ class _Section:
 
     def value(self, t: float) -> float:
         expm1 = math.expm1
+        cap = _EXP_CAP
         val = []
         for d, e, p in self.terms:
             u = e + d * t
-            if u > 600.0:
-                u = 600.0
+            if u > cap:
+                u = cap
             val.append(p * expm1(u))
         return math.fsum(val)
 
     def slope(self, t: float) -> float:
         exp = math.exp
+        cap = _EXP_CAP
         der = []
         for d, e, p in self.moving:
             u = e + d * t
-            if u > 600.0:
-                u = 600.0
+            if u > cap:
+                u = cap
             der.append(d * (p * exp(u)))
         return math.fsum(der)
 
     def value_slope(self, t: float) -> tuple[float, float]:
         exp, expm1 = math.exp, math.expm1
+        cap = _EXP_CAP
         val, der = [], []
         for d, e, p in self.terms:
             u = e + d * t
-            if u > 600.0:
-                u = 600.0
+            if u > cap:
+                u = cap
             val.append(p * expm1(u))
             if d:
                 der.append(d * (p * exp(u)))
@@ -257,11 +261,12 @@ class _Section:
 
     def slope_curvature(self, t: float) -> tuple[float, float]:
         exp = math.exp
+        cap = _EXP_CAP
         der, curv = [], []
         for d, e, p in self.moving:
             u = e + d * t
-            if u > 600.0:
-                u = 600.0
+            if u > cap:
+                u = cap
             w = p * exp(u)
             der.append(d * w)
             curv.append(d * d * w)
@@ -306,14 +311,14 @@ def _small_step_lower_root(dist, fixed: float, axis: str) -> float | None:
     -G(t_min) * ((1 - B) + 2 sqrt(AC)) at the section minimizer
     t_min = log(C/A) / 2, with G from ``log_kernel_eval``.  None (solve by
     Newton instead) for a jump of 2 along the axis, an exponent past the
-    kernel's saturation at 600, or a discriminant within _MERGE_DISC of a
-    double root.
+    kernel's saturation at _EXP_CAP, or a discriminant within _MERGE_DISC
+    of a double root.
     """
     k = 1 if axis == "y" else 0
     a, c, q = [], [], []
     for step, p in zip(dist.steps, dist.probs):
         d, e = step[k], step[1 - k] * fixed
-        if d not in (-1, 0, 1) or abs(e) > 600.0:
+        if d not in (-1, 0, 1) or abs(e) > _EXP_CAP:
             return None
         if d:
             q.append(p)

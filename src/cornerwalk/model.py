@@ -267,13 +267,17 @@ def kernel_eval(dist: StepDistribution, alpha: float, beta: float) -> float:
     return alpha * beta * (s - 1.0)
 
 
+# Exponents of the kernel terms saturate at this cap.  Root brackets probe
+# far from the curve, where only the terms aligned with the probe direction
+# saturate, so the saturated sum keeps the sign of the true value while
+# staying finite for fsum (which refuses mixed infinities).
+_EXP_CAP = 600.0
+
+
 def _exp(t: float) -> float:
-    # exp with the exponent saturated at 600.  Root brackets probe far from
-    # the curve, where only the terms aligned with the probe direction
-    # saturate, so the saturated sum keeps the sign of the true value while
-    # staying finite for fsum (which refuses mixed infinities).
-    if t > 600.0:
-        return math.exp(600.0)
+    # exp with the exponent saturated at _EXP_CAP
+    if t > _EXP_CAP:
+        return math.exp(_EXP_CAP)
     return math.exp(t)
 
 
@@ -284,10 +288,10 @@ def log_kernel_eval(dist: StepDistribution, x: float, y: float) -> float:
     probabilities of a valid model sum to one.  Near the origin this keeps
     the relative accuracy that ``exp(s) - 1`` loses, so G vanishes exactly
     only at a root, and a Newton iteration can resolve roots such as
-    f(0) = 0 to the last bit.  Exponents saturate at 600 as in ``_exp``.
+    f(0) = 0 to the last bit.  Exponents saturate at _EXP_CAP as in ``_exp``.
     """
     return math.fsum(
-        p * math.expm1(min(di * x + dj * y, 600.0))
+        p * math.expm1(min(di * x + dj * y, _EXP_CAP))
         for (di, dj), p in zip(dist.steps, dist.probs)
     )
 

@@ -285,9 +285,11 @@ class TestCramer:
 
 
 class TestSolverWork:
-    """Kernel evaluations (G, its gradient and its Hessian, and each
-    evaluation of a section, each one call) that the safeguarded Newton
-    solves spend, counted through ``curve``."""
+    """Kernel evaluations (G, its gradient and its Hessian, each one call)
+    that the safeguarded Newton solves spend, counted through ``curve``.
+    A section's value or slope counts one call and its value with slope
+    or slope with curvature two, for the pair of kernel calls it stands
+    for, so the bounds keep their strength."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -298,9 +300,10 @@ class TestSolverWork:
                 return _fun(*args)
 
             monkeypatch.setattr(curve, name, counted)
-        for name in ("value", "slope", "value_slope", "slope_curvature"):
-            def counted(self, t, _fun=getattr(_Section, name)):
-                count[0] += 1
+        for name, weight in (("value", 1), ("slope", 1),
+                             ("value_slope", 2), ("slope_curvature", 2)):
+            def counted(self, t, _fun=getattr(_Section, name), _weight=weight):
+                count[0] += _weight
                 return _fun(self, t)
 
             monkeypatch.setattr(_Section, name, counted)
