@@ -11,7 +11,9 @@ curve (small-step walks only) and from vectorized Monte Carlo.
     curve           the zero curve: branches, extrema, Cramer twists
     compensation    the series construction and its truncation bounds
     uniformization  closed-form curve parametrization (small steps)
-    montecarlo      reproducible simulation estimators
+    montecarlo      reproducible simulation estimators; the only module
+                    that needs numpy, loaded on first use of one of its
+                    names
     cli             the `cornerwalk` command-line tool
 """
 
@@ -52,19 +54,6 @@ from .uniformization import (
     compute_params,
     denominator_sequence,
     sequence_at,
-)
-from .montecarlo import (
-    ScanPoint,
-    SimConfig,
-    SimEstimate,
-    brownian_halfplane_kernel,
-    estimate_escape,
-    estimate_green,
-    estimate_halfplane_survival,
-    green_direction_scan,
-    martin_kernel_estimate,
-    martin_kernel_profile,
-    skipfree_exit_root,
 )
 
 __version__ = "0.8.0"
@@ -113,3 +102,23 @@ __all__ = [
     "skipfree_exit_root",
     "brownian_halfplane_kernel",
 ]
+
+
+# The simulator and numpy load on first use, so the series API and its
+# subcommands start without them.  Every name of __all__ that is not bound
+# above is one of the simulator's.  It is looked up in the montecarlo
+# module on each access and never copied here: each function keeps one
+# binding, the one a patch of that module's namespace replaces.
+def __getattr__(name: str):
+    if name == "montecarlo" or name in __all__:
+        import importlib
+
+        # importing binds the submodule here, so "montecarlo" is served
+        # by this function only once
+        montecarlo = importlib.import_module(f"{__name__}.montecarlo")
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -18,6 +18,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .model import (
@@ -37,7 +38,11 @@ from .compensation import (
     harmonic_eval,
 )
 from .uniformization import compute_params, sequence_at
-from . import montecarlo as mc
+
+# The simulator, and numpy with it, is imported by the subcommands that
+# run it, so the others start without either.
+if TYPE_CHECKING:
+    from .montecarlo import SimEstimate
 
 __all__ = ["main", "RunManifest"]
 
@@ -158,6 +163,8 @@ def cmd_escape(args) -> int:
         f"terms_used: {hv.terms_used}",
     ]
     if args.mc_check is not None:
+        from . import montecarlo as mc
+
         n_paths, horizon, seed = args.mc_check
         params.update({"mc_n_paths": n_paths, "mc_horizon": horizon})
         est = mc.estimate_escape(
@@ -249,7 +256,7 @@ def cmd_sequence(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _sim_rows(quantity: str, est: mc.SimEstimate, seed: int) -> list[str]:
+def _sim_rows(quantity: str, est: SimEstimate, seed: int) -> list[str]:
     return [
         "quantity,value,std_error,n_paths,horizon,seed",
         ",".join(
@@ -266,6 +273,8 @@ def _sim_rows(quantity: str, est: mc.SimEstimate, seed: int) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
+    from . import montecarlo as mc
+
     dist = _load_valid_model(args.model)
     cfg = mc.SimConfig(seed=args.seed, n_paths=args.n_paths, horizon=args.horizon)
     if args.twist_u is not None and args.quantity != "green":
@@ -304,6 +313,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_green_scan(args) -> int:
+    from . import montecarlo as mc
+
     dist = _load_valid_model(args.model)
     radii = [float(r) for r in args.radii.split(",") if r.strip()]
     if not radii:
@@ -340,6 +351,8 @@ def cmd_green_scan(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import montecarlo as mc
+
     dist = _load_valid_model(args.model)
     if args.imin < 0 or args.jmin < 0:
         raise ValueError("imin and jmin must be >= 0")

@@ -217,8 +217,9 @@ def _shard_pool():
     global _pool
     with _pool_lock:
         if _pool is None:
-            # imported here: concurrent.futures, with logging, adds about
-            # 7 ms to the import of cornerwalk
+            # imported here: concurrent.futures, with logging, adds 4-6 ms
+            # to loading this module, which a run that draws every block in
+            # one shard need not pay
             from concurrent.futures import ThreadPoolExecutor
 
             _pool = ThreadPoolExecutor(_CORES - 1)  # shard 0 runs in the caller
