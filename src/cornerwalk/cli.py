@@ -17,8 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .model import (
@@ -41,14 +40,16 @@ from .uniformization import compute_params, sequence_at
 
 # The simulator, and numpy with it, is imported by the subcommands that
 # run it, so the others start without either.
-if TYPE_CHECKING:
-    from .montecarlo import SimEstimate
-
 __all__ = ["main", "RunManifest"]
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _csv(*cells) -> str:
+    """One CSV row: floats by ``_fmt``, every other cell by ``str``."""
+    return ",".join(_fmt(c) if isinstance(c, float) else str(c) for c in cells)
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,13 @@ def cmd_curve_dump(args) -> int:
     geom = find_extrema(dist)
     lo = args.lo if args.lo is not None else min(geom.x0, geom.y0)
     hi = min(args.hi, 0.0)
+    if not math.isfinite(lo):
+        raise ValueError(f"--lo must be finite, got {lo!r}")
     if not lo < hi:
         raise ValueError(f"empty grid: lo={lo!r} must be < hi={hi!r}")
     step = args.step if args.step is not None else (hi - lo) / 50.0
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:  # NaN fails too
+        raise ValueError(f"--step must be finite and positive, got {step!r}")
     man = RunManifest(
         "curve-dump", args.model, {"lo": lo, "hi": hi, "step": step}
     )
@@ -132,11 +135,7 @@ def cmd_curve_dump(args) -> int:
             break
         x = min(max(t, geom.x0), 0.0)
         y = min(max(t, geom.y0), 0.0)
-        body.append(
-            ",".join(
-                [_fmt(x), _fmt(f_branch(geom, x)), _fmt(y), _fmt(g_branch(geom, y))]
-            )
-        )
+        body.append(_csv(x, f_branch(geom, x), y, g_branch(geom, y)))
         k += 1
     _emit(args, man, body)
     return 0
@@ -200,16 +199,13 @@ def cmd_harmonic_table(args) -> int:
         {"imax": args.imax, "jmax": args.jmax, "tol": args.tol,
          "bounds": args.bounds},
     )
-    header = ["i"] + [str(j) for j in range(1, args.jmax + 1)]
-    if args.bounds:
-        header.append("tail_bound")
-    body = [",".join(header)]
+    last = ["tail_bound"] if args.bounds else []
+    body = [_csv("i", *range(1, args.jmax + 1), *last)]
     for i in range(1, args.imax + 1):
         vals = [harmonic_eval(seq, i, j) for j in range(1, args.jmax + 1)]
-        row = [str(i)] + [_fmt(v.value) for v in vals]
         if args.bounds:
-            row.append(_fmt(max(v.tail_bound for v in vals)))
-        body.append(",".join(row))
+            last = [max(v.tail_bound for v in vals)]
+        body.append(_csv(i, *(v.value for v in vals), *last))
     _emit(args, man, body)
     return 0
 
@@ -246,9 +242,7 @@ def cmd_sequence(args) -> int:
     body = ["n,alpha_n,beta_n,inv_alpha_n,inv_beta_n"]
     for n in range(args.nmin, args.nmax + 1):
         a_n, b_n = sequence_at(params, args.s, n)
-        body.append(
-            ",".join([str(n), _fmt(a_n), _fmt(b_n), _fmt(1.0 / a_n), _fmt(1.0 / b_n)])
-        )
+        body.append(_csv(n, a_n, b_n, 1.0 / a_n, 1.0 / b_n))
     _emit(args, man, body)
     return 0
 
@@ -256,20 +250,7 @@ def cmd_sequence(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _sim_rows(quantity: str, est: SimEstimate, seed: int) -> list[str]:
-    return [
-        "quantity,value,std_error,n_paths,horizon,seed",
-        ",".join(
-            [
-                quantity,
-                _fmt(est.mean),
-                _fmt(est.std_error),
-                str(est.n_paths),
-                str(est.horizon),
-                str(seed),
-            ]
-        ),
-    ]
+_SIM_HEADER = "quantity,value,std_error,n_paths,horizon,seed"
 
 
 def cmd_simulate(args) -> int:
@@ -294,18 +275,21 @@ def cmd_simulate(args) -> int:
         if args.twist_u is not None:
             u1, u2 = args.twist_u
             nrm = math.hypot(u1, u2)
-            if nrm <= 0:
-                raise ValueError("twist direction must be nonzero")
+            if not 0 < nrm < math.inf:  # NaN fails too
+                raise ValueError(
+                    f"--twist-u must be finite and nonzero, got {args.twist_u!r}"
+                )
             twist = cramer_transform(find_extrema(dist), (u1 / nrm, u2 / nrm))
-            cfg = mc.SimConfig(seed=args.seed, n_paths=args.n_paths,
-                               horizon=args.horizon, twist=twist)
+            cfg = replace(cfg, twist=twist)
             params["twist_u"] = f"({_fmt(u1)} {_fmt(u2)})"
         if args.quantity == "green":
             est = mc.estimate_green(dist, x, y, cfg)
         else:
             est = mc.martin_kernel_estimate(dist, x, y, cfg)
     man = RunManifest("simulate", args.model, params, seed=args.seed)
-    _emit(args, man, _sim_rows(args.quantity, est, args.seed))
+    row = _csv(args.quantity, est.mean, est.std_error, est.n_paths, est.horizon,
+               args.seed)
+    _emit(args, man, [_SIM_HEADER, row])
     return 0
 
 
@@ -329,20 +313,10 @@ def cmd_green_scan(args) -> int:
          "horizon": args.horizon if args.horizon is not None else "auto"},
         seed=args.seed,
     )
-    body = ["quantity,value,std_error,n_paths,horizon,seed"]
+    body = [_SIM_HEADER]
     for p in pts:
-        body.append(
-            ",".join(
-                [
-                    f"scaled_green_{p.y[0]}_{p.y[1]}",
-                    _fmt(p.value),
-                    _fmt(p.std_error),
-                    str(args.n_paths),
-                    str(p.horizon),
-                    str(args.seed),
-                ]
-            )
-        )
+        body.append(_csv(f"scaled_green_{p.y[0]}_{p.y[1]}", p.value, p.std_error,
+                         args.n_paths, p.horizon, args.seed))
     _emit(args, man, body)
     return 0
 
@@ -371,25 +345,17 @@ def cmd_compare(args) -> int:
         seed=args.seed,
     )
     body = ["i,j,series,tail_bound,mc_mean,mc_std_error,z"]
+    cfg = mc.SimConfig(seed=args.seed, n_paths=args.n_paths, horizon=args.horizon)
     for i in range(args.imin, args.imax + 1):
         for j in range(args.jmin, args.jmax + 1):
-            if i == 0 or j == 0:
-                hv = HarmonicValue(0.0, 0.0, 0)
-                est = mc.SimEstimate(0.0, 0.0, args.n_paths, args.horizon, 0.0)
-            else:
-                hv = harmonic_eval(seq, i, j)
-                est = mc.estimate_escape(
-                    dist, (i, j),
-                    mc.SimConfig(seed=args.seed, n_paths=args.n_paths,
-                                 horizon=args.horizon),
-                )
-            z = 0.0 if est.std_error == 0.0 else (est.mean - hv.value) / est.std_error
-            body.append(
-                ",".join(
-                    [str(i), str(j), _fmt(hv.value), _fmt(hv.tail_bound),
-                     _fmt(est.mean), _fmt(est.std_error), _fmt(z)]
-                )
-            )
+            hv = harmonic_eval(seq, i, j)  # the Dirichlet zero on an axis
+            mean, se, z = 0.0, 0.0, 0.0
+            if i and j:
+                est = mc.estimate_escape(dist, (i, j), cfg)
+                mean, se = est.mean, est.std_error
+                if se != 0.0:
+                    z = (mean - hv.value) / se
+            body.append(_csv(i, j, hv.value, hv.tail_bound, mean, se, z))
     _emit(args, man, body)
     return 0
 
@@ -490,10 +456,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (ModelFileError, InvalidModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ModelFileError, InvalidModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, ZeroDivisionError, OverflowError) as exc:

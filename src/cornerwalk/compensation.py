@@ -110,45 +110,48 @@ class CompensationSequence:
         return self.b_vals[n - self.n_min]
 
 
-def _on_curve(geom: CurveGeometry, point, tol: float = 1e-6) -> bool:
-    return abs(log_kernel_eval(geom.dist, point[0], point[1])) <= tol
+# a start whose kernel residual exceeds this is not on the curve
+_ON_CURVE_TOL = 1e-6
+# a point this close to a G0 graph piece is snapped onto it
+_SNAP = 1e-7
+_MAX_HOPS = 1000
 
 
-def _snap_to_G0(geom: CurveGeometry, a: float, b: float, tol: float = 1e-7):
-    """(a, b) moved exactly onto the G0 graph piece within ``tol`` of it, or None."""
-    if geom.x0 < a <= tol:
+def _snap_to_G0(geom: CurveGeometry, a: float, b: float):
+    """(a, b) moved exactly onto the G0 graph piece within ``_SNAP`` of it, or None."""
+    if geom.x0 < a <= _SNAP:
         fa = f_branch(geom, min(a, 0.0))
-        if abs(b - fa) <= tol:
+        if abs(b - fa) <= _SNAP:
             return (min(a, 0.0), fa)
-    if geom.y0 < b <= tol:
+    if geom.y0 < b <= _SNAP:
         gb = g_branch(geom, min(b, 0.0))
-        if abs(a - gb) <= tol:
+        if abs(a - gb) <= _SNAP:
             return (gb, min(b, 0.0))
     return None
 
 
-def canonicalize_start(geom: CurveGeometry, point, max_hops: int = 1000):
+def canonicalize_start(geom: CurveGeometry, point):
     """Walk a curve point along the switching orbit until it lands in G0.
 
-    Points already in G0 are returned (snapped onto the graph).  Points
-    beyond the branch maxima climb back: each hop replaces one coordinate
-    by the other root of its section, gaining at least c1 or c2, so the
-    hop count is bounded and capped at ``max_hops``.  The two branch
-    maxima themselves sit on a degenerate orbit (switching returns the
-    same point) and are rejected.
+    The point must lie on the zero curve, with a kernel residual of at
+    most ``_ON_CURVE_TOL``.  Points within ``_SNAP`` of G0 are returned
+    snapped onto the graph.  Points beyond the branch maxima climb back:
+    each hop replaces one coordinate by the other root of its section,
+    gaining at least c1 or c2, so the hop count is bounded and capped at
+    ``_MAX_HOPS``.  The two branch maxima themselves sit on a degenerate
+    orbit (switching returns the same point) and are rejected.
     """
     a, b = float(point[0]), float(point[1])
-    if not _on_curve(geom, (a, b)):
+    residual = log_kernel_eval(geom.dist, a, b)
+    if not abs(residual) <= _ON_CURVE_TOL:  # NaN fails too
         raise ValueError(
-            f"start {point!r} is not on the zero curve "
-            f"(residual {log_kernel_eval(geom.dist, a, b)!r})"
+            f"start {point!r} is not on the zero curve (residual {residual!r})"
         )
-    snap = 1e-7
-    for _ in range(max_hops):
+    for _ in range(_MAX_HOPS):
         # Done when the point sits on one of the two G0 graph pieces.
-        if (snapped := _snap_to_G0(geom, a, b, snap)) is not None:
+        if (snapped := _snap_to_G0(geom, a, b)) is not None:
             return snapped
-        if b > snap:
+        if b > _SNAP:
             # Positive height: (a, b) = (f_hat(b), b) with b in (0, f(x0)];
             # cross to the inverse branch of f.
             a_new = f_tilde(geom, b)
@@ -158,7 +161,7 @@ def canonicalize_start(geom: CurveGeometry, point, max_hops: int = 1000):
                 )
             a = a_new
             continue
-        if a > snap:
+        if a > _SNAP:
             b_new = g_tilde(geom, a)
             if abs(b_new - b) <= 1e-12:
                 raise ValueError(
@@ -168,15 +171,15 @@ def canonicalize_start(geom: CurveGeometry, point, max_hops: int = 1000):
             continue
         # Lower-left region: climb by switching the smaller coordinate up.
         fa = f_branch(geom, a)
-        if b < fa - snap:
+        if b < fa - _SNAP:
             b = fa
             continue
         gb = g_branch(geom, b)
-        if a < gb - snap:
+        if a < gb - _SNAP:
             a = gb
             continue
         raise SolverError(f"canonicalization stalled at {(a, b)!r}")
-    raise SolverError(f"canonicalization exceeded {max_hops} hops")
+    raise SolverError(f"canonicalization exceeded {_MAX_HOPS} hops")
 
 
 def _logaddexp(u: float, v: float) -> float:

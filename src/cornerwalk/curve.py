@@ -86,6 +86,8 @@ __all__ = [
 # iterates this many ulps apart count as converged
 AGREE_ULPS = 4
 DRIFT_FLOOR = 1e-10
+# a branch argument at most this far outside its domain is clamped into it
+_DOMAIN_TOL = 1e-12
 
 
 class SolverError(ArithmeticError):
@@ -103,7 +105,6 @@ class CurveGeometry:
     g_at_y0: float
     c1: float  # f(x0) - x0 > 0: minimal horizontal switch gap
     c2: float  # g(y0) - y0 > 0: minimal vertical switch gap
-    tol: float
     # Switching chains grown by ``compensation.build_sequence``, keyed by
     # the start's exact float bits; outside equality, hash and repr.
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -272,16 +273,19 @@ class _Section:
             curv.append(d * d * w)
         return math.fsum(der), math.fsum(curv)
 
+    def minimizer(self) -> float:
+        """The section's minimizer: the root of its increasing slope."""
+        d0 = self.slope(0.0)
+        return _solve(
+            self.slope_curvature,
+            *_bracket(self.slope, 0.0, d0, 1 if d0 <= 0.0 else -1, 1.0),
+        )
+
 
 def _section_extreme_root(dist, fixed: float, axis: str, side: int) -> float:
     """Upper (+1) or lower (-1) root of the y-section (axis='y') or x-section."""
     section = _Section(dist, fixed, 1 if axis == "y" else 0)
-    # the minimizer is the root of the increasing derivative
-    d0 = section.slope(0.0)
-    tmin = _solve(
-        section.slope_curvature,
-        *_bracket(section.slope, 0.0, d0, 1 if d0 <= 0.0 else -1, 1.0),
-    )
+    tmin = section.minimizer()
     fmin = section.value(tmin)
     if fmin > _TANGENT_EPS:
         raise SolverError(
@@ -343,11 +347,11 @@ def _branch(
 ) -> float:
     """Upper (+1) or lower (-1) root of the ``axis``-section at t.
 
-    t must lie in [lo, hi] up to geom.tol; it is clamped into the interval.
+    t must lie in [lo, hi] up to _DOMAIN_TOL; it is clamped into the interval.
     A lower root is taken in closed form where ``_small_step_lower_root``
     gives one.
     """
-    if t < lo - geom.tol or t > hi + geom.tol:
+    if not lo - _DOMAIN_TOL <= t <= hi + _DOMAIN_TOL:  # NaN fails too
         var = "x" if axis == "y" else "y"
         raise ValueError(f"{name} defined for {var} in [{lo!r}, {hi!r}], got {t!r}")
     fixed = min(max(t, lo), hi)
@@ -402,14 +406,15 @@ def _slope(dist: StepDistribution, x: float, y: float, along: str) -> float:
     return -gy / gx
 
 
-def find_extrema(dist: StepDistribution, tol: float = 1e-12) -> CurveGeometry:
+def find_extrema(dist: StepDistribution) -> CurveGeometry:
     """Locate the branch maxima (x0, f(x0)) and (g(y0), y0).
 
     Requires a valid model whose drift points strictly into the quadrant:
     the branch derivative at 0 is -m1/m2, so a maximum at negative
     abscissa exists exactly when both drift coordinates are positive.
     Near-degenerate drift is rejected rather than returning maxima that
-    exist only as numerical noise.
+    exist only as numerical noise.  The branch functions accept arguments
+    up to ``_DOMAIN_TOL`` outside their domains and clamp them into it.
     """
     require_valid(dist)
     m1, m2 = drift(dist)
@@ -454,7 +459,7 @@ def find_extrema(dist: StepDistribution, tol: float = 1e-12) -> CurveGeometry:
         )
     return CurveGeometry(
         dist=dist, x0=x0, y0=y0, f_at_x0=f_at_x0, g_at_y0=g_at_y0,
-        c1=c1, c2=c2, tol=tol,
+        c1=c1, c2=c2,
     )
 
 
@@ -498,6 +503,8 @@ def cramer_transform(geom: CurveGeometry, u) -> CramerData:
     kernel is strictly convex, so one root solve along the arc inverts it.
     """
     u1, u2 = float(u[0]), float(u[1])
+    if not (math.isfinite(u1) and math.isfinite(u2)):
+        raise ValueError(f"direction {u!r} is not finite")
     if u1 < -1e-9 or u2 < -1e-9:
         raise ValueError(f"direction {u!r} leaves the first quadrant")
     u1, u2 = max(u1, 0.0), max(u2, 0.0)
@@ -516,15 +523,10 @@ def cramer_transform(geom: CurveGeometry, u) -> CramerData:
         # memoized, so that the root ``_solve`` returns is not solved again
         arc_point = functools.cache(lambda t: _arc_point(geom, t))
 
-        def gap(t: float) -> float:
-            # theta minus the gradient angle, increasing in t
-            gx, gy = log_kernel_grad(dist, *arc_point(t))
-            return theta - math.atan2(gy, gx)
-
         def angle_gap(t: float) -> tuple[float, float]:
-            # the gap and its derivative along the arc: the point moves by
-            # (dx, dy) per unit t, along the branch slope, and the gradient
-            # by H (dx, dy)
+            # theta minus the gradient angle, increasing in t, and its
+            # derivative along the arc: the point moves by (dx, dy) per
+            # unit t, along the branch slope, and the gradient by H (dx, dy)
             px, py = arc_point(t)
             gx, gy = log_kernel_grad(dist, px, py)
             hxx, hxy, hyy = log_kernel_hess(dist, px, py)
@@ -540,8 +542,8 @@ def cramer_transform(geom: CurveGeometry, u) -> CramerData:
                 (gy * dgx - gx * dgy) / (gx * gx + gy * gy),
             )
 
-        flo = gap(0.0)
-        fhi = gap(2.0)
+        flo = angle_gap(0.0)[0]
+        fhi = angle_gap(2.0)[0]
         if flo > 0.0:
             phi = (geom.x0, geom.f_at_x0)
         elif fhi < 0.0:

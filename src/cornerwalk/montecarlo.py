@@ -59,7 +59,7 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -756,21 +756,20 @@ def green_direction_scan(
     geom = find_extrema(dist)
     u1, u2 = float(u[0]), float(u[1])
     norm = math.hypot(u1, u2)
-    if norm <= 0 or u1 <= 0 or u2 <= 0:
-        raise ValueError("scan direction must point strictly into the quadrant")
+    if not (norm < math.inf and u1 > 0 and u2 > 0):  # NaN fails too
+        raise ValueError(
+            f"scan direction {u!r} must be finite and point strictly into the quadrant"
+        )
     u1, u2 = u1 / norm, u2 / norm
+    radii = [float(r) for r in radii]
+    if not all(0 < r < math.inf for r in radii):
+        raise ValueError(f"radii {radii!r} must be finite and positive")
     out = []
     for r in radii:
-        r = float(r)
-        if r <= 0:
-            raise ValueError("radii must be positive")
         y = (max(1, round(r * u1)), max(1, round(r * u2)))
         ny = math.hypot(y[0], y[1])
         twist = cramer_transform(geom, (y[0] / ny, y[1] / ny))
-        cfg_y = SimConfig(
-            seed=cfg.seed, n_paths=cfg.n_paths, horizon=cfg.horizon, twist=twist
-        )
-        est = estimate_green(dist, x, y, cfg_y)
+        est = estimate_green(dist, x, y, replace(cfg, twist=twist))
         corr = math.sqrt(ny) * _twist_weight(twist, y, x)  # exp(-<phi, x-y>)
         out.append(
             ScanPoint(
@@ -839,9 +838,7 @@ def _exit_root(steps, probs, axis: int) -> float:
         value, slope = section.value_slope(t)
         return value + excess, slope
 
-    tmin = _solve(
-        section.slope_curvature, *_bracket(section.slope, 0.0, mu, -1, 1.0)
-    )
+    tmin = section.minimizer()
     fmin = f(tmin)
     if fmin >= 0.0:
         return 1.0

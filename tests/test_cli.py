@@ -125,6 +125,15 @@ class TestCurveDump:
         code, _, _ = run(capsys, "curve-dump", paths["fib"], "--step", "-0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--step", "nan"), ("--step", "inf"), ("--lo=-inf", "--step", "0.1"),
+    ])
+    def test_non_finite_grid_is_usage_error(self, capsys, paths, argv):
+        code, out, err = run(capsys, "curve-dump", paths["fib"], *argv)
+        assert code == 2
+        assert argv[0].split("=")[0] in err
+        assert out == ""
+
     def test_invalid_model(self, capsys, paths):
         code, _, _ = run(capsys, "curve-dump", paths["bad_norm"])
         assert code == 1
@@ -331,6 +340,16 @@ class TestSimulate:
         assert "--twist-u" in err
         assert out == ""
 
+    @pytest.mark.parametrize("u", [("nan", "1"), ("inf", "1"), ("0", "0")])
+    def test_bad_twist_direction_is_usage_error(self, capsys, paths, u):
+        code, out, err = run(
+            capsys, "simulate", paths["all_five"], "green", "2", "2", "3", "3",
+            "--seed", "5", "--n-paths", "1000", "--horizon", "4", "--twist-u", *u,
+        )
+        assert code == 2
+        assert "--twist-u" in err
+        assert out == ""
+
     def test_martin_parity_degenerate_is_numerical_failure(self, capsys, paths):
         code, _, err = run(
             capsys, "simulate", paths["fib"], "martin", "2", "3", "3", "4",
@@ -414,6 +433,19 @@ class TestGreenScan:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("u, radii, name", [
+        (("1", "1"), "inf", "radii"), (("1", "1"), "5,nan", "radii"),
+        (("nan", "1"), "5", "direction"), (("inf", "1"), "5", "direction"),
+    ])
+    def test_non_finite_input_is_usage_error(self, capsys, paths, u, radii, name):
+        code, out, err = run(
+            capsys, "green-scan", paths["fib"], "1", "1", "--u", *u,
+            "--radii", radii, "--seed", "1", "--n-paths", "100",
+        )
+        assert code == 2
+        assert name in err
+        assert out == ""
+
     def test_empty_radii(self, capsys, paths):
         code, _, _ = run(
             capsys, "green-scan", paths["fib"], "1", "1", "--u", "1", "1",
@@ -437,6 +469,18 @@ class TestCompare:
         assert rows[1] == ["0", "0", "0", "0", "0", "0", "0"]
         interior = [r for r in rows[1:] if r[0] != "0" and r[1] != "0"]
         assert all(abs(float(r[6])) < 6.0 for r in interior)
+
+    @pytest.mark.parametrize("argv, name", [
+        (("--imin", "-1"), "imin"), (("--imin", "3"), "imax"),
+        (("--jmin", "3"), "jmax"),
+    ])
+    def test_bad_range_is_usage_error(self, capsys, paths, argv, name):
+        code, out, err = run(
+            capsys, "compare", paths["fib"], "2", "2", *argv, "--seed", "1",
+        )
+        assert code == 2
+        assert name in err
+        assert out == ""
 
     def test_byte_identical_reruns(self, capsys, paths, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

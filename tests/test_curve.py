@@ -138,6 +138,12 @@ class TestBranches:
         with pytest.raises(ValueError):
             f_tilde(fib_geom, -0.5)
 
+    @pytest.mark.parametrize("name", ["fib_geom", "all_five_geom"])
+    @pytest.mark.parametrize("branch", [f_hat, g_hat, f_branch, f_tilde])
+    def test_nan_argument_rejected(self, request, name, branch):
+        with pytest.raises(ValueError, match="got nan"):
+            branch(request.getfixturevalue(name), math.nan)
+
     def test_on_curve_everywhere(self, big_jump_geom):
         # no closed form for the nine-step model: check the defining
         # identity G(x, f(x)) = 0 instead
@@ -252,6 +258,12 @@ class TestCramer:
             cramer_transform(fib_geom, (-0.5, 1.0))
         with pytest.raises(ValueError):
             cramer_transform(fib_geom, (0.0, 0.0))
+
+    @pytest.mark.parametrize("u", [(math.nan, 1.0), (math.inf, 1.0),
+                                   (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_direction_rejected(self, all_five_geom, u):
+        with pytest.raises(ValueError, match="not finite"):
+            cramer_transform(all_five_geom, u)
 
     def test_covariance_is_positive_definite(self, fib_geom):
         d = cramer_transform(fib_geom, (1.0, 2.0))

@@ -706,6 +706,15 @@ class TestDirectionScan:
         with pytest.raises(ValueError, match="positive"):
             green_direction_scan(fib, (1, 1), (1.0, 1.0), [0], cfg)
 
+    def test_non_finite_input_rejected(self, fib):
+        cfg = SimConfig(seed=0, n_paths=16)
+        for u in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                green_direction_scan(fib, (1, 1), u, [5], cfg)
+        for radii in [[math.inf], [5, math.nan]]:
+            with pytest.raises(ValueError, match="radii"):
+                green_direction_scan(fib, (1, 1), (1.0, 1.0), radii, cfg)
+
 
 class TestSkipfreeRoot:
     def test_fibonacci_half(self, fib):
@@ -781,6 +790,17 @@ class TestExitRootRounding:
         assert Fraction(c) - lo <= 4 * ulp
         # the float law's root lies within a few ulps of the exact law's
         assert abs(Fraction(c) - root) <= 4 * ulp
+
+
+class TestExitRootNoRootBelowOne:
+    def test_law_summing_above_one_has_root_one(self):
+        # the masses sum to 1 + 2**-53, so psi(c) = sum_d P(d) c^d - 1 is
+        # positive on all of (0, 1]: the section minimum, excess included,
+        # is >= 0 although the drift 1e-10 is above the zero-drift cut
+        probs = np.array([0.5 - 5e-11, math.nextafter(0.5 + 5e-11, 2.0)])
+        assert sum(map(Fraction, probs.tolist())) == 1 + Fraction(1, 2**53)
+        steps = np.array([[0, -1], [0, 1]], dtype=np.int32)
+        assert _exit_root(steps, probs, 1) == 1.0
 
 
 class TestExitRootsPerCall:
