@@ -12,7 +12,6 @@ Usage: python scripts/martin_convergence.py [--radii 10,15,20] [--n-paths N]
 """
 
 import argparse
-import math
 
 from cornerwalk import (
     SimConfig,

@@ -73,11 +73,15 @@ class RunManifest:
         return lines
 
 
-def _emit(args, manifest: RunManifest, body: list[str]) -> None:
-    text = "\n".join(manifest.header_lines() + body) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+def _emit(args, params: dict, body: list[str], seed: int | None = None) -> None:
+    """Write the run manifest, then ``body``, to ``args.out`` or stdout.
+
+    The manifest takes the command and model from ``args``, so a
+    subcommand states only its ``params`` and ``seed``."""
+    man = RunManifest(args.subcommand, args.model, params, seed=seed)
+    text = "\n".join(man.header_lines() + body) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -95,7 +99,6 @@ def _load_valid_model(path: str) -> StepDistribution:
 def cmd_validate(args) -> int:
     dist = parse_model_file(args.model)
     report = validate_model(dist)
-    man = RunManifest("validate", args.model, {})
     body = [
         f"steps: {len(dist)}",
         f"passed: {'yes' if report.passed else 'no'}",
@@ -105,11 +108,14 @@ def cmd_validate(args) -> int:
         body.append(f"violation {rule}: {msg}")
     for note in report.notes:
         body.append(f"note: {note}")
-    _emit(args, man, body)
+    _emit(args, {}, body)
     return 0 if report.passed else 1
 
 
 # -------------------------------------------------------------- curve-dump
+
+
+_MAX_ROWS = 100_000  # grid rows one curve-dump may print
 
 
 def cmd_curve_dump(args) -> int:
@@ -124,20 +130,20 @@ def cmd_curve_dump(args) -> int:
     step = args.step if args.step is not None else (hi - lo) / 50.0
     if not 0 < step < math.inf:  # NaN fails too
         raise ValueError(f"--step must be finite and positive, got {step!r}")
-    man = RunManifest(
-        "curve-dump", args.model, {"lo": lo, "hi": hi, "step": step}
-    )
+    end = hi + 1e-12 * max(1.0, abs(hi))  # the last point may round past hi
+    if (end - lo) / step >= _MAX_ROWS:  # rows: the k >= 0 with lo + k*step <= end
+        raise ValueError(f"--step {step!r} gives more than {_MAX_ROWS} grid rows")
     body = ["x,f(x),y,g(y)"]
     k = 0
     while True:
         t = lo + k * step
-        if t > hi + 1e-12 * max(1.0, abs(hi)):
+        if t > end:
             break
         x = min(max(t, geom.x0), 0.0)
         y = min(max(t, geom.y0), 0.0)
         body.append(_csv(x, f_branch(geom, x), y, g_branch(geom, y)))
         k += 1
-    _emit(args, man, body)
+    _emit(args, {"lo": lo, "hi": hi, "step": step}, body)
     return 0
 
 
@@ -166,6 +172,8 @@ def cmd_escape(args) -> int:
 
         n_paths, horizon, seed = args.mc_check
         params.update({"mc_n_paths": n_paths, "mc_horizon": horizon})
+        # an absorbed start is not simulated, but its inputs pass the same gate
+        mc._check_stream_inputs(dist.steps, [(i, j)], horizon, seed, n_paths)
         est = mc.estimate_escape(
             dist, (i, j), mc.SimConfig(seed=seed, n_paths=n_paths, horizon=horizon)
         ) if i >= 1 and j >= 1 else mc.SimEstimate(
@@ -180,7 +188,7 @@ def cmd_escape(args) -> int:
             f"mc_delta: {_fmt(delta)}",
             f"mc_verdict: {'agree' if delta <= gate else 'disagree'}",
         ]
-    _emit(args, RunManifest("escape", args.model, params, seed=seed), body)
+    _emit(args, params, body, seed)
     return 0
 
 
@@ -193,12 +201,6 @@ def cmd_harmonic_table(args) -> int:
         raise ValueError("imax and jmax must be >= 1")
     geom = find_extrema(dist)
     seq = build_sequence(geom, (0.0, 0.0), truncation_tol=args.tol, imin=2)
-    man = RunManifest(
-        "harmonic-table",
-        args.model,
-        {"imax": args.imax, "jmax": args.jmax, "tol": args.tol,
-         "bounds": args.bounds},
-    )
     last = ["tail_bound"] if args.bounds else []
     body = [_csv("i", *range(1, args.jmax + 1), *last)]
     for i in range(1, args.imax + 1):
@@ -206,7 +208,8 @@ def cmd_harmonic_table(args) -> int:
         if args.bounds:
             last = [max(v.tail_bound for v in vals)]
         body.append(_csv(i, *(v.value for v in vals), *last))
-    _emit(args, man, body)
+    _emit(args, {"imax": args.imax, "jmax": args.jmax, "tol": args.tol,
+                 "bounds": args.bounds}, body)
     return 0
 
 
@@ -214,16 +217,10 @@ def cmd_harmonic_table(args) -> int:
 
 
 def cmd_boundary_harmonic(args) -> int:
-    dist = _load_valid_model(args.model)
-    if args.i < 1 or args.j < 1:
-        raise ValueError("coordinates must be >= 1")
-    geom = find_extrema(dist)
+    geom = find_extrema(_load_valid_model(args.model))
     v = boundary_harmonic(geom, args.i, args.j, tol=args.tol)
-    man = RunManifest(
-        "boundary-harmonic", args.model,
-        {"i": args.i, "j": args.j, "tol": args.tol},
-    )
-    _emit(args, man, [f"boundary_harmonic: {_fmt(v)}"])
+    _emit(args, {"i": args.i, "j": args.j, "tol": args.tol},
+          [f"boundary_harmonic: {_fmt(v)}"])
     return 0
 
 
@@ -235,15 +232,11 @@ def cmd_sequence(args) -> int:
     params = compute_params(dist)
     if args.nmin > args.nmax:
         raise ValueError("nmin must be <= nmax")
-    man = RunManifest(
-        "sequence", args.model,
-        {"s": args.s, "nmin": args.nmin, "nmax": args.nmax},
-    )
     body = ["n,alpha_n,beta_n,inv_alpha_n,inv_beta_n"]
     for n in range(args.nmin, args.nmax + 1):
         a_n, b_n = sequence_at(params, args.s, n)
         body.append(_csv(n, a_n, b_n, 1.0 / a_n, 1.0 / b_n))
-    _emit(args, man, body)
+    _emit(args, {"s": args.s, "nmin": args.nmin, "nmax": args.nmax}, body)
     return 0
 
 
@@ -260,18 +253,16 @@ def cmd_simulate(args) -> int:
     cfg = mc.SimConfig(seed=args.seed, n_paths=args.n_paths, horizon=args.horizon)
     if args.twist_u is not None and args.quantity != "green":
         raise ValueError(f"--twist-u applies to green only, not {args.quantity}")
+    params = {"n_paths": args.n_paths, "horizon": args.horizon}
     if args.quantity == "escape":
-        params = {"i": args.coords[0], "j": args.coords[1],
-                  "n_paths": args.n_paths, "horizon": args.horizon}
+        params.update(i=args.coords[0], j=args.coords[1])
         est = mc.estimate_escape(dist, tuple(args.coords), cfg)
     elif args.quantity == "survival":
-        params = {"height": args.coords[0],
-                  "n_paths": args.n_paths, "horizon": args.horizon}
+        params["height"] = args.coords[0]
         est = mc.estimate_halfplane_survival(dist, args.coords[0], cfg)
     else:
         x, y = tuple(args.coords[:2]), tuple(args.coords[2:])
-        params = {"x": f"({x[0]} {x[1]})", "y": f"({y[0]} {y[1]})",
-                  "n_paths": args.n_paths, "horizon": args.horizon}
+        params.update(x=f"({x[0]} {x[1]})", y=f"({y[0]} {y[1]})")
         if args.twist_u is not None:
             u1, u2 = args.twist_u
             nrm = math.hypot(u1, u2)
@@ -286,10 +277,9 @@ def cmd_simulate(args) -> int:
             est = mc.estimate_green(dist, x, y, cfg)
         else:
             est = mc.martin_kernel_estimate(dist, x, y, cfg)
-    man = RunManifest("simulate", args.model, params, seed=args.seed)
     row = _csv(args.quantity, est.mean, est.std_error, est.n_paths, est.horizon,
                args.seed)
-    _emit(args, man, [_SIM_HEADER, row])
+    _emit(args, params, [_SIM_HEADER, row], args.seed)
     return 0
 
 
@@ -305,19 +295,15 @@ def cmd_green_scan(args) -> int:
         raise ValueError("at least one radius is required")
     cfg = mc.SimConfig(seed=args.seed, n_paths=args.n_paths, horizon=args.horizon)
     pts = mc.green_direction_scan(dist, (args.x[0], args.x[1]), tuple(args.u), radii, cfg)
-    man = RunManifest(
-        "green-scan", args.model,
-        {"x": f"({args.x[0]} {args.x[1]})",
-         "u": f"({_fmt(args.u[0])} {_fmt(args.u[1])})",
-         "radii": args.radii, "n_paths": args.n_paths,
-         "horizon": args.horizon if args.horizon is not None else "auto"},
-        seed=args.seed,
-    )
     body = [_SIM_HEADER]
     for p in pts:
         body.append(_csv(f"scaled_green_{p.y[0]}_{p.y[1]}", p.value, p.std_error,
                          args.n_paths, p.horizon, args.seed))
-    _emit(args, man, body)
+    _emit(args, {"x": f"({args.x[0]} {args.x[1]})",
+                 "u": f"({_fmt(args.u[0])} {_fmt(args.u[1])})",
+                 "radii": args.radii, "n_paths": args.n_paths,
+                 "horizon": args.horizon if args.horizon is not None else "auto"},
+          body, args.seed)
     return 0
 
 
@@ -332,17 +318,14 @@ def cmd_compare(args) -> int:
         raise ValueError("imin and jmin must be >= 0")
     if args.imax < args.imin or args.jmax < args.jmin:
         raise ValueError("imax/jmax must be >= imin/jmin")
+    # rows on an axis are not simulated, but their inputs pass the same gate;
+    # (imax, jmax) is the row farthest from the origin
+    mc._check_stream_inputs(dist.steps, [(args.imax, args.jmax)], args.horizon,
+                            args.seed, args.n_paths)
     geom = find_extrema(dist)
     seq = build_sequence(
         geom, (0.0, 0.0), truncation_tol=args.tol,
         imin=max(2, args.imin + args.jmin),
-    )
-    man = RunManifest(
-        "compare", args.model,
-        {"imin": args.imin, "imax": args.imax, "jmin": args.jmin,
-         "jmax": args.jmax, "n_paths": args.n_paths, "horizon": args.horizon,
-         "tol": args.tol},
-        seed=args.seed,
     )
     body = ["i,j,series,tail_bound,mc_mean,mc_std_error,z"]
     cfg = mc.SimConfig(seed=args.seed, n_paths=args.n_paths, horizon=args.horizon)
@@ -356,7 +339,9 @@ def cmd_compare(args) -> int:
                 if se != 0.0:
                     z = (mean - hv.value) / se
             body.append(_csv(i, j, hv.value, hv.tail_bound, mean, se, z))
-    _emit(args, man, body)
+    _emit(args, {"imin": args.imin, "imax": args.imax, "jmin": args.jmin,
+                 "jmax": args.jmax, "n_paths": args.n_paths,
+                 "horizon": args.horizon, "tol": args.tol}, body, args.seed)
     return 0
 
 
@@ -372,11 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, func, with_out=True):
+    def add(name, func):
         q = sub.add_parser(name)
         q.add_argument("model", help="model file (lines: di dj prob)")
-        if with_out:
-            q.add_argument("-o", "--out", help="write output to this file")
+        q.add_argument("-o", "--out", help="write output to this file")
         q.set_defaults(func=func)
         return q
 

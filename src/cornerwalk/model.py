@@ -176,11 +176,16 @@ def parse_model_file(path) -> StepDistribution:
         return parse_model_text(fh.read(), source=str(path))
 
 
-def validate_model(dist: StepDistribution, tol: float = 1e-12) -> ModelValidationReport:
+# slack of the "sums to one" test for a law given without exact probabilities
+_NORM_TOL = 1e-12
+
+
+def validate_model(dist: StepDistribution) -> ModelValidationReport:
     """Check the structural assumptions and classify the support.
 
     Rule ids:
-      norm          probabilities nonnegative, summing to one
+      norm          probabilities nonnegative, summing to one (exactly when
+                    ``exact`` is kept, else within _NORM_TOL)
       small_neg     no step goes below -1 in either coordinate
       singular      the three weakly-down-left unit steps carry no mass
       corner_jumps  both diagonal crossings (-1,1) and (1,-1) carry mass
@@ -195,7 +200,7 @@ def validate_model(dist: StepDistribution, tol: float = 1e-12) -> ModelValidatio
         total = float(total_exact)
     else:
         total = math.fsum(dist.probs)
-        norm_ok = abs(total - 1.0) <= tol
+        norm_ok = abs(total - 1.0) <= _NORM_TOL
     if any(p < 0 for p in dist.probs):
         violations.append(("norm", "negative probability in the step law"))
     elif not norm_ok:

@@ -752,8 +752,7 @@ def green_direction_scan(
     sqrt(|y|) * exp(-<phi, x - y>) * G(x, y), which converges to a
     positive limit along the ray.
     """
-    require_valid(dist)
-    geom = find_extrema(dist)
+    geom = find_extrema(dist)  # validates dist
     u1, u2 = float(u[0]), float(u[1])
     norm = math.hypot(u1, u2)
     if not (norm < math.inf and u1 > 0 and u2 > 0):  # NaN fails too

@@ -22,6 +22,11 @@ def test_package_has_no_unused_import(check_imports, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_scripts_have_no_unused_import(check_imports, capsys):
+    assert check_imports.main([str(ROOT / "scripts")]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_type_checking_import_used_by_nothing(check_imports):
     source = (
         "from __future__ import annotations\n"

@@ -134,6 +134,25 @@ class TestCurveDump:
         assert argv[0].split("=")[0] in err
         assert out == ""
 
+    def test_oversized_grid_is_usage_error(self, capsys, paths):
+        # about 1e11 rows: refused before the first one is built
+        code, out, err = run(capsys, "curve-dump", paths["fib"], "--step", "1e-12")
+        assert code == 2
+        assert "--step" in err
+        assert out == ""
+
+    def test_row_cap_counts_the_default_grid(self, capsys, paths, monkeypatch):
+        # the default grid has 51 rows: allowed at a cap of 51, not of 50
+        monkeypatch.setattr("cornerwalk.cli._MAX_ROWS", 51)
+        code, out, _ = run(capsys, "curve-dump", paths["fib"])
+        assert code == 0
+        assert len(csv_rows(out)) == 1 + 51
+        monkeypatch.setattr("cornerwalk.cli._MAX_ROWS", 50)
+        code, out, err = run(capsys, "curve-dump", paths["fib"])
+        assert code == 2
+        assert "--step" in err
+        assert out == ""
+
     def test_invalid_model(self, capsys, paths):
         code, _, _ = run(capsys, "curve-dump", paths["bad_norm"])
         assert code == 1
@@ -163,6 +182,19 @@ class TestEscape:
         assert code == 0
         assert body_value(out, "mc_mean") == "0"
         assert body_value(out, "mc_verdict") == "agree"
+
+    @pytest.mark.parametrize("mc_check, name", [
+        (("0", "0", "-1"), "n_paths"), (("64", "10", "-1"), "seed"),
+    ])
+    def test_boundary_mc_check_inputs_are_gated(self, capsys, paths, mc_check, name):
+        # an absorbed start is not simulated, but its inputs are checked
+        # as an interior start's are
+        code, out, err = run(
+            capsys, "escape", paths["fib"], "0", "3", "--mc-check", *mc_check,
+        )
+        assert code == 2
+        assert name in err
+        assert out == ""
 
     def test_mc_check_agrees(self, capsys, paths):
         code, out, _ = run(
@@ -477,6 +509,20 @@ class TestCompare:
     def test_bad_range_is_usage_error(self, capsys, paths, argv, name):
         code, out, err = run(
             capsys, "compare", paths["fib"], "2", "2", *argv, "--seed", "1",
+        )
+        assert code == 2
+        assert name in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv, name", [
+        (("--seed", "-5", "--n-paths", "0", "--horizon", "0"), "n_paths"),
+        (("--seed", "-5", "--n-paths", "64", "--horizon", "10"), "seed"),
+    ])
+    def test_axis_only_grid_gates_mc_inputs(self, capsys, paths, argv, name):
+        # no row of this grid is simulated, but its inputs are checked
+        code, out, err = run(
+            capsys, "compare", paths["fib"], "0", "2", "--imin", "0", "--jmin", "0",
+            *argv,
         )
         assert code == 2
         assert name in err

@@ -72,6 +72,15 @@ class TestSequence:
         with pytest.raises(ValueError, match="G0"):
             build_sequence(fib_geom, (-1.0, -1.2), imin=2)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"imin": 0}, "imin"),
+        ({"truncation_tol": 0.0}, "truncation_tol"),
+        ({"truncation_tol": math.nan}, "truncation_tol"),
+    ])
+    def test_bad_build_arguments_rejected(self, fib_geom, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            build_sequence(fib_geom, (0.0, 0.0), **kwargs)
+
     def test_big_jump_model_builds(self, big_jump_geom):
         seq = build_sequence(big_jump_geom, (0.0, 0.0), imin=2)
         assert seq.n_max >= 1 and seq.n_min <= -1
@@ -385,6 +394,14 @@ class TestBoundaryHarmonic:
     def test_positive(self, all_five_geom):
         for i, j in [(1, 1), (2, 1), (1, 3), (4, 4)]:
             assert boundary_harmonic(all_five_geom, i, j) > 0.0
+
+    @pytest.mark.parametrize("i, j, tol, match", [
+        (0, 1, 1e-12, "interior"), (1, 0, 1e-12, "interior"),
+        (1, 1, 0.0, "tol"), (1, 1, math.nan, "tol"),
+    ])
+    def test_rejections(self, fib_geom, i, j, tol, match):
+        with pytest.raises(ValueError, match=match):
+            boundary_harmonic(fib_geom, i, j, tol=tol)
 
     def test_beyond_float_range_is_a_solver_error(self, fib_geom):
         # The function grows like exp(i * g(y0)) along the boundary.

@@ -91,6 +91,25 @@ def test_validate_norm_exact_fractions():
     assert "norm" not in [r for r, _ in report.violations]
 
 
+@pytest.mark.parametrize("excess, passed", [(1e-13, True), (1e-11, False)])
+def test_validate_norm_float_sum_without_exact(excess, passed):
+    # built directly, without exact probabilities: the float sum decides,
+    # within 1e-12 of one
+    dist = StepDistribution(
+        steps=((-1, 1), (1, -1), (1, 1)), probs=(0.25, 0.25, 0.5 + excess)
+    )
+    report = validate_model(dist)
+    assert report.passed is passed
+    assert ("norm" in [r for r, _ in report.violations]) is not passed
+
+
+def test_validate_negative_probability():
+    # the exact sum is one, so only the sign trips the rule
+    dist = StepDistribution.from_pairs({(1, 1): 1.5, (1, -1): -0.25, (-1, 1): -0.25})
+    report = validate_model(dist)
+    assert ("norm", "negative probability in the step law") in report.violations
+
+
 def test_validate_lazy_step_note():
     report = validate_model(parse_model_text("0 0 1/4\n1 1 1/4\n1 -1 1/4\n-1 1 1/4\n"))
     assert report.passed

@@ -182,6 +182,10 @@ class TestHalfplaneSurvival:
         with pytest.raises(ValueError, match="n_paths and horizon"):
             estimate_halfplane_survival(fib, 1, cfg)
 
+    def test_horizon_required(self, fib):
+        with pytest.raises(ValueError, match="explicit horizon"):
+            estimate_halfplane_survival(fib, 1, SimConfig(seed=0, n_paths=10))
+
 
 class TestInputGuards:
     """Inputs the int32 positions or the 64-bit Philox key cannot
@@ -331,6 +335,11 @@ class TestMartinKernel:
         cfg = SimConfig(seed=1, n_paths=64, horizon=horizon)
         with pytest.raises(ValueError, match="empty list"):
             martin_kernel_profile(all_five, (2, 3), [], cfg)
+
+    @pytest.mark.parametrize("x, ys", [((0, 3), [(3, 3)]), ((2, 3), [(3, 3), (3, 0)])])
+    def test_endpoint_on_axis_rejected(self, all_five, x, ys):
+        with pytest.raises(ValueError, match="strictly inside"):
+            martin_kernel_profile(all_five, x, ys, SimConfig(seed=1, n_paths=64))
 
     def test_converges_toward_harmonic_ratio(self, all_five, all_five_geom):
         from cornerwalk.compensation import build_sequence, harmonic_eval
