@@ -5,15 +5,19 @@
 Each module under the given files or directories is parsed with ``ast``.
 A name an import binds counts as used when the module reads it anywhere
 (annotations included) or lists it in ``__all__``; ``__future__``
-imports are skipped.  Prints one ``path:line: name`` per unused import
+imports are skipped, and so is an import whose first line carries an
+explicit ``# noqa: F401`` (flake8's code for an unused import).  Prints one ``path:line: name`` per unused import
 and exits 1 if there is any, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
+
+_NOQA_F401 = re.compile(r"#\s*noqa:[\sA-Z0-9,]*\bF401\b")
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -39,7 +43,11 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     used = _exported(tree) | {
         n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
     }
-    return [(line, name) for line, name in bound if name not in used]
+    lines = source.splitlines()
+    return [
+        (line, name) for line, name in bound
+        if name not in used and not _NOQA_F401.search(lines[line - 1])
+    ]
 
 
 def main(argv: list[str]) -> int:

@@ -115,7 +115,8 @@ def cmd_validate(args) -> int:
 # -------------------------------------------------------------- curve-dump
 
 
-_MAX_ROWS = 100_000  # grid rows one curve-dump may print
+# rows one curve-dump, or cells one harmonic-table or compare, may print
+_MAX_ROWS = 100_000
 
 
 def cmd_curve_dump(args) -> int:
@@ -199,6 +200,9 @@ def cmd_harmonic_table(args) -> int:
     dist = _load_valid_model(args.model)
     if args.imax < 1 or args.jmax < 1:
         raise ValueError("imax and jmax must be >= 1")
+    if args.imax * args.jmax > _MAX_ROWS:
+        raise ValueError(f"--imax {args.imax} by --jmax {args.jmax} gives more "
+                         f"than {_MAX_ROWS} grid cells")
     geom = find_extrema(dist)
     seq = build_sequence(geom, (0.0, 0.0), truncation_tol=args.tol, imin=2)
     last = ["tail_bound"] if args.bounds else []
@@ -318,6 +322,9 @@ def cmd_compare(args) -> int:
         raise ValueError("imin and jmin must be >= 0")
     if args.imax < args.imin or args.jmax < args.jmin:
         raise ValueError("imax/jmax must be >= imin/jmin")
+    if (args.imax - args.imin + 1) * (args.jmax - args.jmin + 1) > _MAX_ROWS:
+        raise ValueError(f"IMAX {args.imax} and JMAX {args.jmax} give more than "
+                         f"{_MAX_ROWS} grid cells from ({args.imin}, {args.jmin})")
     # rows on an axis are not simulated, but their inputs pass the same gate;
     # (imax, jmax) is the row farthest from the origin
     mc._check_stream_inputs(dist.steps, [(args.imax, args.jmax)], args.horizon,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .curve import (
     CurveGeometry,
@@ -57,6 +57,14 @@ def _require_float_exact(i: int, j: int) -> None:
         raise ValueError("lattice coordinates must be below 2**53")
 
 
+def _require_geometry(geom) -> None:
+    if not isinstance(geom, CurveGeometry):
+        raise TypeError(
+            f"expected a CurveGeometry, got {type(geom).__name__}; "
+            "build one with find_extrema(dist)"
+        )
+
+
 class PrecisionWarning(UserWarning):
     """The requested evaluation exceeds what the built truncation supports."""
 
@@ -85,6 +93,9 @@ class CompensationSequence:
     b_n for n in [n_min, n_max]; term n of the series uses (a_n, b_n,
     a_{n+1}).  The envelope anchored at (a0, b0) with gaps (c1, c2)
     dominates the stored chain termwise and extends it to infinity.
+    ``build_sequence`` hands each sequence its start's memo of term
+    ranges on the geometry (see ``harmonic_eval``); a sequence built any
+    other way, ``dataclasses.replace`` included, starts a memo of its own.
     """
 
     start: tuple[float, float]
@@ -98,6 +109,7 @@ class CompensationSequence:
     b0: float
     truncation_tol: float
     imin: int
+    _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def a(self, n: int) -> float:
         if not (self.n_min <= n <= self.n_max + 1):
@@ -141,6 +153,7 @@ def canonicalize_start(geom: CurveGeometry, point):
     ``_MAX_HOPS``.  The two branch maxima themselves sit on a degenerate
     orbit (switching returns the same point) and are rejected.
     """
+    _require_geometry(geom)
     a, b = float(point[0]), float(point[1])
     residual = log_kernel_eval(geom.dist, a, b)
     if not abs(residual) <= _ON_CURVE_TOL:  # NaN fails too
@@ -250,6 +263,63 @@ def _term_range(c1, c2, a0, b0, m: int, tol: float) -> tuple[int, int]:
     return n_pos, n_neg + 1
 
 
+def _degree_range(memo: dict, c1, c2, a0, b0, m: int, tol: float) -> tuple[int, int]:
+    """``_term_range`` of degree m, computed once per start, degree and tol."""
+    rng = memo.get((m, tol))
+    if rng is None:
+        rng = memo[m, tol] = _term_range(c1, c2, a0, b0, m, tol)
+    return rng
+
+
+def _stored_window(geom: CurveGeometry, start, m: int, tol: float):
+    """The terms degree m needs, from the chain stored for ``start``.
+
+    Returns ((a0, b0), a, b, n_pos, n_neg, memo): the snapped start, a_n
+    for n in [-n_neg, n_pos + 1] and b_n for n in [-n_neg, n_pos], where
+    [-n_neg, n_pos] is the ``_term_range`` of degree m, and the start's
+    range memo.  The chain is grown first when it is shorter than that.
+    """
+    if not (tol > 0):
+        raise ValueError("truncation_tol must be positive")
+    a0, b0 = float(start[0]), float(start[1])
+    # Key on the exact bits: -0.0 == 0.0, but the two snap apart.
+    key = (a0.hex(), b0.hex())
+    if key not in geom._chains:  # a start that fails the gate is never stored
+        # Snap exactly onto whichever graph piece the start sits on, so the
+        # switching recursion does not inherit the caller's rounding.
+        snapped = _snap_to_G0(geom, a0, b0)
+        if snapped is None:
+            raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
+        geom._ranges.setdefault(key, {})  # before the chain: readers find both
+        geom._chains[key] = (snapped, snapped[:1], snapped[1:], (), ())
+    memo = geom._ranges[key]
+    (a0, b0), a_up, b_up, a_dn, b_dn = geom._chains[key]
+
+    n_pos, n_neg = _degree_range(memo, geom.c1, geom.c2, a0, b0, m, tol)
+    if max(n_pos, n_neg) > 100000:
+        raise SolverError("truncation range exploded; tolerance unreachable")
+
+    if len(a_up) < n_pos + 2 or len(a_dn) < n_neg:
+        # Grow in local lists and rebind the entry whole: a concurrent
+        # caller sees the old chain or the new one, never half of one.
+        a_up, b_up, a_dn, b_dn = map(list, (a_up, b_up, a_dn, b_dn))
+        # b_n = g_hat(a_n) and a_{n+1} = f_hat(b_n); a keeps one extra term
+        while len(a_up) < n_pos + 2:
+            if len(b_up) < len(a_up):
+                b_up.append(g_hat(geom, a_up[-1]))
+            a_up.append(f_hat(geom, b_up[-1]))
+        while len(a_dn) < n_neg:
+            b_dn.append(g_hat(geom, a_dn[-1] if a_dn else a0))
+            a_dn.append(f_hat(geom, b_dn[-1]))
+        a_up, b_up, a_dn, b_dn = map(tuple, (a_up, b_up, a_dn, b_dn))
+        _check_descent(a_up, b_up, a_dn, b_dn)
+        geom._chains[key] = ((a0, b0), a_up, b_up, a_dn, b_dn)
+
+    a = a_dn[:n_neg][::-1] + a_up[: n_pos + 2]
+    b = b_dn[:n_neg][::-1] + b_up[: n_pos + 1]
+    return (a0, b0), a, b, n_pos, n_neg, memo
+
+
 def build_sequence(
     geom: CurveGeometry,
     start,
@@ -270,50 +340,21 @@ def build_sequence(
     interlacing check runs over the whole stored chain when it grows, so a
     slice of it is checked already.  The recursion from the start is
     deterministic, so the slice has the same bits as a chain built for
-    this call alone.
+    this call alone.  Beside the chain, ``geom`` keeps each start's term
+    ranges per degree and tolerance, which the returned sequence shares.
     """
+    _require_geometry(geom)
     if imin < 1:
         raise ValueError("imin must be >= 1")
-    if not (truncation_tol > 0):
-        raise ValueError("truncation_tol must be positive")
-    a0, b0 = float(start[0]), float(start[1])
-    # Key on the exact bits: -0.0 == 0.0, but the two snap apart.
-    key = (a0.hex(), b0.hex())
-    if key not in geom._chains:  # a start that fails the gate is never stored
-        # Snap exactly onto whichever graph piece the start sits on, so the
-        # switching recursion does not inherit the caller's rounding.
-        snapped = _snap_to_G0(geom, a0, b0)
-        if snapped is None:
-            raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
-        geom._chains[key] = (snapped, snapped[:1], snapped[1:], (), ())
-    (a0, b0), a_up, b_up, a_dn, b_dn = geom._chains[key]
-
-    n_pos, n_neg = _term_range(geom.c1, geom.c2, a0, b0, imin, truncation_tol)
-    if max(n_pos, n_neg) > 100000:
-        raise SolverError("truncation range exploded; tolerance unreachable")
-
-    if len(a_up) < n_pos + 2 or len(a_dn) < n_neg:
-        # Grow in local lists and rebind the entry whole: a concurrent
-        # caller sees the old chain or the new one, never half of one.
-        a_up, b_up, a_dn, b_dn = map(list, (a_up, b_up, a_dn, b_dn))
-        # b_n = g_hat(a_n) and a_{n+1} = f_hat(b_n); a keeps one extra term
-        while len(a_up) < n_pos + 2:
-            if len(b_up) < len(a_up):
-                b_up.append(g_hat(geom, a_up[-1]))
-            a_up.append(f_hat(geom, b_up[-1]))
-        while len(a_dn) < n_neg:
-            b_dn.append(g_hat(geom, a_dn[-1] if a_dn else a0))
-            a_dn.append(f_hat(geom, b_dn[-1]))
-        a_up, b_up, a_dn, b_dn = map(tuple, (a_up, b_up, a_dn, b_dn))
-        _check_descent(a_up, b_up, a_dn, b_dn)
-        geom._chains[key] = ((a0, b0), a_up, b_up, a_dn, b_dn)
-
-    return CompensationSequence(
+    (a0, b0), a, b, n_pos, n_neg, memo = _stored_window(
+        geom, start, imin, truncation_tol
+    )
+    seq = CompensationSequence(
         start=(a0, b0),
         n_min=-n_neg,
         n_max=n_pos,
-        a_vals=a_dn[:n_neg][::-1] + a_up[: n_pos + 2],
-        b_vals=b_dn[:n_neg][::-1] + b_up[: n_pos + 1],
+        a_vals=a,
+        b_vals=b,
         c1=geom.c1,
         c2=geom.c2,
         a0=a0,
@@ -321,6 +362,8 @@ def build_sequence(
         truncation_tol=truncation_tol,
         imin=imin,
     )
+    object.__setattr__(seq, "_ranges", memo)  # frozen: set past __init__
+    return seq
 
 
 def _check_descent(a_up, b_up, a_dn, b_dn) -> None:
@@ -338,6 +381,31 @@ def _check_descent(a_up, b_up, a_dn, b_dn) -> None:
             raise SolverError(f"switching chain lost interlacing near n={-1 - k}")
 
 
+def _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, c1, c2, tol) -> HarmonicValue:
+    """The series at (i, j) over the terms n in [-n_neg, n_pos], with its tail.
+
+    ``a`` holds a_n for n in [-n_neg, n_pos + 1] and ``b`` holds b_n for
+    n in [-n_neg, n_pos]; the envelope anchored at (a0, b0) with gaps
+    (c1, c2) bounds the terms left out.  Warns when that bound exceeds
+    ``tol``.
+    """
+    # term n uses (a_n, b_n, a_{n+1}); fsum rounds once, so order is free
+    exp = math.exp
+    terms = [exp(i * an + j * bn) for an, bn in zip(a, b)]
+    terms += [-exp(i * an1 + j * bn) for an1, bn in zip(a[1:], b)]
+    value = math.fsum(terms)
+    up, down = _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg)
+    tail = up + down
+    if tail > tol:
+        warnings.warn(
+            f"tail bound {tail:.3e} exceeds the built tolerance "
+            f"{tol:.3e} at (i,j)=({i},{j})",
+            PrecisionWarning,
+            stacklevel=3,
+        )
+    return HarmonicValue(value, tail, n_pos + n_neg + 1)
+
+
 def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     """Evaluate the truncated series at integer (i, j), with a tail bound.
 
@@ -353,6 +421,10 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     stored one.  The range depends on the degree, start and tolerance
     alone, so every chain with ``imin <= i + j`` from that start and
     tolerance gives the same bits, ``escape_probability`` among them.
+    Each range is computed once per start, degree and tolerance: a
+    sequence from ``build_sequence`` reads and fills the memo its
+    geometry keeps for the start, so a table of many points computes one
+    range per degree, and sequences of one start and geometry share it.
     """
     i, j = int(i), int(j)
     if i < 0 or j < 0:
@@ -366,28 +438,17 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
         )
     n_pos, n_neg = seq.n_max, -seq.n_min
     if i + j > seq.imin:
-        need_pos, need_neg = _term_range(
-            seq.c1, seq.c2, seq.a0, seq.b0, i + j, seq.truncation_tol
+        need_pos, need_neg = _degree_range(
+            seq._ranges, seq.c1, seq.c2, seq.a0, seq.b0, i + j, seq.truncation_tol
         )
         n_pos, n_neg = min(n_pos, need_pos), min(n_neg, need_neg)
     first = -n_neg - seq.n_min  # index of term n = -n_neg
-    a = seq.a_vals[first : first + n_neg + n_pos + 2]
-    b = seq.b_vals[first : first + n_neg + n_pos + 1]
-    # term n uses (a_n, b_n, a_{n+1}); fsum rounds once, so order is free
-    exp = math.exp
-    terms = [exp(i * an + j * bn) for an, bn in zip(a, b)]
-    terms += [-exp(i * an1 + j * bn) for an1, bn in zip(a[1:], b)]
-    value = math.fsum(terms)
-    up, down = _tail_pieces(i, j, seq.a0, seq.b0, seq.c1, seq.c2, n_pos, n_neg)
-    tail = up + down
-    if tail > seq.truncation_tol:
-        warnings.warn(
-            f"tail bound {tail:.3e} exceeds the built tolerance "
-            f"{seq.truncation_tol:.3e} at (i,j)=({i},{j})",
-            PrecisionWarning,
-            stacklevel=2,
-        )
-    return HarmonicValue(value, tail, n_pos + n_neg + 1)
+    return _sum_range(
+        i, j,
+        seq.a_vals[first : first + n_neg + n_pos + 2],
+        seq.b_vals[first : first + n_neg + n_pos + 1],
+        n_pos, n_neg, seq.a0, seq.b0, seq.c1, seq.c2, seq.truncation_tol,
+    )
 
 
 def escape_probability(
@@ -399,14 +460,20 @@ def escape_probability(
     (the curve point with alpha = beta = 1).  Defined for interior points
     i, j >= 1; the drift-interior requirement is inherited from the
     geometry construction.  Repeat calls on one ``geom`` share one chain
-    (see ``build_sequence``), so reuse the geometry for many queries.
+    (see ``build_sequence``) and one memo of term ranges per degree and
+    tolerance, so reuse the geometry for many queries: a call sums the
+    range of degree i + j straight from the stored chain, growing it
+    first only when that range reaches past it.  The value is the one
+    ``harmonic_eval`` gives on any sequence from (0, 0) with tolerance
+    ``tol`` and ``imin <= i + j``, bit for bit.
     """
+    _require_geometry(geom)
     i, j = int(i), int(j)
     if i < 1 or j < 1:
         raise ValueError("escape probability is defined for interior points")
     _require_float_exact(i, j)
-    seq = build_sequence(geom, (0.0, 0.0), truncation_tol=tol, imin=i + j)
-    return harmonic_eval(seq, i, j)
+    (a0, b0), a, b, n_pos, n_neg, _ = _stored_window(geom, (0.0, 0.0), i + j, tol)
+    return _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, geom.c1, geom.c2, tol)
 
 
 def boundary_harmonic(
@@ -422,6 +489,7 @@ def boundary_harmonic(
     once a heuristic remainder estimate drops below ``tol``; unlike the
     tail bound of ``harmonic_eval`` it is not a certified bound.
     """
+    _require_geometry(geom)
     i, j = int(i), int(j)
     if i < 1 or j < 1:
         raise ValueError("boundary harmonic is defined for interior points")

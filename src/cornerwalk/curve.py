@@ -106,8 +106,11 @@ class CurveGeometry:
     c1: float  # f(x0) - x0 > 0: minimal horizontal switch gap
     c2: float  # g(y0) - y0 > 0: minimal vertical switch gap
     # Switching chains grown by ``compensation.build_sequence``, keyed by
-    # the start's exact float bits; outside equality, hash and repr.
+    # the start's exact float bits, and beside them each start's memo of
+    # term ranges, keyed by (degree, tolerance); outside equality, hash
+    # and repr.
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

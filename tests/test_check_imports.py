@@ -27,6 +27,11 @@ def test_scripts_have_no_unused_import(check_imports, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_tests_have_no_unused_import(check_imports, capsys):
+    assert check_imports.main([str(ROOT / "tests")]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_type_checking_import_used_by_nothing(check_imports):
     source = (
         "from __future__ import annotations\n"
@@ -48,3 +53,22 @@ def test_annotations_reads_and_all_count_as_used(check_imports):
         "    return np.sum(os.sep)\n"
     )
     assert check_imports.unused_imports(source) == [(3, "inf")]
+
+
+def test_explicit_noqa_f401_skips_its_import(check_imports):
+    source = (
+        "import os  # noqa: F401\n"
+        "import re  # noqa: E501, F401\n"
+        "import sys  # noqa\n"
+        "import json  # noqa: F811\n"
+        "from math import (  # noqa: F401\n"
+        "    inf,\n"
+        ")\n"
+        "from math import (\n"
+        "    pi,  # noqa: F401\n"
+        ")\n"
+    )
+    # only F401 named on the statement's first line counts
+    assert check_imports.unused_imports(source) == [
+        (3, "sys"), (4, "json"), (8, "pi"),
+    ]

@@ -261,6 +261,26 @@ class TestHarmonicTable:
         code, _, _ = run(capsys, "harmonic-table", paths["fib"], "--imax", "0")
         assert code == 2
 
+    def test_cell_cap_counts_the_grid(self, capsys, paths, monkeypatch):
+        # a 3 x 4 grid has 12 cells: allowed at a cap of 12, not of 11
+        argv = ("harmonic-table", paths["fib"], "--imax", "3", "--jmax", "4")
+        monkeypatch.setattr("cornerwalk.cli._MAX_ROWS", 12)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(csv_rows(out)) == 1 + 3
+        monkeypatch.setattr("cornerwalk.cli._MAX_ROWS", 11)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "--imax" in err and "11" in err
+        assert out == ""
+
+    def test_oversized_grid_is_usage_error(self, capsys, paths):
+        code, out, err = run(capsys, "harmonic-table", paths["fib"],
+                             "--imax", "100000", "--jmax", "100000")
+        assert code == 2
+        assert "100000 grid cells" in err
+        assert out == ""
+
 
 class TestBoundaryHarmonic:
     def test_value(self, capsys, paths):
@@ -526,6 +546,27 @@ class TestCompare:
         )
         assert code == 2
         assert name in err
+        assert out == ""
+
+    def test_cell_cap_counts_the_grid(self, capsys, paths, monkeypatch):
+        # rows 1..3 by columns 0..2 are 9 cells: allowed at 9, not at 8
+        argv = ("compare", paths["fib"], "3", "2", "--jmin", "0",
+                "--seed", "1", "--n-paths", "16", "--horizon", "10")
+        monkeypatch.setattr("cornerwalk.cli._MAX_ROWS", 9)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(csv_rows(out)) == 1 + 9
+        monkeypatch.setattr("cornerwalk.cli._MAX_ROWS", 8)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "IMAX" in err and "8 grid cells" in err
+        assert out == ""
+
+    def test_oversized_grid_is_usage_error(self, capsys, paths):
+        code, out, err = run(capsys, "compare", paths["fib"], "100000", "100000",
+                             "--seed", "1", "--n-paths", "1", "--horizon", "1")
+        assert code == 2
+        assert "100000 grid cells" in err
         assert out == ""
 
     def test_byte_identical_reruns(self, capsys, paths, tmp_path):

@@ -373,6 +373,132 @@ class TestRangePerDegree:
         assert harmonic_eval(fib_seq(fib_geom), 20, 20).terms_used <= 8
 
 
+class TestRangeMemo:
+    """Each geometry computes a start's term range once per degree and tol."""
+
+    @staticmethod
+    def count_ranges(monkeypatch):
+        calls = []
+        term_range = compensation._term_range
+        monkeypatch.setattr(
+            compensation, "_term_range",
+            lambda *args: calls.append(args) or term_range(*args),
+        )
+        return calls
+
+    def test_one_range_per_degree(self, fib, monkeypatch):
+        calls = self.count_ranges(monkeypatch)
+        geom = find_extrema(fib)
+        for _ in range(2):
+            for i in range(1, 11):
+                for j in range(1, 11):
+                    escape_probability(geom, i, j)
+        assert sorted(c[4] for c in calls) == list(range(2, 21))
+        seq = fib_seq(geom)
+        for i in range(1, 21):
+            for j in range(1, 21):
+                harmonic_eval(seq, i, j)
+        # the table's degrees 2..20 were served by the escape grid
+        assert sorted(c[4] for c in calls) == list(range(2, 41))
+        assert len(set(calls)) == len(calls)
+
+    def test_table_alone(self, fib, monkeypatch):
+        calls = self.count_ranges(monkeypatch)
+        seq = fib_seq(find_extrema(fib))
+        for _ in range(2):
+            for i in range(1, 21):
+                for j in range(1, 21):
+                    harmonic_eval(seq, i, j)
+        assert sorted(c[4] for c in calls) == list(range(2, 41))
+
+    def test_interleaved_tolerances_and_starts(self, fib):
+        geom = find_extrema(fib)
+        starts = [(0.0, 0.0), twist_start(geom, 45)]
+        cases = [(s, tol) for s in starts for tol in (1e-14, 1e-10)]
+        grid = [(i, j) for i in range(1, 9) for j in range(1, 9)]
+        random.Random(7).shuffle(grid)
+        want = {}
+        for start, tol in cases:  # each on a geometry of its own
+            alone = find_extrema(fib)
+            seq = build_sequence(alone, start, tol, 2)
+            for i, j in grid:
+                want[start, tol, i, j] = repr(harmonic_eval(seq, i, j))
+        for i, j in grid:
+            for start, tol in cases:
+                seq = build_sequence(geom, start, tol, 2)
+                assert repr(harmonic_eval(seq, i, j)) == want[start, tol, i, j]
+                if start == (0.0, 0.0):
+                    got = escape_probability(geom, i, j, tol)
+                    assert repr(got) == want[start, tol, i, j]
+        assert len(geom._ranges) == 2
+
+    def test_geometry_equality_hash_and_repr_unchanged(self, fib):
+        used, unused = find_extrema(fib), find_extrema(fib)
+        escape_probability(used, 3, 4)
+        assert used._ranges and not unused._ranges
+        assert used == unused
+        assert hash(used) == hash(unused)
+        assert repr(used) == repr(unused)
+
+    def test_sequence_equality_hash_and_repr_unchanged(self, fib):
+        geom = find_extrema(fib)
+        used = fib_seq(geom)
+        harmonic_eval(used, 5, 6)
+        fresh = fib_seq(find_extrema(fib))
+        assert used._ranges is geom._ranges[((0.0).hex(), (0.0).hex())]
+        assert used._ranges != fresh._ranges
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert "_ranges" not in repr(used)
+        # a replaced sequence may hold other constants: it keeps a memo of its own
+        assert dataclasses.replace(used)._ranges == {}
+
+    @pytest.mark.parametrize("args, error, match", [
+        ((1, 1, 0.0), ValueError, "truncation_tol"),
+        ((1, 1, -1e-14), ValueError, "truncation_tol"),
+        ((1, 1, math.nan), ValueError, "truncation_tol"),
+        ((0, 1), ValueError, "interior"),
+        ((1, 0), ValueError, "interior"),
+        ((2**53, 1), ValueError, "2\\*\\*53"),
+    ])
+    def test_errors_unchanged_on_a_stored_chain(self, fib, args, error, match):
+        fresh, geom = find_extrema(fib), find_extrema(fib)
+        escape_probability(geom, 1, 1)
+        chains = dict(geom._chains)
+        for g in (fresh, geom):
+            with pytest.raises(error, match=match):
+                escape_probability(g, *args)
+        assert geom._chains == chains
+
+    def test_doctored_chain_raises_on_its_next_growth(self, fib):
+        geom = find_extrema(fib)
+        escape_probability(geom, 5, 5)
+        key = ((0.0).hex(), (0.0).hex())
+        start, a_up, b_up, a_dn, b_dn = geom._chains[key]
+        # b_1 above b_0 breaks b_0 > a_1 > b_1
+        b_up = b_up[:1] + (b_up[0] + 1.0,) + b_up[2:]
+        geom._chains[key] = (start, a_up, b_up, a_dn, b_dn)
+        with pytest.raises(SolverError, match="interlacing"):
+            escape_probability(geom, 1, 1)  # degree 2 needs more terms
+        assert geom._chains[key][2] is b_up  # the failed growth is not stored
+
+
+class TestGeometryArgument:
+    """A model passed where its geometry belongs is a TypeError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda d: build_sequence(d, (0.0, 0.0), imin=2),
+        lambda d: canonicalize_start(d, (0.0, 0.0)),
+        lambda d: escape_probability(d, 1, 1),
+        lambda d: boundary_harmonic(d, 1, 1),
+    ], ids=["build_sequence", "canonicalize_start", "escape_probability",
+            "boundary_harmonic"])
+    def test_distribution_is_rejected(self, fib, call):
+        with pytest.raises(TypeError, match=r"CurveGeometry.*find_extrema\(dist\)"):
+            call(fib)
+
+
 class TestBoundaryHarmonic:
     def test_frozen_values(self, fib_geom):
         assert boundary_harmonic(fib_geom, 1, 1) == pytest.approx(

@@ -17,7 +17,7 @@ from cornerwalk.model import (
     validate_model,
 )
 
-from conftest import FIB_TEXT, BIG_JUMP_TEXT
+from conftest import FIB_TEXT
 
 
 def test_parse_fibonacci_exact():
