@@ -6,8 +6,9 @@ Each module under the given files or directories is parsed with ``ast``.
 A name an import binds counts as used when the module reads it anywhere
 (annotations included) or lists it in ``__all__``; ``__future__``
 imports are skipped, and so is an import whose first line carries an
-explicit ``# noqa: F401`` (flake8's code for an unused import).  Prints one ``path:line: name`` per unused import
-and exits 1 if there is any, 0 otherwise.
+explicit ``# noqa: F401`` (flake8's code for an unused import).  Prints
+one ``path:line: name`` per unused import and exits 1 if there is any,
+0 otherwise.
 """
 
 from __future__ import annotations

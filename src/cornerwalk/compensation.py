@@ -290,7 +290,7 @@ def _stored_window(geom: CurveGeometry, start, m: int, tol: float):
         snapped = _snap_to_G0(geom, a0, b0)
         if snapped is None:
             raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
-        geom._ranges.setdefault(key, {})  # before the chain: readers find both
+        geom._ranges.setdefault(key, {})  # first: whoever finds the chain finds it
         geom._chains[key] = (snapped, snapped[:1], snapped[1:], (), ())
     memo = geom._ranges[key]
     (a0, b0), a_up, b_up, a_dn, b_dn = geom._chains[key]
