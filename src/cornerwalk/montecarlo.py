@@ -24,10 +24,20 @@ written as an index.  Two int8 tables, one per coordinate, map a code
 to its step (entry 2k + 1 is step k, entry 2k its alias); when every
 accept is 1, as for uniform laws, the alias is never taken and the code
 is just k.  Each coordinate is gathered on its own and prefix-summed
-in int32 into a (blk, rows) array, step t in row t, by running adds of
-one row onto the next (cheaper than np.cumsum along the short axis);
-absorption is tested on those offsets, a row's lowest offset against
-minus its position.
+into a (blk, rows) array, step t in row t, by running adds of one row
+onto the next (cheaper than np.cumsum along the short axis).  The sums
+are int8 when no step component exceeds 1 and int16 otherwise: no
+component is below -1, so a block's offsets stay within [-64, 64], or
+within [-64, 4096] under model.MAX_SUPPORT_RADIUS.  Absorption is
+tested on those offsets, a row's lowest offset against minus its
+position, and visits by comparing them with each target minus the
+position; every such per-row threshold is first clipped into the
+offsets' dtype, which changes no compare, so only the int32 position
+update widens.  In visit runs the first-boundary search and the target
+matching also run on the draw's row shards, each shard returning the
+batch rows it matched; visit counts and every float reduction
+(moments, bounds) are then taken over the whole batch in one fixed
+order.
 
 Every estimator reduces one engine, _walk: rows walk from one start, or
 from the two of a Martin profile, which share each row's draws, and
@@ -236,6 +246,34 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_shard_pool)
 
 
+def _cuts(rows: int, blk: int) -> list[int]:
+    """Row bounds of a block's shards: up to _CORES contiguous runs of rows
+    of at least _SHARD_MIN uniforms each, shard s holding rows
+    cuts[s]:cuts[s + 1].  The draw and the visit matching cut alike."""
+    w = max(1, min(_CORES, rows * blk // _SHARD_MIN))
+    return [rows * s // w for s in range(w + 1)]
+
+
+def _on_shards(shard, cuts) -> list:
+    """shard(s) for every shard of ``cuts``, in shard order: shard 0 in
+    this thread, each other one on the shard pool."""
+    w = len(cuts) - 1
+    futures = [_shard_pool().submit(shard, s) for s in range(1, w)] if w > 1 else []
+    try:
+        first = shard(0)
+    finally:
+        rest = [f.result() for f in futures]
+    return [first, *rest]
+
+
+def _narrow(v, dtype):
+    """int array ``v`` clipped into ``dtype``.  Offsets of that dtype lie
+    well inside its range, so an offset compares with a clipped value as
+    with the value itself, and never equals one that was clipped."""
+    info = np.iinfo(dtype)
+    return np.clip(v, info.min, info.max).astype(dtype)
+
+
 def _jump(bit_gen, state, skip: int) -> None:
     """Set the Philox ``bit_gen`` to ``state`` advanced by ``skip`` uint64
     outputs: those still buffered, then whole counter steps (advance drops
@@ -250,12 +288,20 @@ def _jump(bit_gen, state, skip: int) -> None:
 
 class _StepSampler:
     """One call's step source: int8 code tables, a reused uniform buffer
-    and a Philox generator for each extra shard of a block."""
+    and a Philox generator for each extra shard of a block.
+
+    ``dtype`` is that of the offsets: int8 when no step component exceeds
+    1, int16 otherwise.  No component is below -1 on a valid law, so the
+    offsets of a block of at most _BLOCK = 64 steps lie in [-64, 64] in
+    the first case and, with components capped at MAX_SUPPORT_RADIUS = 64,
+    in [-64, 4096] in the second.
+    """
 
     def __init__(self, steps, probs, n_paths: int, horizon: int):
         accept, alias = _alias_table(probs)
         self.k = len(probs)
         self.accept = accept
+        self.dtype = np.int8 if steps.max() <= 1 else np.int16
         self.trivial = bool((accept == 1.0).all())  # then alias is the identity
         if self.trivial:
             self.tables = steps.T.astype(np.int8)  # code k -> step k
@@ -268,32 +314,39 @@ class _StepSampler:
 
     def offsets(self, rng, rows: int, blk: int, axes=(0, 1)):
         """Draw one block for ``rows`` rows; per axis, the (blk, rows)
-        int32 prefix sums of the steps, step t in row t.
+        prefix sums of the steps in ``dtype``, step t in row t.
 
-        The rows are cut into up to _CORES contiguous shards of at least
-        _SHARD_MIN uniforms.  Shard 0 draws from ``rng`` in this thread,
-        each other one on the shard pool from a Philox copy jumped to its
-        first row, and ``rng`` then takes the last shard's end state, so
-        the uniforms and the state left are those of one serial draw.
-        Every large buffer is allocated here, before the shards start
-        (temporaries allocated on the pool threads raised peak memory),
-        and the running row adds stay here, after the join (as many
-        small calls per shard, they contend for the interpreter lock).
+        The rows are cut into the shards of _cuts.  Shard 0 draws from
+        ``rng`` in this thread, each other one on the shard pool from a
+        Philox copy jumped to its first row, and ``rng`` then takes the
+        last shard's end state, so the uniforms and the state left are
+        those of one serial draw.  Every large buffer is allocated here,
+        before the shards start (temporaries allocated on the pool threads
+        raised peak memory), and the running row adds stay here, after the
+        join (as many small calls per shard, they contend for the
+        interpreter lock).
         """
         n = rows * blk
-        w = max(1, min(_CORES, n // _SHARD_MIN))
-        cuts = [rows * s // w for s in range(w + 1)]
+        cuts = _cuts(rows, blk)
+        w = len(cuts) - 1
         code = np.empty(n, dtype=np.intp)
         picked = np.empty(n, dtype=np.int8)  # alias decisions, then steps
         # per shard, one chunk of the alias compare's accept[k]
         acc = None if self.trivial else np.empty((w, min(n, _ALIAS_CHUNK)))
-        offs = [np.empty((blk, rows), dtype=np.int32) for _ in axes]
+        offs = [np.empty((blk, rows), dtype=self.dtype) for _ in axes]
+        state = rng.bit_generator.state if w > 1 else None
+        while len(self._gens) < w - 1:
+            self._gens.append(np.random.Generator(np.random.Philox(0)))
 
-        def shard(gen, s):
+        def shard(s):
             """Draw, alias-code and gather the steps of shard s into its
             columns of ``offs``, writing only through ``out=``."""
             r0, r1 = cuts[s], cuts[s + 1]
             lo, hi = r0 * blk, r1 * blk
+            gen = rng
+            if s:
+                gen = self._gens[s - 1]
+                _jump(gen.bit_generator, state, lo)
             v, c, p = self._u[lo:hi], code[lo:hi], picked[lo:hi]
             gen.random(out=v)
             v *= self.k
@@ -312,20 +365,7 @@ class _StepSampler:
                 self.tables[a].take(c, out=p, mode="clip")
                 off[:, r0:r1] = p.reshape(r1 - r0, blk).T
 
-        futures = []
-        if w > 1:
-            state = rng.bit_generator.state
-            while len(self._gens) < w - 1:
-                self._gens.append(np.random.Generator(np.random.Philox(0)))
-            pool = _shard_pool()
-            for s, gen in enumerate(self._gens[: w - 1], start=1):
-                _jump(gen.bit_generator, state, cuts[s] * blk)
-                futures.append(pool.submit(shard, gen, s))
-        try:
-            shard(rng, 0)
-        finally:
-            for f in futures:
-                f.result()
+        _on_shards(shard, cuts)
         if w > 1:
             end = self._gens[w - 2].bit_generator.state
             end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
@@ -362,6 +402,13 @@ def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
     target is a point.  Every block draws only for the live rows, and
     all starts of a row share its draws, but a visit from a start counts
     only at the steps the row takes alive from it, none once absorbed.
+    The absorption test compares the block's offsets, in the sampler's
+    narrow dtype, with each row's minus position and the visit match
+    with each target minus it, both clipped into that dtype by _narrow.
+    When a target is a point, each shard of _cuts finds, for every
+    start, its rows' first boundary step and the rows that meet each
+    point; the visits are added here with bincount, and the running
+    moments, bounds and retirements stay here too, over the whole batch.
     After every block, the last included, a row retires from target ti
     once its bound times weights[si][ti] is below _RETIRE_EPS from every
     start still alive in it; from then on it adds no visit to ti.  A row
@@ -414,32 +461,58 @@ def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
             n = len(alive[0])
             offs = sampler.offsets(rng, n, blk, axes)
             lows = [off.min(axis=0) for off in offs]
-            for si, p in enumerate(pos):
+            # per start and axis, minus the position in the offsets' dtype:
+            # a row reaches 0 on the axis at any offset at or below it
+            floors = [[_narrow(-p[a], sampler.dtype) for a in axes] for p in pos]
+            hits = []
+            for si, fl in enumerate(floors):
                 # absorbed in this block: its lowest point reaches 0 on an axis
-                hit = lows[0] <= -p[axes[0]]
-                for low, a in zip(lows[1:], axes[1:]):
-                    hit |= low <= -p[a]
+                hit = lows[0] <= fl[0]
+                for low, f in zip(lows[1:], fl[1:]):
+                    hit |= low <= f
                 hit &= alive[si]
                 survived[si] -= int(hit.sum())
-                if points:
-                    (off_x, off_y), (x0, y0) = offs, p
-                    # steps of this block each row takes alive: those
-                    # before its first boundary point, none if absorbed before
-                    n_ok = np.where(alive[si], blk, 0)
-                    h = np.flatnonzero(hit)
-                    if len(h):
-                        bnd = (off_x[:, h] <= -x0[h]) | (off_y[:, h] <= -y0[h])
-                        n_ok[h] = bnd.argmax(axis=0)
+                hits.append(hit)
+            if points:
+                cuts = _cuts(n, blk)
+
+                def match(s):
+                    """Per start and point, the batch rows of shard s that
+                    visit the point alive, once per visit."""
+                    r0, r1 = cuts[s], cuts[s + 1]
+                    off_x, off_y = (off[:, r0:r1] for off in offs)
+                    found = []
+                    for si, p in enumerate(pos):
+                        x0, y0 = (c[r0:r1] for c in p)
+                        fx, fy = (f[r0:r1] for f in floors[si])
+                        # steps of this block each row takes alive: those
+                        # before its first boundary point, none if absorbed before
+                        n_ok = np.where(alive[si][r0:r1], blk, 0)
+                        h = np.flatnonzero(hits[si][r0:r1])
+                        if len(h):
+                            bnd = (off_x[:, h] <= fx[h]) | (off_y[:, h] <= fy[h])
+                            n_ok[h] = bnd.argmax(axis=0)
+                        at_ti = {}
+                        for ti in points:
+                            yx, yy = targets[ti]
+                            at = off_x == _narrow(yx - x0, sampler.dtype)
+                            at &= off_y == _narrow(yy - y0, sampler.dtype)
+                            c, r = np.divmod(np.flatnonzero(at), r1 - r0)
+                            r = r[(c < n_ok[r]) & open_[ti][r0:r1][r]]
+                            at_ti[ti] = live[r0 + r]
+                        found.append(at_ti)
+                    return found
+
+                found = _on_shards(match, cuts)
+                for si in range(n_starts):
                     for ti in points:
-                        yx, yy = targets[ti]
-                        at = (off_x == yx - x0) & (off_y == yy - y0)
-                        c, r = np.divmod(np.flatnonzero(at), n)
-                        r = r[(c < n_ok[r]) & open_[ti][r]]
+                        r = np.concatenate([f[si][ti] for f in found])
                         if len(r):
-                            visits[si][ti] += np.bincount(live[r], minlength=rows)
+                            visits[si][ti] += np.bincount(r, minlength=rows)
+            for si, p in enumerate(pos):
                 for off, a in zip(offs, axes):
                     p[a] = p[a] + off[-1]
-                alive[si] &= ~hit
+                alive[si] &= ~hits[si]
             t += blk
             # bound only the rows still alive from some start
             keep = np.logical_or.reduce(alive)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornerwalk.curve import SolverError, cramer_transform, find_extrema
-from cornerwalk.model import InvalidModelError, parse_model_text
+from cornerwalk.model import InvalidModelError, StepDistribution, parse_model_text
 from cornerwalk import montecarlo
 from cornerwalk.montecarlo import (
     BATCH_SIZE,
@@ -282,6 +282,16 @@ class TestGreen:
                 else:  # every row left is past it, where no visit is possible
                     assert est.bias_bound == 0.0
 
+    @pytest.mark.parametrize("law, span", [("all_five", 1 << 8), ("big_jump", 1 << 16)])
+    def test_target_past_the_offset_range_is_never_met(self, request, law, span):
+        # y - x = span + 9 wraps to 9 in the offsets' int8 or int16, a
+        # displacement one 64-step block reaches often; the compare must
+        # see it as out of reach
+        y = (1 + span + 9, 1 + span + 9)
+        est = estimate_green(request.getfixturevalue(law), (1, 1), y,
+                             SimConfig(seed=3, n_paths=4000, horizon=64))
+        assert est.mean == 0.0
+
     def test_twist_weight_overflow_guarded(self, fib, fib_geom):
         tw = cramer_transform(fib_geom, (2 / math.sqrt(5), 1 / math.sqrt(5)))
         with pytest.raises(SolverError, match="overflow"):
@@ -538,28 +548,42 @@ class TestStepSampler:
         picked = np.where(v - k < accept[k], k, alias[k])
         return [np.cumsum(steps[picked, a], axis=1) for a in (0, 1)]
 
-    @pytest.mark.parametrize("law", ["fib", "diag_heavy", "all_five_twisted"])
+    @pytest.mark.parametrize("law", ["fib", "diag_heavy", "all_five_twisted", "big_jump"])
     @pytest.mark.parametrize("blk", [1, 64])
     @pytest.mark.parametrize("subset", [False, True])
-    def test_matches_cumsum_reference(self, fib, diag_heavy, all_five,
+    def test_matches_cumsum_reference(self, fib, diag_heavy, all_five, big_jump,
                                       all_five_geom, law, blk, subset):
         dist, twist = {
             "fib": (fib, None),
             "diag_heavy": (diag_heavy, None),
+            "big_jump": (big_jump, None),  # jumps of 2: int16 offsets
             "all_five_twisted": (
                 all_five, cramer_transform(all_five_geom, (0.8, 0.6))),
         }[law]
         sampler = _StepSampler(*_twisted_probs(dist, twist), 300, 200)
-        assert sampler.trivial == (law == "fib")
+        assert sampler.trivial == (law in ("fib", "big_jump"))
         # subset: a draw for fewer rows than the sampler was sized for, as
         # once the engines have dropped rows
         rows = 43 if subset else 300
         offs = sampler.offsets(_batch_rng(5, 0), rows, blk)
         ref = self.reference(dist, twist, _batch_rng(5, 0).random((rows, blk)))
         for off, r in zip(offs, ref):
-            assert off.dtype == np.int32
+            assert off.dtype == (np.int8 if max(map(max, dist.steps)) <= 1 else np.int16)
             assert off.shape == (blk, rows)
             np.testing.assert_array_equal(off, r.T)
+
+    @pytest.mark.parametrize("step, dtype, end", [
+        ((1, 1), np.int8, 64), ((2, 2), np.int16, 128), ((-1, -1), np.int8, -64)])
+    def test_block_reaches_the_end_of_its_range(self, step, dtype, end):
+        # one step, taken 64 times: the farthest a block's offsets can go
+        dist = StepDistribution.from_pairs({step: 1})
+        offs = _StepSampler(*_twisted_probs(dist, None), 50, 64).offsets(
+            _batch_rng(5, 0), 50, 64)
+        ref = np.cumsum(np.full((64, 50), step[0], dtype=np.int64), axis=0)
+        assert ref[-1, 0] == end
+        for off in offs:
+            assert off.dtype == dtype
+            np.testing.assert_array_equal(off, ref)
 
     def test_code_stays_below_k(self):
         # A Generator's largest uniform is (2**53 - 1) / 2**53, and
@@ -634,7 +658,7 @@ class TestSharding:
 
     @pytest.mark.parametrize("w", [2, 3])
     def test_estimates_do_not_depend_on_workers(self, fib, all_five, all_five_geom,
-                                                shards, w):
+                                                big_jump, shards, w):
         twist = cramer_transform(all_five_geom, (0.8, 0.6))
         runs = [
             lambda: estimate_escape(fib, (1, 1), SimConfig(seed=4, n_paths=8192,
@@ -646,12 +670,22 @@ class TestSharding:
                 seed=6, n_paths=131072, horizon=6, twist=twist)),
             lambda: martin_kernel_profile(all_five, (2, 3), [(6, 6), (9, 9)],
                                           SimConfig(seed=7, n_paths=5000)),
+            # int16 offsets
+            lambda: martin_kernel_profile(big_jump, (2, 3), [(6, 6), (9, 9)],
+                                          SimConfig(seed=8, n_paths=5000)),
+            lambda: green_direction_scan(fib, (1, 1), (1.0, 1.0), (6, 9),
+                                         SimConfig(seed=9, n_paths=3000)),
         ]
-        shards(1)
-        serial = [run() for run in runs]
-        # 256 uniforms a shard: every block but the smallest is cut
-        shards(w, 256)
-        assert [run() for run in runs] == serial
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            shards(1)
+            serial = [run() for run in runs]
+            # 256 uniforms a shard: every block but the smallest is cut
+            shards(w, 256)
+            assert [run() for run in runs] == serial
+        finally:
+            sys.setswitchinterval(old)
 
     def test_forked_child_draws_the_same(self):
         # a forked child inherits the shard pool but not its threads
