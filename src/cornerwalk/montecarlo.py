@@ -18,6 +18,10 @@ order: its rows are cut into contiguous shards, at most one per
 available core and none under 2**15 uniforms, drawn on their own
 threads, and each shard takes its uniforms from a copy of the batch's
 Philox stream jumped ahead to them, so the shard count changes no bit.
+A shard draws, codes and gathers its rows in chunks of whole rows, at
+most 2**16 uniforms each, through buffers of its own that fit a core's
+L2 cache, taking the chunks' uniforms from its stream in order, so the
+chunk size changes no bit either.
 Every uniform u becomes one code per step: with v = u * K and
 k = floor(v), the code is 2k + (v - k < accept[k]), the alias decision
 written as an index.  Two int8 tables, one per coordinate, map a code
@@ -33,11 +37,14 @@ tested on those offsets, a row's lowest offset against minus its
 position, and visits by comparing them with each target minus the
 position; every such per-row threshold is first clipped into the
 offsets' dtype, which changes no compare, so only the int32 position
-update widens.  In visit runs the first-boundary search and the target
-matching also run on the draw's row shards, each shard returning the
-batch rows it matched; visit counts and every float reduction
-(moments, bounds) are then taken over the whole batch in one fixed
-order.
+update widens.  Visit runs also keep, per axis, running minima of the
+offsets, the lowest offset up to each step, whose last row is the
+block's lowest point: a row stands alive at step c from a start iff it
+was alive there at the block's start and both its running minima at c
+stay above minus its position.  The target matching runs on the draw's
+row shards, each shard returning the batch rows it matched; visit
+counts and every float reduction (moments, bounds) are then taken over
+the whole batch in one fixed order.
 
 Every estimator reduces one engine, _walk: rows walk from one start, or
 from the two of a Martin profile, which share each row's draws, and
@@ -217,7 +224,7 @@ def _check_stream_inputs(steps, points, horizon: int, seed: int, n_paths: int) -
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 _SHARD_MIN = 1 << 15  # uniforms per shard below which a block is not split
-_ALIAS_CHUNK = 1 << 14  # uniforms per pass of the alias compare
+_CHUNK = 1 << 16  # uniforms a shard draws, codes and gathers per pass
 _PHILOX_OUTPUTS = 4  # uint64 outputs per Philox counter step
 _pool = None  # the shards' ThreadPoolExecutor, made on first use
 _pool_lock = threading.Lock()
@@ -287,8 +294,11 @@ def _jump(bit_gen, state, skip: int) -> None:
 
 
 class _StepSampler:
-    """One call's step source: int8 code tables, a reused uniform buffer
-    and a Philox generator for each extra shard of a block.
+    """One call's step source: int8 code tables, a Philox generator for
+    each extra shard of a block, and per shard one chunk's buffers: the
+    uniforms and codes (8 bytes each), the alias compare's accept[k] (8)
+    and the alias decisions, then steps (1), about 1.6 MB at _CHUNK,
+    inside a core's L2 cache.
 
     ``dtype`` is that of the offsets: int8 when no step component exceeds
     1, int16 otherwise.  No component is below -1 on a valid law, so the
@@ -309,7 +319,9 @@ class _StepSampler:
             self.tables = np.empty((2, 2 * self.k), dtype=np.int8)
             self.tables[:, 1::2] = steps.T  # code 2k + 1 -> step k
             self.tables[:, 0::2] = steps[alias].T  # code 2k -> alias of k
-        self._u = np.empty(min(n_paths, BATCH_SIZE) * min(horizon, _BLOCK))
+        # no chunk holds more uniforms than the largest block of the run
+        self._chunk = min(_CHUNK, min(n_paths, BATCH_SIZE) * min(horizon, _BLOCK))
+        self._bufs = []  # per shard (u, code, acc, picked), made on first use
         self._gens = []
 
     def offsets(self, rng, rows: int, blk: int, axes=(0, 1)):
@@ -320,50 +332,55 @@ class _StepSampler:
         ``rng`` in this thread, each other one on the shard pool from a
         Philox copy jumped to its first row, and ``rng`` then takes the
         last shard's end state, so the uniforms and the state left are
-        those of one serial draw.  Every large buffer is allocated here,
+        those of one serial draw.  A shard draws, alias-codes and gathers
+        its rows in chunks of whole rows, at most _CHUNK uniforms each,
+        through its own buffers, taking its uniforms from its generator
+        in order.  Those buffers and the offsets are allocated here,
         before the shards start (temporaries allocated on the pool threads
         raised peak memory), and the running row adds stay here, after the
         join (as many small calls per shard, they contend for the
         interpreter lock).
         """
-        n = rows * blk
         cuts = _cuts(rows, blk)
         w = len(cuts) - 1
-        code = np.empty(n, dtype=np.intp)
-        picked = np.empty(n, dtype=np.int8)  # alias decisions, then steps
-        # per shard, one chunk of the alias compare's accept[k]
-        acc = None if self.trivial else np.empty((w, min(n, _ALIAS_CHUNK)))
         offs = [np.empty((blk, rows), dtype=self.dtype) for _ in axes]
         state = rng.bit_generator.state if w > 1 else None
         while len(self._gens) < w - 1:
             self._gens.append(np.random.Generator(np.random.Philox(0)))
+        n = self._chunk
+        while len(self._bufs) < w:
+            self._bufs.append((np.empty(n), np.empty(n, dtype=np.intp),
+                               None if self.trivial else np.empty(n),
+                               np.empty(n, dtype=np.int8)))
+        step = _CHUNK // blk  # rows per chunk
 
         def shard(s):
             """Draw, alias-code and gather the steps of shard s into its
             columns of ``offs``, writing only through ``out=``."""
             r0, r1 = cuts[s], cuts[s + 1]
-            lo, hi = r0 * blk, r1 * blk
             gen = rng
             if s:
                 gen = self._gens[s - 1]
-                _jump(gen.bit_generator, state, lo)
-            v, c, p = self._u[lo:hi], code[lo:hi], picked[lo:hi]
-            gen.random(out=v)
-            v *= self.k
-            c[...] = v  # u <= 1 - 2**-53, so u * k rounds below k
-            if not self.trivial:
-                v -= c  # v - k, exactly as the alias decision reads it
-                take, a_s = p.view(np.bool_), acc[s]
-                for i in range(0, hi - lo, len(a_s)):
-                    j = min(i + len(a_s), hi - lo)
-                    self.accept.take(c[i:j], out=a_s[: j - i], mode="clip")
-                    np.less(v[i:j], a_s[: j - i], out=take[i:j])
-                c *= 2
-                c += take
-            for off, a in zip(offs, axes):
-                # mode="clip" writes straight into ``out``; "raise" buffers it
-                self.tables[a].take(c, out=p, mode="clip")
-                off[:, r0:r1] = p.reshape(r1 - r0, blk).T
+                _jump(gen.bit_generator, state, r0 * blk)
+            u, code, acc, picked = self._bufs[s]
+            for c0 in range(r0, r1, step):
+                c1 = min(c0 + step, r1)
+                m = (c1 - c0) * blk
+                v, c, p = u[:m], code[:m], picked[:m]  # alias decisions, then steps
+                gen.random(out=v)
+                v *= self.k
+                c[...] = v  # u <= 1 - 2**-53, so u * k rounds below k
+                if not self.trivial:
+                    v -= c  # v - k, exactly as the alias decision reads it
+                    take = p.view(np.bool_)
+                    self.accept.take(c, out=acc[:m], mode="clip")
+                    np.less(v, acc[:m], out=take)
+                    c *= 2
+                    c += take
+                for off, a in zip(offs, axes):
+                    # mode="clip" writes straight into ``out``; "raise" buffers it
+                    self.tables[a].take(c, out=p, mode="clip")
+                    off[:, c0:c1] = p.reshape(c1 - c0, blk).T
 
         _on_shards(shard, cuts)
         if w > 1:
@@ -374,6 +391,15 @@ class _StepSampler:
             for t in range(1, blk):  # running row adds beat np.cumsum
                 np.add(off[t - 1], off[t], out=off[t])
         return offs
+
+
+def _running_min(off):
+    """Per row t of ``off``, the least of rows 0..t, by running minima."""
+    low = np.empty_like(off)
+    low[0] = off[0]
+    for t in range(1, len(off)):
+        np.minimum(low[t - 1], off[t], out=low[t])
+    return low
 
 
 def _keep_rows(keep, axes, pos, alive, open_, live):
@@ -404,11 +430,15 @@ def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
     only at the steps the row takes alive from it, none once absorbed.
     The absorption test compares the block's offsets, in the sampler's
     narrow dtype, with each row's minus position and the visit match
-    with each target minus it, both clipped into that dtype by _narrow.
-    When a target is a point, each shard of _cuts finds, for every
-    start, its rows' first boundary step and the rows that meet each
-    point; the visits are added here with bincount, and the running
-    moments, bounds and retirements stay here too, over the whole batch.
+    with each target minus it, both clipped into that dtype by _narrow
+    once per block.  When a target is a point, each axis's offsets also
+    get running minima (_running_min), and each shard of _cuts finds,
+    for every start and point, the steps at which its rows stand on the
+    point; such a step c counts iff the row is alive from the start and
+    open for the point, and both running minima at c lie above the row's
+    floors, so no step at or before c touched an axis.  The visits are
+    added here with bincount, and the running moments, bounds and
+    retirements stay here too, over the whole batch.
     After every block, the last included, a row retires from target ti
     once its bound times weights[si][ti] is below _RETIRE_EPS from every
     start still alive in it; from then on it adds no visit to ti.  A row
@@ -460,7 +490,13 @@ def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
                 pos, alive, open_, live = _keep_rows(keep, axes, pos, alive, open_, live)
             n = len(alive[0])
             offs = sampler.offsets(rng, n, blk, axes)
-            lows = [off.min(axis=0) for off in offs]
+            if points:
+                # per step, each axis's lowest offset so far: a row is
+                # alive at step c iff both stay above its floors
+                mins = [_running_min(off) for off in offs]
+                lows = [m[-1] for m in mins]
+            else:
+                lows = [off.min(axis=0) for off in offs]
             # per start and axis, minus the position in the offsets' dtype:
             # a row reaches 0 on the axis at any offset at or below it
             floors = [[_narrow(-p[a], sampler.dtype) for a in axes] for p in pos]
@@ -475,6 +511,10 @@ def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
                 hits.append(hit)
             if points:
                 cuts = _cuts(n, blk)
+                # per start and point, the offsets at which a row stands on it
+                marks = [{ti: [_narrow(q - c, sampler.dtype)
+                               for q, c in zip(targets[ti], p)] for ti in points}
+                         for p in pos]
 
                 def match(s):
                     """Per start and point, the batch rows of shard s that
@@ -482,24 +522,18 @@ def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
                     r0, r1 = cuts[s], cuts[s + 1]
                     off_x, off_y = (off[:, r0:r1] for off in offs)
                     found = []
-                    for si, p in enumerate(pos):
-                        x0, y0 = (c[r0:r1] for c in p)
-                        fx, fy = (f[r0:r1] for f in floors[si])
-                        # steps of this block each row takes alive: those
-                        # before its first boundary point, none if absorbed before
-                        n_ok = np.where(alive[si][r0:r1], blk, 0)
-                        h = np.flatnonzero(hits[si][r0:r1])
-                        if len(h):
-                            bnd = (off_x[:, h] <= fx[h]) | (off_y[:, h] <= fy[h])
-                            n_ok[h] = bnd.argmax(axis=0)
+                    for si, (fx, fy) in enumerate(floors):
                         at_ti = {}
                         for ti in points:
-                            yx, yy = targets[ti]
-                            at = off_x == _narrow(yx - x0, sampler.dtype)
-                            at &= off_y == _narrow(yy - y0, sampler.dtype)
+                            mx, my = marks[si][ti]
+                            at = off_x == mx[r0:r1]
+                            at &= off_y == my[r0:r1]
                             c, r = np.divmod(np.flatnonzero(at), r1 - r0)
-                            r = r[(c < n_ok[r]) & open_[ti][r0:r1][r]]
-                            at_ti[ti] = live[r0 + r]
+                            r += r0
+                            ok = alive[si][r] & open_[ti][r]
+                            ok &= mins[0][c, r] > fx[r]
+                            ok &= mins[1][c, r] > fy[r]
+                            at_ti[ti] = live[r[ok]]
                         found.append(at_ti)
                     return found
 
@@ -655,13 +689,20 @@ def _visit_bound(axis_bounds, z, y, singular: bool):
 
     ``singular`` says that no step of the law lowers x + y.  A walk then
     never returns below its anti-diagonal, so from z with
-    z_x + z_y > y_x + y_y it never visits y and the bound is exactly 0.
+    z_x + z_y > y_x + y_y it never visits y and the bound is exactly 0;
+    the gambler's-ruin term is then computed only for the other rows.
     """
-    b = np.minimum(
+    ruin = lambda z: np.minimum(
         *(g * c ** np.maximum(p - q, 0) for (c, g), p, q in zip(axis_bounds, z, y))
     )
-    if singular:
-        b = np.where(np.add(z[0], z[1], dtype=np.int64) > y[0] + y[1], 0.0, b)
+    if not singular:
+        return ruin(z)
+    near = np.add(z[0], z[1], dtype=np.int64) <= y[0] + y[1]
+    if near.ndim == 0:
+        return ruin(z) if near else np.float64(0.0)
+    b = np.zeros(near.shape)
+    rows = np.flatnonzero(near)
+    b[rows] = ruin([p[rows] for p in z])
     return b
 
 

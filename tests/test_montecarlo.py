@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -585,6 +586,58 @@ class TestStepSampler:
             assert off.dtype == dtype
             np.testing.assert_array_equal(off, ref)
 
+    @pytest.mark.parametrize("law", ["fib", "diag_heavy", "all_five_twisted", "big_jump"])
+    @pytest.mark.parametrize("blk", [1, 38, 64])
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [1000, None])  # None: the module's own
+    def test_chunk_seams_match_cumsum_reference(self, fib, diag_heavy, all_five, big_jump,
+                                                all_five_geom, shards, monkeypatch,
+                                                law, blk, w, chunk):
+        dist, twist = {
+            "fib": (fib, None),
+            "diag_heavy": (diag_heavy, None),
+            "big_jump": (big_jump, None),
+            "all_five_twisted": (
+                all_five, cramer_transform(all_five_geom, (0.8, 0.6))),
+        }[law]
+        if chunk is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        shards(w)
+        per_chunk = montecarlo._CHUNK // blk
+        # every shard spans three whole chunks and a ragged fourth of 2 or 3 rows
+        rows = w * (3 * per_chunk + 2) + 1
+        cuts = montecarlo._cuts(rows, blk)
+        assert all(3 * per_chunk < b - a < 4 * per_chunk for a, b in zip(cuts, cuts[1:]))
+        sampler = _StepSampler(*_twisted_probs(dist, twist), rows, blk)
+        rng = _batch_rng(5, 0)
+        offs = sampler.offsets(rng, rows, blk)
+        ref_rng = _batch_rng(5, 0)
+        ref = self.reference(dist, twist, ref_rng.random((rows, blk)))
+        for off, r in zip(offs, ref):
+            np.testing.assert_array_equal(off, r.T)
+        # the draw leaves the stream where one serial draw does
+        assert philox_state(rng) == philox_state(ref_rng)
+
+    def test_buffers_do_not_scale_with_the_block(self, all_five, all_five_geom):
+        # a twisted law takes the alias path, which uses every buffer
+        probs = _twisted_probs(all_five, cramer_transform(all_five_geom, (0.8, 0.6)))
+        tracemalloc.start()
+        try:
+            sampler = _StepSampler(*probs, BATCH_SIZE, 64)
+            offs = sampler.offsets(_batch_rng(5, 0), BATCH_SIZE, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not sampler.trivial
+        per_shard = montecarlo._CHUNK * 25  # float64 u and accept, intp code, int8
+        bufs = sum(a.nbytes for b in sampler._bufs for a in b)
+        assert 0 < bufs <= montecarlo._CORES * per_shard
+        # only the offsets grow with rows * blk: 8 MB here, against about
+        # 1.6 MB of buffers per shard
+        returned = sum(off.nbytes for off in offs)
+        assert returned == 2 * BATCH_SIZE * 64
+        assert peak <= returned + bufs + (1 << 20)
+
     def test_code_stays_below_k(self):
         # A Generator's largest uniform is (2**53 - 1) / 2**53, and
         # (1 - 2**-53) * K rounds below K for every K, so offsets() casts
@@ -713,6 +766,44 @@ class TestSharding:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+
+class TestVisitMatching:
+    """A visit from a start counts at a step only while the row is alive
+    from that start: checked against a per-row loop over the same draws."""
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_visits_match_a_per_row_loop(self, shards, w):
+        # weak drift (exit roots 9/11): many rows hit an axis and step
+        # back onto the target within the one 64-step block
+        dist = parse_model_text(sf2_model_text(Fraction(1, 10)))
+        starts, y, seed, n = [(1, 2), (3, 2)], (2, 3), 12, 3000
+        shards(w, 256)
+        sums, sqs, crosses, _, _, _ = _visit_walk(
+            dist, starts, [y], [[1.0], [1.0]], 64, SimConfig(seed=seed, n_paths=n))
+        steps, probs = _twisted_probs(dist, None)
+        offs = _StepSampler(steps, probs, n, 64).offsets(_batch_rng(seed, 0), n, 64)
+        path = np.stack([off.T for off in offs], axis=-1).tolist()  # [row][t] -> (dx, dy)
+        visits = np.zeros((2, n), dtype=np.int64)
+        late = early = 0  # rows on y after, and before, their absorption step
+        for si, (x0, y0) in enumerate(starts):
+            for r in range(n):
+                absorbed = False
+                for dx, dy in path[r]:
+                    px, py = x0 + dx, y0 + dy
+                    absorbed = absorbed or px <= 0 or py <= 0
+                    if (px, py) == y:
+                        if absorbed:
+                            late += 1
+                        else:
+                            visits[si, r] += 1
+                if absorbed and visits[si, r]:
+                    early += 1
+        assert late > 0 and early > 0
+        for si in range(2):
+            assert sums[si][0] == visits[si].sum()
+            assert sqs[si][0] == (visits[si] ** 2).sum()
+        assert crosses[0] == (visits[0] * visits[1]).sum()
 
 
 class TestDirectionScan:
