@@ -352,7 +352,7 @@ class _StepSampler:
             self._bufs.append((np.empty(n), np.empty(n, dtype=np.intp),
                                None if self.trivial else np.empty(n),
                                np.empty(n, dtype=np.int8)))
-        step = _CHUNK // blk  # rows per chunk
+        step = n // blk  # rows per chunk
 
         def shard(s):
             """Draw, alias-code and gather the steps of shard s into its
