@@ -201,7 +201,26 @@ def _logaddexp(u: float, v: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg):
+def _envelope(memo: dict, a0, b0, c1, c2, m: int, n_pos: int, n_neg: int):
+    """The factors of ``_tail_pieces`` that the start, degree m and the
+    summed range [-n_neg, n_pos] fix: (exp(m*b0), exp(m*a0)), or None when
+    one overflows, then q, q^(n_pos+1), q^(n_neg+1), q^n_neg and 1 - q.
+    Computed once per start, degree and range: the start's memo keeps them
+    under (m, n_pos, n_neg), beside its term ranges under (m, tol)."""
+    env = memo.get((m, n_pos, n_neg))
+    if env is None:
+        q = math.exp(-(c1 + c2) * m)
+        try:
+            lead = (math.exp(m * b0), math.exp(m * a0))
+        except OverflowError:  # a far start
+            lead = None
+        env = memo[m, n_pos, n_neg] = (
+            lead, q, q ** (n_pos + 1), q ** (n_neg + 1), q**n_neg, 1.0 - q
+        )
+    return env
+
+
+def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg, env):
     """Envelope tails beyond the summed range [-n_neg, n_pos].
 
     Every discarded positive-side term is dominated by the chain anchored
@@ -209,23 +228,17 @@ def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg):
         exp(i*a_n + j*b_n)     <= exp((i+j)*b0 + i*c2) * q^n
         exp(i*a_{n+1} + j*b_n) <= exp((i+j)*b0 - i*c1) * q^n
     with q = exp(-(c1+c2)*(i+j)); symmetrically below with anchor a0 and
-    the roles of i and j (and of c1 and c2) exchanged.
+    the roles of i and j (and of c1 and c2) exchanged.  ``env`` holds the
+    factors that do not depend on i and j apart (``_envelope``).
     """
-    m = i + j
-    q = math.exp(-(c1 + c2) * m)
+    lead, q, q_pos, q_neg1, q_neg, one_q = env
     try:
-        up = (
-            math.exp(m * b0)
-            * (math.exp(i * c2) + math.exp(-i * c1))
-            * q ** (n_pos + 1)
-            / (1.0 - q)
-        )
-        down = (
-            math.exp(m * a0)
-            * (math.exp(j * c1) * q ** (n_neg + 1) + math.exp(-j * c2) * q**n_neg)
-            / (1.0 - q)
-        )
-    except OverflowError:  # exp(i*c2) or exp(j*c1) for a far start
+        if lead is None:
+            raise OverflowError
+        up = lead[0] * (math.exp(i * c2) + math.exp(-i * c1)) * q_pos / one_q
+        down = lead[1] * (math.exp(j * c1) * q_neg1 + math.exp(-j * c2) * q_neg) / one_q
+    except OverflowError:  # exp(m*b0), exp(i*c2) or exp(j*c1) for a far start
+        m = i + j
         log_q = -(c1 + c2) * m
         log_tail = -math.log1p(-q)
         up = math.exp(
@@ -381,12 +394,13 @@ def _check_descent(a_up, b_up, a_dn, b_dn) -> None:
             raise SolverError(f"switching chain lost interlacing near n={-1 - k}")
 
 
-def _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, c1, c2, tol) -> HarmonicValue:
+def _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, c1, c2, tol, memo) -> HarmonicValue:
     """The series at (i, j) over the terms n in [-n_neg, n_pos], with its tail.
 
     ``a`` holds a_n for n in [-n_neg, n_pos + 1] and ``b`` holds b_n for
     n in [-n_neg, n_pos]; the envelope anchored at (a0, b0) with gaps
-    (c1, c2) bounds the terms left out.  Warns when that bound exceeds
+    (c1, c2) bounds the terms left out, its per-degree factors read from
+    and kept in the start's ``memo``.  Warns when that bound exceeds
     ``tol``.
     """
     # term n uses (a_n, b_n, a_{n+1}); fsum rounds once, so order is free
@@ -394,7 +408,8 @@ def _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, c1, c2, tol) -> HarmonicValue:
     terms = [exp(i * an + j * bn) for an, bn in zip(a, b)]
     terms += [-exp(i * an1 + j * bn) for an1, bn in zip(a[1:], b)]
     value = math.fsum(terms)
-    up, down = _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg)
+    env = _envelope(memo, a0, b0, c1, c2, i + j, n_pos, n_neg)
+    up, down = _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg, env)
     tail = up + down
     if tail > tol:
         warnings.warn(
@@ -425,6 +440,7 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     sequence from ``build_sequence`` reads and fills the memo its
     geometry keeps for the start, so a table of many points computes one
     range per degree, and sequences of one start and geometry share it.
+    The envelope factors of each degree's range are kept there too.
     """
     i, j = int(i), int(j)
     if i < 0 or j < 0:
@@ -447,7 +463,7 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
         i, j,
         seq.a_vals[first : first + n_neg + n_pos + 2],
         seq.b_vals[first : first + n_neg + n_pos + 1],
-        n_pos, n_neg, seq.a0, seq.b0, seq.c1, seq.c2, seq.truncation_tol,
+        n_pos, n_neg, seq.a0, seq.b0, seq.c1, seq.c2, seq.truncation_tol, seq._ranges,
     )
 
 
@@ -472,8 +488,8 @@ def escape_probability(
     if i < 1 or j < 1:
         raise ValueError("escape probability is defined for interior points")
     _require_float_exact(i, j)
-    (a0, b0), a, b, n_pos, n_neg, _ = _stored_window(geom, (0.0, 0.0), i + j, tol)
-    return _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, geom.c1, geom.c2, tol)
+    (a0, b0), a, b, n_pos, n_neg, memo = _stored_window(geom, (0.0, 0.0), i + j, tol)
+    return _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, geom.c1, geom.c2, tol, memo)
 
 
 def boundary_harmonic(

@@ -68,6 +68,11 @@ class StepDistribution:
     steps: tuple[tuple[int, int], ...]
     probs: tuple[float, ...]
     exact: tuple[Fraction, ...] | None = field(default=None, compare=False)
+    # What ``montecarlo`` derives from the law and reads on every call: the
+    # validation report and, keyed by the twist, the sampled law's tables
+    # and exit roots; outside equality, hash and repr.  A new object,
+    # ``dataclasses.replace`` included, starts with an empty memo.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_pairs(cls, pairs) -> "StepDistribution":

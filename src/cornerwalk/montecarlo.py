@@ -28,8 +28,10 @@ written as an index.  Two int8 tables, one per coordinate, map a code
 to its step (entry 2k + 1 is step k, entry 2k its alias); when every
 accept is 1, as for uniform laws, the alias is never taken and the code
 is just k.  Each coordinate is gathered on its own and prefix-summed
-into a (blk, rows) array, step t in row t, by running adds of one row
-onto the next (cheaper than np.cumsum along the short axis).  The sums
+into a (blk, rows) array, step t in row t: a block of fewer than
+_SCAN_ROWS rows by one np.add.accumulate call, a wider one by running
+adds of one row onto the next (accumulate walks a column at a time,
+which costs more than a call per row once the rows are many).  The sums
 are int8 when no step component exceeds 1 and int16 otherwise: no
 component is below -1, so a block's offsets stay within [-64, 64], or
 within [-64, 4096] under model.MAX_SUPPORT_RADIUS.  Absorption is
@@ -38,13 +40,19 @@ position, and visits by comparing them with each target minus the
 position; every such per-row threshold is first clipped into the
 offsets' dtype, which changes no compare, so only the int32 position
 update widens.  Visit runs also keep, per axis, running minima of the
-offsets, the lowest offset up to each step, whose last row is the
-block's lowest point: a row stands alive at step c from a start iff it
-was alive there at the block's start and both its running minima at c
-stay above minus its position.  The target matching runs on the draw's
+offsets (scanned by the same rule as the sums), the lowest offset up to
+each step, whose last row is the block's lowest point: a row stands
+alive at step c from a start iff it was alive there at the block's
+start and both its running minima at c stay above minus its position.  The target matching runs on the draw's
 row shards, each shard returning the batch rows it matched; visit
 counts and every float reduction (moments, bounds) are then taken over
 the whole batch in one fixed order.
+
+What depends on the sampled law alone, the alias and code tables, the
+exit roots and visit bounds, and the model's validation, is computed
+once per model object and twist and kept in the object's memo (_law,
+_valid); what grows with a run (chunk buffers, power tables, positions)
+lives only as long as the call.
 
 Every estimator reduces one engine, _walk: rows walk from one start, or
 from the two of a Martin profile, which share each row's draws, and
@@ -55,7 +63,7 @@ is below 1e-7 from every start still alive in it: for escape its
 chance of ever exiting, at most c_x^i + c_y^j (the exit roots of
 skipfree_exit_root, rounded up; c_y^j alone for half-plane survival,
 which never touches x), for Green and Martin its further visits to the
-point (a gambler's-ruin bound per coordinate, see _visit_bounds, and
+point (a gambler's-ruin bound per coordinate, see _Law.visit_bounds, and
 exactly 0 once the row is past the point's anti-diagonal, which a
 walk whose steps never lower x + y cannot recross).  A row is
 dropped once absorbed from every start or retired from every target,
@@ -81,6 +89,11 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+
+try:  # the clip ufunc itself, without np.clip's Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 from .curve import (
     CramerData,
@@ -191,6 +204,107 @@ def _alias_table(probs: np.ndarray):
     return accept, alias
 
 
+class _Law:
+    """A step law as the simulator samples it, with what every call on it
+    reads: ``steps`` and ``probs`` (from _twisted_probs), the alias
+    ``accept`` and two int8 ``tables``, one per coordinate, that map a
+    code to its step (entry 2k + 1 is step k, entry 2k its alias; entry k
+    is step k when the law is ``trivial``, every accept 1), the offsets'
+    ``dtype``, whether the law is ``singular`` (no step lowers x + y) and
+    the exit roots and visit bounds, each solved on first use.
+
+    ``dtype`` is int8 when no step component exceeds 1, int16 otherwise.
+    No component is below -1 on a valid law, so the offsets of a block of
+    at most _BLOCK = 64 steps lie in [-64, 64] in the first case and,
+    with components capped at MAX_SUPPORT_RADIUS = 64, in [-64, 4096] in
+    the second.
+
+    _law keeps one per model object and twist, shared by every call and
+    thread on them, so it holds only read-only arrays of one entry per
+    step and values that never change once stored: a value missing is
+    computed by each caller that finds it missing and stored with
+    setdefault, so concurrent callers store equal values and one wins.
+    """
+
+    def __init__(self, steps, probs):
+        accept, alias = _alias_table(probs)
+        self.steps, self.probs, self.accept = steps, probs, accept
+        self.k = len(probs)
+        self.dtype = np.int8 if steps.max() <= 1 else np.int16
+        self.trivial = bool((accept == 1.0).all())  # then alias is the identity
+        if self.trivial:
+            self.tables = steps.T.astype(np.int8)  # code k -> step k
+        else:
+            self.tables = np.empty((2, 2 * self.k), dtype=np.int8)
+            self.tables[:, 1::2] = steps.T  # code 2k + 1 -> step k
+            self.tables[:, 0::2] = steps[alias].T  # code 2k -> alias of k
+        # twisting keeps the support, so this is decided once from the steps
+        self.singular = bool((steps.sum(axis=1) >= 0).all())
+        for a in (steps, probs, accept, self.tables):
+            a.flags.writeable = False
+        # the root is a function of the marginal alone, and laws symmetric
+        # in x and y have one
+        self._marginals = [frozenset(_marginal(steps, probs, a).items()) for a in (0, 1)]
+        self._roots: dict[frozenset, float] = {}
+        self._visit = None
+
+    def roots(self, axes) -> list[float]:
+        """_exit_root of each axis in ``axes``, solved once per distinct
+        marginal."""
+        out = []
+        for a in axes:
+            key = self._marginals[a]
+            c = self._roots.get(key)
+            if c is None:
+                c = self._roots.setdefault(key, _exit_root(self.steps, self.probs, a))
+            out.append(c)
+        return out
+
+    def visit_bounds(self) -> tuple:
+        """Per axis (c, g): from level z a coordinate's expected visits to
+        level l, now and later, are at most g * c**max(z - l, 0).
+
+        The coordinate moves down by at most one per step, so from above l
+        it ever reaches l with probability c^(z - l), c its exit root.
+        From l it returns with probability at most p0 + p_-1 +
+        sum_{d>=1} p_d c^d = 1 - p_-1 (1/c - 1), so it visits l at most
+        c / (p_-1 (1 - c)) times (gambler's ruin for a left-continuous
+        walk, Feller vol. 1, ch. XIV).  An axis whose drift is <= 0 gives
+        no bound (g = inf).
+        """
+        if self._visit is None:
+            out = []
+            for a, c in enumerate(self.roots((0, 1))):
+                if c == 1.0:
+                    g = math.inf
+                else:
+                    down = float(self.probs[self.steps[:, a] == -1].sum())
+                    g = c / (down * (1.0 - c))
+                out.append((c, g))
+            self._visit = tuple(out)
+        return self._visit
+
+
+def _valid(dist: StepDistribution):
+    """require_valid(dist), run once per model object: the passing report
+    is kept in the object's memo (a failing model raises, storing none)."""
+    report = dist._memo.get("report")
+    if report is None:
+        report = dist._memo.setdefault("report", require_valid(dist))
+    return report
+
+
+def _law(dist: StepDistribution, twist: CramerData | None) -> _Law:
+    """The _Law of ``dist`` under ``twist``, built once per model object and
+    twist: the object's memo keys it by the bits of the twist's phi, or by
+    None.  Nothing in it grows with a run's paths, horizon or positions."""
+    key = None if twist is None else tuple(map(float.hex, twist.phi))
+    law = dist._memo.get(key)
+    if law is None:
+        law = dist._memo.setdefault(key, _Law(*_twisted_probs(dist, twist)))
+    return law
+
+
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     key = (batch_index << 64) | (seed & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -226,6 +340,8 @@ _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _SHARD_MIN = 1 << 15  # uniforms per shard below which a block is not split
 _CHUNK = 1 << 16  # uniforms a shard draws, codes and gathers per pass
 _PHILOX_OUTPUTS = 4  # uint64 outputs per Philox counter step
+# blocks of fewer rows are prefix-scanned by one accumulate call (_scan)
+_SCAN_ROWS = 512
 _pool = None  # the shards' ThreadPoolExecutor, made on first use
 _pool_lock = threading.Lock()
 
@@ -273,12 +389,19 @@ def _on_shards(shard, cuts) -> list:
     return [first, *rest]
 
 
-def _narrow(v, dtype):
-    """int array ``v`` clipped into ``dtype``.  Offsets of that dtype lie
-    well inside its range, so an offset compares with a clipped value as
-    with the value itself, and never equals one that was clipped."""
+def _narrow(c, qs, dtype):
+    """Minus the int32 positions ``c``, then each q in ``qs`` minus them,
+    as the rows of one (1 + len(qs), rows) array clipped into ``dtype`` by
+    one call of the clip ufunc.  Offsets of that dtype lie well inside its
+    range, so an offset compares with a clipped value as with the value
+    itself, and never equals one that was clipped."""
+    wide = np.empty((1 + len(qs), len(c)), dtype=np.int32)
+    np.negative(c, out=wide[0])
+    for row, q in zip(wide[1:], qs):
+        np.add(wide[0], q, out=row)
     info = np.iinfo(dtype)
-    return np.clip(v, info.min, info.max).astype(dtype)
+    return _clip(wide, info.min, info.max, out=np.empty(wide.shape, dtype=dtype),
+                 casting="unsafe")
 
 
 def _jump(bit_gen, state, skip: int) -> None:
@@ -294,31 +417,15 @@ def _jump(bit_gen, state, skip: int) -> None:
 
 
 class _StepSampler:
-    """One call's step source: int8 code tables, a Philox generator for
-    each extra shard of a block, and per shard one chunk's buffers: the
-    uniforms and codes (8 bytes each), the alias compare's accept[k] (8)
-    and the alias decisions, then steps (1), about 1.6 MB at _CHUNK,
-    inside a core's L2 cache.
-
-    ``dtype`` is that of the offsets: int8 when no step component exceeds
-    1, int16 otherwise.  No component is below -1 on a valid law, so the
-    offsets of a block of at most _BLOCK = 64 steps lie in [-64, 64] in
-    the first case and, with components capped at MAX_SUPPORT_RADIUS = 64,
-    in [-64, 4096] in the second.
+    """One call's draw from a _Law: a Philox generator for each extra shard
+    of a block, and per shard one chunk's buffers: the uniforms and codes
+    (8 bytes each), the alias compare's accept[k] (8) and the alias
+    decisions, then steps (1), about 1.6 MB at _CHUNK, inside a core's L2
+    cache.  None of it outlives the call.
     """
 
-    def __init__(self, steps, probs, n_paths: int, horizon: int):
-        accept, alias = _alias_table(probs)
-        self.k = len(probs)
-        self.accept = accept
-        self.dtype = np.int8 if steps.max() <= 1 else np.int16
-        self.trivial = bool((accept == 1.0).all())  # then alias is the identity
-        if self.trivial:
-            self.tables = steps.T.astype(np.int8)  # code k -> step k
-        else:
-            self.tables = np.empty((2, 2 * self.k), dtype=np.int8)
-            self.tables[:, 1::2] = steps.T  # code 2k + 1 -> step k
-            self.tables[:, 0::2] = steps[alias].T  # code 2k -> alias of k
+    def __init__(self, law: _Law, n_paths: int, horizon: int):
+        self.law = law
         # no chunk holds more uniforms than the largest block of the run
         self._chunk = min(_CHUNK, min(n_paths, BATCH_SIZE) * min(horizon, _BLOCK))
         self._bufs = []  # per shard (u, code, acc, picked), made on first use
@@ -326,7 +433,7 @@ class _StepSampler:
 
     def offsets(self, rng, rows: int, blk: int, axes=(0, 1)):
         """Draw one block for ``rows`` rows; per axis, the (blk, rows)
-        prefix sums of the steps in ``dtype``, step t in row t.
+        prefix sums of the steps in the law's ``dtype``, step t in row t.
 
         The rows are cut into the shards of _cuts.  Shard 0 draws from
         ``rng`` in this thread, each other one on the shard pool from a
@@ -337,20 +444,21 @@ class _StepSampler:
         through its own buffers, taking its uniforms from its generator
         in order.  Those buffers and the offsets are allocated here,
         before the shards start (temporaries allocated on the pool threads
-        raised peak memory), and the running row adds stay here, after the
-        join (as many small calls per shard, they contend for the
+        raised peak memory), and the prefix sums (_scan) stay here, after
+        the join (as many small calls per shard, they contend for the
         interpreter lock).
         """
+        law = self.law
         cuts = _cuts(rows, blk)
         w = len(cuts) - 1
-        offs = [np.empty((blk, rows), dtype=self.dtype) for _ in axes]
+        offs = [np.empty((blk, rows), dtype=law.dtype) for _ in axes]
         state = rng.bit_generator.state if w > 1 else None
         while len(self._gens) < w - 1:
             self._gens.append(np.random.Generator(np.random.Philox(0)))
         n = self._chunk
         while len(self._bufs) < w:
             self._bufs.append((np.empty(n), np.empty(n, dtype=np.intp),
-                               None if self.trivial else np.empty(n),
+                               None if law.trivial else np.empty(n),
                                np.empty(n, dtype=np.int8)))
         step = n // blk  # rows per chunk
 
@@ -368,18 +476,18 @@ class _StepSampler:
                 m = (c1 - c0) * blk
                 v, c, p = u[:m], code[:m], picked[:m]  # alias decisions, then steps
                 gen.random(out=v)
-                v *= self.k
+                v *= law.k
                 c[...] = v  # u <= 1 - 2**-53, so u * k rounds below k
-                if not self.trivial:
+                if not law.trivial:
                     v -= c  # v - k, exactly as the alias decision reads it
                     take = p.view(np.bool_)
-                    self.accept.take(c, out=acc[:m], mode="clip")
+                    law.accept.take(c, out=acc[:m], mode="clip")
                     np.less(v, acc[:m], out=take)
                     c *= 2
                     c += take
                 for off, a in zip(offs, axes):
                     # mode="clip" writes straight into ``out``; "raise" buffers it
-                    self.tables[a].take(c, out=p, mode="clip")
+                    law.tables[a].take(c, out=p, mode="clip")
                     off[:, c0:c1] = p.reshape(c1 - c0, blk).T
 
         _on_shards(shard, cuts)
@@ -388,18 +496,29 @@ class _StepSampler:
             end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
             rng.bit_generator.state = end
         for off in offs:
-            for t in range(1, blk):  # running row adds beat np.cumsum
-                np.add(off[t - 1], off[t], out=off[t])
+            _scan(np.add, off, off)
         return offs
 
 
-def _running_min(off):
-    """Per row t of ``off``, the least of rows 0..t, by running minima."""
-    low = np.empty_like(off)
-    low[0] = off[0]
+def _scan(op, off, out):
+    """Per row t of the (blk, rows) block ``off``, ``op`` over its rows
+    0..t, into ``out`` (``off`` itself scans in place).  Below _SCAN_ROWS
+    rows one ``op.accumulate`` call; from there on running row operations,
+    one call per row, each over every column: accumulate walks a column at
+    a time, which costs more than the per-call overhead on wide blocks.
+    Integer adds and minima are exact, so both give the same bits."""
+    if off.shape[1] < _SCAN_ROWS:
+        return op.accumulate(off, axis=0, dtype=off.dtype, out=out)
+    if out is not off:
+        out[0] = off[0]
     for t in range(1, len(off)):
-        np.minimum(low[t - 1], off[t], out=low[t])
-    return low
+        op(out[t - 1], off[t], out=out[t])
+    return out
+
+
+def _running_min(off):
+    """Per row t of ``off``, the least of rows 0..t."""
+    return _scan(np.minimum, off, np.empty_like(off))
 
 
 def _keep_rows(keep, axes, pos, alive, open_, live):
@@ -412,13 +531,12 @@ def _keep_rows(keep, axes, pos, alive, open_, live):
     )
 
 
-def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
-          axes=(0, 1)):
+def _walk(law, starts, targets, weights, bound, horizon, seed, n_paths, axes=(0, 1)):
     """One batched walk from every start at once, stopped per target.
 
-    Steps are drawn from ``probs`` on ``steps``, as _twisted_probs gives
-    them.  A target is a lattice point, whose visits before absorption are
-    counted, or None, which counts nothing (survival uses one).
+    Steps are drawn from the _Law ``law``.  A target is a lattice point,
+    whose visits before absorption are counted, or None, which counts
+    nothing (survival uses one).
     ``bound(pos, ti)``, with ``pos`` a start's [x, y] row arrays, bounds
     per row what a row there can still add to target ti: its further
     visits to the point, or its chance of ever exiting.  Absorption is
@@ -428,17 +546,17 @@ def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
     target is a point.  Every block draws only for the live rows, and
     all starts of a row share its draws, but a visit from a start counts
     only at the steps the row takes alive from it, none once absorbed.
-    The absorption test compares the block's offsets, in the sampler's
+    The absorption test compares the block's offsets, in the law's
     narrow dtype, with each row's minus position and the visit match
-    with each target minus it, both clipped into that dtype by _narrow
-    once per block.  When a target is a point, each axis's offsets also
-    get running minima (_running_min), and each shard of _cuts finds,
-    for every start and point, the steps at which its rows stand on the
-    point; such a step c counts iff the row is alive from the start and
-    open for the point, and both running minima at c lie above the row's
-    floors, so no step at or before c touched an axis.  The visits are
-    added here with bincount, and the running moments, bounds and
-    retirements stay here too, over the whole batch.
+    with each target minus it, all clipped into that dtype by one
+    _narrow call per start, axis and block.  When a target is a point,
+    each axis's offsets also get running minima (_running_min), and each
+    shard of _cuts finds, for every start and point, the steps at which
+    its rows stand on the point; such a step c counts iff the row is
+    alive from the start and open for the point, and both running minima
+    at c lie above the row's floors, so no step at or before c touched an
+    axis.  The visits are added here with bincount, and the running
+    moments, bounds and retirements stay here too, over the whole batch.
     After every block, the last included, a row retires from target ti
     once its bound times weights[si][ti] is below _RETIRE_EPS from every
     start still alive in it; from then on it adds no visit to ti.  A row
@@ -461,9 +579,9 @@ def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
     """
     points = [ti for ti, y in enumerate(targets) if y is not None]
     _check_stream_inputs(
-        steps, list(starts) + [targets[ti] for ti in points], horizon, seed, n_paths
+        law.steps, list(starts) + [targets[ti] for ti in points], horizon, seed, n_paths
     )
-    sampler = _StepSampler(steps, probs, n_paths, horizon)
+    sampler = _StepSampler(law, n_paths, horizon)
     n_starts = len(starts)
     grid = lambda: [[[] for _ in targets] for _ in starts]
     sums, sumsqs, bounds, open_parts = grid(), grid(), grid(), grid()
@@ -497,9 +615,13 @@ def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
                 lows = [m[-1] for m in mins]
             else:
                 lows = [off.min(axis=0) for off in offs]
-            # per start and axis, minus the position in the offsets' dtype:
-            # a row reaches 0 on the axis at any offset at or below it
-            floors = [[_narrow(-p[a], sampler.dtype) for a in axes] for p in pos]
+            # per start and axis, minus the position and each point's level
+            # minus it, in the offsets' dtype: a row reaches 0 on the axis
+            # at any offset at or below the first, and the point's level at
+            # the others
+            levels = [[_narrow(p[a], [targets[ti][a] for ti in points], law.dtype)
+                       for a in axes] for p in pos]
+            floors = [[lv[0] for lv in lvs] for lvs in levels]
             hits = []
             for si, fl in enumerate(floors):
                 # absorbed in this block: its lowest point reaches 0 on an axis
@@ -512,9 +634,8 @@ def _walk(steps, probs, starts, targets, weights, bound, horizon, seed, n_paths,
             if points:
                 cuts = _cuts(n, blk)
                 # per start and point, the offsets at which a row stands on it
-                marks = [{ti: [_narrow(q - c, sampler.dtype)
-                               for q, c in zip(targets[ti], p)] for ti in points}
-                         for p in pos]
+                marks = [{ti: [lv[k] for lv in lvs] for k, ti in enumerate(points, 1)}
+                         for lvs in levels]
 
                 def match(s):
                     """Per start and point, the batch rows of shard s that
@@ -587,12 +708,11 @@ def _survival_estimate(dist, start, cfg: SimConfig, axes) -> SimEstimate:
     """Escape or survival by the walk from ``start`` with one target, None,
     whose bound is the chance of ever exiting: at most the sum over
     ``axes`` of c**z, c the axis's exit root (see estimate_escape)."""
-    steps, probs = _twisted_probs(dist, cfg.twist)
-    roots = dict(zip(axes, _exit_roots(steps, probs, axes)))
+    law = _law(dist, cfg.twist)
+    roots = dict(zip(axes, law.roots(axes)))
     bound = lambda p, ti: np.minimum(sum(roots[a] ** p[a] for a in axes), 1.0)
     _, _, _, open_counts, bounds, survived = _walk(
-        steps, probs, [start], [None], [[1.0]], bound, cfg.horizon, cfg.seed,
-        cfg.n_paths, axes,
+        law, [start], [None], [[1.0]], bound, cfg.horizon, cfg.seed, cfg.n_paths, axes,
     )
     n = cfg.n_paths
     p = survived[0] / n
@@ -617,7 +737,7 @@ def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
     0 <= E[mean] - P(never exit) <= E[bias_bound].  ``censored_fraction``
     is the share of those last paths.
     """
-    require_valid(dist)
+    _valid(dist)
     i, j = int(x[0]), int(x[1])
     if i < 1 or j < 1:
         raise ValueError("escape start must be strictly inside the quadrant")
@@ -634,34 +754,13 @@ def estimate_halfplane_survival(
     Paths retire as in estimate_escape, with the bound c_y^z of the
     current height z alone.
     """
-    require_valid(dist)
+    _valid(dist)
     height = int(height)
     if height < 1:
         raise ValueError("height must be >= 1")
     if cfg.horizon is None:
         raise ValueError("half-plane survival requires an explicit horizon")
     return _survival_estimate(dist, (0, height), cfg, (1,))
-
-
-def _visit_bounds(steps, probs):
-    """Per axis (c, g): from level z a coordinate's expected visits to
-    level l, now and later, are at most g * c**max(z - l, 0).
-
-    The coordinate moves down by at most one per step, so from above l
-    it ever reaches l with probability c^(z - l), c its exit root.  From
-    l it returns with probability at most p0 + p_-1 + sum_{d>=1} p_d c^d
-    = 1 - p_-1 (1/c - 1), so it visits l at most c / (p_-1 (1 - c))
-    times (gambler's ruin for a left-continuous walk, Feller vol. 1,
-    ch. XIV).  An axis whose drift is <= 0 gives no bound (g = inf).
-    """
-    out = []
-    for a, c in enumerate(_exit_roots(steps, probs, (0, 1))):
-        if c == 1.0:
-            g = math.inf
-        else:
-            g = c / (float(probs[steps[:, a] == -1].sum()) * (1.0 - c))
-        out.append((c, g))
-    return out
 
 
 class _Powers:
@@ -708,15 +807,11 @@ def _visit_bound(axis_bounds, z, y, singular: bool):
 
 def _visit_walk(dist, starts, ys, weights, horizon, cfg: SimConfig):
     """The walk counting visits to the points ys, each row bounded by
-    _visit_bound.  Twisting keeps the support, so whether the law is
-    singular is decided once from its steps."""
-    steps, probs = _twisted_probs(dist, cfg.twist)
-    axis_bounds = [(_Powers(c), g) for c, g in _visit_bounds(steps, probs)]
-    singular = bool((steps.sum(axis=1) >= 0).all())
-    bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti], singular)
-    return _walk(
-        steps, probs, starts, ys, weights, bound, horizon, cfg.seed, cfg.n_paths
-    )
+    _visit_bound."""
+    law = _law(dist, cfg.twist)
+    axis_bounds = [(_Powers(c), g) for c, g in law.visit_bounds()]
+    bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti], law.singular)
+    return _walk(law, starts, ys, weights, bound, horizon, cfg.seed, cfg.n_paths)
 
 
 def _default_horizon(x, y) -> int:
@@ -741,7 +836,7 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
 
     From z, a path's expected further visits to y (under the law actually
     sampled) are at most min over the axes of c^((z - y)+) * G1, with c
-    the axis's exit root and G1 = c / (p_-1 (1 - c)) (see _visit_bounds).
+    the axis's exit root and G1 = c / (p_-1 (1 - c)) (see _Law.visit_bounds).
     No step of a valid model lowers x + y, so once z_x + z_y > y_x + y_y
     the bound is exactly 0.  After every block a path whose weighted
     bound is below 1e-7 retires: its later visits go uncounted.  A path
@@ -754,7 +849,7 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     ``censored_fraction`` is the share of paths neither absorbed nor
     retired at the horizon.
     """
-    require_valid(dist)
+    _valid(dist)
     x = (int(x[0]), int(x[1]))
     y = (int(y[0]), int(y[1]))
     if min(x) < 1 or min(y) < 1:
@@ -800,7 +895,7 @@ def martin_kernel_profile(
     share, over the two starts, of paths neither absorbed nor retired
     from y at the horizon.
     """
-    require_valid(dist)
+    _valid(dist)
     x = (int(x[0]), int(x[1]))
     ys = [(int(y[0]), int(y[1])) for y in ys]
     if not ys:
@@ -905,20 +1000,6 @@ def _marginal(steps, probs, axis: int) -> dict[int, Fraction]:
     return marg
 
 
-def _exit_roots(steps, probs, axes) -> list[float]:
-    """_exit_root of each axis in ``axes``, solved once per distinct
-    marginal: the root is a function of the marginal alone, and laws
-    symmetric in x and y have one."""
-    solved: dict[frozenset, float] = {}
-    out = []
-    for a in axes:
-        key = frozenset(_marginal(steps, probs, a).items())
-        if key not in solved:
-            solved[key] = _exit_root(steps, probs, a)
-        out.append(solved[key])
-    return out
-
-
 def _exit_root(steps, probs, axis: int) -> float:
     """Root in [0, 1] of the descent equation of one coordinate's marginal.
 
@@ -981,9 +1062,8 @@ def skipfree_exit_root(
     is the least one at or above that root.  Returns 1.0 when
     the vertical drift is <= 0 (descent is then certain).
     """
-    require_valid(dist)
-    steps, probs = _twisted_probs(dist, twist)
-    return _exit_root(steps, probs, 1)
+    _valid(dist)
+    return _law(dist, twist).roots((1,))[0]
 
 
 def brownian_halfplane_kernel(t: float, x, y, mu, sigma) -> float:

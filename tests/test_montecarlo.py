@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -30,13 +31,13 @@ from cornerwalk.montecarlo import (
     _alias_table,
     _batch_rng,
     _exit_root,
-    _exit_roots,
     _twisted_probs,
     _visit_bound,
-    _visit_bounds,
+    _law,
     _visit_walk,
 )
 
+from test_stream_contract import ESTIMATES, EXPECTED
 from oracles import (
     fib_escape_exact,
     green_enum,
@@ -371,7 +372,7 @@ class TestVisitBound:
     @pytest.mark.parametrize("law", ["fib", "all_five", "diag_heavy"])
     def test_bounds_exact_green_values(self, request, law):
         dist = request.getfixturevalue(law)
-        axis_bounds = _visit_bounds(*_twisted_probs(dist, None))
+        axis_bounds = _law(dist, None).visit_bounds()
         for z in [(1, 1), (2, 3), (4, 1)]:
             for y in [(2, 2), (3, 3), (1, 4)]:
                 exact = float(green_enum(exact_steps(dist), z, y, 24))
@@ -383,7 +384,7 @@ class TestVisitBound:
         # anti-diagonal never visits y: the bound is exactly 0 there
         dist = request.getfixturevalue(law)
         assert all(di + dj >= 0 for di, dj in dist.steps)
-        axis_bounds = _visit_bounds(*_twisted_probs(dist, None))
+        axis_bounds = _law(dist, None).visit_bounds()
         for z in [(1, 1), (2, 3), (4, 1), (3, 3), (5, 4), (6, 2)]:
             for y in [(2, 2), (3, 2), (1, 4)]:
                 exact = green_enum(exact_steps(dist), z, y, 10)
@@ -401,7 +402,7 @@ class TestVisitBound:
         dist = parse_model_text("1 1 1/2\n-1 -1 1/8\n1 -1 1/8\n-1 1 1/4\n")
         z, y = (4, 4), (3, 3)
         assert green_enum(exact_steps(dist), z, y, 12) > 0
-        axis_bounds = _visit_bounds(*_twisted_probs(dist, None))
+        axis_bounds = _law(dist, None).visit_bounds()
         ruin = min(g * c ** max(p - q, 0) for (c, g), p, q in zip(axis_bounds, z, y))
         seen = []
 
@@ -417,7 +418,7 @@ class TestVisitBound:
 
     @pytest.mark.parametrize("law", ["fib", "all_five", "big_jump"])
     def test_power_table_gives_the_direct_bits(self, request, law):
-        axis_bounds = _visit_bounds(*_twisted_probs(request.getfixturevalue(law), None))
+        axis_bounds = _law(request.getfixturevalue(law), None).visit_bounds()
         tabled = [(montecarlo._Powers(c), g) for c, g in axis_bounds]
         rng = np.random.default_rng(1)
         # rising reach, so the tables grow between calls; then no rows
@@ -444,7 +445,7 @@ class TestVisitBound:
     def test_nonpositive_drift_never_retires(self, all_five, monkeypatch):
         # no drift on either axis (not a valid model, so run the engine)
         flat = parse_model_text("1 1 1/4\n-1 -1 1/4\n1 -1 1/4\n-1 1 1/4\n")
-        bounds = _visit_bounds(*_twisted_probs(flat, None))
+        bounds = _law(flat, None).visit_bounds()
         assert [g for _, g in bounds] == [math.inf, math.inf]
         cfg = SimConfig(seed=3, n_paths=3000)
         runs = [
@@ -491,7 +492,7 @@ class TestVisitBound:
         assert abs(truth - est.mean) <= 4 * est.std_error + est.bias_bound
         if horizon == 6:  # one block: open rows are bounded at the horizon
             assert est.bias_bound > 0.0
-            axis_bounds = _visit_bounds(*_twisted_probs(fib, None))
+            axis_bounds = _law(fib, None).visit_bounds()
             assert est.bias_bound < _visit_bound(axis_bounds, (1, 1), (3, 3), True)
         else:  # every row left is past y's anti-diagonal
             assert est.bias_bound == 0.0
@@ -561,8 +562,8 @@ class TestStepSampler:
             "all_five_twisted": (
                 all_five, cramer_transform(all_five_geom, (0.8, 0.6))),
         }[law]
-        sampler = _StepSampler(*_twisted_probs(dist, twist), 300, 200)
-        assert sampler.trivial == (law in ("fib", "big_jump"))
+        sampler = _StepSampler(_law(dist, twist), 300, 200)
+        assert sampler.law.trivial == (law in ("fib", "big_jump"))
         # subset: a draw for fewer rows than the sampler was sized for, as
         # once the engines have dropped rows
         rows = 43 if subset else 300
@@ -578,7 +579,7 @@ class TestStepSampler:
     def test_block_reaches_the_end_of_its_range(self, step, dtype, end):
         # one step, taken 64 times: the farthest a block's offsets can go
         dist = StepDistribution.from_pairs({step: 1})
-        offs = _StepSampler(*_twisted_probs(dist, None), 50, 64).offsets(
+        offs = _StepSampler(_law(dist, None), 50, 64).offsets(
             _batch_rng(5, 0), 50, 64)
         ref = np.cumsum(np.full((64, 50), step[0], dtype=np.int64), axis=0)
         assert ref[-1, 0] == end
@@ -608,7 +609,7 @@ class TestStepSampler:
         rows = w * (3 * per_chunk + 2) + 1
         cuts = montecarlo._cuts(rows, blk)
         assert all(3 * per_chunk < b - a < 4 * per_chunk for a, b in zip(cuts, cuts[1:]))
-        sampler = _StepSampler(*_twisted_probs(dist, twist), rows, blk)
+        sampler = _StepSampler(_law(dist, twist), rows, blk)
         rng = _batch_rng(5, 0)
         offs = sampler.offsets(rng, rows, blk)
         ref_rng = _batch_rng(5, 0)
@@ -620,15 +621,15 @@ class TestStepSampler:
 
     def test_buffers_do_not_scale_with_the_block(self, all_five, all_five_geom):
         # a twisted law takes the alias path, which uses every buffer
-        probs = _twisted_probs(all_five, cramer_transform(all_five_geom, (0.8, 0.6)))
+        law = _law(all_five, cramer_transform(all_five_geom, (0.8, 0.6)))
         tracemalloc.start()
         try:
-            sampler = _StepSampler(*probs, BATCH_SIZE, 64)
+            sampler = _StepSampler(law, BATCH_SIZE, 64)
             offs = sampler.offsets(_batch_rng(5, 0), BATCH_SIZE, 64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not sampler.trivial
+        assert not sampler.law.trivial
         per_shard = montecarlo._CHUNK * 25  # float64 u and accept, intp code, int8
         bufs = sum(a.nbytes for b in sampler._bufs for a in b)
         assert 0 < bufs <= montecarlo._CORES * per_shard
@@ -684,11 +685,11 @@ class TestSharding:
             "all_five_twisted": (
                 all_five, cramer_transform(all_five_geom, (0.8, 0.6))),
         }[law]
-        steps, probs = _twisted_probs(dist, twist)
+        sampled = _law(dist, twist)
 
         def draw(w, pre, half):
             shards(w)
-            sampler = _StepSampler(steps, probs, rows, blk)
+            sampler = _StepSampler(sampled, rows, blk)
             rng = _batch_rng(5, 0)
             rng.bit_generator.random_raw(pre)  # start at buffer position pre
             if half:  # a 32-bit draw holds back the other half of its output
@@ -781,8 +782,7 @@ class TestVisitMatching:
         shards(w, 256)
         sums, sqs, crosses, _, _, _ = _visit_walk(
             dist, starts, [y], [[1.0], [1.0]], 64, SimConfig(seed=seed, n_paths=n))
-        steps, probs = _twisted_probs(dist, None)
-        offs = _StepSampler(steps, probs, n, 64).offsets(_batch_rng(seed, 0), n, 64)
+        offs = _StepSampler(_law(dist, None), n, 64).offsets(_batch_rng(seed, 0), n, 64)
         path = np.stack([off.T for off in offs], axis=-1).tolist()  # [row][t] -> (dx, dy)
         visits = np.zeros((2, n), dtype=np.int64)
         late = early = 0  # rows on y after, and before, their absorption step
@@ -937,8 +937,13 @@ class TestExitRootNoRootBelowOne:
         assert _exit_root(steps, probs, 1) == 1.0
 
 
-class TestExitRootsPerCall:
-    """An estimator call solves one exit root per distinct marginal."""
+FIB_TEXT = "1 1 1/3\n1 -1 1/3\n-1 1 1/3\n"
+
+
+class TestExitRootsPerLaw:
+    """Within one model object each distinct marginal of a sampled law is
+    solved once, whichever estimators ask for it and however often; a
+    fresh parse, and each new twist, solves again."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -952,21 +957,160 @@ class TestExitRootsPerCall:
         monkeypatch.setattr(montecarlo, "_exit_root", counting)
         return calls
 
-    def test_equal_marginals_solved_once(self, fib, solves):
-        cfg = SimConfig(seed=1, n_paths=64, horizon=8)
-        estimate_escape(fib, (1, 1), cfg)
+    @staticmethod
+    def run_all(dist, twist=None):
+        cfg = SimConfig(seed=1, n_paths=64, horizon=8, twist=twist)
+        estimate_halfplane_survival(dist, 2, cfg)
+        estimate_escape(dist, (1, 1), cfg)
+        estimate_green(dist, (1, 1), (3, 3), cfg)
+        martin_kernel_profile(dist, (2, 2), [(3, 3)], cfg)
+
+    def test_equal_marginals_solved_once(self, solves, monkeypatch):
+        validations = []
+        require_valid = montecarlo.require_valid
+        monkeypatch.setattr(montecarlo, "require_valid",
+                            lambda d: validations.append(d) or require_valid(d))
+        fib = parse_model_text(FIB_TEXT)
+        for _ in range(2):
+            self.run_all(fib)
+        assert skipfree_exit_root(fib) == montecarlo._law(fib, None).roots((1,))[0]
         assert len(solves) == 1
-        estimate_green(fib, (1, 1), (3, 3), cfg)
-        assert len(solves) == 2
+        assert len(validations) == 1
 
     def test_distinct_marginals_solved_each(self, lopsided, solves):
-        steps, probs = _twisted_probs(lopsided, None)
-        assert _exit_roots(steps, probs, (0, 1)) == [
-            _exit_root(steps, probs, 0), _exit_root(steps, probs, 1)
+        dist = dataclasses.replace(lopsided)  # an object with an empty memo
+        self.run_all(dist)  # half-plane survival first: the y marginal alone
+        assert solves == [1, 0]
+        self.run_all(dist)
+        skipfree_exit_root(dist)
+        assert solves == [1, 0]
+        law = montecarlo._law(dist, None)
+        assert law.roots((0, 1)) == [
+            _exit_root(law.steps, law.probs, 0), _exit_root(law.steps, law.probs, 1)
         ]
-        solves.clear()
-        estimate_escape(lopsided, (1, 1), SimConfig(seed=1, n_paths=64, horizon=8))
+
+    def test_fresh_parse_and_new_twist_solve_again(self, solves):
+        fib = parse_model_text(FIB_TEXT)
+        self.run_all(fib)
+        assert len(solves) == 1
+        again = parse_model_text(FIB_TEXT)
+        assert again == fib
+        self.run_all(again)
         assert len(solves) == 2
+        geom = find_extrema(fib)
+        for u in [(0.6, 0.8), (0.8, 0.6)]:
+            twist = cramer_transform(geom, u)
+            before = len(solves)
+            self.run_all(fib, twist)
+            assert len(solves) > before  # a new twisted law
+            before = len(solves)
+            # a twist solved anew to the same phi bits is the same law
+            self.run_all(fib, cramer_transform(find_extrema(fib), u))
+            skipfree_exit_root(fib, twist)
+            assert len(solves) == before
+
+    def test_memo_holds_only_the_law(self, all_five, all_five_geom):
+        dist = dataclasses.replace(all_five)
+        twist = cramer_transform(all_five_geom, (0.8, 0.6))
+        for n_paths, horizon in [(64, 8), (3000, 200)]:
+            cfg = SimConfig(seed=2, n_paths=n_paths, horizon=horizon, twist=twist)
+            estimate_green(dist, (1, 1), (4, 4), cfg)
+            martin_kernel_profile(dist, (2, 3), [(6, 6)],
+                                  dataclasses.replace(cfg, twist=None))
+        assert set(dist._memo) == {"report", None, tuple(map(float.hex, twist.phi))}
+        k = len(dist.steps)
+        for key, law in dist._memo.items():
+            if key == "report":
+                assert law.passed
+                continue
+            for a in (law.steps, law.probs, law.accept, law.tables):
+                assert not a.flags.writeable
+                assert a.size <= 4 * k
+        # the memo is outside equality, hash and repr
+        assert dist == all_five and hash(dist) == hash(all_five)
+        assert "_memo" not in repr(dist)
+        assert dataclasses.replace(dist)._memo == {}
+
+
+class TestLawMemoBits:
+    """A warm memo gives the bits of a cold one, in one thread or two."""
+
+    @pytest.fixture
+    def fresh(self, fib, all_five, diag_heavy, big_jump):
+        """Model objects with empty memos, as tests/test_stream_contract.py
+        names them."""
+        return lambda: {
+            "fib": dataclasses.replace(fib), "all_five": dataclasses.replace(all_five),
+            "diag_heavy": dataclasses.replace(diag_heavy),
+            "big_jump": dataclasses.replace(big_jump),
+            "weak_drift": parse_model_text(sf2_model_text(Fraction(1, 10))),
+        }
+
+    @pytest.mark.parametrize("case", sorted(ESTIMATES))
+    def test_second_call_gives_the_pinned_bits(self, fresh, case):
+        models = fresh()
+        assert all(m._memo == {} for m in models.values())
+        assert repr(ESTIMATES[case](models)) == EXPECTED[case]  # cold
+        assert repr(ESTIMATES[case](models)) == EXPECTED[case]  # warm
+
+    def test_two_threads_on_one_fresh_object(self, fresh):
+        cases = ["escape_twisted", "green_twisted", "martin_all_five",
+                 "escape_fibonacci", "martin_fibonacci_base_dies"]
+        models = fresh()
+        barrier = threading.Barrier(2)
+        got = [{}, {}]
+
+        def run(t):
+            barrier.wait()
+            for case in cases[t::2] + cases[1 - t::2]:
+                got[t][case] = repr(ESTIMATES[case](models))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in (0, 1)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        finally:
+            sys.setswitchinterval(old)
+        for g in got:
+            assert g == {case: EXPECTED[case] for case in cases}
+
+
+class TestScanRule:
+    """Blocks below _SCAN_ROWS rows are scanned by one accumulate call,
+    wider ones by running row operations: both give np.cumsum and
+    np.minimum.accumulate bit for bit, on either side of the cut."""
+
+    @pytest.mark.parametrize("law", ["fib", "all_five_twisted", "big_jump",
+                                     "plus_64", "minus_64", "up_4096"])
+    @pytest.mark.parametrize("side", [-1, 0])
+    def test_offsets_and_minima_match_numpy(self, fib, all_five, big_jump,
+                                            all_five_geom, law, side):
+        dist, twist = {
+            "fib": (fib, None),
+            "all_five_twisted": (all_five, cramer_transform(all_five_geom, (0.8, 0.6))),
+            "big_jump": (big_jump, None),
+            # one step taken 64 times: the ends of the int16 offsets' range
+            "plus_64": (StepDistribution.from_pairs({(1, 2): 1}), None),
+            "minus_64": (StepDistribution.from_pairs({(2, -1): 1}), None),
+            "up_4096": (StepDistribution.from_pairs({(64, 64): 1}), None),
+        }[law]
+        rows = montecarlo._SCAN_ROWS + side
+        sampled = _law(dist, twist)
+        assert sampled.dtype == (np.int8 if law in ("fib", "all_five_twisted") else np.int16)
+        offs = _StepSampler(sampled, rows, 64).offsets(_batch_rng(5, 0), rows, 64)
+        ref = TestStepSampler.reference(dist, twist, _batch_rng(5, 0).random((rows, 64)))
+        for off, r in zip(offs, ref):
+            np.testing.assert_array_equal(off, r.T)
+            low = montecarlo._running_min(off)
+            assert low.dtype == off.dtype
+            np.testing.assert_array_equal(low, np.minimum.accumulate(r.T, axis=0))
+        ends = {"plus_64": 64, "minus_64": -64, "up_4096": 4096}
+        if law in ends:
+            assert ends[law] in (offs[0][-1, 0], offs[1][-1, 0])
 
 
 class TestBrownianKernel:
