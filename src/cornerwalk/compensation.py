@@ -236,7 +236,8 @@ def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg, env):
         if lead is None:
             raise OverflowError
         up = lead[0] * (math.exp(i * c2) + math.exp(-i * c1)) * q_pos / one_q
-        down = lead[1] * (math.exp(j * c1) * q_neg1 + math.exp(-j * c2) * q_neg) / one_q
+        down = (lead[1] * (math.exp(j * c1) * q_neg1 + math.exp(-j * c2) * q_neg)
+                / one_q)
     except OverflowError:  # exp(m*b0), exp(i*c2) or exp(j*c1) for a far start
         m = i + j
         log_q = -(c1 + c2) * m

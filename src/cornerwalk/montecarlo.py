@@ -43,10 +43,11 @@ update widens.  Visit runs also keep, per axis, running minima of the
 offsets (scanned by the same rule as the sums), the lowest offset up to
 each step, whose last row is the block's lowest point: a row stands
 alive at step c from a start iff it was alive there at the block's
-start and both its running minima at c stay above minus its position.  The target matching runs on the draw's
-row shards, each shard returning the batch rows it matched; visit
-counts and every float reduction (moments, bounds) are then taken over
-the whole batch in one fixed order.
+start and both its running minima at c stay above minus its position.
+The target matching runs on the draw's row shards, each shard returning
+the batch rows it matched; visit counts and every float reduction
+(moments, bounds) are then taken over the whole batch in one fixed
+order.
 
 What depends on the sampled law alone, the alias and code tables, the
 exit roots and visit bounds, and the model's validation, is computed
@@ -244,7 +245,8 @@ class _Law:
             a.flags.writeable = False
         # the root is a function of the marginal alone, and laws symmetric
         # in x and y have one
-        self._marginals = [frozenset(_marginal(steps, probs, a).items()) for a in (0, 1)]
+        self._marginals = [frozenset(_marginal(steps, probs, a).items())
+                           for a in (0, 1)]
         self._roots: dict[frozenset, float] = {}
         self._visit = None
 
@@ -392,16 +394,16 @@ def _on_shards(shard, cuts) -> list:
 def _narrow(c, qs, dtype):
     """Minus the int32 positions ``c``, then each q in ``qs`` minus them,
     as the rows of one (1 + len(qs), rows) array clipped into ``dtype`` by
-    one call of the clip ufunc.  Offsets of that dtype lie well inside its
-    range, so an offset compares with a clipped value as with the value
-    itself, and never equals one that was clipped."""
+    one call of the clip ufunc (in int32, in place: clipping straight into
+    ``dtype`` takes numpy's slower casting path).  Offsets of that dtype
+    lie well inside its range, so an offset compares with a clipped value
+    as with the value itself, and never equals one that was clipped."""
     wide = np.empty((1 + len(qs), len(c)), dtype=np.int32)
     np.negative(c, out=wide[0])
     for row, q in zip(wide[1:], qs):
         np.add(wide[0], q, out=row)
     info = np.iinfo(dtype)
-    return _clip(wide, info.min, info.max, out=np.empty(wide.shape, dtype=dtype),
-                 casting="unsafe")
+    return _clip(wide, info.min, info.max, out=wide).astype(dtype)
 
 
 def _jump(bit_gen, state, skip: int) -> None:

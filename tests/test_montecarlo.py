@@ -48,6 +48,9 @@ from oracles import (
 )
 
 
+FIB_TEXT = "1 1 1/3\n1 -1 1/3\n-1 1 1/3\n"
+
+
 def exact_steps(dist):
     return dict(zip(dist.steps, dist.exact))
 
@@ -935,9 +938,6 @@ class TestExitRootNoRootBelowOne:
         assert sum(map(Fraction, probs.tolist())) == 1 + Fraction(1, 2**53)
         steps = np.array([[0, -1], [0, 1]], dtype=np.int32)
         assert _exit_root(steps, probs, 1) == 1.0
-
-
-FIB_TEXT = "1 1 1/3\n1 -1 1/3\n-1 1 1/3\n"
 
 
 class TestExitRootsPerLaw:
