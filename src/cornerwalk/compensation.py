@@ -201,26 +201,7 @@ def _logaddexp(u: float, v: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _envelope(memo: dict, a0, b0, c1, c2, m: int, n_pos: int, n_neg: int):
-    """The factors of ``_tail_pieces`` that the start, degree m and the
-    summed range [-n_neg, n_pos] fix: (exp(m*b0), exp(m*a0)), or None when
-    one overflows, then q, q^(n_pos+1), q^(n_neg+1), q^n_neg and 1 - q.
-    Computed once per start, degree and range: the start's memo keeps them
-    under (m, n_pos, n_neg), beside its term ranges under (m, tol)."""
-    env = memo.get((m, n_pos, n_neg))
-    if env is None:
-        q = math.exp(-(c1 + c2) * m)
-        try:
-            lead = (math.exp(m * b0), math.exp(m * a0))
-        except OverflowError:  # a far start
-            lead = None
-        env = memo[m, n_pos, n_neg] = (
-            lead, q, q ** (n_pos + 1), q ** (n_neg + 1), q**n_neg, 1.0 - q
-        )
-    return env
-
-
-def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg, env):
+def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg):
     """Envelope tails beyond the summed range [-n_neg, n_pos].
 
     Every discarded positive-side term is dominated by the chain anchored
@@ -228,18 +209,23 @@ def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg, env):
         exp(i*a_n + j*b_n)     <= exp((i+j)*b0 + i*c2) * q^n
         exp(i*a_{n+1} + j*b_n) <= exp((i+j)*b0 - i*c1) * q^n
     with q = exp(-(c1+c2)*(i+j)); symmetrically below with anchor a0 and
-    the roles of i and j (and of c1 and c2) exchanged.  ``env`` holds the
-    factors that do not depend on i and j apart (``_envelope``).
+    the roles of i and j (and of c1 and c2) exchanged.
     """
-    lead, q, q_pos, q_neg1, q_neg, one_q = env
+    m = i + j
+    q = math.exp(-(c1 + c2) * m)
     try:
-        if lead is None:
-            raise OverflowError
-        up = lead[0] * (math.exp(i * c2) + math.exp(-i * c1)) * q_pos / one_q
-        down = (lead[1] * (math.exp(j * c1) * q_neg1 + math.exp(-j * c2) * q_neg)
-                / one_q)
+        up = (
+            math.exp(m * b0)
+            * (math.exp(i * c2) + math.exp(-i * c1))
+            * q ** (n_pos + 1)
+            / (1.0 - q)
+        )
+        down = (
+            math.exp(m * a0)
+            * (math.exp(j * c1) * q ** (n_neg + 1) + math.exp(-j * c2) * q**n_neg)
+            / (1.0 - q)
+        )
     except OverflowError:  # exp(m*b0), exp(i*c2) or exp(j*c1) for a far start
-        m = i + j
         log_q = -(c1 + c2) * m
         log_tail = -math.log1p(-q)
         up = math.exp(
@@ -395,13 +381,12 @@ def _check_descent(a_up, b_up, a_dn, b_dn) -> None:
             raise SolverError(f"switching chain lost interlacing near n={-1 - k}")
 
 
-def _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, c1, c2, tol, memo) -> HarmonicValue:
+def _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, c1, c2, tol) -> HarmonicValue:
     """The series at (i, j) over the terms n in [-n_neg, n_pos], with its tail.
 
     ``a`` holds a_n for n in [-n_neg, n_pos + 1] and ``b`` holds b_n for
     n in [-n_neg, n_pos]; the envelope anchored at (a0, b0) with gaps
-    (c1, c2) bounds the terms left out, its per-degree factors read from
-    and kept in the start's ``memo``.  Warns when that bound exceeds
+    (c1, c2) bounds the terms left out.  Warns when that bound exceeds
     ``tol``.
     """
     # term n uses (a_n, b_n, a_{n+1}); fsum rounds once, so order is free
@@ -409,8 +394,7 @@ def _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, c1, c2, tol, memo) -> HarmonicV
     terms = [exp(i * an + j * bn) for an, bn in zip(a, b)]
     terms += [-exp(i * an1 + j * bn) for an1, bn in zip(a[1:], b)]
     value = math.fsum(terms)
-    env = _envelope(memo, a0, b0, c1, c2, i + j, n_pos, n_neg)
-    up, down = _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg, env)
+    up, down = _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg)
     tail = up + down
     if tail > tol:
         warnings.warn(
@@ -441,7 +425,6 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     sequence from ``build_sequence`` reads and fills the memo its
     geometry keeps for the start, so a table of many points computes one
     range per degree, and sequences of one start and geometry share it.
-    The envelope factors of each degree's range are kept there too.
     """
     i, j = int(i), int(j)
     if i < 0 or j < 0:
@@ -464,7 +447,7 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
         i, j,
         seq.a_vals[first : first + n_neg + n_pos + 2],
         seq.b_vals[first : first + n_neg + n_pos + 1],
-        n_pos, n_neg, seq.a0, seq.b0, seq.c1, seq.c2, seq.truncation_tol, seq._ranges,
+        n_pos, n_neg, seq.a0, seq.b0, seq.c1, seq.c2, seq.truncation_tol,
     )
 
 
@@ -489,8 +472,8 @@ def escape_probability(
     if i < 1 or j < 1:
         raise ValueError("escape probability is defined for interior points")
     _require_float_exact(i, j)
-    (a0, b0), a, b, n_pos, n_neg, memo = _stored_window(geom, (0.0, 0.0), i + j, tol)
-    return _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, geom.c1, geom.c2, tol, memo)
+    (a0, b0), a, b, n_pos, n_neg, _ = _stored_window(geom, (0.0, 0.0), i + j, tol)
+    return _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, geom.c1, geom.c2, tol)
 
 
 def boundary_harmonic(

@@ -107,9 +107,8 @@ class CurveGeometry:
     c2: float  # g(y0) - y0 > 0: minimal vertical switch gap
     # Switching chains grown by ``compensation.build_sequence``, keyed by
     # the start's exact float bits, and beside them each start's memo of
-    # term ranges, keyed by (degree, tolerance), and of the envelope
-    # factors of each degree's summed range, keyed by (degree, n_pos,
-    # n_neg); outside equality, hash and repr.
+    # term ranges, keyed by (degree, tolerance); outside equality, hash
+    # and repr.
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

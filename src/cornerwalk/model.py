@@ -68,10 +68,11 @@ class StepDistribution:
     steps: tuple[tuple[int, int], ...]
     probs: tuple[float, ...]
     exact: tuple[Fraction, ...] | None = field(default=None, compare=False)
-    # What ``montecarlo`` derives from the law and reads on every call: the
-    # validation report and, keyed by the twist, the sampled law's tables
-    # and exit roots; outside equality, hash and repr.  A new object,
-    # ``dataclasses.replace`` included, starts with an empty memo.
+    # What is derived from the law and read on every call: the validation
+    # report (``require_valid``) and, keyed by the twist, the sampled law's
+    # tables and exit roots (``montecarlo``); outside equality, hash and
+    # repr.  A new object, ``dataclasses.replace`` included, starts with an
+    # empty memo.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -254,12 +255,17 @@ def require_valid(dist: StepDistribution, where: str = "") -> ModelValidationRep
 
     ``where`` (a file path, say) prefixes the message.  Returns the
     report of a passing model so callers can read its classification.
+    The passing report is kept in the object's memo, so a model object is
+    validated once; a failing one stores nothing and raises on every call.
     """
-    report = validate_model(dist)
-    if not report.passed:
-        ids = ", ".join(rule for rule, _ in report.violations)
-        prefix = f"{where}: " if where else ""
-        raise InvalidModelError(f"{prefix}model fails validation rules: {ids}")
+    report = dist._memo.get("report")
+    if report is None:
+        report = validate_model(dist)
+        if not report.passed:
+            ids = ", ".join(rule for rule, _ in report.violations)
+            prefix = f"{where}: " if where else ""
+            raise InvalidModelError(f"{prefix}model fails validation rules: {ids}")
+        report = dist._memo.setdefault("report", report)
     return report
 
 

@@ -50,10 +50,10 @@ the batch rows it matched; visit counts and every float reduction
 order.
 
 What depends on the sampled law alone, the alias and code tables, the
-exit roots and visit bounds, and the model's validation, is computed
-once per model object and twist and kept in the object's memo (_law,
-_valid); what grows with a run (chunk buffers, power tables, positions)
-lives only as long as the call.
+exit roots and visit bounds, is computed once per model object and
+twist and kept in the object's memo (_law), beside the validation report
+that model.require_valid keeps there; what grows with a run (chunk
+buffers, power tables, positions) lives only as long as the call.
 
 Every estimator reduces one engine, _walk: rows walk from one start, or
 from the two of a Martin profile, which share each row's draws, and
@@ -66,7 +66,7 @@ skipfree_exit_root, rounded up; c_y^j alone for half-plane survival,
 which never touches x), for Green and Martin its further visits to the
 point (a gambler's-ruin bound per coordinate, see _Law.visit_bounds, and
 exactly 0 once the row is past the point's anti-diagonal, which a
-walk whose steps never lower x + y cannot recross).  A row is
+valid model's walk, no step of which lowers x + y, cannot recross).  A row is
 dropped once absorbed from every start or retired from every target,
 and later blocks draw only for the rows left.  The bounds of the
 retired rows, at retirement, and of the rows still open at the
@@ -90,11 +90,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-
-try:  # the clip ufunc itself, without np.clip's Python wrapper
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
 
 from .curve import (
     CramerData,
@@ -211,8 +206,8 @@ class _Law:
     ``accept`` and two int8 ``tables``, one per coordinate, that map a
     code to its step (entry 2k + 1 is step k, entry 2k its alias; entry k
     is step k when the law is ``trivial``, every accept 1), the offsets'
-    ``dtype``, whether the law is ``singular`` (no step lowers x + y) and
-    the exit roots and visit bounds, each solved on first use.
+    ``dtype`` and the exit roots and visit bounds, each solved on first
+    use.
 
     ``dtype`` is int8 when no step component exceeds 1, int16 otherwise.
     No component is below -1 on a valid law, so the offsets of a block of
@@ -239,8 +234,6 @@ class _Law:
             self.tables = np.empty((2, 2 * self.k), dtype=np.int8)
             self.tables[:, 1::2] = steps.T  # code 2k + 1 -> step k
             self.tables[:, 0::2] = steps[alias].T  # code 2k -> alias of k
-        # twisting keeps the support, so this is decided once from the steps
-        self.singular = bool((steps.sum(axis=1) >= 0).all())
         for a in (steps, probs, accept, self.tables):
             a.flags.writeable = False
         # the root is a function of the marginal alone, and laws symmetric
@@ -285,15 +278,6 @@ class _Law:
                 out.append((c, g))
             self._visit = tuple(out)
         return self._visit
-
-
-def _valid(dist: StepDistribution):
-    """require_valid(dist), run once per model object: the passing report
-    is kept in the object's memo (a failing model raises, storing none)."""
-    report = dist._memo.get("report")
-    if report is None:
-        report = dist._memo.setdefault("report", require_valid(dist))
-    return report
 
 
 def _law(dist: StepDistribution, twist: CramerData | None) -> _Law:
@@ -393,17 +377,19 @@ def _on_shards(shard, cuts) -> list:
 
 def _narrow(c, qs, dtype):
     """Minus the int32 positions ``c``, then each q in ``qs`` minus them,
-    as the rows of one (1 + len(qs), rows) array clipped into ``dtype`` by
-    one call of the clip ufunc (in int32, in place: clipping straight into
-    ``dtype`` takes numpy's slower casting path).  Offsets of that dtype
-    lie well inside its range, so an offset compares with a clipped value
-    as with the value itself, and never equals one that was clipped."""
+    as the rows of one (1 + len(qs), rows) array clipped into ``dtype``
+    (in int32, in place: clipping straight into ``dtype`` takes numpy's
+    slower casting path).  Offsets of that dtype lie well inside its
+    range, so an offset compares with a clipped value as with the value
+    itself, and never equals one that was clipped."""
     wide = np.empty((1 + len(qs), len(c)), dtype=np.int32)
     np.negative(c, out=wide[0])
     for row, q in zip(wide[1:], qs):
         np.add(wide[0], q, out=row)
     info = np.iinfo(dtype)
-    return _clip(wide, info.min, info.max, out=wide).astype(dtype)
+    np.minimum(wide, info.max, out=wide)
+    np.maximum(wide, info.min, out=wide)
+    return wide.astype(dtype)
 
 
 def _jump(bit_gen, state, skip: int) -> None:
@@ -739,7 +725,7 @@ def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
     0 <= E[mean] - P(never exit) <= E[bias_bound].  ``censored_fraction``
     is the share of those last paths.
     """
-    _valid(dist)
+    require_valid(dist)
     i, j = int(x[0]), int(x[1])
     if i < 1 or j < 1:
         raise ValueError("escape start must be strictly inside the quadrant")
@@ -756,7 +742,7 @@ def estimate_halfplane_survival(
     Paths retire as in estimate_escape, with the bound c_y^z of the
     current height z alone.
     """
-    _valid(dist)
+    require_valid(dist)
     height = int(height)
     if height < 1:
         raise ValueError("height must be >= 1")
@@ -782,28 +768,22 @@ class _Powers:
         return self.table[k]
 
 
-def _visit_bound(axis_bounds, z, y, singular: bool):
-    """Bound on the expected further visits to y of walks now at z: a
-    visit needs both coordinates at y's levels, so the smaller of the two
-    axis bounds holds, and killing only removes visits.  Each axis's c is
-    a float or, per call of _visit_walk, its _Powers.
+def _visit_bound(axis_bounds, z, y):
+    """Per row of the [x, y] row arrays ``z``, a bound on the expected
+    further visits to y of walks now there: a visit needs both
+    coordinates at y's levels, so the smaller of the two axis bounds
+    holds, and killing only removes visits.  Each axis's c is a float or,
+    per call of _visit_walk, its _Powers.
 
-    ``singular`` says that no step of the law lowers x + y.  A walk then
-    never returns below its anti-diagonal, so from z with
-    z_x + z_y > y_x + y_y it never visits y and the bound is exactly 0;
-    the gambler's-ruin term is then computed only for the other rows.
+    Validation admits no step that lowers x + y, so a walk never returns
+    below its anti-diagonal: from z with z_x + z_y > y_x + y_y it never
+    visits y and the bound is exactly 0.  The gambler's-ruin term is
+    computed only for the other rows.
     """
-    ruin = lambda z: np.minimum(
-        *(g * c ** np.maximum(p - q, 0) for (c, g), p, q in zip(axis_bounds, z, y))
-    )
-    if not singular:
-        return ruin(z)
-    near = np.add(z[0], z[1], dtype=np.int64) <= y[0] + y[1]
-    if near.ndim == 0:
-        return ruin(z) if near else np.float64(0.0)
-    b = np.zeros(near.shape)
-    rows = np.flatnonzero(near)
-    b[rows] = ruin([p[rows] for p in z])
+    rows = np.flatnonzero(np.add(z[0], z[1], dtype=np.int64) <= y[0] + y[1])
+    b = np.zeros(len(z[0]))
+    b[rows] = np.minimum(*(g * c ** np.maximum(p[rows] - q, 0)
+                           for (c, g), p, q in zip(axis_bounds, z, y)))
     return b
 
 
@@ -812,7 +792,7 @@ def _visit_walk(dist, starts, ys, weights, horizon, cfg: SimConfig):
     _visit_bound."""
     law = _law(dist, cfg.twist)
     axis_bounds = [(_Powers(c), g) for c, g in law.visit_bounds()]
-    bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti], law.singular)
+    bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti])
     return _walk(law, starts, ys, weights, bound, horizon, cfg.seed, cfg.n_paths)
 
 
@@ -851,7 +831,7 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     ``censored_fraction`` is the share of paths neither absorbed nor
     retired at the horizon.
     """
-    _valid(dist)
+    require_valid(dist)
     x = (int(x[0]), int(x[1]))
     y = (int(y[0]), int(y[1]))
     if min(x) < 1 or min(y) < 1:
@@ -897,7 +877,7 @@ def martin_kernel_profile(
     share, over the two starts, of paths neither absorbed nor retired
     from y at the horizon.
     """
-    _valid(dist)
+    require_valid(dist)
     x = (int(x[0]), int(x[1]))
     ys = [(int(y[0]), int(y[1])) for y in ys]
     if not ys:
@@ -959,7 +939,9 @@ def green_direction_scan(
 
     Each radius r maps to the lattice point y closest to r*u; the twist
     is recomputed from the rounded direction y/|y| so the correction
-    matches the point actually simulated.  The scaled value equals
+    matches the point actually simulated.  Each distinct rounded direction
+    is a twist of its own, so it adds one _Law to ``dist``'s memo, kept
+    for the object's life.  The scaled value equals
     sqrt(|y|) * exp(-<phi, x - y>) * G(x, y), which converges to a
     positive limit along the ray.
     """
@@ -1064,7 +1046,7 @@ def skipfree_exit_root(
     is the least one at or above that root.  Returns 1.0 when
     the vertical drift is <= 0 (descent is then certain).
     """
-    _valid(dist)
+    require_valid(dist)
     return _law(dist, twist).roots((1,))[0]
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cornerwalk import model
 from cornerwalk.model import (
     InvalidModelError,
     ModelFileError,
@@ -227,6 +229,74 @@ def test_require_valid_names_rules_and_prefix():
         require_valid(bad)
     with pytest.raises(InvalidModelError, match="^m.txt: model fails validation rules: "):
         require_valid(bad, where="m.txt")
+
+
+class TestRequireValidMemo:
+    """require_valid keeps a passing report in the model object's memo, so
+    every entry point that gates on it validates a model object once."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = model.validate_model
+
+        def counting(dist):
+            calls.append(dist)
+            return validate(dist)
+
+        monkeypatch.setattr(model, "validate_model", counting)
+        return calls
+
+    def test_one_validation_per_object_across_entry_points(self, validations):
+        from cornerwalk.curve import cramer_transform, find_extrema
+        from cornerwalk.montecarlo import (
+            SimConfig,
+            estimate_escape,
+            estimate_green,
+            estimate_halfplane_survival,
+            green_direction_scan,
+            martin_kernel_estimate,
+            martin_kernel_profile,
+            skipfree_exit_root,
+        )
+        from cornerwalk.uniformization import compute_params
+
+        dist = parse_model_text(FIB_TEXT)
+        cfg = SimConfig(seed=1, n_paths=64, horizon=8)
+        for _ in range(2):
+            geom = find_extrema(dist)
+            compute_params(dist)
+            estimate_escape(dist, (1, 1), cfg)
+            estimate_halfplane_survival(dist, 2, cfg)
+            estimate_green(dist, (1, 1), (3, 3), cfg)
+            martin_kernel_estimate(dist, (2, 2), (3, 3), cfg)
+            martin_kernel_profile(dist, (2, 2), [(3, 3), (4, 4)], cfg)
+            green_direction_scan(dist, (1, 1), (1.0, 1.0), [3.0], cfg)
+            skipfree_exit_root(dist)
+            skipfree_exit_root(dist, cramer_transform(geom, (0.6, 0.8)))
+        assert validations == [dist]
+        assert dist._memo["report"].passed
+
+    def test_failing_model_raises_every_call_and_stores_nothing(self, validations):
+        bad = parse_model_text("1 1 1/2\n1 -1 1/2\n")  # no (-1,1) mass
+        for where in ["m.txt", "m.txt", ""]:
+            prefix = f"{where}: " if where else ""
+            with pytest.raises(
+                InvalidModelError,
+                match=f"^{prefix}model fails validation rules: corner_jumps$",
+            ):
+                require_valid(bad, where=where)
+            assert "report" not in bad._memo
+        assert validations == [bad] * 3
+
+    def test_replace_starts_an_empty_memo(self, validations):
+        dist = parse_model_text(FIB_TEXT)
+        report = require_valid(dist)
+        assert require_valid(dist) is report
+        copy = dataclasses.replace(dist)
+        assert copy == dist and copy._memo == {}
+        assert require_valid(copy) == report
+        assert validations == [dist, copy]
 
 
 def test_float_probabilities_keep_exact_values():

@@ -14,8 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornerwalk.curve import SolverError, cramer_transform, find_extrema
-from cornerwalk.model import InvalidModelError, StepDistribution, parse_model_text
-from cornerwalk import montecarlo
+from cornerwalk.model import (
+    InvalidModelError,
+    StepDistribution,
+    parse_model_text,
+    require_valid,
+)
+from cornerwalk import model, montecarlo
 from cornerwalk.montecarlo import (
     BATCH_SIZE,
     SimConfig,
@@ -368,6 +373,17 @@ class TestMartinKernel:
         assert abs(est.mean - ref) / ref < 0.1
 
 
+def visit_bounds_at(axis_bounds, zs, y):
+    """_visit_bound at each lattice point of ``zs``, as a list of floats."""
+    rows = [np.array([z[a] for z in zs], dtype=np.int32) for a in (0, 1)]
+    return _visit_bound(axis_bounds, rows, y).tolist()
+
+
+def gamblers_ruin(axis_bounds, z, y):
+    """The smaller axis's gambler's-ruin bound at z, without the cut."""
+    return min(g * c ** max(p - q, 0) for (c, g), p, q in zip(axis_bounds, z, y))
+
+
 class TestVisitBound:
     """The gambler's-ruin bound on further visits, by which the visit
     engine retires rows and states its bias."""
@@ -376,48 +392,31 @@ class TestVisitBound:
     def test_bounds_exact_green_values(self, request, law):
         dist = request.getfixturevalue(law)
         axis_bounds = _law(dist, None).visit_bounds()
-        for z in [(1, 1), (2, 3), (4, 1)]:
-            for y in [(2, 2), (3, 3), (1, 4)]:
+        zs = [(1, 1), (2, 3), (4, 1)]
+        for y in [(2, 2), (3, 3), (1, 4)]:
+            for z, bound in zip(zs, visit_bounds_at(axis_bounds, zs, y)):
                 exact = float(green_enum(exact_steps(dist), z, y, 24))
-                assert exact <= _visit_bound(axis_bounds, z, y, False), (z, y)
+                assert exact <= bound, (z, y)
 
     @pytest.mark.parametrize("law", ["fib", "all_five", "diag_heavy", "big_jump"])
     def test_zero_past_the_anti_diagonal_and_bounds_elsewhere(self, request, law):
-        # no step of these laws lowers x + y, so a walk past y's
+        # no step of a valid law lowers x + y, so a walk past y's
         # anti-diagonal never visits y: the bound is exactly 0 there
         dist = request.getfixturevalue(law)
         assert all(di + dj >= 0 for di, dj in dist.steps)
         axis_bounds = _law(dist, None).visit_bounds()
-        for z in [(1, 1), (2, 3), (4, 1), (3, 3), (5, 4), (6, 2)]:
-            for y in [(2, 2), (3, 2), (1, 4)]:
+        zs = [(1, 1), (2, 3), (4, 1), (3, 3), (5, 4), (6, 2)]
+        for y in [(2, 2), (3, 2), (1, 4)]:
+            for z, bound in zip(zs, visit_bounds_at(axis_bounds, zs, y)):
                 exact = green_enum(exact_steps(dist), z, y, 10)
-                bound = _visit_bound(axis_bounds, z, y, True)
                 if z[0] + z[1] > y[0] + y[1]:
                     assert exact == 0 and bound == 0.0, (z, y)
                 else:
                     assert float(exact) <= bound, (z, y)
+                    ruin = gamblers_ruin(axis_bounds, z, y)
+                    assert bound == pytest.approx(ruin, rel=1e-15), (z, y)
         if law == "all_five":  # 0.278 by the gambler's-ruin bound alone
-            assert _visit_bound(axis_bounds, (5, 4), (3, 2), False) > 0.25
-
-    def test_non_singular_law_keeps_gamblers_ruin_bound(self, monkeypatch):
-        # a (-1, -1) step lowers x + y, so a walk past y's anti-diagonal
-        # can come back to y; the engine must not cut its bound to 0
-        dist = parse_model_text("1 1 1/2\n-1 -1 1/8\n1 -1 1/8\n-1 1 1/4\n")
-        z, y = (4, 4), (3, 3)
-        assert green_enum(exact_steps(dist), z, y, 12) > 0
-        axis_bounds = _law(dist, None).visit_bounds()
-        ruin = min(g * c ** max(p - q, 0) for (c, g), p, q in zip(axis_bounds, z, y))
-        seen = []
-
-        def spy(axis_bounds, p, q, singular):
-            seen.append(singular)
-            return _visit_bound(axis_bounds, p, q, singular)
-
-        monkeypatch.setattr(montecarlo, "_visit_bound", spy)
-        _visit_walk(dist, [z], [y], [[1.0]], 8, SimConfig(seed=1, n_paths=64))
-        assert seen and not any(seen)
-        assert _visit_bound(axis_bounds, z, y, False) == pytest.approx(ruin, rel=1e-15)
-        assert ruin > 0.0
+            assert gamblers_ruin(axis_bounds, (5, 4), (3, 2)) > 0.25
 
     @pytest.mark.parametrize("law", ["fib", "all_five", "big_jump"])
     def test_power_table_gives_the_direct_bits(self, request, law):
@@ -428,10 +427,9 @@ class TestVisitBound:
         for top in (10, 300, 5000, 5000, 1):
             z = [rng.integers(1, top + 1, 2000 if top > 1 else 0).astype(np.int32)
                  for _ in range(2)]
-            for y, singular in [((3, 3), False), ((40, 7), True)]:
+            for y in [(3, 3), (40, 7), (5000, 5000)]:
                 np.testing.assert_array_equal(
-                    _visit_bound(tabled, z, y, singular),
-                    _visit_bound(axis_bounds, z, y, singular),
+                    _visit_bound(tabled, z, y), _visit_bound(axis_bounds, z, y)
                 )
 
     def test_martin_profile_draws_one_block_per_row(self, all_five, drawn_blocks):
@@ -445,23 +443,23 @@ class TestVisitBound:
         assert sum(rows * blk for rows, blk in drawn_blocks) <= 810_000
         assert {blk for _, blk in drawn_blocks} == {64}
 
-    def test_nonpositive_drift_never_retires(self, all_five, monkeypatch):
-        # no drift on either axis (not a valid model, so run the engine)
-        flat = parse_model_text("1 1 1/4\n-1 -1 1/4\n1 -1 1/4\n-1 1 1/4\n")
-        bounds = _law(flat, None).visit_bounds()
-        assert [g for _, g in bounds] == [math.inf, math.inf]
-        cfg = SimConfig(seed=3, n_paths=3000)
-        runs = [
-            (dist, [(6, 6)], [(4, 5)], [[1.0]], 200, cfg) for dist in (flat, all_five)
-        ]
-        with_eps = [_visit_walk(*args) for args in runs]
-        monkeypatch.setattr(montecarlo, "_RETIRE_EPS", 0.0)  # no row retires
-        without = [_visit_walk(*args) for args in runs]
-        assert with_eps[0] == without[0]
-        assert with_eps[0][3][0][0] > 0  # rows still open at the horizon
-        assert with_eps[0][4][0][0] == math.inf
-        # the positive-drift law does retire rows
-        assert with_eps[1][3][0][0] < without[1][3][0][0]
+    def test_nonpositive_drift_never_retires(self):
+        # x-drift -1/4 <= 0: the x axis gives no bound (g = inf), so before
+        # y's anti-diagonal the bound is the y term alone, and a row far
+        # right of y never retires on x.  Singular steps and the
+        # nondegenerate rule give m1 + m2 > 0, so no valid law has g = inf
+        # on both axes
+        dist = parse_model_text("-1 1 1/2\n1 -1 1/4\n0 1 1/4\n")
+        require_valid(dist)
+        (_, gx), (cy, gy) = axis_bounds = _law(dist, None).visit_bounds()
+        assert gx == math.inf and 0.0 < cy < 1.0 and gy < math.inf
+        y = (3, 40)
+        zs = [(30, 5), (38, 5), (3, 40), (5, 38), (1, 42), (40, 4)]
+        got = visit_bounds_at(axis_bounds, zs, y)
+        assert got[:4] == [gy] * 4
+        assert got[4] == pytest.approx(gy * cy**2, rel=1e-15)
+        assert got[5] == 0.0  # past the anti-diagonal
+        assert min(got[:5]) > montecarlo._RETIRE_EPS
 
     def test_retired_rows_stay_below_the_weighted_threshold(self, all_five):
         # the twist weight here is about 2e4, so a row may retire only once
@@ -496,7 +494,7 @@ class TestVisitBound:
         if horizon == 6:  # one block: open rows are bounded at the horizon
             assert est.bias_bound > 0.0
             axis_bounds = _law(fib, None).visit_bounds()
-            assert est.bias_bound < _visit_bound(axis_bounds, (1, 1), (3, 3), True)
+            assert est.bias_bound < visit_bounds_at(axis_bounds, [(1, 1)], (3, 3))[0]
         else:  # every row left is past y's anti-diagonal
             assert est.bias_bound == 0.0
 
@@ -967,9 +965,9 @@ class TestExitRootsPerLaw:
 
     def test_equal_marginals_solved_once(self, solves, monkeypatch):
         validations = []
-        require_valid = montecarlo.require_valid
-        monkeypatch.setattr(montecarlo, "require_valid",
-                            lambda d: validations.append(d) or require_valid(d))
+        validate = model.validate_model
+        monkeypatch.setattr(model, "validate_model",
+                            lambda d: validations.append(d) or validate(d))
         fib = parse_model_text(FIB_TEXT)
         for _ in range(2):
             self.run_all(fib)
@@ -1111,6 +1109,29 @@ class TestScanRule:
         ends = {"plus_64": 64, "minus_64": -64, "up_4096": 4096}
         if law in ends:
             assert ends[law] in (offs[0][-1, 0], offs[1][-1, 0])
+
+
+class TestNarrow:
+    """_narrow gives -c and q - c clipped into the offsets' dtype, and a
+    clipped threshold lies outside every offset a block can reach."""
+
+    @pytest.mark.parametrize("dtype, reach", [(np.int8, (-64, 64)),
+                                              (np.int16, (-64, 4096))])
+    def test_matches_clip_and_misses_every_reachable_offset(self, dtype, reach):
+        info = np.iinfo(dtype)
+        edges = [v + d for v in (info.min, info.max, *reach) for d in (-2, -1, 0, 1, 2)]
+        far = [2**30 - 1, 2**30 - 200, 2**20, 70000]
+        c = np.array([*edges, *(-v for v in edges), *far, *(-v for v in far), 0, 1],
+                     dtype=np.int32)
+        qs = [1, 2, 40, 4096, info.max, 2**20, 2**30 - 1]
+        got = montecarlo._narrow(c, qs, dtype)
+        wide = np.stack([-c.astype(np.int64)] + [q - c.astype(np.int64) for q in qs])
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, np.clip(wide, info.min, info.max))
+        clipped = (wide < info.min) | (wide > info.max)
+        assert clipped.any() and not clipped.all()
+        lo, hi = reach
+        assert not ((got[clipped] >= lo) & (got[clipped] <= hi)).any()
 
 
 class TestBrownianKernel:

@@ -61,7 +61,7 @@ weak-drift law whose walks, absorbed from one start, re-enter the
 quadrant near the targets, and a run whose every row is absorbed long
 before the horizon.  One twisted Green run stops at horizon 6, while
 rows still stand before its target's anti-diagonal, so its pinned
-bias_bound is the gambler's-ruin term of _visit_bounds and not 0.
+bias_bound is the gambler's-ruin term of _Law.visit_bounds and not 0.
 """
 
 import contextlib
@@ -299,7 +299,7 @@ def test_cli_output_is_pinned(monkeypatch, case):
 
 def test_short_green_case_pins_a_gamblers_ruin_bound(models):
     """The horizon-6 pin above reads a nonzero bias_bound: rows still
-    open at its horizon are bounded by _visit_bounds."""
+    open at its horizon are bounded by _Law.visit_bounds."""
     est = ESTIMATES["green_twisted_short"](models)
     assert est.censored_fraction > 0.0
     assert est.bias_bound > 0.0
