@@ -65,10 +65,10 @@ chance of ever exiting, at most c_x^i + c_y^j (the exit roots of
 skipfree_exit_root, rounded up; c_y^j alone for half-plane survival,
 which never touches x), for Green and Martin its further visits to the
 point (a gambler's-ruin bound per coordinate, see _Law.visit_bounds, and
-exactly 0 once the row is past the point's anti-diagonal, which a
-valid model's walk, no step of which lowers x + y, cannot recross).  A row is
-dropped once absorbed from every start or retired from every target,
-and later blocks draw only for the rows left.  The bounds of the
+exactly 0 once the row is past the point's anti-diagonal, which the
+walk of a valid model, no step of which lowers x + y, cannot recross).
+A row is dropped once absorbed from every start or retired from every
+target, and later blocks draw only for the rows left.  The bounds of the
 retired rows, at retirement, and of the rows still open at the
 horizon, there, make up each estimate's ``bias_bound``.  The array
 layout may change, but these block lengths, this stream consumption,
