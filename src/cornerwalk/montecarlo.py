@@ -11,12 +11,15 @@ bit-for-bit reproducible.
 Steps are drawn through a Walker alias table and advanced in blocks:
 of 64 steps in visit runs (Green, Martin), and of 16, then 32, then 64
 for good in survival runs (escape, half plane), most of whose rows are
-absorbed within a few steps; the block that reaches the horizon is cut
-there.  A block consumes the rows * blk uniforms that one
-``rng.random((rows, blk))`` draw would give, in the same row-major
-order: its rows are cut into contiguous shards, at most one per
-available core and none under 2**15 uniforms, drawn on their own
-threads, and each shard takes its uniforms from a copy of the batch's
+absorbed within a few steps.  Each target stops at its own horizon, and
+the block that reaches a target's horizon is cut there: the points of a
+direction scan that share a twist share one walk, each to its own
+horizon, while every other estimator gives all its targets one horizon,
+so its cuts are those of that horizon alone.  A block consumes the
+rows * blk uniforms that one ``rng.random((rows, blk))`` draw would
+give, in the same row-major order: its rows are cut into contiguous
+shards, at most one per available core and none under 2**15 uniforms,
+drawn on their own threads, and each shard takes its uniforms from a copy of the batch's
 Philox stream jumped ahead to them, so the shard count changes no bit.
 A shard draws, codes and gathers its rows in chunks of whole rows, at
 most 2**16 uniforms each, through buffers of its own that fit a core's
@@ -44,10 +47,10 @@ offsets (scanned by the same rule as the sums), the lowest offset up to
 each step, whose last row is the block's lowest point: a row stands
 alive at step c from a start iff it was alive there at the block's
 start and both its running minima at c stay above minus its position.
-The target matching runs on the draw's row shards, each shard returning
-the batch rows it matched; visit counts and every float reduction
-(moments, bounds) are then taken over the whole batch in one fixed
-order.
+The target matching runs on the draw's row shards, comparing into
+buffers made before the shards start, each shard returning the batch
+rows it matched; visit counts and every float reduction (moments,
+bounds) are then taken over the whole batch in one fixed order.
 
 What depends on the sampled law alone, the alias and code tables, the
 exit roots and visit bounds, is computed once per model object and
@@ -56,27 +59,28 @@ that model.require_valid keeps there; what grows with a run (chunk
 buffers, power tables, positions) lives only as long as the call.
 
 Every estimator reduces one engine, _walk: rows walk from one start, or
-from the two of a Martin profile, which share each row's draws, and
-are stopped per target, a lattice point whose visits are counted or
-none for escape and survival.  After every block, the last included, a
-row retires from a target once a bound on what it can still add there
-is below 1e-7 from every start still alive in it: for escape its
-chance of ever exiting, at most c_x^i + c_y^j (the exit roots of
-skipfree_exit_root, rounded up; c_y^j alone for half-plane survival,
+from the two of a Martin profile, which share each row's draws, and are
+stopped per target, a lattice point whose visits are counted or none for
+escape and survival, each target at its horizon.  After every block, the
+last included, a row retires from a target once a bound on what it can
+still add there is below 1e-7 from every start still alive in it: for
+escape its chance of ever exiting, at most c_x^i + c_y^j (the exit roots
+of skipfree_exit_root, rounded up; c_y^j alone for half-plane survival,
 which never touches x), for Green and Martin its further visits to the
 point (a gambler's-ruin bound per coordinate, see _Law.visit_bounds, and
-exactly 0 once the row is past the point's anti-diagonal, which the
-walk of a valid model, no step of which lowers x + y, cannot recross).
-A row is dropped once absorbed from every start or retired from every
-target, and later blocks draw only for the rows left.  The bounds of the
-retired rows, at retirement, and of the rows still open at the
-horizon, there, make up each estimate's ``bias_bound``.  The array
-layout may change, but these block lengths, this stream consumption,
-this alias decision and this retirement rule are the reproducibility
-contract (pinned by tests/test_stream_contract.py).  Cramer twisting
-replaces the step law by p_s * exp(<phi, s>) (a probability law because
-phi lies on the zero curve) and reweights Green-function visits by the
-constant exp(-<phi, y - x>).
+exactly 0 once the row is past the point's anti-diagonal, which the walk
+of a valid model, no step of which lowers x + y, cannot recross).  A row
+is dropped once absorbed from every start or retired from, or past the
+horizon of, every target, and later blocks draw only for the rows left.
+The bounds of the retired rows, at retirement, and of the rows still
+open at the target's horizon, there, make up each estimate's
+``bias_bound``.  The array layout may change, but these block lengths,
+this stream consumption, this alias decision and this retirement rule
+are the reproducibility contract (pinned by
+tests/test_stream_contract.py).  Cramer twisting replaces the step law
+by p_s * exp(<phi, s>) (a probability law because phi lies on the zero
+curve) and reweights Green-function visits by the constant
+exp(-<phi, y - x>).
 """
 
 from __future__ import annotations
@@ -519,19 +523,21 @@ def _keep_rows(keep, axes, pos, alive, open_, live):
     )
 
 
-def _walk(law, starts, targets, weights, bound, horizon, seed, n_paths, axes=(0, 1)):
+def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0, 1)):
     """One batched walk from every start at once, stopped per target.
 
     Steps are drawn from the _Law ``law``.  A target is a lattice point,
     whose visits before absorption are counted, or None, which counts
-    nothing (survival uses one).
+    nothing (survival uses one).  Target ti stops at its own horizon,
+    horizons[ti], and the walk runs to the largest one.
     ``bound(pos, ti)``, with ``pos`` a start's [x, y] row arrays, bounds
     per row what a row there can still add to target ti: its further
     visits to the point, or its chance of ever exiting.  Absorption is
     tested on ``axes`` only; a coordinate off them keeps its start value.
 
     Blocks are _BLOCK steps long, after those of _SURVIVAL_RAMP when no
-    target is a point.  Every block draws only for the live rows, and
+    target is a point, and the block that reaches a target's horizon is
+    cut there.  Every block draws only for the live rows, and
     all starts of a row share its draws, but a visit from a start counts
     only at the steps the row takes alive from it, none once absorbed.
     The absorption test compares the block's offsets, in the law's
@@ -539,17 +545,21 @@ def _walk(law, starts, targets, weights, bound, horizon, seed, n_paths, axes=(0,
     with each target minus it, all clipped into that dtype by one
     _narrow call per start, axis and block.  When a target is a point,
     each axis's offsets also get running minima (_running_min), and each
-    shard of _cuts finds, for every start and point, the steps at which
-    its rows stand on the point; such a step c counts iff the row is
+    shard of _cuts finds, for every start and point not yet at its
+    horizon, the steps at which its rows stand on the point, comparing
+    into buffers made here; such a step c counts iff the row is
     alive from the start and open for the point, and both running minima
     at c lie above the row's floors, so no step at or before c touched an
     axis.  The visits are added here with bincount, and the running
     moments, bounds and retirements stay here too, over the whole batch.
     After every block, the last included, a row retires from target ti
     once its bound times weights[si][ti] is below _RETIRE_EPS from every
-    start still alive in it; from then on it adds no visit to ti.  A row
-    absorbed from every start is dropped before it is bounded, and one
-    retired from every target before the next block.
+    start still alive in it; from then on it adds no visit to ti.  At
+    ti's horizon the rows still open for it are bounded there and ti
+    closes.  A row absorbed from every start is dropped before it is
+    bounded, and one retired from, or closed for, every target before
+    the next block.  With one horizon for every target, as survival,
+    Green and Martin runs pass, the cuts are those of that horizon alone.
 
     Returns (sums, sumsqs, crosses, open_counts, bounds, survived), each
     reduced in batch order:
@@ -558,14 +568,15 @@ def _walk(law, starts, targets, weights, bound, horizon, seed, n_paths, axes=(0,
       crosses[ti]: sum over paths of visits-from-start0 * visits-from-start1
       (None unless two starts are given);
       open_counts[si][ti]: paths neither absorbed from si nor retired from
-      ti at the horizon;
+      ti at ti's horizon;
       bounds[si][ti]: summed bounds from si for ti, of each path retired
-      from ti at its retirement and of each path still open for ti at the
-      horizon;
+      from ti at its retirement and of each path still open for ti at
+      ti's horizon;
       survived[si]: paths never absorbed from si, retired or open.
     Visit counts stay indexed by batch row.
     """
     points = [ti for ti, y in enumerate(targets) if y is not None]
+    horizon = max(horizons)  # each is cfg.horizon, or a default >= 1
     _check_stream_inputs(
         law.steps, list(starts) + [targets[ti] for ti in points], horizon, seed, n_paths
     )
@@ -585,13 +596,15 @@ def _walk(law, starts, targets, weights, bound, horizon, seed, n_paths, axes=(0,
         open_ = [np.ones(rows, dtype=bool) for _ in targets]  # not retired from ti
         live = np.arange(rows) if points else None  # batch rows, for visits
         visits = [{ti: np.zeros(rows, dtype=np.int64) for ti in points} for _ in starts]
-        vb = [None] * len(targets)  # per target and start, the latest bounds
         keep = np.ones(rows, dtype=bool)  # rows to walk on
         lengths = itertools.chain(() if points else _SURVIVAL_RAMP,
                                   itertools.repeat(_BLOCK))
         t = 0
         while t < horizon and keep.any():
-            blk = min(next(lengths), horizon - t)
+            # the targets not yet at their horizons, and the nearest of those
+            walking = [ti for ti, h in enumerate(horizons) if h > t]
+            blk = min(next(lengths), min(horizons[ti] for ti in walking) - t)
+            at_points = [ti for ti in points if ti in walking]
             if not keep.all():
                 pos, alive, open_, live = _keep_rows(keep, axes, pos, alive, open_, live)
             n = len(alive[0])
@@ -607,7 +620,7 @@ def _walk(law, starts, targets, weights, bound, horizon, seed, n_paths, axes=(0,
             # minus it, in the offsets' dtype: a row reaches 0 on the axis
             # at any offset at or below the first, and the point's level at
             # the others
-            levels = [[_narrow(p[a], [targets[ti][a] for ti in points], law.dtype)
+            levels = [[_narrow(p[a], [targets[ti][a] for ti in at_points], law.dtype)
                        for a in axes] for p in pos]
             floors = [[lv[0] for lv in lvs] for lvs in levels]
             hits = []
@@ -619,24 +632,31 @@ def _walk(law, starts, targets, weights, bound, horizon, seed, n_paths, axes=(0,
                 hit &= alive[si]
                 survived[si] -= int(hit.sum())
                 hits.append(hit)
-            if points:
+            if at_points:
                 cuts = _cuts(n, blk)
                 # per start and point, the offsets at which a row stands on it
-                marks = [{ti: [lv[k] for lv in lvs] for k, ti in enumerate(points, 1)}
+                marks = [{ti: [lv[k] for lv in lvs] for k, ti in enumerate(at_points, 1)}
                          for lvs in levels]
+                # each shard's two compare buffers, made in this thread:
+                # temporaries made on the pool's threads raised peak memory
+                eq = [(np.empty((blk, r1 - r0), dtype=bool),
+                       np.empty((blk, r1 - r0), dtype=bool))
+                      for r0, r1 in zip(cuts, cuts[1:])]
 
                 def match(s):
                     """Per start and point, the batch rows of shard s that
                     visit the point alive, once per visit."""
                     r0, r1 = cuts[s], cuts[s + 1]
                     off_x, off_y = (off[:, r0:r1] for off in offs)
+                    at, at_y = eq[s]
                     found = []
                     for si, (fx, fy) in enumerate(floors):
                         at_ti = {}
-                        for ti in points:
+                        for ti in at_points:
                             mx, my = marks[si][ti]
-                            at = off_x == mx[r0:r1]
-                            at &= off_y == my[r0:r1]
+                            np.equal(off_x, mx[r0:r1], out=at)
+                            np.equal(off_y, my[r0:r1], out=at_y)
+                            at &= at_y
                             c, r = np.divmod(np.flatnonzero(at), r1 - r0)
                             r += r0
                             ok = alive[si][r] & open_[ti][r]
@@ -648,7 +668,7 @@ def _walk(law, starts, targets, weights, bound, horizon, seed, n_paths, axes=(0,
 
                 found = _on_shards(match, cuts)
                 for si in range(n_starts):
-                    for ti in points:
+                    for ti in at_points:
                         r = np.concatenate([f[si][ti] for f in found])
                         if len(r):
                             visits[si][ti] += np.bincount(r, minlength=rows)
@@ -661,21 +681,22 @@ def _walk(law, starts, targets, weights, bound, horizon, seed, n_paths, axes=(0,
             keep = np.logical_or.reduce(alive)
             if not keep.all():
                 pos, alive, open_, live = _keep_rows(keep, axes, pos, alive, open_, live)
-            for ti in range(len(targets)):
-                vb[ti] = [bound(p, ti) for p in pos]
+            for ti in walking:
+                vb = [bound(p, ti) for p in pos]
                 done = open_[ti].copy()
-                for si, b in enumerate(vb[ti]):
+                for si, b in enumerate(vb):
                     done &= ~alive[si] | (b < _RETIRE_EPS / weights[si][ti])
-                for si, b in enumerate(vb[ti]):
+                for si, b in enumerate(vb):
                     bounds[si][ti].append(float(b[done & alive[si]].sum()))
                 open_[ti] &= ~done
+                if horizons[ti] == t:
+                    # the rows still open at ti's horizon, bounded where they stop
+                    for si, b in enumerate(vb):
+                        still = alive[si] & open_[ti]
+                        open_parts[si][ti].append(int(still.sum()))
+                        bounds[si][ti].append(float(b[still].sum()))
+                    open_[ti][:] = False
             keep = np.logical_or.reduce(open_)
-        # the rows still open at the horizon, bounded where they stop
-        for ti, b_ti in enumerate(vb):
-            for si, b in enumerate(b_ti):
-                still = alive[si] & open_[ti]
-                open_parts[si][ti].append(int(still.sum()))
-                bounds[si][ti].append(float(b[still].sum()))
         for si in range(n_starts):
             for ti, v in visits[si].items():
                 v = v.astype(np.float64)
@@ -700,7 +721,7 @@ def _survival_estimate(dist, start, cfg: SimConfig, axes) -> SimEstimate:
     roots = dict(zip(axes, law.roots(axes)))
     bound = lambda p, ti: np.minimum(sum(roots[a] ** p[a] for a in axes), 1.0)
     _, _, _, open_counts, bounds, survived = _walk(
-        law, [start], [None], [[1.0]], bound, cfg.horizon, cfg.seed, cfg.n_paths, axes,
+        law, [start], [None], [[1.0]], bound, [cfg.horizon], cfg.seed, cfg.n_paths, axes,
     )
     n = cfg.n_paths
     p = survived[0] / n
@@ -787,13 +808,13 @@ def _visit_bound(axis_bounds, z, y):
     return b
 
 
-def _visit_walk(dist, starts, ys, weights, horizon, cfg: SimConfig):
-    """The walk counting visits to the points ys, each row bounded by
-    _visit_bound."""
+def _visit_walk(dist, starts, ys, weights, horizons, cfg: SimConfig):
+    """The walk counting visits to the points ys, each to its horizon in
+    ``horizons`` and each row bounded by _visit_bound."""
     law = _law(dist, cfg.twist)
     axis_bounds = [(_Powers(c), g) for c, g in law.visit_bounds()]
     bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti])
-    return _walk(law, starts, ys, weights, bound, horizon, cfg.seed, cfg.n_paths)
+    return _walk(law, starts, ys, weights, bound, horizons, cfg.seed, cfg.n_paths)
 
 
 def _default_horizon(x, y) -> int:
@@ -807,6 +828,29 @@ def _twist_weight(twist: CramerData | None, x, y) -> float:
     if abs(e) > 700.0:
         raise SolverError(f"twist reweighting exponent {e!r} would overflow")
     return math.exp(-e)
+
+
+def _green_estimate(walk, ti, w, horizon, n) -> SimEstimate:
+    """Target ti's Green estimate from the first start of the _visit_walk
+    result ``walk`` over n paths, every visit weighted w."""
+    sums, sqs, _, open_counts, bounds, _ = walk
+    mean_v = sums[0][ti] / n
+    var_v = max(0.0, (sqs[0][ti] - n * mean_v * mean_v) / max(1, n - 1))
+    return SimEstimate(
+        mean=w * mean_v,
+        std_error=w * math.sqrt(var_v / n),
+        n_paths=n,
+        horizon=horizon,
+        censored_fraction=open_counts[0][ti] / n,
+        bias_bound=w * bounds[0][ti] / n,
+    )
+
+
+def _green_point(x) -> tuple[int, int]:
+    x = (int(x[0]), int(x[1]))
+    if min(x) < 1:
+        raise ValueError("green endpoints must be strictly inside the quadrant")
+    return x
 
 
 def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
@@ -832,26 +876,11 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     retired at the horizon.
     """
     require_valid(dist)
-    x = (int(x[0]), int(x[1]))
-    y = (int(y[0]), int(y[1]))
-    if min(x) < 1 or min(y) < 1:
-        raise ValueError("green endpoints must be strictly inside the quadrant")
+    x, y = _green_point(x), _green_point(y)
     horizon = cfg.horizon if cfg.horizon is not None else _default_horizon(x, y)
     w = _twist_weight(cfg.twist, x, y)
-    sums, sqs, _, open_counts, bounds, _ = _visit_walk(
-        dist, [x], [y], [[w]], horizon, cfg
-    )
-    n = cfg.n_paths
-    mean_v = sums[0][0] / n
-    var_v = max(0.0, (sqs[0][0] - n * mean_v * mean_v) / max(1, n - 1))
-    return SimEstimate(
-        mean=w * mean_v,
-        std_error=w * math.sqrt(var_v / n),
-        n_paths=n,
-        horizon=horizon,
-        censored_fraction=open_counts[0][0] / n,
-        bias_bound=w * bounds[0][0] / n,
-    )
+    walk = _visit_walk(dist, [x], [y], [[w]], [horizon], cfg)
+    return _green_estimate(walk, 0, w, horizon, cfg.n_paths)
 
 
 _MARTIN_BASE = (1, 1)
@@ -892,7 +921,7 @@ def martin_kernel_profile(
     starts = [x, _MARTIN_BASE]
     weights = [[_twist_weight(cfg.twist, s, y) for y in ys] for s in starts]
     sums, sqs, crosses, open_counts, bounds, _ = _visit_walk(
-        dist, starts, ys, weights, horizon, cfg
+        dist, starts, ys, weights, [horizon] * len(ys), cfg
     )
     n = cfg.n_paths
     out = []
@@ -939,13 +968,22 @@ def green_direction_scan(
 
     Each radius r maps to the lattice point y closest to r*u; the twist
     is recomputed from the rounded direction y/|y| so the correction
-    matches the point actually simulated.  Each distinct rounded direction
-    is a twist of its own, so it adds one _Law to ``dist``'s memo, kept
-    for the object's life.  The scaled value equals
+    matches the point actually simulated.  The scaled value equals
     sqrt(|y|) * exp(-<phi, x - y>) * G(x, y), which converges to a
     positive limit along the ray.
+
+    Radii whose twists share the bits of phi (those of a ray through the
+    drift, and any that round to one y) share one walk: one _visit_walk
+    per twist, each of its points stopped at its own horizon, so a point
+    alone in its twist has the bits of estimate_green.  Points that
+    share a walk share its paths, so their errors are positively
+    correlated, and a gap between two of them that is checked against
+    the hypot of their standard errors is checked conservatively.  Each
+    distinct twist adds one _Law to ``dist``'s memo, kept for the
+    object's life.
     """
     geom = find_extrema(dist)  # validates dist
+    x = _green_point(x)
     u1, u2 = float(u[0]), float(u[1])
     norm = math.hypot(u1, u2)
     if not (norm < math.inf and u1 > 0 and u2 > 0):  # NaN fails too
@@ -956,12 +994,26 @@ def green_direction_scan(
     radii = [float(r) for r in radii]
     if not all(0 < r < math.inf for r in radii):
         raise ValueError(f"radii {radii!r} must be finite and positive")
-    out = []
-    for r in radii:
-        y = (max(1, round(r * u1)), max(1, round(r * u2)))
+    ys = [(max(1, round(r * u1)), max(1, round(r * u2))) for r in radii]
+    groups = {}  # per twist, keyed by phi's bits as _law keys it: (twist, ys)
+    for y in dict.fromkeys(ys):
         ny = math.hypot(y[0], y[1])
         twist = cramer_transform(geom, (y[0] / ny, y[1] / ny))
-        est = estimate_green(dist, x, y, replace(cfg, twist=twist))
+        groups.setdefault(tuple(map(float.hex, twist.phi)), (twist, []))[1].append(y)
+    ests = {}  # per y, its Green estimate and its twist
+    for twist, targets in groups.values():
+        horizons = [cfg.horizon if cfg.horizon is not None else _default_horizon(x, y)
+                    for y in targets]
+        weights = [_twist_weight(twist, x, y) for y in targets]
+        walk = _visit_walk(dist, [x], targets, [weights], horizons,
+                           replace(cfg, twist=twist))
+        for ti, y in enumerate(targets):
+            ests[y] = (_green_estimate(walk, ti, weights[ti], horizons[ti], cfg.n_paths),
+                       twist)
+    out = []
+    for r, y in zip(radii, ys):
+        est, twist = ests[y]
+        ny = math.hypot(y[0], y[1])
         corr = math.sqrt(ny) * _twist_weight(twist, y, x)  # exp(-<phi, x-y>)
         out.append(
             ScanPoint(

@@ -469,6 +469,16 @@ class TestGreenScan:
         assert rows[2][4] == "120"
         assert float(rows[1][1]) > 0.0
 
+    def test_point_stopped_in_the_first_block_keeps_its_value(self, capsys, paths):
+        # (4, 4) stops at step 60, inside the first block of the walk it
+        # shares with (7, 7): it prints what a scan of it alone printed
+        code, out, _ = run(
+            capsys, "green-scan", paths["fib"], "1", "1", "--u", "1", "1",
+            "--radii", "6,10", "--seed", "11", "--n-paths", "20000",
+        )
+        assert code == 0
+        assert csv_rows(out)[1][:2] == ["scaled_green_4_4", "0.36472982217133448"]
+
     def test_explicit_horizon_column(self, capsys, paths):
         code, out, _ = run(
             capsys, "green-scan", paths["fib"], "1", "1", "--u", "1", "1",

@@ -32,10 +32,14 @@ from cornerwalk.montecarlo import (
     martin_kernel_estimate,
     martin_kernel_profile,
     skipfree_exit_root,
+    _BLOCK,
+    _RETIRE_EPS,
     _StepSampler,
     _alias_table,
     _batch_rng,
     _exit_root,
+    _green_estimate,
+    _twist_weight,
     _twisted_probs,
     _visit_bound,
     _law,
@@ -478,8 +482,8 @@ class TestVisitBound:
         monkeypatch.setattr(montecarlo, "_RETIRE_EPS", 1e3)
         near, far = (20, 20), (60, 60)
         cfg = SimConfig(seed=5, n_paths=4000)
-        both = _visit_walk(fib, [(1, 1)], [near, far], [[1.0, 1e6]], 200, cfg)
-        alone = _visit_walk(fib, [(1, 1)], [near], [[1.0]], 200, cfg)
+        both = _visit_walk(fib, [(1, 1)], [near, far], [[1.0, 1e6]], [200, 200], cfg)
+        alone = _visit_walk(fib, [(1, 1)], [near], [[1.0]], [200], cfg)
         assert both[0][0][0] == alone[0][0][0] > 0.0
         assert both[0][0][1] > 0.0  # the far target was walked on to
 
@@ -782,7 +786,7 @@ class TestVisitMatching:
         starts, y, seed, n = [(1, 2), (3, 2)], (2, 3), 12, 3000
         shards(w, 256)
         sums, sqs, crosses, _, _, _ = _visit_walk(
-            dist, starts, [y], [[1.0], [1.0]], 64, SimConfig(seed=seed, n_paths=n))
+            dist, starts, [y], [[1.0], [1.0]], [64], SimConfig(seed=seed, n_paths=n))
         offs = _StepSampler(_law(dist, None), n, 64).offsets(_batch_rng(seed, 0), n, 64)
         path = np.stack([off.T for off in offs], axis=-1).tolist()  # [row][t] -> (dx, dy)
         visits = np.zeros((2, n), dtype=np.int64)
@@ -805,6 +809,118 @@ class TestVisitMatching:
             assert sums[si][0] == visits[si].sum()
             assert sqs[si][0] == (visits[si] ** 2).sum()
         assert crosses[0] == (visits[0] * visits[1]).sum()
+
+
+def per_row_walk(dist, starts, ys, horizons, seed, n):
+    """What _walk returns for one batch of n rows, taken row by row and
+    step by step over the draws of the blocks _walk cuts: each target
+    stops at its own horizon, where its rows still open are counted and
+    bounded; after every block a row retires from a target once its
+    _visit_bound is below _RETIRE_EPS from every start alive in it; only
+    the rows alive from some start and open for some target draw the
+    next block.  Returns (visits[si, ti, row], open_counts[si, ti],
+    bounds[si][ti] as lists of per-row terms, visits made after the
+    first horizon)."""
+    law = _law(dist, None)
+    # c ** k gathered from a table of c ** arange, as _Powers gives it
+    tables = [(c ** np.arange(4 * max(horizons)), g) for c, g in law.visit_bounds()]
+
+    def bound(z, y):
+        if z[0] + z[1] > y[0] + y[1]:
+            return 0.0
+        return min(g * table[max(p - q, 0)] for (table, g), p, q in zip(tables, z, y))
+
+    n_s, n_t = len(starts), len(ys)
+    rng, sampler = _batch_rng(seed, 0), _StepSampler(law, n, max(horizons))
+    pos = [[tuple(s) for s in starts] for _ in range(n)]
+    alive = [[True] * n_s for _ in range(n)]
+    open_ = [[True] * n_t for _ in range(n)]
+    visits = np.zeros((n_s, n_t, n), dtype=np.int64)
+    open_counts = np.zeros((n_s, n_t), dtype=np.int64)
+    bounds = [[[] for _ in ys] for _ in starts]
+    late, rows, t = 0, list(range(n)), 0
+    while t < max(horizons) and rows:
+        blk = min(_BLOCK, min(h for h in horizons if h > t) - t)
+        offs = sampler.offsets(rng, len(rows), blk)
+        path = np.stack([off.T for off in offs], axis=-1).tolist()  # [row][t] -> (dx, dy)
+        for k, r in enumerate(rows):
+            for si, (x0, y0) in enumerate(pos[r]):
+                for dx, dy in path[k]:
+                    px, py = x0 + dx, y0 + dy
+                    alive[r][si] = alive[r][si] and px > 0 and py > 0
+                    for ti, y in enumerate(ys):
+                        if alive[r][si] and open_[r][ti] and (px, py) == y:
+                            visits[si, ti, r] += 1
+                            late += t >= min(horizons)
+                pos[r][si] = (px, py)
+        t += blk
+        for r in rows:
+            live = [si for si in range(n_s) if alive[r][si]]
+            for ti, y in enumerate(ys):
+                if not open_[r][ti]:
+                    continue
+                b = [bound(z, y) for z in pos[r]]
+                retired = all(b[si] < _RETIRE_EPS for si in live)
+                if retired or horizons[ti] == t:
+                    for si in live:
+                        bounds[si][ti].append(b[si])
+                        open_counts[si, ti] += not retired
+                    open_[r][ti] = False
+        rows = [r for r in rows if any(alive[r]) and any(open_[r])]
+    return visits, open_counts, bounds, late
+
+
+class TestTargetHorizons:
+    """Each target of a walk stops at its own horizon: the block that
+    reaches it is cut there, and the target's rows still open are counted
+    and bounded there, as at the end of a walk with one horizon."""
+
+    STARTS, YS, HORIZONS = [(2, 3), (4, 3)], [(4, 5), (6, 7)], [30, 100]
+    SEED, N = 13, 1500
+
+    @pytest.fixture(scope="class")
+    def weak(self):
+        # weak drift (exit roots 9/11): x + y moves only on the rare
+        # (1, 1) step, so rows stay open for (4, 5) up to step 30 and for
+        # (6, 7) long past it
+        return parse_model_text(sf2_model_text(Fraction(1, 10)))
+
+    @pytest.fixture(scope="class")
+    def reference(self, weak):
+        return per_row_walk(weak, self.STARTS, self.YS, self.HORIZONS, self.SEED, self.N)
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_moments_and_bounds_match_a_per_row_loop(self, shards, weak, reference, w):
+        visits, open_counts, bounds, late = reference
+        assert late > 0  # visits to (6, 7) after the first target stopped
+        assert open_counts[:, 0].any()  # rows still open at step 30
+        shards(w, 256)
+        sums, sumsqs, _, opens, bnds, _ = _visit_walk(
+            weak, self.STARTS, self.YS, [[1.0, 1.0], [1.0, 1.0]], self.HORIZONS,
+            SimConfig(seed=self.SEED, n_paths=self.N))
+        for si in range(2):
+            for ti in range(2):
+                v = visits[si, ti]
+                assert sums[si][ti] == v.sum()
+                assert sumsqs[si][ti] == (v * v).sum()
+                assert opens[si][ti] == open_counts[si, ti]
+                assert bnds[si][ti] == pytest.approx(math.fsum(bounds[si][ti]),
+                                                     rel=1e-12, abs=0.0)
+
+    def test_blocks_are_cut_at_each_horizon(self, weak, drawn_blocks):
+        _visit_walk(weak, self.STARTS, self.YS, [[1.0, 1.0], [1.0, 1.0]], self.HORIZONS,
+                    SimConfig(seed=self.SEED, n_paths=self.N))
+        assert [blk for _, blk in drawn_blocks] == [30, 64, 6]
+
+    def test_a_target_stopped_in_the_first_block_keeps_its_bits(self, weak):
+        x, n = self.STARTS[0], self.N
+        cfg = SimConfig(seed=self.SEED, n_paths=n)
+        both = _visit_walk(weak, [x], self.YS, [[1.0, 1.0]], self.HORIZONS, cfg)
+        alone = _visit_walk(weak, [x], self.YS[:1], [[1.0]], [30], cfg)
+        est = estimate_green(weak, x, self.YS[0], dataclasses.replace(cfg, horizon=30))
+        assert est.censored_fraction > 0.0
+        assert _green_estimate(both, 0, 1.0, 30, n) == est
+        assert _green_estimate(alone, 0, 1.0, 30, n) == est
 
 
 class TestDirectionScan:
@@ -832,6 +948,38 @@ class TestDirectionScan:
             for x in [(1, 1), (3, 3), (5, 5)]
         ]
         assert vals[0] < vals[1] < vals[2]
+
+    def test_points_of_distinct_twists_have_the_bits_of_estimate_green(
+            self, fib, fib_geom):
+        x, cfg = (1, 1), SimConfig(seed=14, n_paths=3000)
+        pts = green_direction_scan(fib, x, (1.0, 2.0), [5, 6], cfg)
+        assert [p.y for p in pts] == [(2, 4), (3, 5)]
+        twists = [cramer_transform(fib_geom, (p.y[0] / p.norm, p.y[1] / p.norm))
+                  for p in pts]
+        keys = [tuple(map(float.hex, tw.phi)) for tw in twists]
+        assert keys[0] != keys[1]  # so each point walks alone
+        for p, tw in zip(pts, twists):
+            est = estimate_green(fib, x, p.y, dataclasses.replace(cfg, twist=tw))
+            corr = math.sqrt(p.norm) * _twist_weight(tw, p.y, x)
+            assert (p.value, p.std_error, p.horizon) == (
+                corr * est.mean, corr * est.std_error, est.horizon)
+
+    def test_radii_rounding_to_one_point_give_equal_points(self, fib):
+        cfg = SimConfig(seed=15, n_paths=3000)
+        pts = green_direction_scan(fib, (1, 1), (1.0, 1.0), [10, 6, 10.2], cfg)
+        assert pts[0].y == pts[2].y == (7, 7)
+        assert dataclasses.replace(pts[2], radius=10.0) == pts[0]
+
+    def test_a_point_stopped_in_the_first_block_keeps_its_bits(self, fib, fib_geom):
+        # (4, 4) and (7, 7) share the diagonal's twist, so one walk; (4, 4)
+        # stops at step 60, inside its first block
+        cfg = SimConfig(seed=11, n_paths=20000)
+        pts = green_direction_scan(fib, (1, 1), (1.0, 1.0), [6, 10], cfg)
+        keys = {tuple(map(float.hex, cramer_transform(
+            fib_geom, (p.y[0] / p.norm, p.y[1] / p.norm)).phi)) for p in pts}
+        assert len(keys) == 1
+        assert pts[0] == green_direction_scan(fib, (1, 1), (1.0, 1.0), [6], cfg)[0]
+        assert repr(pts[0].value) == "0.3647298221713345"
 
     def test_direction_validated(self, fib):
         cfg = SimConfig(seed=0, n_paths=16)

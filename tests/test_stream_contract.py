@@ -83,6 +83,7 @@ from cornerwalk.montecarlo import (
     estimate_escape,
     estimate_green,
     estimate_halfplane_survival,
+    green_direction_scan,
     martin_kernel_profile,
 )
 
@@ -151,6 +152,9 @@ ESTIMATES = {
     ),
     "green_all_absorbed": lambda m: estimate_green(
         m["fib"], (1, 1), (2, 2), SimConfig(seed=29, n_paths=12, horizon=2000)
+    ),
+    "scan_fibonacci_diagonal": lambda m: green_direction_scan(
+        m["fib"], (1, 1), (1.0, 1.0), [6, 10, 15], SimConfig(seed=30, n_paths=N_PATHS)
     ),
 }
 
@@ -235,6 +239,14 @@ EXPECTED = {
     "green_all_absorbed": (
         "SimEstimate(mean=0.4166666666666667, std_error=0.2599047999758855, "
         "n_paths=12, horizon=2000, censored_fraction=0.0, bias_bound=0.0)"
+    ),
+    "scan_fibonacci_diagonal": (
+        "[ScanPoint(radius=6.0, y=(4, 4), norm=5.656854249492381, "
+        "value=0.3810695924783658, std_error=0.00449447555417243, horizon=60), "
+        "ScanPoint(radius=10.0, y=(7, 7), norm=9.899494936611665, "
+        "value=0.2783816604757731, std_error=0.0045053745839349554, horizon=120), "
+        "ScanPoint(radius=15.0, y=(11, 11), norm=15.556349186104045, "
+        "value=0.2369818542124901, std_error=0.0047303703812297555, horizon=200)]"
     ),
 }
 
