@@ -26,6 +26,8 @@ of two CLI runs that print them, ``harmonic-table --bounds`` and a small
 ``tool_version`` line of the manifest.  With 0.8.0 each harmonic value
 sums the range of its own degree: every value kept its bits, and the
 two digests moved through the tail-bound column and the version line.
+With 0.9.0 (a change to the Monte Carlo stream of direction scans) both
+digests moved only through the version line.
 
 Two digests pin the section solvers on whole grids rather than at single
 points: every upper and lower root of ``_section_extreme_root`` on both
@@ -289,8 +291,8 @@ SERIES_CLI = {
 
 SERIES_CLI_SHA256 = {
     "harmonic_table":
-        "ddd7432a2b55bb7a6727688c9fa96df85785bea001836df7dc41e7317fd34e96",
-    "compare": "ec0a3c62535a12e33825ad04501ddfa517689027ca782776a6888850e720b21b",
+        "b077be50e962dd27a7f07099bc9a82f19bd29cd3ff748fa0a18ac986c00b1586",
+    "compare": "45f758ef85c18402664e935dc94cb7cb512f2eae16c85f90a2ed9cbdd8604004",
 }
 
 

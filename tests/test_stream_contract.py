@@ -7,7 +7,7 @@ same row-major order (drawn in row shards from Philox copies jumped
 ahead to them, which moves no bit), and every uniform picks its step by
 the same Walker alias decision.  Visit runs draw blocks of
 64 steps; escape and survival runs draw 16, then 32, then 64 for good;
-the block that reaches the horizon is cut there.  One engine
+the block that reaches a target's horizon is cut there.  One engine
 runs every estimator.  After every block, the last included, a row
 retires from a target once its bound there is below 1e-7 from every
 start still alive in it: its exit bound for escape and survival, a bound
@@ -43,7 +43,13 @@ taken in closed form: no draw moved, but the series value that
 digest; the other four digests moved only through the version line.
 With 0.8.0 the series prints the tail bound of the range each degree
 sums; no draw and no value moved, and all five digests moved only
-through the version line.
+through the version line.  With 0.9.0 each target of a walk stops at
+its own horizon, where the block that reaches it is cut, and the points
+of a direction scan that share a twist share one walk.  Every estimate
+pin kept its bits; the ``green-scan`` digest moved, through the value
+and standard error of its (7, 7) row (its (4, 4) row, which stops
+inside the first block, kept its bits), and the other four digests
+moved only through the version line.
 A rewrite of the step engine may change array layouts but must leave these
 values (and the bytes the CLI prints) exactly as they are.  A change
 that is meant to alter the stream must say so and update the pins
@@ -62,6 +68,8 @@ quadrant near the targets, and a run whose every row is absorbed long
 before the horizon.  One twisted Green run stops at horizon 6, while
 rows still stand before its target's anti-diagonal, so its pinned
 bias_bound is the gambler's-ruin term of _Law.visit_bounds and not 0.
+One direction scan walks three diagonal points of one twist at once,
+each to its own horizon (60, 120 and 200 steps).
 """
 
 import contextlib
@@ -273,13 +281,13 @@ CLI = {
 }
 
 CLI_SHA256 = {
-    "escape_mc_check": "431e605e844726df90d4f989ca6c08dcb0eca238cccca0497e3c26b4901c07e3",
+    "escape_mc_check": "42325c11fb265d795890738eb9a6fc10493c1b09ac64eb19113cf278e6bab9e8",
     "simulate_green_twisted":
-        "d0da033f455bb41e7cd99c3d013395606ee726a80276b469b95366d15c8a4569",
+        "45e91dbc6c5fc15afa5390da86f39584ab58bddf2722dfefef1205faf95d0914",
     "simulate_survival":
-        "292f8f8422a2bd63d2e245562af35b64481724c20123bdcde5d7e9255b865883",
-    "green_scan": "566b2163d0058e276fb1e2607bf924693a1b076a0f869d8bed1c91285f2937b0",
-    "simulate_martin": "8ed53ce318802e8bce44bb50f245ff4ed9346dc33a1c93ffed62460f5725fc67",
+        "2dc27b4ab3af2bfb684d3d9e8b5e7dff629cb1ab7bf01989c6bbee9ea1bfb731",
+    "green_scan": "d772b3abf1ad047bad2a01284175e7a3f1b441c984a23a6fa5ea9b48ba8d98b0",
+    "simulate_martin": "045110bcce9fb10aba0b6d5384984deb859249b3c7efa8f15f4c43403dc8239b",
 }
 
 
