@@ -342,6 +342,9 @@ def build_sequence(
     deterministic, so the slice has the same bits as a chain built for
     this call alone.  Beside the chain, ``geom`` keeps each start's term
     ranges per degree and tolerance, which the returned sequence shares.
+    Nothing is evicted: each geometry keeps one chain per start, and its
+    ranges, for its life, so calls over many starts on one long-lived
+    geometry grow it with every new start.
     """
     _require_geometry(geom)
     if imin < 1:

@@ -108,7 +108,7 @@ class CurveGeometry:
     # Switching chains grown by ``compensation.build_sequence``, keyed by
     # the start's exact float bits, and beside them each start's memo of
     # term ranges, keyed by (degree, tolerance); outside equality, hash
-    # and repr.
+    # and repr.  One chain per start is kept for the geometry's life.
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

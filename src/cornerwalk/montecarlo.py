@@ -1000,7 +1000,7 @@ def green_direction_scan(
         ny = math.hypot(y[0], y[1])
         twist = cramer_transform(geom, (y[0] / ny, y[1] / ny))
         groups.setdefault(tuple(map(float.hex, twist.phi)), (twist, []))[1].append(y)
-    ests = {}  # per y, its Green estimate and its twist
+    scanned = {}  # per distinct y, its point but for the radius
     for twist, targets in groups.values():
         horizons = [cfg.horizon if cfg.horizon is not None else _default_horizon(x, y)
                     for y in targets]
@@ -1008,24 +1008,12 @@ def green_direction_scan(
         walk = _visit_walk(dist, [x], targets, [weights], horizons,
                            replace(cfg, twist=twist))
         for ti, y in enumerate(targets):
-            ests[y] = (_green_estimate(walk, ti, weights[ti], horizons[ti], cfg.n_paths),
-                       twist)
-    out = []
-    for r, y in zip(radii, ys):
-        est, twist = ests[y]
-        ny = math.hypot(y[0], y[1])
-        corr = math.sqrt(ny) * _twist_weight(twist, y, x)  # exp(-<phi, x-y>)
-        out.append(
-            ScanPoint(
-                radius=r,
-                y=y,
-                norm=ny,
-                value=corr * est.mean,
-                std_error=corr * est.std_error,
-                horizon=est.horizon,
-            )
-        )
-    return out
+            est = _green_estimate(walk, ti, weights[ti], horizons[ti], cfg.n_paths)
+            ny = math.hypot(y[0], y[1])
+            corr = math.sqrt(ny) * _twist_weight(twist, y, x)  # exp(-<phi, x-y>)
+            scanned[y] = dict(y=y, norm=ny, value=corr * est.mean,
+                              std_error=corr * est.std_error, horizon=est.horizon)
+    return [ScanPoint(radius=r, **scanned[y]) for r, y in zip(radii, ys)]
 
 
 def _marginal(steps, probs, axis: int) -> dict[int, Fraction]:
