@@ -47,10 +47,11 @@ offsets (scanned by the same rule as the sums), the lowest offset up to
 each step, whose last row is the block's lowest point: a row stands
 alive at step c from a start iff it was alive there at the block's
 start and both its running minima at c stay above minus its position.
-The target matching runs on the draw's row shards, comparing into
-buffers made before the shards start, each shard returning the batch
-rows it matched; visit counts and every float reduction (moments,
-bounds) are then taken over the whole batch in one fixed order.
+The target matching runs on the draw's row shards, comparing into the
+shard's draw buffers, free once the block is drawn, each shard
+returning the batch rows it matched; visit counts and every float
+reduction (moments, bounds) are then taken over the whole batch in one
+fixed order.
 
 What depends on the sampled law alone, the alias and code tables, the
 exit roots and visit bounds, is computed once per model object and
@@ -413,7 +414,8 @@ class _StepSampler:
     of a block, and per shard one chunk's buffers: the uniforms and codes
     (8 bytes each), the alias compare's accept[k] (8) and the alias
     decisions, then steps (1), about 1.6 MB at _CHUNK, inside a core's L2
-    cache.  None of it outlives the call.
+    cache.  Between draws the uniforms and codes serve the visit compares
+    (spare).  None of it outlives the call.
     """
 
     def __init__(self, law: _Law, n_paths: int, horizon: int):
@@ -491,6 +493,15 @@ class _StepSampler:
             _scan(np.add, off, off)
         return offs
 
+    def spare(self, s):
+        """Shard s's uniform and code buffers as two flat bool arrays of
+        8 * _chunk entries each, free between draws: _walk compares a
+        block's offsets into them, on the shard's thread, so the compares
+        allocate nothing there (temporaries allocated on the pool threads
+        raised peak memory) and touch no page the draw did not."""
+        u, code, _, _ = self._bufs[s]
+        return u.view(np.bool_), code.view(np.bool_)
+
 
 def _scan(op, off, out):
     """Per row t of the (blk, rows) block ``off``, ``op`` over its rows
@@ -547,10 +558,10 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     each axis's offsets also get running minima (_running_min), and each
     shard of _cuts finds, for every start and point not yet at its
     horizon, the steps at which its rows stand on the point, comparing
-    into buffers made here; such a step c counts iff the row is
-    alive from the start and open for the point, and both running minima
-    at c lie above the row's floors, so no step at or before c touched an
-    axis.  The visits are added here with bincount, and the running
+    into the shard's spare draw buffers (_StepSampler.spare); such a step
+    c counts iff the row is alive from the start and open for the point,
+    and both running minima at c lie above the row's floors, so no step
+    at or before c touched an axis.  The visits are added here with bincount, and the running
     moments, bounds and retirements stay here too, over the whole batch.
     After every block, the last included, a row retires from target ti
     once its bound times weights[si][ti] is below _RETIRE_EPS from every
@@ -637,39 +648,37 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
                 # per start and point, the offsets at which a row stands on it
                 marks = [{ti: [lv[k] for lv in lvs] for k, ti in enumerate(at_points, 1)}
                          for lvs in levels]
-                # each shard's two compare buffers, made in this thread:
-                # temporaries made on the pool's threads raised peak memory
-                eq = [(np.empty((blk, r1 - r0), dtype=bool),
-                       np.empty((blk, r1 - r0), dtype=bool))
-                      for r0, r1 in zip(cuts, cuts[1:])]
 
                 def match(s):
                     """Per start and point, the batch rows of shard s that
-                    visit the point alive, once per visit."""
-                    r0, r1 = cuts[s], cuts[s + 1]
-                    off_x, off_y = (off[:, r0:r1] for off in offs)
-                    at, at_y = eq[s]
-                    found = []
-                    for si, (fx, fy) in enumerate(floors):
-                        at_ti = {}
-                        for ti in at_points:
-                            mx, my = marks[si][ti]
-                            np.equal(off_x, mx[r0:r1], out=at)
-                            np.equal(off_y, my[r0:r1], out=at_y)
-                            at &= at_y
-                            c, r = np.divmod(np.flatnonzero(at), r1 - r0)
-                            r += r0
-                            ok = alive[si][r] & open_[ti][r]
-                            ok &= mins[0][c, r] > fx[r]
-                            ok &= mins[1][c, r] > fy[r]
-                            at_ti[ti] = live[r[ok]]
-                        found.append(at_ti)
+                    visit the point alive, once per visit, compared in runs
+                    of rows that fit the shard's spare draw buffers."""
+                    eq, eq_y = sampler.spare(s)
+                    step = len(eq) // blk  # rows per run
+                    found = [{ti: [] for ti in at_points} for _ in floors]
+                    for r0 in range(cuts[s], cuts[s + 1], step):
+                        r1 = min(r0 + step, cuts[s + 1])
+                        at, at_y = (b[:(r1 - r0) * blk].reshape(blk, r1 - r0)
+                                    for b in (eq, eq_y))
+                        off_x, off_y = (off[:, r0:r1] for off in offs)
+                        for si, (fx, fy) in enumerate(floors):
+                            for ti in at_points:
+                                mx, my = marks[si][ti]
+                                np.equal(off_x, mx[r0:r1], out=at)
+                                np.equal(off_y, my[r0:r1], out=at_y)
+                                at &= at_y
+                                c, r = np.divmod(np.flatnonzero(at), r1 - r0)
+                                r += r0
+                                ok = alive[si][r] & open_[ti][r]
+                                ok &= mins[0][c, r] > fx[r]
+                                ok &= mins[1][c, r] > fy[r]
+                                found[si][ti].append(live[r[ok]])
                     return found
 
                 found = _on_shards(match, cuts)
                 for si in range(n_starts):
                     for ti in at_points:
-                        r = np.concatenate([f[si][ti] for f in found])
+                        r = np.concatenate([part for f in found for part in f[si][ti]])
                         if len(r):
                             visits[si][ti] += np.bincount(r, minlength=rows)
             for si, p in enumerate(pos):
