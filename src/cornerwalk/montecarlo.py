@@ -47,11 +47,10 @@ offsets (scanned by the same rule as the sums), the lowest offset up to
 each step, whose last row is the block's lowest point: a row stands
 alive at step c from a start iff it was alive there at the block's
 start and both its running minima at c stay above minus its position.
-The target matching runs on the draw's row shards, comparing into the
-shard's draw buffers, free once the block is drawn, each shard
-returning the batch rows it matched; visit counts and every float
-reduction (moments, bounds) are then taken over the whole batch in one
-fixed order.
+The target matching runs on the draw's row shards, each shard returning
+the batch rows it matched; visit counts and every float reduction
+(moments, bounds) are then taken over the whole batch in one fixed
+order.
 
 What depends on the sampled law alone, the alias and code tables, the
 exit roots and visit bounds, is computed once per model object and
@@ -414,8 +413,7 @@ class _StepSampler:
     of a block, and per shard one chunk's buffers: the uniforms and codes
     (8 bytes each), the alias compare's accept[k] (8) and the alias
     decisions, then steps (1), about 1.6 MB at _CHUNK, inside a core's L2
-    cache.  Between draws the uniforms and codes serve the visit compares
-    (spare).  None of it outlives the call.
+    cache.  None of it outlives the call.
     """
 
     def __init__(self, law: _Law, n_paths: int, horizon: int):
@@ -493,15 +491,6 @@ class _StepSampler:
             _scan(np.add, off, off)
         return offs
 
-    def spare(self, s):
-        """Shard s's uniform and code buffers as two flat bool arrays of
-        8 * _chunk entries each, free between draws: _walk compares a
-        block's offsets into them, on the shard's thread, so the compares
-        allocate nothing there (temporaries allocated on the pool threads
-        raised peak memory) and touch no page the draw did not."""
-        u, code, _, _ = self._bufs[s]
-        return u.view(np.bool_), code.view(np.bool_)
-
 
 def _scan(op, off, out):
     """Per row t of the (blk, rows) block ``off``, ``op`` over its rows
@@ -548,21 +537,21 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
 
     Blocks are _BLOCK steps long, after those of _SURVIVAL_RAMP when no
     target is a point, and the block that reaches a target's horizon is
-    cut there.  Every block draws only for the live rows, and
-    all starts of a row share its draws, but a visit from a start counts
-    only at the steps the row takes alive from it, none once absorbed.
+    cut there.  Every block draws only for the live rows, and all starts
+    of a row share its draws, but a visit from a start counts only at the
+    steps the row takes alive from it, none once absorbed.
     The absorption test compares the block's offsets, in the law's
     narrow dtype, with each row's minus position and the visit match
     with each target minus it, all clipped into that dtype by one
     _narrow call per start, axis and block.  When a target is a point,
     each axis's offsets also get running minima (_running_min), and each
     shard of _cuts finds, for every start and point not yet at its
-    horizon, the steps at which its rows stand on the point, comparing
-    into the shard's spare draw buffers (_StepSampler.spare); such a step
+    horizon, the steps at which its rows stand on the point; such a step
     c counts iff the row is alive from the start and open for the point,
     and both running minima at c lie above the row's floors, so no step
-    at or before c touched an axis.  The visits are added here with bincount, and the running
-    moments, bounds and retirements stay here too, over the whole batch.
+    at or before c touched an axis.  The visits are added here with
+    bincount, and the running moments, bounds and retirements stay here
+    too, over the whole batch.
     After every block, the last included, a row retires from target ti
     once its bound times weights[si][ti] is below _RETIRE_EPS from every
     start still alive in it; from then on it adds no visit to ti.  At
@@ -651,34 +640,29 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
 
                 def match(s):
                     """Per start and point, the batch rows of shard s that
-                    visit the point alive, once per visit, compared in runs
-                    of rows that fit the shard's spare draw buffers."""
-                    eq, eq_y = sampler.spare(s)
-                    step = len(eq) // blk  # rows per run
-                    found = [{ti: [] for ti in at_points} for _ in floors]
-                    for r0 in range(cuts[s], cuts[s + 1], step):
-                        r1 = min(r0 + step, cuts[s + 1])
-                        at, at_y = (b[:(r1 - r0) * blk].reshape(blk, r1 - r0)
-                                    for b in (eq, eq_y))
-                        off_x, off_y = (off[:, r0:r1] for off in offs)
-                        for si, (fx, fy) in enumerate(floors):
-                            for ti in at_points:
-                                mx, my = marks[si][ti]
-                                np.equal(off_x, mx[r0:r1], out=at)
-                                np.equal(off_y, my[r0:r1], out=at_y)
-                                at &= at_y
-                                c, r = np.divmod(np.flatnonzero(at), r1 - r0)
-                                r += r0
-                                ok = alive[si][r] & open_[ti][r]
-                                ok &= mins[0][c, r] > fx[r]
-                                ok &= mins[1][c, r] > fy[r]
-                                found[si][ti].append(live[r[ok]])
+                    visit the point alive, once per visit."""
+                    r0, r1 = cuts[s], cuts[s + 1]
+                    off_x, off_y = (off[:, r0:r1] for off in offs)
+                    found = []
+                    for si, (fx, fy) in enumerate(floors):
+                        at_ti = {}
+                        for ti in at_points:
+                            mx, my = marks[si][ti]
+                            at = off_x == mx[r0:r1]
+                            at &= off_y == my[r0:r1]
+                            c, r = np.divmod(np.flatnonzero(at), r1 - r0)
+                            r += r0
+                            ok = alive[si][r] & open_[ti][r]
+                            ok &= mins[0][c, r] > fx[r]
+                            ok &= mins[1][c, r] > fy[r]
+                            at_ti[ti] = live[r[ok]]
+                        found.append(at_ti)
                     return found
 
                 found = _on_shards(match, cuts)
                 for si in range(n_starts):
                     for ti in at_points:
-                        r = np.concatenate([part for f in found for part in f[si][ti]])
+                        r = np.concatenate([f[si][ti] for f in found])
                         if len(r):
                             visits[si][ti] += np.bincount(r, minlength=rows)
             for si, p in enumerate(pos):
