@@ -276,24 +276,25 @@ def _stored_window(geom: CurveGeometry, start, m: int, tol: float):
 
     Returns ((a0, b0), a, b, n_pos, n_neg, memo): the snapped start, a_n
     for n in [-n_neg, n_pos + 1] and b_n for n in [-n_neg, n_pos], where
-    [-n_neg, n_pos] is the ``_term_range`` of degree m, and the start's
-    range memo.  The chain is grown first when it is shorter than that.
+    [-n_neg, n_pos] is the ``_term_range`` of degree m, and the range memo
+    held in the start's record on ``geom``.  The chain is grown first when
+    it is shorter than that.
     """
     if not (tol > 0):
         raise ValueError("truncation_tol must be positive")
     a0, b0 = float(start[0]), float(start[1])
     # Key on the exact bits: -0.0 == 0.0, but the two snap apart.
     key = (a0.hex(), b0.hex())
-    if key not in geom._chains:  # a start that fails the gate is never stored
+    entry = geom._chains.get(key)
+    if entry is None:  # a start that fails the gate is never stored
         # Snap exactly onto whichever graph piece the start sits on, so the
         # switching recursion does not inherit the caller's rounding.
         snapped = _snap_to_G0(geom, a0, b0)
         if snapped is None:
             raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
-        geom._ranges.setdefault(key, {})  # first: whoever finds the chain finds it
-        geom._chains[key] = (snapped, snapped[:1], snapped[1:], (), ())
-    memo = geom._ranges[key]
-    (a0, b0), a_up, b_up, a_dn, b_dn = geom._chains[key]
+        entry = geom._chains.setdefault(
+            key, (snapped, snapped[:1], snapped[1:], (), (), {}))
+    (a0, b0), a_up, b_up, a_dn, b_dn, memo = entry
 
     n_pos, n_neg = _degree_range(memo, geom.c1, geom.c2, a0, b0, m, tol)
     if max(n_pos, n_neg) > 100000:
@@ -313,7 +314,7 @@ def _stored_window(geom: CurveGeometry, start, m: int, tol: float):
             a_dn.append(f_hat(geom, b_dn[-1]))
         a_up, b_up, a_dn, b_dn = map(tuple, (a_up, b_up, a_dn, b_dn))
         _check_descent(a_up, b_up, a_dn, b_dn)
-        geom._chains[key] = ((a0, b0), a_up, b_up, a_dn, b_dn)
+        geom._chains[key] = ((a0, b0), a_up, b_up, a_dn, b_dn, memo)
 
     a = a_dn[:n_neg][::-1] + a_up[: n_pos + 2]
     b = b_dn[:n_neg][::-1] + b_up[: n_pos + 1]
@@ -340,11 +341,11 @@ def build_sequence(
     interlacing check runs over the whole stored chain when it grows, so a
     slice of it is checked already.  The recursion from the start is
     deterministic, so the slice has the same bits as a chain built for
-    this call alone.  Beside the chain, ``geom`` keeps each start's term
+    this call alone.  The start's record on ``geom`` also holds its term
     ranges per degree and tolerance, which the returned sequence shares.
-    Nothing is evicted: each geometry keeps one chain per start, and its
-    ranges, for its life, so calls over many starts on one long-lived
-    geometry grow it with every new start.
+    Nothing is evicted: each geometry keeps one record per start for its
+    life, so calls over many starts on one long-lived geometry grow it
+    with every new start.
     """
     _require_geometry(geom)
     if imin < 1:

@@ -105,12 +105,11 @@ class CurveGeometry:
     g_at_y0: float
     c1: float  # f(x0) - x0 > 0: minimal horizontal switch gap
     c2: float  # g(y0) - y0 > 0: minimal vertical switch gap
-    # Switching chains grown by ``compensation.build_sequence``, keyed by
-    # the start's exact float bits, and beside them each start's memo of
-    # term ranges, keyed by (degree, tolerance); outside equality, hash
-    # and repr.  One chain per start is kept for the geometry's life.
+    # One record per start that ``compensation.build_sequence`` has seen,
+    # keyed by the start's exact float bits: (snapped start, a_up, b_up,
+    # a_dn, b_dn, term ranges keyed by (degree, tolerance)).  Outside
+    # equality, hash and repr; kept for the geometry's life.
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

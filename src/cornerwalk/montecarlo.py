@@ -54,9 +54,9 @@ order.
 
 What depends on the sampled law alone, the alias and code tables, the
 exit roots and visit bounds, is computed once per model object and
-twist and kept in the object's memo (_law), beside the validation report
-that model.require_valid keeps there; what grows with a run (chunk
-buffers, power tables, positions) lives only as long as the call.
+twist: a _Law, which caches its roots and bounds, kept in the object's
+memo (_law) beside the validation report of model.require_valid; what
+grows with a run (chunk buffers, positions) lives only as long as the call.
 
 Every estimator reduces one engine, _walk: rows walk from one start, or
 from the two of a Martin profile, which share each row's draws, and are
@@ -91,6 +91,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -210,8 +211,8 @@ class _Law:
     ``accept`` and two int8 ``tables``, one per coordinate, that map a
     code to its step (entry 2k + 1 is step k, entry 2k its alias; entry k
     is step k when the law is ``trivial``, every accept 1), the offsets'
-    ``dtype`` and the exit roots and visit bounds, each solved on first
-    use.
+    ``dtype``, and the exit ``roots`` and ``visit_bounds``, each solved on
+    first read and cached (a law that only draws steps never solves them).
 
     ``dtype`` is int8 when no step component exceeds 1, int16 otherwise.
     No component is below -1 on a valid law, so the offsets of a block of
@@ -221,9 +222,8 @@ class _Law:
 
     _law keeps one per model object and twist, shared by every call and
     thread on them, so it holds only read-only arrays of one entry per
-    step and values that never change once stored: a value missing is
-    computed by each caller that finds it missing and stored with
-    setdefault, so concurrent callers store equal values and one wins.
+    step and cached values that never change: a thread that reads one
+    before it is stored may solve it again, to the same value.
     """
 
     def __init__(self, steps, probs):
@@ -240,25 +240,16 @@ class _Law:
             self.tables[:, 0::2] = steps[alias].T  # code 2k -> alias of k
         for a in (steps, probs, accept, self.tables):
             a.flags.writeable = False
-        # the root is a function of the marginal alone, and laws symmetric
-        # in x and y have one
-        self._marginals = [frozenset(_marginal(steps, probs, a).items())
-                           for a in (0, 1)]
-        self._roots: dict[frozenset, float] = {}
-        self._visit = None
 
-    def roots(self, axes) -> list[float]:
-        """_exit_root of each axis in ``axes``, solved once per distinct
-        marginal."""
-        out = []
-        for a in axes:
-            key = self._marginals[a]
-            c = self._roots.get(key)
-            if c is None:
-                c = self._roots.setdefault(key, _exit_root(self.steps, self.probs, a))
-            out.append(c)
-        return out
+    @cached_property
+    def roots(self) -> tuple[float, float]:
+        """_exit_root of the x and the y axis.  The root is a function of
+        the marginal alone, so a law symmetric in x and y solves one."""
+        cx = _exit_root(self.steps, self.probs, 0)
+        mx, my = (_marginal(self.steps, self.probs, a) for a in (0, 1))
+        return cx, (cx if mx == my else _exit_root(self.steps, self.probs, 1))
 
+    @cached_property
     def visit_bounds(self) -> tuple:
         """Per axis (c, g): from level z a coordinate's expected visits to
         level l, now and later, are at most g * c**max(z - l, 0).
@@ -271,17 +262,9 @@ class _Law:
         walk, Feller vol. 1, ch. XIV).  An axis whose drift is <= 0 gives
         no bound (g = inf).
         """
-        if self._visit is None:
-            out = []
-            for a, c in enumerate(self.roots((0, 1))):
-                if c == 1.0:
-                    g = math.inf
-                else:
-                    down = float(self.probs[self.steps[:, a] == -1].sum())
-                    g = c / (down * (1.0 - c))
-                out.append((c, g))
-            self._visit = tuple(out)
-        return self._visit
+        down = [float(self.probs[self.steps[:, a] == -1].sum()) for a in (0, 1)]
+        return tuple((c, math.inf if c == 1.0 else c / (d * (1.0 - c)))
+                     for c, d in zip(self.roots, down))
 
 
 def _law(dist: StepDistribution, twist: CramerData | None) -> _Law:
@@ -711,7 +694,7 @@ def _survival_estimate(dist, start, cfg: SimConfig, axes) -> SimEstimate:
     whose bound is the chance of ever exiting: at most the sum over
     ``axes`` of c**z, c the axis's exit root (see estimate_escape)."""
     law = _law(dist, cfg.twist)
-    roots = dict(zip(axes, law.roots(axes)))
+    roots = law.roots  # solved before the first block draws
     bound = lambda p, ti: np.minimum(sum(roots[a] ** p[a] for a in axes), 1.0)
     _, _, _, open_counts, bounds, survived = _walk(
         law, [start], [None], [[1.0]], bound, [cfg.horizon], cfg.seed, cfg.n_paths, axes,
@@ -765,29 +748,11 @@ def estimate_halfplane_survival(
     return _survival_estimate(dist, (0, height), cfg, (1,))
 
 
-class _Powers:
-    """Stands in for a root c in ``c ** k``, k a non-negative integer
-    array: gathers from a table of c ** arange(n), grown when a larger k
-    comes.  np.power fills it from the same operands, so a gathered power
-    has the bits of the direct one."""
-
-    def __init__(self, c: float):
-        self.c = c
-        self.table = np.empty(0)
-
-    def __pow__(self, k):
-        top = int(np.max(k, initial=0))
-        if top >= len(self.table):
-            self.table = self.c ** np.arange(max(top + 1, 2 * len(self.table)))
-        return self.table[k]
-
-
 def _visit_bound(axis_bounds, z, y):
     """Per row of the [x, y] row arrays ``z``, a bound on the expected
     further visits to y of walks now there: a visit needs both
     coordinates at y's levels, so the smaller of the two axis bounds
-    holds, and killing only removes visits.  Each axis's c is a float or,
-    per call of _visit_walk, its _Powers.
+    holds, and killing only removes visits.
 
     Validation admits no step that lowers x + y, so a walk never returns
     below its anti-diagonal: from z with z_x + z_y > y_x + y_y it never
@@ -803,9 +768,9 @@ def _visit_bound(axis_bounds, z, y):
 
 def _visit_walk(dist, starts, ys, weights, horizons, cfg: SimConfig):
     """The walk counting visits to the points ys, each to its horizon in
-    ``horizons`` and each row bounded by _visit_bound."""
+    ``horizons`` and each row bounded by _visit_bound on law.visit_bounds."""
     law = _law(dist, cfg.twist)
-    axis_bounds = [(_Powers(c), g) for c, g in law.visit_bounds()]
+    axis_bounds = law.visit_bounds  # solved before the first block draws
     bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti])
     return _walk(law, starts, ys, weights, bound, horizons, cfg.seed, cfg.n_paths)
 
@@ -855,7 +820,8 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
 
     From z, a path's expected further visits to y (under the law actually
     sampled) are at most min over the axes of c^((z - y)+) * G1, with c
-    the axis's exit root and G1 = c / (p_-1 (1 - c)) (see _Law.visit_bounds).
+    the axis's exit root and G1 = c / (p_-1 (1 - c)) (see _Law.visit_bounds,
+    solved once per model object and twist).
     No step of a valid model lowers x + y, so once z_x + z_y > y_x + y_y
     the bound is exactly 0.  After every block a path whose weighted
     bound is below 1e-7 retires: its later visits go uncounted.  A path
@@ -965,10 +931,11 @@ def green_direction_scan(
     sqrt(|y|) * exp(-<phi, x - y>) * G(x, y), which converges to a
     positive limit along the ray.
 
-    Radii whose twists share the bits of phi (those of a ray through the
-    drift, and any that round to one y) share one walk: one _visit_walk
-    per twist, each of its points stopped at its own horizon, so a point
-    alone in its twist has the bits of estimate_green.  Points that
+    Radii whose twists give one sampled law, the _Law that _law keeps
+    per bits of phi (those of a ray through the drift, and any that
+    round to one y), share one walk: one _visit_walk per law, each of
+    its points stopped at its own horizon, so a point alone in its law
+    has the bits of estimate_green.  Points that
     share a walk share its paths, so their errors are positively
     correlated, and a gap between two of them that is checked against
     the hypot of their standard errors is checked conservatively.  Each
@@ -988,11 +955,11 @@ def green_direction_scan(
     if not all(0 < r < math.inf for r in radii):
         raise ValueError(f"radii {radii!r} must be finite and positive")
     ys = [(max(1, round(r * u1)), max(1, round(r * u2))) for r in radii]
-    groups = {}  # per twist, keyed by phi's bits as _law keys it: (twist, ys)
+    groups = {}  # per sampled law, the one _law keeps: (twist, ys)
     for y in dict.fromkeys(ys):
         ny = math.hypot(y[0], y[1])
         twist = cramer_transform(geom, (y[0] / ny, y[1] / ny))
-        groups.setdefault(tuple(map(float.hex, twist.phi)), (twist, []))[1].append(y)
+        groups.setdefault(_law(dist, twist), (twist, []))[1].append(y)
     scanned = {}  # per distinct y, its point but for the radius
     for twist, targets in groups.values():
         horizons = [cfg.horizon if cfg.horizon is not None else _default_horizon(x, y)
@@ -1080,7 +1047,7 @@ def skipfree_exit_root(
     the vertical drift is <= 0 (descent is then certain).
     """
     require_valid(dist)
-    return _law(dist, twist).roots((1,))[0]
+    return _law(dist, twist).roots[1]
 
 
 def brownian_halfplane_kernel(t: float, x, y, mu, sigma) -> float:

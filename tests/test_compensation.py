@@ -336,10 +336,10 @@ class TestStoredChain:
         geom = find_extrema(fib)
         build_sequence(geom, (0.0, 0.0), imin=2)
         key = ((0.0).hex(), (0.0).hex())
-        start, a_up, b_up, a_dn, b_dn = geom._chains[key]
+        start, a_up, b_up, a_dn, b_dn, ranges = geom._chains[key]
         # b_1 above b_0 breaks b_0 > a_1 > b_1
         b_up = b_up[:1] + (b_up[0] + 1.0,) + b_up[2:]
-        geom._chains[key] = (start, a_up, b_up, a_dn, b_dn)
+        geom._chains[key] = (start, a_up, b_up, a_dn, b_dn, ranges)
         with pytest.raises(SolverError, match="interlacing"):
             build_sequence(geom, (0.0, 0.0), truncation_tol=1e-18, imin=2)
         assert geom._chains[key][2] is b_up  # the failed growth is not stored
@@ -430,12 +430,14 @@ class TestRangeMemo:
                 if start == (0.0, 0.0):
                     got = escape_probability(geom, i, j, tol)
                     assert repr(got) == want[start, tol, i, j]
-        assert len(geom._ranges) == 2
+        # one record per start, each with its ranges of both tolerances
+        assert [len(rec[-1]) for rec in geom._chains.values()] == [2 * 15] * 2
 
     def test_geometry_equality_hash_and_repr_unchanged(self, fib):
         used, unused = find_extrema(fib), find_extrema(fib)
         escape_probability(used, 3, 4)
-        assert used._ranges and not unused._ranges
+        key = ((0.0).hex(), (0.0).hex())
+        assert used._chains[key][-1] and not unused._chains
         assert used == unused
         assert hash(used) == hash(unused)
         assert repr(used) == repr(unused)
@@ -445,7 +447,7 @@ class TestRangeMemo:
         used = fib_seq(geom)
         harmonic_eval(used, 5, 6)
         fresh = fib_seq(find_extrema(fib))
-        assert used._ranges is geom._ranges[((0.0).hex(), (0.0).hex())]
+        assert used._ranges is geom._chains[((0.0).hex(), (0.0).hex())][-1]
         assert used._ranges != fresh._ranges
         assert used == fresh
         assert hash(used) == hash(fresh)
@@ -475,10 +477,10 @@ class TestRangeMemo:
         geom = find_extrema(fib)
         escape_probability(geom, 5, 5)
         key = ((0.0).hex(), (0.0).hex())
-        start, a_up, b_up, a_dn, b_dn = geom._chains[key]
+        start, a_up, b_up, a_dn, b_dn, ranges = geom._chains[key]
         # b_1 above b_0 breaks b_0 > a_1 > b_1
         b_up = b_up[:1] + (b_up[0] + 1.0,) + b_up[2:]
-        geom._chains[key] = (start, a_up, b_up, a_dn, b_dn)
+        geom._chains[key] = (start, a_up, b_up, a_dn, b_dn, ranges)
         with pytest.raises(SolverError, match="interlacing"):
             escape_probability(geom, 1, 1)  # degree 2 needs more terms
         assert geom._chains[key][2] is b_up  # the failed growth is not stored

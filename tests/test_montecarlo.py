@@ -395,7 +395,7 @@ class TestVisitBound:
     @pytest.mark.parametrize("law", ["fib", "all_five", "diag_heavy"])
     def test_bounds_exact_green_values(self, request, law):
         dist = request.getfixturevalue(law)
-        axis_bounds = _law(dist, None).visit_bounds()
+        axis_bounds = _law(dist, None).visit_bounds
         zs = [(1, 1), (2, 3), (4, 1)]
         for y in [(2, 2), (3, 3), (1, 4)]:
             for z, bound in zip(zs, visit_bounds_at(axis_bounds, zs, y)):
@@ -408,7 +408,7 @@ class TestVisitBound:
         # anti-diagonal never visits y: the bound is exactly 0 there
         dist = request.getfixturevalue(law)
         assert all(di + dj >= 0 for di, dj in dist.steps)
-        axis_bounds = _law(dist, None).visit_bounds()
+        axis_bounds = _law(dist, None).visit_bounds
         zs = [(1, 1), (2, 3), (4, 1), (3, 3), (5, 4), (6, 2)]
         for y in [(2, 2), (3, 2), (1, 4)]:
             for z, bound in zip(zs, visit_bounds_at(axis_bounds, zs, y)):
@@ -421,20 +421,6 @@ class TestVisitBound:
                     assert bound == pytest.approx(ruin, rel=1e-15), (z, y)
         if law == "all_five":  # 0.278 by the gambler's-ruin bound alone
             assert gamblers_ruin(axis_bounds, (5, 4), (3, 2)) > 0.25
-
-    @pytest.mark.parametrize("law", ["fib", "all_five", "big_jump"])
-    def test_power_table_gives_the_direct_bits(self, request, law):
-        axis_bounds = _law(request.getfixturevalue(law), None).visit_bounds()
-        tabled = [(montecarlo._Powers(c), g) for c, g in axis_bounds]
-        rng = np.random.default_rng(1)
-        # rising reach, so the tables grow between calls; then no rows
-        for top in (10, 300, 5000, 5000, 1):
-            z = [rng.integers(1, top + 1, 2000 if top > 1 else 0).astype(np.int32)
-                 for _ in range(2)]
-            for y in [(3, 3), (40, 7), (5000, 5000)]:
-                np.testing.assert_array_equal(
-                    _visit_bound(tabled, z, y), _visit_bound(axis_bounds, z, y)
-                )
 
     def test_martin_profile_draws_one_block_per_row(self, all_five, drawn_blocks):
         # nearly every row passes the targets' anti-diagonals within its
@@ -455,7 +441,7 @@ class TestVisitBound:
         # on both axes
         dist = parse_model_text("-1 1 1/2\n1 -1 1/4\n0 1 1/4\n")
         require_valid(dist)
-        (_, gx), (cy, gy) = axis_bounds = _law(dist, None).visit_bounds()
+        (_, gx), (cy, gy) = axis_bounds = _law(dist, None).visit_bounds
         assert gx == math.inf and 0.0 < cy < 1.0 and gy < math.inf
         y = (3, 40)
         zs = [(30, 5), (38, 5), (3, 40), (5, 38), (1, 42), (40, 4)]
@@ -497,7 +483,7 @@ class TestVisitBound:
         assert abs(truth - est.mean) <= 4 * est.std_error + est.bias_bound
         if horizon == 6:  # one block: open rows are bounded at the horizon
             assert est.bias_bound > 0.0
-            axis_bounds = _law(fib, None).visit_bounds()
+            axis_bounds = _law(fib, None).visit_bounds
             assert est.bias_bound < visit_bounds_at(axis_bounds, [(1, 1)], (3, 3))[0]
         else:  # every row left is past y's anti-diagonal
             assert est.bias_bound == 0.0
@@ -822,8 +808,9 @@ def per_row_walk(dist, starts, ys, horizons, seed, n):
     bounds[si][ti] as lists of per-row terms, visits made after the
     first horizon)."""
     law = _law(dist, None)
-    # c ** k gathered from a table of c ** arange, as _Powers gives it
-    tables = [(c ** np.arange(4 * max(horizons)), g) for c, g in law.visit_bounds()]
+    # c ** k gathered from a table of c ** arange: numpy's power, as
+    # _visit_bound takes it
+    tables = [(c ** np.arange(4 * max(horizons)), g) for c, g in law.visit_bounds]
 
     def bound(z, y):
         if z[0] + z[1] > y[0] + y[1]:
@@ -956,8 +943,7 @@ class TestDirectionScan:
         assert [p.y for p in pts] == [(2, 4), (3, 5)]
         twists = [cramer_transform(fib_geom, (p.y[0] / p.norm, p.y[1] / p.norm))
                   for p in pts]
-        keys = [tuple(map(float.hex, tw.phi)) for tw in twists]
-        assert keys[0] != keys[1]  # so each point walks alone
+        assert _law(fib, twists[0]) is not _law(fib, twists[1])  # each walks alone
         for p, tw in zip(pts, twists):
             est = estimate_green(fib, x, p.y, dataclasses.replace(cfg, twist=tw))
             corr = math.sqrt(p.norm) * _twist_weight(tw, p.y, x)
@@ -975,9 +961,9 @@ class TestDirectionScan:
         # stops at step 60, inside its first block
         cfg = SimConfig(seed=11, n_paths=20000)
         pts = green_direction_scan(fib, (1, 1), (1.0, 1.0), [6, 10], cfg)
-        keys = {tuple(map(float.hex, cramer_transform(
-            fib_geom, (p.y[0] / p.norm, p.y[1] / p.norm)).phi)) for p in pts}
-        assert len(keys) == 1
+        laws = {_law(fib, cramer_transform(fib_geom, (p.y[0] / p.norm, p.y[1] / p.norm)))
+                for p in pts}
+        assert len(laws) == 1
         assert pts[0] == green_direction_scan(fib, (1, 1), (1.0, 1.0), [6], cfg)[0]
         assert repr(pts[0].value) == "0.3647298221713345"
 
@@ -1119,21 +1105,21 @@ class TestExitRootsPerLaw:
         fib = parse_model_text(FIB_TEXT)
         for _ in range(2):
             self.run_all(fib)
-        assert skipfree_exit_root(fib) == montecarlo._law(fib, None).roots((1,))[0]
+        assert skipfree_exit_root(fib) == montecarlo._law(fib, None).roots[1]
         assert len(solves) == 1
         assert len(validations) == 1
 
     def test_distinct_marginals_solved_each(self, lopsided, solves):
         dist = dataclasses.replace(lopsided)  # an object with an empty memo
-        self.run_all(dist)  # half-plane survival first: the y marginal alone
-        assert solves == [1, 0]
+        self.run_all(dist)  # half-plane survival first: both axes still solve
+        assert solves == [0, 1]
         self.run_all(dist)
         skipfree_exit_root(dist)
-        assert solves == [1, 0]
+        assert solves == [0, 1]
         law = montecarlo._law(dist, None)
-        assert law.roots((0, 1)) == [
+        assert law.roots == (
             _exit_root(law.steps, law.probs, 0), _exit_root(law.steps, law.probs, 1)
-        ]
+        )
 
     def test_fresh_parse_and_new_twist_solve_again(self, solves):
         fib = parse_model_text(FIB_TEXT)
