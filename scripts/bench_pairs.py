@@ -6,12 +6,16 @@ directories, then for each pair k runs the benchmark command that
 ``BENCHMARK.json`` declares (with its ``run_seconds`` and ``--trace 0``)
 once in each tree, at seed ``--seed0 + k``.  Even pairs run the parent
 first, odd pairs the change, so drift in the host's speed falls on both
-sides alike.  Runs go one at a time.
+sides alike.  Runs go one at a time.  A run that exits non-zero, or
+prints no result line, is recorded with its exit code and last stderr
+line, and the pairs go on; the script then exits 1.
 
-The JSON written to ``--out`` holds every run's result line and, for
-each end-to-end metric of ``BENCHMARK.json``, each side's median and
-quartiles, the change-over-parent median ratio, the number of pairs
-the change won (ties count for neither side) and a verdict:
+The JSON written to ``--out`` holds every run's result line (or failure
+record), each side's count of failed runs and, for each end-to-end
+metric of ``BENCHMARK.json``, summarised over the pairs in which both
+sides printed a result: each side's median and quartiles, the
+change-over-parent median ratio, the number of pairs the change won
+(ties count for neither side) and a verdict:
 
 * ``gain``: the change won at least nine tenths of the pairs and its
   median is better than the parent's by more than the parent's
@@ -56,13 +60,18 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, bench: dict, workload: str, seed: int) -> dict:
+    """The run's result line, or {"exit": code, "stderr": last stderr line}
+    for a run that exits non-zero or prints no JSON result line."""
     cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
            "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} in {tree} exited "
-                         f"{done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    if done.returncode == 0:
+        try:
+            return json.loads(done.stdout.strip().splitlines()[-1])
+        except (IndexError, ValueError):
+            pass
+    err = done.stderr.strip().splitlines()
+    return {"exit": done.returncode, "stderr": err[-1] if err else ""}
 
 
 def spread(values: list[float]) -> dict:
@@ -86,6 +95,11 @@ def verdict(metric: dict, parent: dict, change: dict, wins: int,
 
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
+    """Judge each metric over the pairs in which both sides printed a
+    result; no metric is judged on fewer than two such pairs."""
+    runs = [r for r in runs if not any("exit" in r[s] for s in SIDES)]
+    if len(runs) < 2:
+        return {}
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -133,6 +147,7 @@ def main() -> int:
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         result["command"] = bench["command"]
         result["run_seconds"] = bench["run_seconds"]
+        any_failed = False
         for workload in args.workload:
             runs = []
             for k in range(args.pairs):
@@ -140,20 +155,26 @@ def main() -> int:
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {"pair": k, "seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], bench, workload, seed)
-                    print(f"# {workload} pair {k} seed {seed} {side}: wall_s "
-                          f"{pair[side]['metrics']['wall_s']['value']:.4f}",
+                    run = pair[side] = run_once(trees[side], bench, workload, seed)
+                    said = (f"exited {run['exit']}: {run['stderr']}" if "exit" in run
+                            else f"wall_s {run['metrics']['wall_s']['value']:.4f}")
+                    print(f"# {workload} pair {k} seed {seed} {side}: {said}",
                           file=sys.stderr, flush=True)
                 runs.append(pair)
+            printed = {s: [r[s] for r in runs if "exit" not in r[s]] for s in SIDES}
+            failed_runs = {s: args.pairs - len(printed[s]) for s in SIDES}
+            any_failed = any_failed or any(failed_runs.values())
             result["workloads"][workload] = {
                 "seeds": [args.seed0, args.seed0 + args.pairs - 1],
-                "all_correct": all(r[s]["correct"] for r in runs for s in SIDES),
-                "failed": {s: sum(r[s]["failed"] for r in runs) for s in SIDES},
+                "all_correct": not any(failed_runs.values()) and all(
+                    r["correct"] for s in SIDES for r in printed[s]),
+                "failed": {s: sum(r["failed"] for r in printed[s]) for s in SIDES},
+                "failed_runs": failed_runs,
                 "metrics": summarise(runs, bench["end_to_end"]),
                 "runs": runs,
             }
             args.out.write_text(json.dumps(result, indent=1) + "\n")
-    return 0
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":

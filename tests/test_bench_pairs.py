@@ -1,6 +1,9 @@
-"""The verdicts of ``scripts/bench_pairs.py`` on synthetic pairs of runs."""
+"""The verdicts of ``scripts/bench_pairs.py`` on synthetic pairs of runs, and
+its record of a run that fails."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +84,39 @@ def test_parent_spread_wider_than_the_bound_is_unresolved(bench_pairs):
     out = judge(bench_pairs, wide, [1.1 * v for v in wide])
     assert out["parent"]["iqr"] > 0.25 * out["parent"]["median"]
     assert out["verdict"] == "unresolved"
+
+
+# a benchmark command that exits 1 for the change at seed 2 and prints a
+# result line otherwise
+FLAKY = """
+import json, os, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == 2 and os.path.basename(os.getcwd()) == "change":
+    print("warming up", file=sys.stderr)
+    sys.exit("StatisticsError: no host-speed sample")
+print(json.dumps({"correct": True, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0 + seed / 100, "unit": "s"}}}))
+"""
+
+
+def test_a_failed_run_is_recorded_and_the_pairs_go_on(bench_pairs, monkeypatch,
+                                                      tmp_path):
+    bench = {"command": [sys.executable, "-c", FLAKY], "run_seconds": 1,
+             "end_to_end": [WALL]}
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: (
+        dest / "BENCHMARK.json").write_text(json.dumps(bench)))
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--parent", "p", "--workload", "w", "--pairs", "4",
+        "--seed0", "0", "--out", str(out)])
+    assert bench_pairs.main() == 1
+    got = json.loads(out.read_text())["workloads"]["w"]
+    assert got["runs"][2]["change"] == {
+        "exit": 1, "stderr": "StatisticsError: no host-speed sample"}
+    assert got["failed_runs"] == {"parent": 0, "change": 1}
+    assert not got["all_correct"] and got["failed"] == {"parent": 0, "change": 0}
+    # judged over the three pairs in which both sides printed a result
+    wall = got["metrics"]["wall_s"]
+    assert wall["pairs"] == 3 and wall["ties"] == 3
+    assert wall["parent"]["median"] == 1.01 and wall["verdict"] == "unchanged"
