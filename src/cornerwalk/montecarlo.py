@@ -496,16 +496,6 @@ def _running_min(off):
     return _scan(np.minimum, off, np.empty_like(off))
 
 
-def _keep_rows(keep, axes, pos, alive, open_, live):
-    """The row state of _walk restricted to the rows marked in ``keep``."""
-    return (
-        [[c[keep] if a in axes else c for a, c in enumerate(p)] for p in pos],
-        [a[keep] for a in alive],
-        [o[keep] for o in open_],
-        None if live is None else live[keep],
-    )
-
-
 def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0, 1)):
     """One batched walk from every start at once, stopped per target.
 
@@ -539,10 +529,12 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     once its bound times weights[si][ti] is below _RETIRE_EPS from every
     start still alive in it; from then on it adds no visit to ti.  At
     ti's horizon the rows still open for it are bounded there and ti
-    closes.  A row absorbed from every start is dropped before it is
-    bounded, and one retired from, or closed for, every target before
-    the next block.  With one horizon for every target, as survival,
-    Green and Martin runs pass, the cuts are those of that horizon alone.
+    closes.  One rule drops rows, once per block, after its bounds: a
+    row retired from, or closed for, every target walks no further.  A
+    row absorbed from every start retires there from every target, its
+    bounds masked out of every sum.  With one horizon for every target,
+    as survival, Green and Martin runs pass, the cuts are those of that
+    horizon alone.
 
     Returns (sums, sumsqs, crosses, open_counts, bounds, survived), each
     reduced in batch order:
@@ -579,18 +571,14 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
         open_ = [np.ones(rows, dtype=bool) for _ in targets]  # not retired from ti
         live = np.arange(rows) if points else None  # batch rows, for visits
         visits = [{ti: np.zeros(rows, dtype=np.int64) for ti in points} for _ in starts]
-        keep = np.ones(rows, dtype=bool)  # rows to walk on
         lengths = itertools.chain(() if points else _SURVIVAL_RAMP,
                                   itertools.repeat(_BLOCK))
-        t = 0
-        while t < horizon and keep.any():
+        t, n = 0, rows  # n: the rows walked on
+        while t < horizon and n:
             # the targets not yet at their horizons, and the nearest of those
             walking = [ti for ti, h in enumerate(horizons) if h > t]
             blk = min(next(lengths), min(horizons[ti] for ti in walking) - t)
             at_points = [ti for ti in points if ti in walking]
-            if not keep.all():
-                pos, alive, open_, live = _keep_rows(keep, axes, pos, alive, open_, live)
-            n = len(alive[0])
             offs = sampler.offsets(rng, n, blk, axes)
             if points:
                 # per step, each axis's lowest offset so far: a row is
@@ -653,10 +641,6 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
                     p[a] = p[a] + off[-1]
                 alive[si] &= ~hits[si]
             t += blk
-            # bound only the rows still alive from some start
-            keep = np.logical_or.reduce(alive)
-            if not keep.all():
-                pos, alive, open_, live = _keep_rows(keep, axes, pos, alive, open_, live)
             for ti in walking:
                 vb = [bound(p, ti) for p in pos]
                 done = open_[ti].copy()
@@ -672,7 +656,13 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
                         open_parts[si][ti].append(int(still.sum()))
                         bounds[si][ti].append(float(b[still].sum()))
                     open_[ti][:] = False
+            # walk on only the rows still open for some target
             keep = np.logical_or.reduce(open_)
+            if not keep.all():
+                pos = [[c[keep] if a in axes else c for a, c in enumerate(p)] for p in pos]
+                alive, open_ = [a[keep] for a in alive], [o[keep] for o in open_]
+                live = live[keep] if points else None
+                n = len(alive[0])
         for si in range(n_starts):
             for ti, v in visits[si].items():
                 v = v.astype(np.float64)
