@@ -8,7 +8,9 @@ once in each tree, at seed ``--seed0 + k``.  Even pairs run the parent
 first, odd pairs the change, so drift in the host's speed falls on both
 sides alike.  Runs go one at a time.  A run that exits non-zero, or
 prints no result line, is recorded with its exit code and last stderr
-line, and the pairs go on; the script then exits 1.
+line, and the pairs go on; the script then exits 1.  A run whose result
+line reads ``"correct": false`` keeps its ``# FAILED`` lines, the
+reasons, under ``"failed_lines"``; they are echoed to stderr too.
 
 The JSON written to ``--out`` holds every run's result line (or failure
 record), each side's count of failed runs and, for each end-to-end
@@ -60,16 +62,23 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, bench: dict, workload: str, seed: int) -> dict:
-    """The run's result line, or {"exit": code, "stderr": last stderr line}
-    for a run that exits non-zero or prints no JSON result line."""
+    """The run's result line, with its "failed_lines" if it is not correct,
+    or {"exit": code, "stderr": last stderr line} for a run that exits
+    non-zero or prints no JSON result line."""
     cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
            "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode == 0:
+        lines = done.stdout.strip().splitlines()
         try:
-            return json.loads(done.stdout.strip().splitlines()[-1])
+            result = json.loads(lines[-1])
         except (IndexError, ValueError):
             pass
+        else:
+            if not result["correct"]:
+                result["failed_lines"] = [ln for ln in lines
+                                          if ln.startswith("# FAILED")]
+            return result
     err = done.stderr.strip().splitlines()
     return {"exit": done.returncode, "stderr": err[-1] if err else ""}
 
@@ -158,8 +167,9 @@ def main() -> int:
                     run = pair[side] = run_once(trees[side], bench, workload, seed)
                     said = (f"exited {run['exit']}: {run['stderr']}" if "exit" in run
                             else f"wall_s {run['metrics']['wall_s']['value']:.4f}")
-                    print(f"# {workload} pair {k} seed {seed} {side}: {said}",
-                          file=sys.stderr, flush=True)
+                    for line in [said, *run.get("failed_lines", ())]:
+                        print(f"# {workload} pair {k} seed {seed} {side}: {line}",
+                              file=sys.stderr, flush=True)
                 runs.append(pair)
             printed = {s: [r[s] for r in runs if "exit" not in r[s]] for s in SIDES}
             failed_runs = {s: args.pairs - len(printed[s]) for s in SIDES}

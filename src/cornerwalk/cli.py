@@ -156,6 +156,8 @@ def cmd_escape(args) -> int:
     i, j = args.i, args.j
     if i < 0 or j < 0:
         raise ValueError("escape coordinates must be nonnegative")
+    if not (args.tol > 0):  # checked here too: an axis start skips the series
+        raise ValueError(f"--tol must be positive, got {args.tol!r}")
     if i == 0 or j == 0:
         hv = HarmonicValue(0.0, 0.0, 0)  # absorbed start: Dirichlet value
     else:
@@ -236,6 +238,9 @@ def cmd_sequence(args) -> int:
     params = compute_params(dist)
     if args.nmin > args.nmax:
         raise ValueError("nmin must be <= nmax")
+    if args.nmax - args.nmin + 1 > _MAX_ROWS:
+        raise ValueError(f"--nmin {args.nmin} to --nmax {args.nmax} gives more "
+                         f"than {_MAX_ROWS} rows")
     body = ["n,alpha_n,beta_n,inv_alpha_n,inv_beta_n"]
     for n in range(args.nmin, args.nmax + 1):
         a_n, b_n = sequence_at(params, args.s, n)

@@ -1,5 +1,5 @@
 """The verdicts of ``scripts/bench_pairs.py`` on synthetic pairs of runs, and
-its record of a run that fails."""
+its records of a run that fails and of one that is not correct."""
 
 import importlib.util
 import json
@@ -120,3 +120,38 @@ def test_a_failed_run_is_recorded_and_the_pairs_go_on(bench_pairs, monkeypatch,
     wall = got["metrics"]["wall_s"]
     assert wall["pairs"] == 3 and wall["ties"] == 3
     assert wall["parent"]["median"] == 1.01 and wall["verdict"] == "unchanged"
+
+
+# a benchmark command whose run at seed 1 fails a check and says why
+WRONG = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == 1:
+    print("# FAILED escape (1, 1): |mc - exact| = 0.01 > 4 sigma")
+    print("# wall_s = 1.0 s")
+print(json.dumps({"correct": seed != 1, "failed": int(seed == 1),
+                  "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+
+def test_an_incorrect_run_keeps_its_failed_lines(bench_pairs, monkeypatch,
+                                                 tmp_path, capsys):
+    bench = {"command": [sys.executable, "-c", WRONG], "run_seconds": 1,
+             "end_to_end": [WALL]}
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: (
+        dest / "BENCHMARK.json").write_text(json.dumps(bench)))
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--parent", "p", "--workload", "w", "--pairs", "2",
+        "--seed0", "0", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    got = json.loads(out.read_text())["workloads"]["w"]
+    err = capsys.readouterr().err
+    reason = "# FAILED escape (1, 1): |mc - exact| = 0.01 > 4 sigma"
+    for side in ("parent", "change"):
+        assert got["runs"][1][side]["failed_lines"] == [reason]
+        assert "failed_lines" not in got["runs"][0][side]
+        assert f"# w pair 1 seed 1 {side}: {reason}\n" in err
+    assert "FAILED" not in err.replace(reason, "")
+    assert not got["all_correct"] and got["failed"] == {"parent": 1, "change": 1}

@@ -236,6 +236,15 @@ class TestEscape:
         assert code == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize("i,j", [("0", "1"), ("1", "1")])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_tolerance_not_positive_is_usage_error(self, capsys, paths, i, j, tol):
+        # an axis start needs no series, but its tolerance is checked too
+        code, out, err = run(capsys, "escape", paths["fib"], i, j, "--tol", tol)
+        assert code == 2
+        assert "tol" in err
+        assert out == ""
+
 
 class TestHarmonicTable:
     def test_small_table(self, capsys, paths):
@@ -334,6 +343,18 @@ class TestSequence:
     def test_wide_support_rejected(self, capsys, paths):
         code, _, _ = run(capsys, "sequence", paths["big_jump"])
         assert code == 1
+
+    def test_row_cap_counts_the_default_range(self, capsys, paths, monkeypatch):
+        # the default range -6..6 has 13 rows: allowed at a cap of 13, not of 12
+        monkeypatch.setattr("cornerwalk.cli._MAX_ROWS", 13)
+        code, out, _ = run(capsys, "sequence", paths["fib"])
+        assert code == 0
+        assert len(csv_rows(out)) == 1 + 13
+        monkeypatch.setattr("cornerwalk.cli._MAX_ROWS", 12)
+        code, out, err = run(capsys, "sequence", paths["fib"])
+        assert code == 2
+        assert "--nmax" in err
+        assert out == ""
 
 
 class TestSimulate:
