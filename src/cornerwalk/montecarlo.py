@@ -573,12 +573,13 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
         visits = [{ti: np.zeros(rows, dtype=np.int64) for ti in points} for _ in starts]
         lengths = itertools.chain(() if points else _SURVIVAL_RAMP,
                                   itertools.repeat(_BLOCK))
-        t, n = 0, rows  # n: the rows walked on
-        while t < horizon and n:
+        t = 0
+        while t < horizon and len(alive[0]):
             # the targets not yet at their horizons, and the nearest of those
             walking = [ti for ti, h in enumerate(horizons) if h > t]
             blk = min(next(lengths), min(horizons[ti] for ti in walking) - t)
             at_points = [ti for ti in points if ti in walking]
+            n = len(alive[0])
             offs = sampler.offsets(rng, n, blk, axes)
             if points:
                 # per step, each axis's lowest offset so far: a row is
@@ -662,7 +663,6 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
                 pos = [[c[keep] if a in axes else c for a, c in enumerate(p)] for p in pos]
                 alive, open_ = [a[keep] for a in alive], [o[keep] for o in open_]
                 live = live[keep] if points else None
-                n = len(alive[0])
         for si in range(n_starts):
             for ti, v in visits[si].items():
                 v = v.astype(np.float64)
