@@ -241,10 +241,20 @@ def cmd_sequence(args) -> int:
     if args.nmax - args.nmin + 1 > _MAX_ROWS:
         raise ValueError(f"--nmin {args.nmin} to --nmax {args.nmax} gives more "
                          f"than {_MAX_ROWS} rows")
+    rows = {}
+    # rho > 1, so the terms leave the float range monotonically in |n|:
+    # going outward from n = 0 meets the first that does
+    for n in sorted(range(args.nmin, args.nmax + 1), key=abs):
+        try:
+            a_n, b_n = sequence_at(params, args.s, n)
+            rows[n] = _csv(n, a_n, b_n, 1.0 / a_n, 1.0 / b_n)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(
+                f"--nmin {args.nmin} to --nmax {args.nmax} reaches n = {n}, "
+                f"whose term leaves the float range at s = {args.s!r}"
+            ) from None
     body = ["n,alpha_n,beta_n,inv_alpha_n,inv_beta_n"]
-    for n in range(args.nmin, args.nmax + 1):
-        a_n, b_n = sequence_at(params, args.s, n)
-        body.append(_csv(n, a_n, b_n, 1.0 / a_n, 1.0 / b_n))
+    body += [rows[n] for n in range(args.nmin, args.nmax + 1)]
     _emit(args, {"s": args.s, "nmin": args.nmin, "nmax": args.nmax}, body)
     return 0
 

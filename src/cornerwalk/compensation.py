@@ -53,7 +53,7 @@ _MAX_COORD = 1 << 53
 
 
 def _require_float_exact(i: int, j: int) -> None:
-    if max(i, j) >= _MAX_COORD:
+    if i >= _MAX_COORD or j >= _MAX_COORD:
         raise ValueError("lattice coordinates must be below 2**53")
 
 
@@ -93,8 +93,8 @@ class CompensationSequence:
     b_n for n in [n_min, n_max]; term n of the series uses (a_n, b_n,
     a_{n+1}).  The envelope anchored at (a0, b0) with gaps (c1, c2)
     dominates the stored chain termwise and extends it to infinity.
-    ``build_sequence`` hands each sequence its start's memo of term
-    ranges on the geometry (see ``harmonic_eval``); a sequence built any
+    ``build_sequence`` hands each sequence its start's memo of evaluation
+    windows on the geometry (see ``harmonic_eval``); a sequence built any
     other way, ``dataclasses.replace`` included, starts a memo of its own.
     """
 
@@ -201,7 +201,7 @@ def _logaddexp(u: float, v: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg):
+def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg, env):
     """Envelope tails beyond the summed range [-n_neg, n_pos].
 
     Every discarded positive-side term is dominated by the chain anchored
@@ -209,31 +209,30 @@ def _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg):
         exp(i*a_n + j*b_n)     <= exp((i+j)*b0 + i*c2) * q^n
         exp(i*a_{n+1} + j*b_n) <= exp((i+j)*b0 - i*c1) * q^n
     with q = exp(-(c1+c2)*(i+j)); symmetrically below with anchor a0 and
-    the roles of i and j (and of c1 and c2) exchanged.
+    the roles of i and j (and of c1 and c2) exchanged.  ``env`` holds the
+    factors of degree i + j alone (see ``_window``), or None.
     """
-    m = i + j
-    q = math.exp(-(c1 + c2) * m)
-    try:
-        up = (
-            math.exp(m * b0)
-            * (math.exp(i * c2) + math.exp(-i * c1))
-            * q ** (n_pos + 1)
-            / (1.0 - q)
-        )
-        down = (
-            math.exp(m * a0)
-            * (math.exp(j * c1) * q ** (n_neg + 1) + math.exp(-j * c2) * q**n_neg)
-            / (1.0 - q)
-        )
-    except OverflowError:  # exp(m*b0), exp(i*c2) or exp(j*c1) for a far start
-        log_q = -(c1 + c2) * m
-        log_tail = -math.log1p(-q)
-        up = math.exp(
-            m * b0 + _logaddexp(i * c2, -i * c1) + (n_pos + 1) * log_q + log_tail
-        )
-        down = math.exp(
-            m * a0 + _logaddexp(j * c1 + log_q, -j * c2) + n_neg * log_q + log_tail
-        )
+    if env is not None:
+        exp_mb0, exp_ma0, q_pos, q_neg1, q_neg, one_m_q = env
+        try:
+            up = exp_mb0 * (math.exp(i * c2) + math.exp(-i * c1)) * q_pos / one_m_q
+            down = (
+                exp_ma0
+                * (math.exp(j * c1) * q_neg1 + math.exp(-j * c2) * q_neg)
+                / one_m_q
+            )
+            return up, down
+        except OverflowError:  # exp(i*c2) or exp(j*c1) for a far point
+            pass
+    # exp(m*b0), exp(m*a0), exp(i*c2) or exp(j*c1) overflows: go to log space
+    log_q = -(c1 + c2) * (i + j)
+    log_tail = -math.log1p(-math.exp(log_q))
+    up = math.exp(
+        (i + j) * b0 + _logaddexp(i * c2, -i * c1) + (n_pos + 1) * log_q + log_tail
+    )
+    down = math.exp(
+        (i + j) * a0 + _logaddexp(j * c1 + log_q, -j * c2) + n_neg * log_q + log_tail
+    )
     return up, down
 
 
@@ -263,40 +262,57 @@ def _term_range(c1, c2, a0, b0, m: int, tol: float) -> tuple[int, int]:
     return n_pos, n_neg + 1
 
 
-def _degree_range(memo: dict, c1, c2, a0, b0, m: int, tol: float) -> tuple[int, int]:
-    """``_term_range`` of degree m, computed once per start, degree and tol."""
-    rng = memo.get((m, tol))
-    if rng is None:
-        rng = memo[m, tol] = _term_range(c1, c2, a0, b0, m, tol)
-    return rng
+def _window(m, a0, b0, c1, c2, n_pos, n_neg, a, b) -> tuple:
+    """The tuple (n_pos, n_neg, a, a1, b, env) that degree m sums.
+
+    ``a`` holds a_n for n in [-n_neg, n_pos + 1], a1 the same from
+    n = -n_neg + 1, and ``b`` holds b_n for n in [-n_neg, n_pos].  env
+    holds the tail factors of degree m alone: exp(m*b0), exp(m*a0),
+    q^(n_pos+1), q^(n_neg+1), q^n_neg and 1 - q with q = exp(-(c1+c2)*m),
+    or None when one overflows (``_tail_pieces`` then uses log space).
+    """
+    q = math.exp(-(c1 + c2) * m)
+    try:
+        env = (math.exp(m * b0), math.exp(m * a0),
+               q ** (n_pos + 1), q ** (n_neg + 1), q**n_neg, 1.0 - q)
+    except OverflowError:  # exp(m*b0) or exp(m*a0) for a far start
+        env = None
+    return n_pos, n_neg, a, a[1:], b, env
 
 
-def _stored_window(geom: CurveGeometry, start, m: int, tol: float):
-    """The terms degree m needs, from the chain stored for ``start``.
+# Key on the exact bits: -0.0 == 0.0, but the two snap apart.
+_ORIGIN_KEY = ((0.0).hex(), (0.0).hex())
 
-    Returns ((a0, b0), a, b, n_pos, n_neg, memo): the snapped start, a_n
-    for n in [-n_neg, n_pos + 1] and b_n for n in [-n_neg, n_pos], where
-    [-n_neg, n_pos] is the ``_term_range`` of degree m, and the range memo
-    held in the start's record on ``geom``.  The chain is grown first when
-    it is shorter than that.
+
+def _stored_window(geom: CurveGeometry, start, m: int, tol: float, key=None):
+    """The window of degree m on the chain stored for ``start``.
+
+    ``key``, the start's exact bits, is read off ``start`` unless given.
+    Returns ((a0, b0), memo, window): the snapped start, the window memo
+    of the start's record on ``geom`` and the ``_window`` over the
+    ``_term_range`` of degree m and ``tol``.  The first call of a degree
+    and tolerance builds it, growing the chain first when it is shorter.
     """
     if not (tol > 0):
         raise ValueError("truncation_tol must be positive")
-    a0, b0 = float(start[0]), float(start[1])
-    # Key on the exact bits: -0.0 == 0.0, but the two snap apart.
-    key = (a0.hex(), b0.hex())
+    if key is None:
+        key = (float(start[0]).hex(), float(start[1]).hex())
     entry = geom._chains.get(key)
-    if entry is None:  # a start that fails the gate is never stored
+    if entry is not None:
+        win = entry[-1].get((m, tol))
+        if win is not None:
+            return entry[0], entry[-1], win
+    else:  # a start that fails the gate is never stored
         # Snap exactly onto whichever graph piece the start sits on, so the
         # switching recursion does not inherit the caller's rounding.
-        snapped = _snap_to_G0(geom, a0, b0)
+        snapped = _snap_to_G0(geom, float(start[0]), float(start[1]))
         if snapped is None:
             raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
         entry = geom._chains.setdefault(
             key, (snapped, snapped[:1], snapped[1:], (), (), {}))
     (a0, b0), a_up, b_up, a_dn, b_dn, memo = entry
 
-    n_pos, n_neg = _degree_range(memo, geom.c1, geom.c2, a0, b0, m, tol)
+    n_pos, n_neg = _term_range(geom.c1, geom.c2, a0, b0, m, tol)
     if max(n_pos, n_neg) > 100000:
         raise SolverError("truncation range exploded; tolerance unreachable")
 
@@ -316,9 +332,12 @@ def _stored_window(geom: CurveGeometry, start, m: int, tol: float):
         _check_descent(a_up, b_up, a_dn, b_dn)
         geom._chains[key] = ((a0, b0), a_up, b_up, a_dn, b_dn, memo)
 
-    a = a_dn[:n_neg][::-1] + a_up[: n_pos + 2]
-    b = b_dn[:n_neg][::-1] + b_up[: n_pos + 1]
-    return (a0, b0), a, b, n_pos, n_neg, memo
+    win = memo[m, tol] = _window(
+        m, a0, b0, geom.c1, geom.c2, n_pos, n_neg,
+        a_dn[:n_neg][::-1] + a_up[: n_pos + 2],
+        b_dn[:n_neg][::-1] + b_up[: n_pos + 1],
+    )
+    return (a0, b0), memo, win
 
 
 def build_sequence(
@@ -341,8 +360,10 @@ def build_sequence(
     interlacing check runs over the whole stored chain when it grows, so a
     slice of it is checked already.  The recursion from the start is
     deterministic, so the slice has the same bits as a chain built for
-    this call alone.  The start's record on ``geom`` also holds its term
-    ranges per degree and tolerance, which the returned sequence shares.
+    this call alone.  The start's record on ``geom`` also holds its
+    evaluation windows per degree and tolerance (see ``harmonic_eval``),
+    which the returned sequence shares; the stored range is the window of
+    degree ``imin``.
     Nothing is evicted: each geometry keeps one record per start for its
     life, so calls over many starts on one long-lived geometry grow it
     with every new start.
@@ -350,7 +371,7 @@ def build_sequence(
     _require_geometry(geom)
     if imin < 1:
         raise ValueError("imin must be >= 1")
-    (a0, b0), a, b, n_pos, n_neg, memo = _stored_window(
+    (a0, b0), memo, (n_pos, n_neg, a, _, b, _) = _stored_window(
         geom, start, imin, truncation_tol
     )
     seq = CompensationSequence(
@@ -385,20 +406,25 @@ def _check_descent(a_up, b_up, a_dn, b_dn) -> None:
             raise SolverError(f"switching chain lost interlacing near n={-1 - k}")
 
 
-def _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, c1, c2, tol) -> HarmonicValue:
-    """The series at (i, j) over the terms n in [-n_neg, n_pos], with its tail.
+def _sum_range(i, j, win, a0, b0, c1, c2, tol) -> HarmonicValue:
+    """The series at (i, j) over the terms of a ``_window``, with its tail.
 
-    ``a`` holds a_n for n in [-n_neg, n_pos + 1] and ``b`` holds b_n for
-    n in [-n_neg, n_pos]; the envelope anchored at (a0, b0) with gaps
-    (c1, c2) bounds the terms left out.  Warns when that bound exceeds
-    ``tol``.
+    The envelope anchored at (a0, b0) with gaps (c1, c2) bounds the terms
+    left out.  Warns when that bound exceeds ``tol``.
     """
+    n_pos, n_neg, a, a1, b, env = win
+    # i and j are below 2**53, so float(i) * x has the bits of i * x and
+    # takes the interpreter's float fast path
+    x, y = float(i), float(j)
     # term n uses (a_n, b_n, a_{n+1}); fsum rounds once, so order is free
     exp = math.exp
-    terms = [exp(i * an + j * bn) for an, bn in zip(a, b)]
-    terms += [-exp(i * an1 + j * bn) for an1, bn in zip(a[1:], b)]
+    terms = []
+    push = terms.append
+    for an, an1, bn in zip(a, a1, b):
+        push(exp(x * an + y * bn))
+        push(-exp(x * an1 + y * bn))
     value = math.fsum(terms)
-    up, down = _tail_pieces(i, j, a0, b0, c1, c2, n_pos, n_neg)
+    up, down = _tail_pieces(x, y, a0, b0, c1, c2, n_pos, n_neg, env)
     tail = up + down
     if tail > tol:
         warnings.warn(
@@ -408,6 +434,33 @@ def _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, c1, c2, tol) -> HarmonicValue:
             stacklevel=3,
         )
     return HarmonicValue(value, tail, n_pos + n_neg + 1)
+
+
+def _sequence_window(seq: CompensationSequence, m: int) -> tuple:
+    """The window of degree m cut from the sequence's own stored terms.
+
+    It spans the range of degree m clipped to the stored one, or the
+    stored range itself at degree ``imin``.  Only an unclipped window
+    enters the sequence's memo, and never in place of one held there: the
+    memo of a sequence from ``build_sequence`` is its geometry's.
+    """
+    n_pos, n_neg = seq.n_max, -seq.n_min
+    clipped = False
+    if m > seq.imin:
+        need_pos, need_neg = _term_range(
+            seq.c1, seq.c2, seq.a0, seq.b0, m, seq.truncation_tol
+        )
+        clipped = need_pos > n_pos or need_neg > n_neg
+        n_pos, n_neg = min(n_pos, need_pos), min(n_neg, need_neg)
+    first = -n_neg - seq.n_min  # index of term n = -n_neg
+    win = _window(
+        m, seq.a0, seq.b0, seq.c1, seq.c2, n_pos, n_neg,
+        seq.a_vals[first : first + n_neg + n_pos + 2],
+        seq.b_vals[first : first + n_neg + n_pos + 1],
+    )
+    if not clipped:
+        seq._ranges.setdefault((m, seq.truncation_tol), win)
+    return win
 
 
 def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
@@ -425,10 +478,11 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     stored one.  The range depends on the degree, start and tolerance
     alone, so every chain with ``imin <= i + j`` from that start and
     tolerance gives the same bits, ``escape_probability`` among them.
-    Each range is computed once per start, degree and tolerance: a
-    sequence from ``build_sequence`` reads and fills the memo its
-    geometry keeps for the start, so a table of many points computes one
-    range per degree, and sequences of one start and geometry share it.
+    The first query of a degree builds its evaluation window (the range,
+    its chain slices and the tail factors of the degree alone) in the
+    memo that a sequence from ``build_sequence`` shares with its
+    geometry's start, so a table builds one window per degree.  A degree
+    whose range the stored one clips is cut afresh on every query.
     """
     i, j = int(i), int(j)
     if i < 0 or j < 0:
@@ -436,22 +490,14 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     if i == 0 or j == 0:
         return HarmonicValue(0.0, 0.0, 0)
     _require_float_exact(i, j)
-    if i + j < seq.imin:
-        raise ValueError(
-            f"evaluation at degree {i + j} below the built imin={seq.imin}"
-        )
-    n_pos, n_neg = seq.n_max, -seq.n_min
-    if i + j > seq.imin:
-        need_pos, need_neg = _degree_range(
-            seq._ranges, seq.c1, seq.c2, seq.a0, seq.b0, i + j, seq.truncation_tol
-        )
-        n_pos, n_neg = min(n_pos, need_pos), min(n_neg, need_neg)
-    first = -n_neg - seq.n_min  # index of term n = -n_neg
+    m = i + j
+    if m < seq.imin:
+        raise ValueError(f"evaluation at degree {m} below the built imin={seq.imin}")
+    win = seq._ranges.get((m, seq.truncation_tol))
+    if win is None or win[0] > seq.n_max or win[1] > -seq.n_min:
+        win = _sequence_window(seq, m)
     return _sum_range(
-        i, j,
-        seq.a_vals[first : first + n_neg + n_pos + 2],
-        seq.b_vals[first : first + n_neg + n_pos + 1],
-        n_pos, n_neg, seq.a0, seq.b0, seq.c1, seq.c2, seq.truncation_tol,
+        i, j, win, seq.a0, seq.b0, seq.c1, seq.c2, seq.truncation_tol
     )
 
 
@@ -464,20 +510,21 @@ def escape_probability(
     (the curve point with alpha = beta = 1).  Defined for interior points
     i, j >= 1; the drift-interior requirement is inherited from the
     geometry construction.  Repeat calls on one ``geom`` share one chain
-    (see ``build_sequence``) and one memo of term ranges per degree and
-    tolerance, so reuse the geometry for many queries: a call sums the
-    range of degree i + j straight from the stored chain, growing it
-    first only when that range reaches past it.  The value is the one
-    ``harmonic_eval`` gives on any sequence from (0, 0) with tolerance
-    ``tol`` and ``imin <= i + j``, bit for bit.
+    (see ``build_sequence``) and one evaluation window per degree and
+    tolerance (see ``harmonic_eval``), so reuse the geometry for many
+    queries: the first call of a degree builds its window from the stored
+    chain, growing the chain first only when the degree's range reaches
+    past it, and later calls of that degree sum the window as it is.  The
+    value is the one ``harmonic_eval`` gives on any sequence from (0, 0)
+    with tolerance ``tol`` and ``imin <= i + j``, bit for bit.
     """
     _require_geometry(geom)
     i, j = int(i), int(j)
     if i < 1 or j < 1:
         raise ValueError("escape probability is defined for interior points")
     _require_float_exact(i, j)
-    (a0, b0), a, b, n_pos, n_neg, _ = _stored_window(geom, (0.0, 0.0), i + j, tol)
-    return _sum_range(i, j, a, b, n_pos, n_neg, a0, b0, geom.c1, geom.c2, tol)
+    (a0, b0), _, win = _stored_window(geom, (0.0, 0.0), i + j, tol, _ORIGIN_KEY)
+    return _sum_range(i, j, win, a0, b0, geom.c1, geom.c2, tol)
 
 
 def boundary_harmonic(

@@ -107,8 +107,8 @@ class CurveGeometry:
     c2: float  # g(y0) - y0 > 0: minimal vertical switch gap
     # One record per start that ``compensation.build_sequence`` has seen,
     # keyed by the start's exact float bits: (snapped start, a_up, b_up,
-    # a_dn, b_dn, term ranges keyed by (degree, tolerance)).  Outside
-    # equality, hash and repr; kept for the geometry's life.
+    # a_dn, b_dn, evaluation windows keyed by (degree, tolerance)).
+    # Outside equality, hash and repr; kept for the geometry's life.
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 

@@ -344,6 +344,29 @@ class TestSequence:
         code, _, _ = run(capsys, "sequence", paths["big_jump"])
         assert code == 1
 
+    # at s = 1 the fibonacci terms leave the float range from |n| = 369
+    @pytest.mark.parametrize("nmin, nmax, first", [
+        (0, 369, 369), (0, 400, 369), (369, 400, 369), (370, 400, 370),
+        (-369, 0, -369), (-400, 0, -369), (-400, 400, -369), (-400, -380, -380),
+    ])
+    def test_terms_past_the_float_range_refused(self, capsys, paths, nmin, nmax, first):
+        code, out, err = run(
+            capsys, "sequence", paths["fib"], "--nmin", str(nmin), "--nmax", str(nmax)
+        )
+        assert code == 2
+        assert f"reaches n = {first}," in err
+        assert out == ""
+
+    @pytest.mark.parametrize("nmin, nmax", [(0, 368), (-368, 0)])
+    def test_terms_up_to_the_float_limit_print(self, capsys, paths, nmin, nmax):
+        code, out, _ = run(
+            capsys, "sequence", paths["fib"], "--nmin", str(nmin), "--nmax", str(nmax)
+        )
+        assert code == 0
+        rows = csv_rows(out)[1:]
+        assert [int(r[0]) for r in rows] == list(range(nmin, nmax + 1))
+        assert all(math.isfinite(float(x)) and float(x) > 0 for r in rows for x in r[1:])
+
     def test_row_cap_counts_the_default_range(self, capsys, paths, monkeypatch):
         # the default range -6..6 has 13 rows: allowed at a cap of 13, not of 12
         monkeypatch.setattr("cornerwalk.cli._MAX_ROWS", 13)

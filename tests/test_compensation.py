@@ -166,15 +166,57 @@ class TestHarmonicEval:
             r, s = harmonic_eval(rough, i, j), harmonic_eval(sharp, i, j)
             assert abs(r.value - s.value) <= r.tail_bound + 1e-15
 
-    def test_precision_warning_on_doctored_truncation(self, fib_geom):
+    @staticmethod
+    def cut_to_n_max_1(seq, **changes):
         # a_vals spans [n_min, n_max+1], b_vals spans [n_min, n_max]
-        seq = fib_seq(fib_geom)
-        cut = dataclasses.replace(
+        return dataclasses.replace(
             seq, n_max=1, a_vals=seq.a_vals[: 3 - seq.n_min],
-            b_vals=seq.b_vals[: 2 - seq.n_min], truncation_tol=1e-30,
+            b_vals=seq.b_vals[: 2 - seq.n_min], **changes,
         )
-        with pytest.warns(PrecisionWarning):
-            harmonic_eval(cut, 1, 1)
+
+    @staticmethod
+    def pin(hv):
+        return hv.value.hex(), hv.tail_bound.hex(), hv.terms_used
+
+    # the cut sequences' values, summed over their clipped ranges
+    CUT_1E30 = {
+        (1, 1): ("0x1.5ea0a2d22229bp-3", "0x1.af83440e53dd6p-4", 24),
+        (2, 3): ("0x1.438cf6e808362p-1", "0x1.b053759ba6d8ep-11", 21),
+        (1, 7): ("0x1.f99b04d67e796p-2", "0x1.5187e18de7fe3p-18", 14),
+        (6, 6): ("0x1.f000431ba4325p-1", "0x1.5bf34616ed763p-25", 11),
+    }
+    CUT_1E14 = {
+        (1, 1): ("0x1.5ea0a2d22229bp-3", "0x1.af83440e53dd6p-4", 24),
+        (2, 3): ("0x1.438cf6e808362p-1", "0x1.b053759ba6d96p-11", 12),
+        (1, 7): ("0x1.f99b04d67e796p-2", "0x1.5187e18de7fe5p-18", 9),
+        (6, 6): ("0x1.f000431ba4325p-1", "0x1.5bf34616ed76dp-25", 7),
+    }
+
+    def test_precision_warning_on_doctored_truncation(self, fib):
+        seq = fib_seq(find_extrema(fib))
+        windows = dict(seq._ranges)
+        cut = self.cut_to_n_max_1(seq, truncation_tol=1e-30)
+        for p, want in self.CUT_1E30.items():
+            with pytest.warns(PrecisionWarning):
+                assert self.pin(harmonic_eval(cut, *p)) == want
+        # only degree imin, which sums the stored range, enters its memo
+        assert list(cut._ranges) == [(2, 1e-30)]
+        assert seq._ranges == windows
+
+    def test_clipped_sequence_leaves_the_shared_windows(self, fib):
+        seq = fib_seq(find_extrema(fib))
+        full = {p: harmonic_eval(seq, *p) for p in self.CUT_1E14}
+        windows = dict(seq._ranges)
+        cut = self.cut_to_n_max_1(seq)
+        # share the geometry's windows, as build_sequence does: each one
+        # spans more than the cut holds
+        object.__setattr__(cut, "_ranges", seq._ranges)
+        for p, want in self.CUT_1E14.items():
+            with pytest.warns(PrecisionWarning):
+                assert self.pin(harmonic_eval(cut, *p)) == want
+        assert seq._ranges.keys() == windows.keys()
+        assert all(seq._ranges[k] is w for k, w in windows.items())
+        assert {p: harmonic_eval(seq, *p) for p in self.CUT_1E14} == full
 
     def test_harmonicity_small_grid(self, fib, fib_geom):
         seq = fib_seq(fib_geom)
