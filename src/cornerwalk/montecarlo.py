@@ -9,15 +9,16 @@ scheduling or on how many paths other workers got — so every estimate is
 bit-for-bit reproducible.
 
 Steps are drawn through a Walker alias table and advanced in blocks:
-of 64 steps in visit runs (Green, Martin), and of 16, then 32, then 64
+of 64 steps in visit runs (Green, Martin), and of 8, then 16, then 32
 for good in survival runs (escape, half plane), most of whose rows are
-absorbed within a few steps.  Each target stops at its own horizon, and
-the block that reaches a target's horizon is cut there: the points of a
-direction scan that share a twist share one walk, each to its own
-horizon, while every other estimator gives all its targets one horizon,
-so its cuts are those of that horizon alone.  A block consumes the
-rows * blk uniforms that one ``rng.random((rows, blk))`` draw would
-give, in the same row-major order: its rows are cut into contiguous
+absorbed within a few steps, and each of whose rows absorbed or retired
+mid-block draws to the block's end.  Each target stops at its own
+horizon, and the block that reaches a target's horizon is cut there:
+the points of a direction scan that share a twist share one walk, each
+to its own horizon, while every other estimator gives all its targets
+one horizon, so its cuts are those of that horizon alone.  A block
+consumes the rows * blk uniforms that one ``rng.random((rows, blk))``
+draw would give, in the same row-major order: its rows are cut into contiguous
 shards, at most one per available core and none under 2**15 uniforms,
 drawn on their own threads, and each shard takes its uniforms from a copy of the batch's
 Philox stream jumped ahead to them, so the shard count changes no bit.
@@ -124,9 +125,10 @@ __all__ = [
 
 BATCH_SIZE = 65536  # fixed: part of the reproducibility contract, not a knob
 _BLOCK = 64
-# survival runs open with shorter blocks: most of their absorptions come
-# in the first few steps, and an absorbed row draws to its block's end
-_SURVIVAL_RAMP = (16, 32)
+# survival runs draw shorter blocks: most of their absorptions come in the
+# first few steps, and a row absorbed or retired mid-block draws to its end
+_SURVIVAL_RAMP = (8, 16)
+_SURVIVAL_BLOCK = 32
 _MASK64 = (1 << 64) - 1
 _POSITION_LIMIT = 1 << 31  # positions are int32
 _RETIRE_EPS = 1e-7  # exit bound below which a survival path retires as escaped
@@ -508,11 +510,12 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     visits to the point, or its chance of ever exiting.  Absorption is
     tested on ``axes`` only; a coordinate off them keeps its start value.
 
-    Blocks are _BLOCK steps long, after those of _SURVIVAL_RAMP when no
-    target is a point, and the block that reaches a target's horizon is
-    cut there.  Every block draws only for the live rows, and all starts
-    of a row share its draws, but a visit from a start counts only at the
-    steps the row takes alive from it, none once absorbed.
+    Blocks are _BLOCK steps long when a target is a point, and otherwise
+    those of _SURVIVAL_RAMP, then _SURVIVAL_BLOCK for good; the block
+    that reaches a target's horizon is cut there.  Every block draws only
+    for the live rows, and all starts of a row share its draws, but a
+    visit from a start counts only at the steps the row takes alive from
+    it, none once absorbed.
     The absorption test compares the block's offsets, in the law's
     narrow dtype, with each row's minus position and the visit match
     with each target minus it, all clipped into that dtype by one
@@ -571,8 +574,8 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
         open_ = [np.ones(rows, dtype=bool) for _ in targets]  # not retired from ti
         live = np.arange(rows) if points else None  # batch rows, for visits
         visits = [{ti: np.zeros(rows, dtype=np.int64) for ti in points} for _ in starts]
-        lengths = itertools.chain(() if points else _SURVIVAL_RAMP,
-                                  itertools.repeat(_BLOCK))
+        lengths = (itertools.repeat(_BLOCK) if points else
+                   itertools.chain(_SURVIVAL_RAMP, itertools.repeat(_SURVIVAL_BLOCK)))
         t = 0
         while t < horizon and len(alive[0]):
             # the targets not yet at their horizons, and the nearest of those
@@ -703,7 +706,7 @@ def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
     the walk ever exits with probability at most c_x^i + c_y^j, where
     c_x and c_y are the exit roots of the marginals of the law actually
     sampled (twisted or not; see skipfree_exit_root).  Paths advance in
-    blocks of 16, 32, then 64 steps, and after every block a path whose
+    blocks of 8, 16, then 32 steps, and after every block a path whose
     bound is below 1e-7 retires and counts as escaped, as
     does a path still inside at the horizon.  The estimate can therefore
     only overstate the escape probability, and ``bias_bound`` says by how

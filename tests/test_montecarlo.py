@@ -507,8 +507,9 @@ class TestVisitBound:
 
 
 class TestSurvivalBlocks:
-    """Survival runs draw blocks of 16, 32, then 64 steps, so a row
-    absorbed in its first few steps stops drawing after 16."""
+    """Survival runs draw blocks of 8, 16, then 32 steps, so a row
+    absorbed in its first few steps stops drawing after 8, and a row
+    absorbed or retired later draws at most 31 steps past it."""
 
     @pytest.mark.parametrize("run", ["escape", "halfplane"])
     def test_blocks_grow_and_end_at_the_horizon(self, drawn_blocks, run):
@@ -520,12 +521,29 @@ class TestSurvivalBlocks:
         else:
             est = estimate_halfplane_survival(dist, 1, cfg)
         assert est.censored_fraction > 0.0
-        assert [blk for _, blk in drawn_blocks] == [16, 32, 64, 38]
+        assert [blk for _, blk in drawn_blocks] == [8, 16, 32, 32, 32, 30]
 
-    def test_fibonacci_escape_row_steps(self, fib, drawn_blocks):
-        # 605 952 row-steps with 64-step blocks from the first
-        estimate_escape(fib, (1, 1), SimConfig(seed=101, n_paths=8192, horizon=1000))
-        assert sum(rows * blk for rows, blk in drawn_blocks) <= 300_000
+    # Row-steps drawn by the survival calls of the escape_mc benchmark, a
+    # function of the stream alone: with blocks of 16, 32, then 64 they
+    # were 280 032, 371 488, 960 448, 1 446 592 and 1 105 728, and with
+    # 64-step blocks from the first the fibonacci escape drew 605 952.
+    @pytest.mark.parametrize("name, run, seed, n_paths, horizon, row_steps", [
+        ("fib", "escape", 101, 8192, 1000, 204_080),
+        ("big_jump", "escape", 101, 16384, 500, 265_600),
+        ("fib", 1, 101, 16384, 1000, 757_952),
+        ("fib", 3, 101, 16384, 1000, 1_183_168),
+        ("fib", "escape", 7, 32768, 1000, 804_128),
+    ], ids=["fibonacci_escape", "big_jump_escape", "fibonacci_halfplane_1",
+            "fibonacci_halfplane_3", "fibonacci_escape_cli"])
+    def test_row_steps(self, fib, big_jump, drawn_blocks,
+                       name, run, seed, n_paths, horizon, row_steps):
+        dist = {"fib": fib, "big_jump": big_jump}[name]
+        cfg = SimConfig(seed=seed, n_paths=n_paths, horizon=horizon)
+        if run == "escape":
+            estimate_escape(dist, (1, 1), cfg)
+        else:
+            estimate_halfplane_survival(dist, run, cfg)
+        assert sum(rows * blk for rows, blk in drawn_blocks) == row_steps
 
 
 class TestStepSampler:
