@@ -56,7 +56,7 @@ from .uniformization import (
     sequence_at,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "__version__",

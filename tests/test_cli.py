@@ -53,7 +53,7 @@ class TestManifest:
             "# model: m.txt",
             "# param a: 0.5",
             "# param b: 2",
-            "# tool_version: 0.9.0",
+            "# tool_version: 0.10.0",
             "# seed: 7",
         ]
 
@@ -66,7 +66,7 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", paths["fib"])
         assert code == 0
         assert out.startswith(f"# command: validate\n# model: {paths['fib']}\n")
-        assert "# tool_version: 0.9.0" in out
+        assert "# tool_version: 0.10.0" in out
         assert body_value(out, "steps") == "3"
         assert body_value(out, "passed") == "yes"
         assert body_value(out, "small-step") == "yes"
@@ -650,7 +650,7 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.strip() == "0.9.0"
+    assert capsys.readouterr().out.strip() == "0.10.0"
 
 
 def test_parser_builds_all_subcommands():

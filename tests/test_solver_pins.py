@@ -27,7 +27,10 @@ of two CLI runs that print them, ``harmonic-table --bounds`` and a small
 sums the range of its own degree: every value kept its bits, and the
 two digests moved through the tail-bound column and the version line.
 With 0.9.0 (a change to the Monte Carlo stream of direction scans) both
-digests moved only through the version line.
+digests moved only through the version line.  With 0.10.0 (shorter
+survival blocks) the ``compare`` digest moved through its Monte Carlo
+columns and the version line, and the ``harmonic-table`` digest only
+through the version line.
 
 Two digests pin the section solvers on whole grids rather than at single
 points: every upper and lower root of ``_section_extreme_root`` on both
@@ -291,8 +294,8 @@ SERIES_CLI = {
 
 SERIES_CLI_SHA256 = {
     "harmonic_table":
-        "b077be50e962dd27a7f07099bc9a82f19bd29cd3ff748fa0a18ac986c00b1586",
-    "compare": "45f758ef85c18402664e935dc94cb7cb512f2eae16c85f90a2ed9cbdd8604004",
+        "702a216b26439c6820384421a26433a1744272401f6a3789aa2cc295463a643a",
+    "compare": "836b5eb6ab47ec573a9fd3ac7e31af746dc25caf19f65d0ceb466ae49627d0e6",
 }
 
 

@@ -6,7 +6,7 @@ the rows * blk uniforms of one ``rng.random((rows, blk))`` draw in the
 same row-major order (drawn in row shards from Philox copies jumped
 ahead to them, which moves no bit), and every uniform picks its step by
 the same Walker alias decision.  Visit runs draw blocks of
-64 steps; escape and survival runs draw 16, then 32, then 64 for good;
+64 steps; escape and survival runs draw 8, then 16, then 32 for good;
 the block that reaches a target's horizon is cut there.  One engine
 runs every estimator.  After every block, the last included, a row
 retires from a target once its bound there is below 1e-7 from every
@@ -49,7 +49,15 @@ of a direction scan that share a twist share one walk.  Every estimate
 pin kept its bits; the ``green-scan`` digest moved, through the value
 and standard error of its (7, 7) row (its (4, 4) row, which stops
 inside the first block, kept its bits), and the other four digests
-moved only through the version line.
+moved only through the version line.  With 0.10.0 escape and survival
+runs draw blocks of 8 and 16 steps, then 32 for good: a row absorbed
+or retired mid-block draws to a nearer block end, so the rows left get
+other draws and rows retire at other block ends.  The five escape and
+survival pins moved, and so did the ``escape --mc-check`` and
+``simulate survival`` digests and, in tests/test_solver_pins.py, the
+``compare`` digest, whose Monte Carlo column is an escape run; every
+visit pin kept its bits, and the other three digests here moved only
+through the version line.
 A rewrite of the step engine may change array layouts but must leave these
 values (and the bytes the CLI prints) exactly as they are.  A change
 that is meant to alter the stream must say so and update the pins
@@ -101,7 +109,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 N_PATHS = BATCH_SIZE + 3001  # one full batch and a partial one
 # visit runs: two blocks of 64 and a partial 22; escape and survival:
-# blocks of 16, 32 and 64 and a partial 38
+# blocks of 8, 16, 32, 32 and 32 and a partial 30
 HORIZON = 150
 
 
@@ -168,31 +176,31 @@ ESTIMATES = {
 
 EXPECTED = {
     "escape_fibonacci": (
-        "SimEstimate(mean=0.17106088682025766, "
-        "std_error=0.0014383816381196297, n_paths=68537, horizon=150, "
-        "censored_fraction=0.0015757911784875323, "
-        "bias_bound=1.6844150757811879e-07)"
+        "SimEstimate(mean=0.175525628492639, "
+        "std_error=0.0014531026782702607, n_paths=68537, horizon=150, "
+        "censored_fraction=0.001750879087208369, "
+        "bias_bound=6.904326166186093e-08)"
     ),
     "escape_diag_heavy": (
-        "SimEstimate(mean=0.8200534018121599, "
-        "std_error=0.0014673386004502521, n_paths=68537, horizon=150, "
-        "censored_fraction=0.0, bias_bound=3.631805856087434e-10)"
+        "SimEstimate(mean=0.8187694238148737, "
+        "std_error=0.0014714109995557628, n_paths=68537, horizon=150, "
+        "censored_fraction=0.0, bias_bound=1.6958188310707176e-08)"
     ),
     "escape_big_jump": (
-        "SimEstimate(mean=0.46402673008739803, "
-        "std_error=0.0019049365714220539, n_paths=68537, horizon=150, "
-        "censored_fraction=0.0, bias_bound=5.130631223164659e-09)"
+        "SimEstimate(mean=0.4623925762726702, "
+        "std_error=0.0019044760246893526, n_paths=68537, horizon=150, "
+        "censored_fraction=0.0, bias_bound=1.4841789712174214e-09)"
     ),
     "survival_diag_heavy": (
-        "SimEstimate(mean=0.9917270963129404, "
-        "std_error=0.00034598918881994324, n_paths=68537, horizon=150, "
-        "censored_fraction=0.0, bias_bound=2.8018421700504752e-11)"
+        "SimEstimate(mean=0.9916103710404599, "
+        "std_error=0.0003484009751677069, n_paths=68537, horizon=150, "
+        "censored_fraction=0.0, bias_bound=1.7047288239044342e-09)"
     ),
     "escape_twisted": (
-        "SimEstimate(mean=0.45607482089966006, "
-        "std_error=0.0019025018359478906, n_paths=68537, horizon=150, "
-        "censored_fraction=0.01415293928826765, "
-        "bias_bound=9.362425784899659e-06)"
+        "SimEstimate(mean=0.45436771378963187, "
+        "std_error=0.0019019154962181116, n_paths=68537, horizon=150, "
+        "censored_fraction=0.012956505245341933, "
+        "bias_bound=1.2425465133491707e-05)"
     ),
     "green_twisted": (
         "SimEstimate(mean=0.29854545900136603, "
@@ -281,13 +289,13 @@ CLI = {
 }
 
 CLI_SHA256 = {
-    "escape_mc_check": "42325c11fb265d795890738eb9a6fc10493c1b09ac64eb19113cf278e6bab9e8",
+    "escape_mc_check": "8ba2420fd728d0d9c299d69d5543ae0ebdb42cb94651fa620907b10ba34ab8fd",
     "simulate_green_twisted":
-        "45e91dbc6c5fc15afa5390da86f39584ab58bddf2722dfefef1205faf95d0914",
+        "5c5f7595c49c49026c8ebbbdd735c9bbdf548a789f3de7c87d879eda6600179a",
     "simulate_survival":
-        "2dc27b4ab3af2bfb684d3d9e8b5e7dff629cb1ab7bf01989c6bbee9ea1bfb731",
-    "green_scan": "d772b3abf1ad047bad2a01284175e7a3f1b441c984a23a6fa5ea9b48ba8d98b0",
-    "simulate_martin": "045110bcce9fb10aba0b6d5384984deb859249b3c7efa8f15f4c43403dc8239b",
+        "f855adb67f930fd9f71ecfb926e9c89cf617d47536945efcafd2e9d3d14ed509",
+    "green_scan": "4db7c568ccaec436696153a98c8a72a75609ce1c11ddd64856564b75ff139722",
+    "simulate_martin": "df6bc18109e934b6e988e4f4fc504f2e21fda0ec298eda831ae9fefc00262619",
 }
 
 
