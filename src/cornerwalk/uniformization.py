@@ -113,20 +113,26 @@ def _inv_beta(params: UniformizationParams, s: float) -> float:
         + params.b / params.a
 
 
+def _coordinate(name: str, inv: float, s: float) -> float:
+    """1 / inv, the coordinate ``name`` at parameter s: ZeroDivisionError at
+    its pole, OverflowError where it rounds to 0 (1/inv left the float
+    range)."""
+    if inv == 0.0:
+        raise ZeroDivisionError(f"{name} pole at s = {s!r}")
+    x = 1.0 / inv
+    if x == 0.0:
+        raise OverflowError(f"1/{name} leaves the float range at s = {s!r}")
+    return x
+
+
 def alpha_of_s(params: UniformizationParams, s: float) -> float:
     """alpha-coordinate at parameter s; invariant under s -> 1/s."""
-    inv = _inv_alpha(params, s)
-    if inv == 0.0:
-        raise ZeroDivisionError(f"alpha pole at s = {s!r}")
-    return 1.0 / inv
+    return _coordinate("alpha", _inv_alpha(params, s), s)
 
 
 def beta_of_s(params: UniformizationParams, s: float) -> float:
     """beta-coordinate at parameter s; invariant under s -> 1/(rho^2 s)."""
-    inv = _inv_beta(params, s)
-    if inv == 0.0:
-        raise ZeroDivisionError(f"beta pole at s = {s!r}")
-    return 1.0 / inv
+    return _coordinate("beta", _inv_beta(params, s), s)
 
 
 def sequence_at(params: UniformizationParams, s: float, n: int) -> tuple[float, float]:
@@ -134,12 +140,16 @@ def sequence_at(params: UniformizationParams, s: float, n: int) -> tuple[float, 
 
     The base parameter must lie in the fundamental window (1/rho, 1),
     which corresponds exactly to the open arc between the branch maxima.
+    A pair with a coordinate outside the float range raises
+    OverflowError, for n of either sign.
     """
     if not (1.0 / params.rho - 1e-12 < s < 1.0 + 1e-12):
         raise ValueError(
             f"base parameter s={s!r} outside the window (1/rho, 1)"
         )
     arg = params.rho ** (2 * n) * s
+    if arg == 0.0:  # underflowed: no pole, but a pair far outside the range
+        raise OverflowError(f"rho^{2 * n} s underflows at s = {s!r}")
     return (alpha_of_s(params, arg), beta_of_s(params, arg))
 
 

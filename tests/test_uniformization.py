@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,30 @@ class TestSequenceAt:
         params = compute_params(fib)
         with pytest.raises(ZeroDivisionError):
             alpha_of_s(params, 0.0)
+
+    # at s = 1, the last n on each side whose pair is in the float range:
+    # one step further a coordinate rounds to 0 (or rho^(2n) overflows)
+    @pytest.mark.parametrize("name, lo, hi", [
+        ("fib", -368, 368), ("all_five", -226, 226), ("diag_heavy", -143, 142),
+    ])
+    def test_range_limits(self, fib, all_five, diag_heavy, name, lo, hi):
+        params = compute_params({"fib": fib, "all_five": all_five,
+                                 "diag_heavy": diag_heavy}[name])
+        for n in (lo, hi):
+            assert min(sequence_at(params, 1.0, n)) > 0.0
+        for n in (lo - 1, hi + 1, -1000):
+            with pytest.raises(OverflowError):
+                sequence_at(params, 1.0, n)
+
+    def test_zero_coordinate_raises_naming_s(self, diag_heavy):
+        # the parameters of diag_heavy's pairs n = 143 and n = -144 at s = 1
+        params = compute_params(diag_heavy)
+        up, down = params.rho ** 286, params.rho ** -288
+        assert alpha_of_s(params, up) > 0.0
+        with pytest.raises(OverflowError, match=re.escape(repr(up))):
+            beta_of_s(params, up)
+        with pytest.raises(OverflowError, match=re.escape(repr(down))):
+            alpha_of_s(params, down)
 
     def test_matches_switching_chain_fibonacci(self, fib, fib_geom):
         params = compute_params(fib)
