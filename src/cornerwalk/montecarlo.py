@@ -18,10 +18,11 @@ the points of a direction scan that share a twist share one walk, each
 to its own horizon, while every other estimator gives all its targets
 one horizon, so its cuts are those of that horizon alone.  A block
 consumes the rows * blk uniforms that one ``rng.random((rows, blk))``
-draw would give, in the same row-major order: its rows are cut into contiguous
-shards, at most one per available core and none under 2**15 uniforms,
-drawn on their own threads, and each shard takes its uniforms from a copy of the batch's
-Philox stream jumped ahead to them, so the shard count changes no bit.
+draw would give, in the same row-major order: its rows are cut into
+contiguous shards, at most one per available core and none under 2**15
+uniforms, drawn on their own threads, and each shard takes its uniforms
+from a copy of the batch's Philox stream jumped ahead to them, so the
+shard count changes no bit.
 A shard draws, codes and gathers its rows in chunks of whole rows, at
 most 2**16 uniforms each, through buffers of its own that fit a core's
 L2 cache, taking the chunks' uniforms from its stream in order, so the

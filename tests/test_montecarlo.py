@@ -523,10 +523,8 @@ class TestSurvivalBlocks:
         assert est.censored_fraction > 0.0
         assert [blk for _, blk in drawn_blocks] == [8, 16, 32, 32, 32, 30]
 
-    # Row-steps drawn by the survival calls of the escape_mc benchmark, a
-    # function of the stream alone: with blocks of 16, 32, then 64 they
-    # were 280 032, 371 488, 960 448, 1 446 592 and 1 105 728, and with
-    # 64-step blocks from the first the fibonacci escape drew 605 952.
+    # Row-steps drawn by the survival calls of the escape_mc benchmark: a
+    # function of the stream alone, so the same on any number of cores.
     @pytest.mark.parametrize("name, run, seed, n_paths, horizon, row_steps", [
         ("fib", "escape", 101, 8192, 1000, 204_080),
         ("big_jump", "escape", 101, 16384, 500, 265_600),
