@@ -15,13 +15,18 @@ off exactly), and converges geometrically with ratio
 exp(-(c1+c2)*(i+j)); the minimal descent also yields a computable
 envelope that dominates every discarded term, so truncation error is
 reported as a hard bound rather than an estimate.
+
+Each chain is kept in one container, ``CompensationSequence``.  A
+geometry stores one per start and tolerance, which grows as lower
+degrees ask for more terms, and every series value sums an evaluation
+window cut from a sequence's own terms.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .curve import (
     CurveGeometry,
@@ -34,7 +39,7 @@ from .curve import (
     g_tilde,
     _slope,
 )
-from .model import log_kernel_eval
+from .model import _lattice, log_kernel_eval
 
 __all__ = [
     "CompensationSequence",
@@ -93,9 +98,11 @@ class CompensationSequence:
     b_n for n in [n_min, n_max]; term n of the series uses (a_n, b_n,
     a_{n+1}).  The envelope anchored at (a0, b0) with gaps (c1, c2)
     dominates the stored chain termwise and extends it to infinity.
-    ``build_sequence`` hands each sequence its start's memo of evaluation
-    windows on the geometry (see ``harmonic_eval``); a sequence built any
-    other way, ``dataclasses.replace`` included, starts a memo of its own.
+    ``_ranges`` keeps the evaluation window of each degree evaluated (see
+    ``harmonic_eval``).  The sequences ``build_sequence`` returns for one
+    start and tolerance share it, since the range of their ``imin`` holds
+    the range of every higher degree; a sequence built any other way,
+    ``dataclasses.replace`` included, starts a memo of its own.
     """
 
     start: tuple[float, float]
@@ -247,10 +254,13 @@ def _term_range(c1, c2, a0, b0, m: int, tol: float) -> tuple[int, int]:
     """(n_pos, n_neg): the terms n in [-n_neg, n_pos] that degree m needs.
 
     Each envelope tail of ``_tail_pieces`` beyond that range is at most
-    tol / 2 at every point of total degree m.  The tails fall
-    geometrically in m, so a point of higher degree needs fewer terms.
-    Sized in log space: exp(m*c2) overflows for a degree as far out as
-    2000.
+    tol / 2 at every point of total degree m.  Sized in log space:
+    exp(m*c2) overflows for a degree as far out as 2000.  Neither count
+    ever grows with m: n_pos is the ceiling of b0/(c1+c2) + [log(1 +
+    e^(m*c2)) - log(1-q) - log(tol/2)] / ((c1+c2)*m), each bracketed term
+    over m falls with m, and n_neg is alike.  So the range of a
+    sequence's imin holds that of every higher degree, and the sequences
+    of one start and tolerance can share their windows.
     """
     log_q = -(c1 + c2) * m
     log_half = math.log(0.5 * tol)
@@ -284,60 +294,60 @@ def _window(m, a0, b0, c1, c2, n_pos, n_neg, a, b) -> tuple:
 _ORIGIN_KEY = ((0.0).hex(), (0.0).hex())
 
 
-def _stored_window(geom: CurveGeometry, start, m: int, tol: float, key=None):
-    """The window of degree m on the chain stored for ``start``.
+def _switch(geom: CurveGeometry, a: float, count: int):
+    """The a's and b's of ``count`` switches on from a, in the order made.
 
-    ``key``, the start's exact bits, is read off ``start`` unless given.
-    Returns ((a0, b0), memo, window): the snapped start, the window memo
-    of the start's record on ``geom`` and the ``_window`` over the
-    ``_term_range`` of degree m and ``tol``.  The first call of a degree
-    and tolerance builds it, growing the chain first when it is shorter.
+    Each is b = g_hat(a), then a = f_hat(b).  From a_{n+1} they grow the
+    chain up (b_{n+1}, a_{n+2}, ...), from a_n down (b_{n-1}, a_{n-1}, ...).
+    """
+    new_a, new_b = [], []
+    for _ in range(count):
+        new_b.append(b := g_hat(geom, a))
+        new_a.append(a := f_hat(geom, b))
+    return new_a, new_b
+
+
+def _stored_sequence(geom: CurveGeometry, start, tol: float, imin: int, key=None):
+    """The sequence stored for ``start`` and ``tol``, of imin at most ``imin``.
+
+    ``key``, the start's exact bits, is read off ``start`` unless given.  A
+    lower ``imin`` than the stored one grows its chain at both ends to the
+    ``_term_range`` of that degree, checks it whole and rebinds it whole,
+    memo kept: a concurrent caller sees the old sequence or the new one.
     """
     if not (tol > 0):
         raise ValueError("truncation_tol must be positive")
     if key is None:
         key = (float(start[0]).hex(), float(start[1]).hex())
-    entry = geom._chains.get(key)
-    if entry is not None:
-        win = entry[-1].get((m, tol))
-        if win is not None:
-            return entry[0], entry[-1], win
+    seq = geom._chains.get((key, tol))
+    if seq is not None:
+        if seq.imin <= imin:
+            return seq
+        (a0, b0), lo, hi, memo = seq.start, seq.n_min, seq.n_max, seq._ranges
+        a, b = seq.a_vals, seq.b_vals
     else:  # a start that fails the gate is never stored
         # Snap exactly onto whichever graph piece the start sits on, so the
         # switching recursion does not inherit the caller's rounding.
         snapped = _snap_to_G0(geom, float(start[0]), float(start[1]))
         if snapped is None:
             raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
-        entry = geom._chains.setdefault(
-            key, (snapped, snapped[:1], snapped[1:], (), (), {}))
-    (a0, b0), a_up, b_up, a_dn, b_dn, memo = entry
+        (a0, b0), lo, hi, memo = snapped, 0, 0, {}
+        a, b = (a0, f_hat(geom, b0)), (b0,)  # term 0
 
-    n_pos, n_neg = _term_range(geom.c1, geom.c2, a0, b0, m, tol)
+    n_pos, n_neg = _term_range(geom.c1, geom.c2, a0, b0, imin, tol)
     if max(n_pos, n_neg) > 100000:
         raise SolverError("truncation range exploded; tolerance unreachable")
-
-    if len(a_up) < n_pos + 2 or len(a_dn) < n_neg:
-        # Grow in local lists and rebind the entry whole: a concurrent
-        # caller sees the old chain or the new one, never half of one.
-        a_up, b_up, a_dn, b_dn = map(list, (a_up, b_up, a_dn, b_dn))
-        # b_n = g_hat(a_n) and a_{n+1} = f_hat(b_n); a keeps one extra term
-        while len(a_up) < n_pos + 2:
-            if len(b_up) < len(a_up):
-                b_up.append(g_hat(geom, a_up[-1]))
-            a_up.append(f_hat(geom, b_up[-1]))
-        while len(a_dn) < n_neg:
-            b_dn.append(g_hat(geom, a_dn[-1] if a_dn else a0))
-            a_dn.append(f_hat(geom, b_dn[-1]))
-        a_up, b_up, a_dn, b_dn = map(tuple, (a_up, b_up, a_dn, b_dn))
-        _check_descent(a_up, b_up, a_dn, b_dn)
-        geom._chains[key] = ((a0, b0), a_up, b_up, a_dn, b_dn, memo)
-
-    win = memo[m, tol] = _window(
-        m, a0, b0, geom.c1, geom.c2, n_pos, n_neg,
-        a_dn[:n_neg][::-1] + a_up[: n_pos + 2],
-        b_dn[:n_neg][::-1] + b_up[: n_pos + 1],
+    up_a, up_b = _switch(geom, a[-1], n_pos - hi)
+    dn_a, dn_b = _switch(geom, a[0], n_neg + lo)
+    seq = CompensationSequence(
+        start=(a0, b0), n_min=lo - len(dn_a), n_max=hi + len(up_a),
+        a_vals=(*dn_a[::-1], *a, *up_a), b_vals=(*dn_b[::-1], *b, *up_b),
+        c1=geom.c1, c2=geom.c2, a0=a0, b0=b0, truncation_tol=tol, imin=imin,
     )
-    return (a0, b0), memo, win
+    _check_descent(seq)
+    object.__setattr__(seq, "_ranges", memo)  # frozen: set past __init__
+    geom._chains[key, tol] = seq
+    return seq
 
 
 def build_sequence(
@@ -354,56 +364,43 @@ def build_sequence(
     range for points of higher degree.  ``start`` must lie in G0 —
     canonicalize first if it does not.
 
-    The chain is stored on ``geom``, one per start, and the G0 gate runs
-    once per start.  A call returns a slice of the stored chain and grows
-    it only when its ``imin`` and ``truncation_tol`` need more terms; the
-    interlacing check runs over the whole stored chain when it grows, so a
-    slice of it is checked already.  The recursion from the start is
-    deterministic, so the slice has the same bits as a chain built for
-    this call alone.  The start's record on ``geom`` also holds its
-    evaluation windows per degree and tolerance (see ``harmonic_eval``),
-    which the returned sequence shares; the stored range is the window of
-    degree ``imin``.
-    Nothing is evicted: each geometry keeps one record per start for its
-    life, so calls over many starts on one long-lived geometry grow it
-    with every new start.
+    One sequence is stored on ``geom`` per start and tolerance, the one of
+    the lowest ``imin`` asked for so far; a lower ``imin`` grows it.  The
+    G0 gate runs on the first call, the interlacing check on each growth,
+    over the whole chain.  A call returns that sequence, or a cut of it to
+    the range of degree ``imin`` that shares its evaluation windows (see
+    ``harmonic_eval``).  The recursion from the start is deterministic, so
+    the result has the same bits as a chain built for this call alone.  A
+    geometry queried at two tolerances stores two chains of the same
+    terms.  Nothing is evicted: calls over many starts on one long-lived
+    geometry grow it with every new start.
     """
     _require_geometry(geom)
     if imin < 1:
         raise ValueError("imin must be >= 1")
-    (a0, b0), memo, (n_pos, n_neg, a, _, b, _) = _stored_window(
-        geom, start, imin, truncation_tol
-    )
-    seq = CompensationSequence(
-        start=(a0, b0),
-        n_min=-n_neg,
-        n_max=n_pos,
-        a_vals=a,
-        b_vals=b,
-        c1=geom.c1,
-        c2=geom.c2,
-        a0=a0,
-        b0=b0,
-        truncation_tol=truncation_tol,
-        imin=imin,
-    )
-    object.__setattr__(seq, "_ranges", memo)  # frozen: set past __init__
-    return seq
+    seq = _stored_sequence(geom, start, truncation_tol, imin)
+    if seq.imin == imin:
+        return seq
+    n_pos, n_neg, a, _, b, _ = seq._ranges.get(imin) or _sequence_window(seq, imin)
+    cut = replace(seq, n_min=-n_neg, n_max=n_pos, a_vals=a, b_vals=b, imin=imin)
+    object.__setattr__(cut, "_ranges", seq._ranges)
+    return cut
 
 
-def _check_descent(a_up, b_up, a_dn, b_dn) -> None:
-    # Interlacing (b_n > a_{n+1} > b_{n+1} above the start, and its mirror
-    # a_{n+1} > b_n > a_n below) always holds for exact chains; a gross
-    # violation means a solver landed on the wrong root, which must never
-    # pass silently.  a_up and b_up hold n = 0, 1, ...; a_dn and b_dn hold
-    # n = -1, -2, ...
+def _check_descent(seq: CompensationSequence) -> None:
+    # Walking away from the start the chain descends on both sides,
+    # b_0 > a_1 > b_1 > ... above and a_0 > b_{-1} > a_{-1} > ... below.
+    # This always holds for exact chains; a gross violation means a solver
+    # landed on the wrong root, which must never pass silently.
     slack = 1e-6
-    for n, (bn, an1, bn1) in enumerate(zip(b_up, a_up[1:], b_up[1:])):
-        if not (bn > an1 - slack > bn1 - 2 * slack):
-            raise SolverError(f"switching chain lost interlacing near n={n}")
-    for k, (an1, bn, an) in enumerate(zip(a_up[:1] + a_dn, b_dn, a_dn)):
-        if not (an1 > bn - slack > an - 2 * slack):
-            raise SolverError(f"switching chain lost interlacing near n={-1 - k}")
+    chain = [x for pair in zip(seq.a_vals, seq.b_vals) for x in pair]
+    chain.append(seq.a_vals[-1])  # a_{n_min}, b_{n_min}, ..., a_{n_max+1}
+    top = -2 * seq.n_min  # the index of a_0
+    for k, (x, y) in enumerate(zip(chain, chain[1:])):
+        if k != top and not (y - x if k > top else x - y) < slack:
+            raise SolverError(
+                f"switching chain lost interlacing near n={seq.n_min + k // 2}"
+            )
 
 
 def _sum_range(i, j, win, a0, b0, c1, c2, tol) -> HarmonicValue:
@@ -437,29 +434,23 @@ def _sum_range(i, j, win, a0, b0, c1, c2, tol) -> HarmonicValue:
 
 
 def _sequence_window(seq: CompensationSequence, m: int) -> tuple:
-    """The window of degree m cut from the sequence's own stored terms.
+    """The window of degree m, cut from the sequence's own terms into its memo.
 
     It spans the range of degree m clipped to the stored one, or the
-    stored range itself at degree ``imin``.  Only an unclipped window
-    enters the sequence's memo, and never in place of one held there: the
-    memo of a sequence from ``build_sequence`` is its geometry's.
+    stored range itself at degree ``imin``.
     """
     n_pos, n_neg = seq.n_max, -seq.n_min
-    clipped = False
     if m > seq.imin:
         need_pos, need_neg = _term_range(
             seq.c1, seq.c2, seq.a0, seq.b0, m, seq.truncation_tol
         )
-        clipped = need_pos > n_pos or need_neg > n_neg
         n_pos, n_neg = min(n_pos, need_pos), min(n_neg, need_neg)
     first = -n_neg - seq.n_min  # index of term n = -n_neg
-    win = _window(
+    win = seq._ranges[m] = _window(
         m, seq.a0, seq.b0, seq.c1, seq.c2, n_pos, n_neg,
         seq.a_vals[first : first + n_neg + n_pos + 2],
         seq.b_vals[first : first + n_neg + n_pos + 1],
     )
-    if not clipped:
-        seq._ranges.setdefault((m, seq.truncation_tol), win)
     return win
 
 
@@ -468,23 +459,23 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
 
     On either axis the series telescopes to an exact zero, so 0.0 is
     returned directly with a zero bound.  Interior evaluations require
-    i + j >= imin, the degree the truncation was built for.
+    i + j >= imin, the degree the truncation was built for.  A fractional
+    coordinate is a ValueError.
 
     The sum runs over the range that degree i + j needs (``_term_range``),
     clipped to the stored one: the chain was built for degree ``imin``,
     and higher degrees converge faster.  ``tail_bound`` is the envelope
     beyond the range actually summed and ``terms_used`` its length, so
-    both are counted per degree.  At degree ``imin`` the range is the
-    stored one.  The range depends on the degree, start and tolerance
-    alone, so every chain with ``imin <= i + j`` from that start and
-    tolerance gives the same bits, ``escape_probability`` among them.
-    The first query of a degree builds its evaluation window (the range,
-    its chain slices and the tail factors of the degree alone) in the
-    memo that a sequence from ``build_sequence`` shares with its
-    geometry's start, so a table builds one window per degree.  A degree
-    whose range the stored one clips is cut afresh on every query.
+    both are counted per degree.  The range depends on the degree, start
+    and tolerance alone, and the range of ``imin`` holds it, so every
+    chain with ``imin <= i + j`` from that start and tolerance gives the
+    same bits, ``escape_probability`` among them.  The first query of a
+    degree keeps its evaluation window (the range, its chain slices and
+    the tail factors of the degree alone) in the sequence's memo, which
+    the sequences ``build_sequence`` returns for one start and tolerance
+    share.
     """
-    i, j = int(i), int(j)
+    i, j = _lattice(i, j)
     if i < 0 or j < 0:
         raise ValueError("lattice point must be in the closed quadrant")
     if i == 0 or j == 0:
@@ -493,8 +484,8 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     m = i + j
     if m < seq.imin:
         raise ValueError(f"evaluation at degree {m} below the built imin={seq.imin}")
-    win = seq._ranges.get((m, seq.truncation_tol))
-    if win is None or win[0] > seq.n_max or win[1] > -seq.n_min:
+    win = seq._ranges.get(m)
+    if win is None:
         win = _sequence_window(seq, m)
     return _sum_range(
         i, j, win, seq.a0, seq.b0, seq.c1, seq.c2, seq.truncation_tol
@@ -508,23 +499,29 @@ def escape_probability(
 
     This is the normalized harmonic function built from the start (0, 0)
     (the curve point with alpha = beta = 1).  Defined for interior points
-    i, j >= 1; the drift-interior requirement is inherited from the
-    geometry construction.  Repeat calls on one ``geom`` share one chain
-    (see ``build_sequence``) and one evaluation window per degree and
-    tolerance (see ``harmonic_eval``), so reuse the geometry for many
-    queries: the first call of a degree builds its window from the stored
-    chain, growing the chain first only when the degree's range reaches
-    past it, and later calls of that degree sum the window as it is.  The
-    value is the one ``harmonic_eval`` gives on any sequence from (0, 0)
-    with tolerance ``tol`` and ``imin <= i + j``, bit for bit.
+    i, j >= 1; a fractional coordinate is a ValueError.  The
+    drift-interior requirement is inherited from the geometry
+    construction.  Repeat calls on one ``geom`` and ``tol`` share one
+    stored sequence (see ``build_sequence``) and its evaluation window per
+    degree (see ``harmonic_eval``), so reuse the geometry for many
+    queries: the first call of a degree builds its window, growing the
+    sequence first only when the degree is below its ``imin``, and later
+    calls of that degree sum the window as it is.  The value is the one
+    ``harmonic_eval`` gives on any sequence from (0, 0) with tolerance
+    ``tol`` and ``imin <= i + j``, bit for bit.
     """
     _require_geometry(geom)
-    i, j = int(i), int(j)
+    i, j = _lattice(i, j)
     if i < 1 or j < 1:
         raise ValueError("escape probability is defined for interior points")
     _require_float_exact(i, j)
-    (a0, b0), _, win = _stored_window(geom, (0.0, 0.0), i + j, tol, _ORIGIN_KEY)
-    return _sum_range(i, j, win, a0, b0, geom.c1, geom.c2, tol)
+    m = i + j
+    seq = geom._chains.get((_ORIGIN_KEY, tol))
+    win = None if seq is None else seq._ranges.get(m)
+    if win is None:
+        seq = _stored_sequence(geom, (0.0, 0.0), tol, m, _ORIGIN_KEY)
+        win = _sequence_window(seq, m)
+    return _sum_range(i, j, win, seq.a0, seq.b0, geom.c1, geom.c2, tol)
 
 
 def boundary_harmonic(
@@ -541,7 +538,7 @@ def boundary_harmonic(
     tail bound of ``harmonic_eval`` it is not a certified bound.
     """
     _require_geometry(geom)
-    i, j = int(i), int(j)
+    i, j = _lattice(i, j)
     if i < 1 or j < 1:
         raise ValueError("boundary harmonic is defined for interior points")
     if not (tol > 0):

@@ -105,10 +105,11 @@ class CurveGeometry:
     g_at_y0: float
     c1: float  # f(x0) - x0 > 0: minimal horizontal switch gap
     c2: float  # g(y0) - y0 > 0: minimal vertical switch gap
-    # One record per start that ``compensation.build_sequence`` has seen,
-    # keyed by the start's exact float bits: (snapped start, a_up, b_up,
-    # a_dn, b_dn, evaluation windows keyed by (degree, tolerance)).
-    # Outside equality, hash and repr; kept for the geometry's life.
+    # One ``compensation.CompensationSequence`` per start and tolerance
+    # that the series has seen, keyed by (the start's exact float bits,
+    # tolerance): the one of the lowest imin asked for so far, with its
+    # evaluation windows keyed by degree.  Outside equality, hash and
+    # repr; kept for the geometry's life.
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 

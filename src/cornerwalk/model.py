@@ -269,6 +269,20 @@ def require_valid(dist: StepDistribution, where: str = "") -> ModelValidationRep
     return report
 
 
+def _lattice(i, j) -> tuple[int, int]:
+    """The lattice point (i, j) as ints.
+
+    Integral floats and numpy integers pass; a fractional coordinate is a
+    ValueError rather than a point truncated toward zero.
+    """
+    if type(i) is int and type(j) is int:  # the common case, kept cheap
+        return i, j
+    point = int(i), int(j)
+    if point != (i, j):
+        raise ValueError(f"lattice coordinates must be integers, got {(i, j)!r}")
+    return point
+
+
 def drift(dist: StepDistribution) -> tuple[float, float]:
     m1 = math.fsum(di * p for (di, _), p in zip(dist.steps, dist.probs))
     m2 = math.fsum(dj * p for (_, dj), p in zip(dist.steps, dist.probs))

@@ -107,7 +107,7 @@ from .curve import (
     cramer_transform,
     find_extrema,
 )
-from .model import StepDistribution, require_valid
+from .model import StepDistribution, _lattice, require_valid
 
 __all__ = [
     "BATCH_SIZE",
@@ -717,7 +717,7 @@ def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
     is the share of those last paths.
     """
     require_valid(dist)
-    i, j = int(x[0]), int(x[1])
+    i, j = _lattice(x[0], x[1])
     if i < 1 or j < 1:
         raise ValueError("escape start must be strictly inside the quadrant")
     if cfg.horizon is None:
@@ -734,7 +734,7 @@ def estimate_halfplane_survival(
     current height z alone.
     """
     require_valid(dist)
-    height = int(height)
+    _, height = _lattice(0, height)
     if height < 1:
         raise ValueError("height must be >= 1")
     if cfg.horizon is None:
@@ -799,7 +799,7 @@ def _green_estimate(walk, ti, w, horizon, n) -> SimEstimate:
 
 
 def _green_point(x) -> tuple[int, int]:
-    x = (int(x[0]), int(x[1]))
+    x = _lattice(x[0], x[1])
     if min(x) < 1:
         raise ValueError("green endpoints must be strictly inside the quadrant")
     return x
@@ -860,8 +860,8 @@ def martin_kernel_profile(
     from y at the horizon.
     """
     require_valid(dist)
-    x = (int(x[0]), int(x[1]))
-    ys = [(int(y[0]), int(y[1])) for y in ys]
+    x = _lattice(x[0], x[1])
+    ys = [_lattice(y[0], y[1]) for y in ys]
     if not ys:
         raise ValueError("martin profile needs at least one target y; got an empty list")
     if min(x) < 1 or any(min(y) < 1 for y in ys):

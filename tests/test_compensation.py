@@ -5,6 +5,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -199,24 +200,9 @@ class TestHarmonicEval:
         for p, want in self.CUT_1E30.items():
             with pytest.warns(PrecisionWarning):
                 assert self.pin(harmonic_eval(cut, *p)) == want
-        # only degree imin, which sums the stored range, enters its memo
-        assert list(cut._ranges) == [(2, 1e-30)]
+        # every degree, clipped or not, enters the cut's own memo
+        assert sorted(cut._ranges) == [2, 5, 8, 12]
         assert seq._ranges == windows
-
-    def test_clipped_sequence_leaves_the_shared_windows(self, fib):
-        seq = fib_seq(find_extrema(fib))
-        full = {p: harmonic_eval(seq, *p) for p in self.CUT_1E14}
-        windows = dict(seq._ranges)
-        cut = self.cut_to_n_max_1(seq)
-        # share the geometry's windows, as build_sequence does: each one
-        # spans more than the cut holds
-        object.__setattr__(cut, "_ranges", seq._ranges)
-        for p, want in self.CUT_1E14.items():
-            with pytest.warns(PrecisionWarning):
-                assert self.pin(harmonic_eval(cut, *p)) == want
-        assert seq._ranges.keys() == windows.keys()
-        assert all(seq._ranges[k] is w for k, w in windows.items())
-        assert {p: harmonic_eval(seq, *p) for p in self.CUT_1E14} == full
 
     def test_harmonicity_small_grid(self, fib, fib_geom):
         seq = fib_seq(fib_geom)
@@ -363,7 +349,7 @@ class TestStoredChain:
             lambda *chain: calls.append(1) or check(*chain),
         )
         geom = find_extrema(fib)
-        key = ((0.0).hex(), (0.0).hex())
+        key = (((0.0).hex(), (0.0).hex()), 1e-14)
         growths, entry = 0, None
         # far first, so the stored chain grows more than once
         for i in range(10, 0, -1):
@@ -376,15 +362,20 @@ class TestStoredChain:
 
     def test_doctored_chain_raises_on_its_next_growth(self, fib):
         geom = find_extrema(fib)
-        build_sequence(geom, (0.0, 0.0), imin=2)
-        key = ((0.0).hex(), (0.0).hex())
-        start, a_up, b_up, a_dn, b_dn, ranges = geom._chains[key]
-        # b_1 above b_0 breaks b_0 > a_1 > b_1
-        b_up = b_up[:1] + (b_up[0] + 1.0,) + b_up[2:]
-        geom._chains[key] = (start, a_up, b_up, a_dn, b_dn, ranges)
+        build_sequence(geom, (0.0, 0.0), imin=5)
+        key = (((0.0).hex(), (0.0).hex()), 1e-14)
+        doctored = with_b1_above_b0(geom._chains[key])
+        geom._chains[key] = doctored
         with pytest.raises(SolverError, match="interlacing"):
-            build_sequence(geom, (0.0, 0.0), truncation_tol=1e-18, imin=2)
-        assert geom._chains[key][2] is b_up  # the failed growth is not stored
+            build_sequence(geom, (0.0, 0.0), imin=2)  # needs more terms
+        assert geom._chains[key] is doctored  # the failed growth is not stored
+
+
+def with_b1_above_b0(seq):
+    """``seq`` with b_1 moved above b_0, which breaks b_0 > a_1 > b_1."""
+    b = list(seq.b_vals)
+    b[1 - seq.n_min] = seq.b0 + 1.0
+    return dataclasses.replace(seq, b_vals=tuple(b))
 
 
 def twist_start(geom, degrees):
@@ -413,6 +404,39 @@ class TestRangePerDegree:
     def test_work_bound(self, fib_geom):
         # fixed before the first run; the range of degree 40 is 6 terms
         assert harmonic_eval(fib_seq(fib_geom), 20, 20).terms_used <= 8
+
+
+class TestRangeMonotone:
+    """_term_range never grows with the degree, so the range of a sequence's
+    imin holds that of every higher degree: the invariant the sequences of
+    one start and tolerance rest on when they share their windows."""
+
+    @staticmethod
+    def assert_monotone(c1, c2, a0, b0, tol, mmax):
+        prev = compensation._term_range(c1, c2, a0, b0, 1, tol)
+        for m in range(2, mmax + 1):
+            got = compensation._term_range(c1, c2, a0, b0, m, tol)
+            assert got[0] <= prev[0] and got[1] <= prev[1], (m, prev, got)
+            prev = got
+
+    @pytest.mark.parametrize("model", ["fib", "all_five", "diag_heavy", "big_jump"])
+    def test_model_starts(self, request, model):
+        geom = request.getfixturevalue(f"{model}_geom")
+        a, b = geom.x0 / 2, geom.y0 / 2
+        # the origin and one start on each G0 graph piece
+        starts = [(0.0, 0.0), (a, f_branch(geom, a)), (g_branch(geom, b), b)]
+        for a0, b0 in starts:
+            for tol in (1e-4, 1e-10, 1e-14, 1e-20, 1e-30, 1e-40):
+                self.assert_monotone(geom.c1, geom.c2, a0, b0, tol, 3000)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.floats(1e-3, 10.0), st.floats(1e-3, 10.0),
+        st.floats(-10.0, 0.0), st.floats(-10.0, 0.0),
+        st.sampled_from([1e-4, 1e-10, 1e-14, 1e-20, 1e-40]),
+    )
+    def test_random_constants(self, c1, c2, a0, b0, tol):
+        self.assert_monotone(c1, c2, a0, b0, tol, 400)
 
 
 class TestRangeMemo:
@@ -472,14 +496,14 @@ class TestRangeMemo:
                 if start == (0.0, 0.0):
                     got = escape_probability(geom, i, j, tol)
                     assert repr(got) == want[start, tol, i, j]
-        # one record per start, each with its ranges of both tolerances
-        assert [len(rec[-1]) for rec in geom._chains.values()] == [2 * 15] * 2
+        # one sequence per start and tolerance, each with degrees 2..16
+        assert [len(seq._ranges) for seq in geom._chains.values()] == [15] * 4
 
     def test_geometry_equality_hash_and_repr_unchanged(self, fib):
         used, unused = find_extrema(fib), find_extrema(fib)
         escape_probability(used, 3, 4)
-        key = ((0.0).hex(), (0.0).hex())
-        assert used._chains[key][-1] and not unused._chains
+        key = (((0.0).hex(), (0.0).hex()), 1e-14)
+        assert used._chains[key]._ranges and not unused._chains
         assert used == unused
         assert hash(used) == hash(unused)
         assert repr(used) == repr(unused)
@@ -489,7 +513,7 @@ class TestRangeMemo:
         used = fib_seq(geom)
         harmonic_eval(used, 5, 6)
         fresh = fib_seq(find_extrema(fib))
-        assert used._ranges is geom._chains[((0.0).hex(), (0.0).hex())][-1]
+        assert used._ranges is geom._chains[((0.0).hex(), (0.0).hex()), 1e-14]._ranges
         assert used._ranges != fresh._ranges
         assert used == fresh
         assert hash(used) == hash(fresh)
@@ -518,14 +542,12 @@ class TestRangeMemo:
     def test_doctored_chain_raises_on_its_next_growth(self, fib):
         geom = find_extrema(fib)
         escape_probability(geom, 5, 5)
-        key = ((0.0).hex(), (0.0).hex())
-        start, a_up, b_up, a_dn, b_dn, ranges = geom._chains[key]
-        # b_1 above b_0 breaks b_0 > a_1 > b_1
-        b_up = b_up[:1] + (b_up[0] + 1.0,) + b_up[2:]
-        geom._chains[key] = (start, a_up, b_up, a_dn, b_dn, ranges)
+        key = (((0.0).hex(), (0.0).hex()), 1e-14)
+        doctored = with_b1_above_b0(geom._chains[key])
+        geom._chains[key] = doctored
         with pytest.raises(SolverError, match="interlacing"):
             escape_probability(geom, 1, 1)  # degree 2 needs more terms
-        assert geom._chains[key][2] is b_up  # the failed growth is not stored
+        assert geom._chains[key] is doctored  # the failed growth is not stored
 
 
 class TestGeometryArgument:
@@ -541,6 +563,20 @@ class TestGeometryArgument:
     def test_distribution_is_rejected(self, fib, call):
         with pytest.raises(TypeError, match=r"CurveGeometry.*find_extrema\(dist\)"):
             call(fib)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, i, j: escape_probability(g, i, j),
+    lambda g, i, j: harmonic_eval(fib_seq(g), i, j),
+    lambda g, i, j: boundary_harmonic(g, i, j),
+], ids=["escape_probability", "harmonic_eval", "boundary_harmonic"])
+def test_fractional_coordinate_rejected(fib_geom, call):
+    # (1.5, 2) used to evaluate as (1, 2) and (2.9, 1) as (2, 1)
+    want = repr(call(fib_geom, 2, 1))
+    assert repr(call(fib_geom, 2.0, np.int64(1))) == want
+    for i, j in [(1.5, 2), (2.9, 1), (2, 1.5), (0.5, 0)]:
+        with pytest.raises(ValueError, match="integers"):
+            call(fib_geom, i, j)
 
 
 class TestBoundaryHarmonic:

@@ -245,6 +245,26 @@ class TestInputGuards:
         with pytest.raises(ValueError, match="int32"):
             estimate_escape(big_jump, (2**31 - 10, 5), cfg)
 
+    @pytest.mark.parametrize("call", [
+        lambda d, p, cfg: estimate_escape(d, p, cfg),
+        lambda d, p, cfg: estimate_halfplane_survival(d, p[0] + p[1] - 2, cfg),
+        lambda d, p, cfg: estimate_green(d, p, (3, 3), cfg),
+        lambda d, p, cfg: estimate_green(d, (1, 1), p, cfg),
+        lambda d, p, cfg: martin_kernel_profile(d, p, [(3, 3)], cfg),
+        lambda d, p, cfg: martin_kernel_profile(d, (2, 3), [p], cfg),
+        lambda d, p, cfg: green_direction_scan(d, p, (1.0, 1.0), [6], cfg),
+    ], ids=["escape", "halfplane", "green_x", "green_y", "martin_x", "martin_y",
+            "scan"])
+    def test_fractional_coordinate_rejected(self, all_five, call):
+        # (2.5, 2) used to run as (2, 2); integral floats and numpy
+        # integers still give the bits of (2, 2)
+        cfg = SimConfig(seed=1, n_paths=16, horizon=5)
+        want = repr(call(all_five, (2, 2), cfg))
+        assert repr(call(all_five, (2.0, np.int64(2)), cfg)) == want
+        for p in [(2.5, 2), (2, 2.5)]:
+            with pytest.raises(ValueError, match="integers"):
+                call(all_five, p, cfg)
+
     def test_green_target_that_could_overflow_rejected(self, all_five):
         cfg = SimConfig(seed=1, n_paths=16, horizon=5)
         with pytest.raises(ValueError, match="int32"):
