@@ -358,8 +358,11 @@ def cmd_compare(args) -> int:
             if i and j:
                 est = mc.estimate_escape(dist, (i, j), cfg)
                 mean, se = est.mean, est.std_error
+                gap = mean - hv.value
                 if se != 0.0:
-                    z = (mean - hv.value) / se
+                    z = gap / se
+                elif gap != 0.0:  # no Monte Carlo spread: infinitely many sigmas
+                    z = math.copysign(math.inf, gap)
             body.append(_csv(i, j, hv.value, hv.tail_bound, mean, se, z))
     _emit(args, {"imin": args.imin, "imax": args.imax, "jmin": args.jmin,
                  "jmax": args.jmax, "n_paths": args.n_paths,

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -575,6 +576,33 @@ class TestCompare:
         assert rows[1] == ["0", "0", "0", "0", "0", "0", "0"]
         interior = [r for r in rows[1:] if r[0] != "0" and r[1] != "0"]
         assert all(abs(float(r[6])) < 6.0 for r in interior)
+
+    def test_zero_std_error_gives_an_infinite_z(self, capsys, tmp_path):
+        # all 5 paths from (2, 2) escape: mc_mean 1 and mc_std_error 0,
+        # against a series value below 1
+        model = Path(__file__).resolve().parent.parent / "models" / "diag_heavy.txt"
+        code, out, _ = run(capsys, "compare", str(model), "2", "2",
+                           "--seed", "1", "--n-paths", "5", "--horizon", "50")
+        assert code == 0
+        cells = {(r[0], r[1]): r for r in csv_rows(out)[1:]}
+        i, j, series, _, mean, se, z = cells["2", "2"]
+        assert float(series) < 1.0 and (mean, se, z) == ("1", "0", "inf")
+        # a cell whose Monte Carlo spread is not zero keeps a finite z
+        assert all(math.isfinite(float(r[6])) for p, r in cells.items() if p != ("2", "2"))
+
+    @pytest.mark.parametrize("offset, z", [(-0.25, "-inf"), (0.0, "0")])
+    def test_zero_std_error_z_takes_the_sign_of_the_gap(self, capsys, paths,
+                                                        monkeypatch, offset, z):
+        import cornerwalk.montecarlo as mc
+        from cornerwalk import escape_probability, find_extrema, parse_model_file
+
+        value = escape_probability(find_extrema(parse_model_file(paths["fib"])), 1, 1).value
+        monkeypatch.setattr(mc, "estimate_escape", lambda dist, x, cfg: mc.SimEstimate(
+            value + offset, 0.0, cfg.n_paths, cfg.horizon, 0.0, 0.0))
+        code, out, _ = run(capsys, "compare", paths["fib"], "1", "1",
+                           "--seed", "1", "--n-paths", "5", "--horizon", "50")
+        assert code == 0
+        assert csv_rows(out)[1][6] == z
 
     @pytest.mark.parametrize("argv, name", [
         (("--imin", "-1"), "imin"), (("--imin", "3"), "imax"),
