@@ -10,7 +10,16 @@ sides alike.  Runs go one at a time.  A run that exits non-zero, or
 prints no result line, is recorded with its exit code and last stderr
 line, and the pairs go on; the script then exits 1.  A run whose result
 line reads ``"correct": false`` keeps its ``# FAILED`` lines, the
-reasons, under ``"failed_lines"``; they are echoed to stderr too.
+reasons, under ``"failed_lines"``; they are echoed to stderr too.  Each
+run with a result line also keeps what explains its numbers: its
+``# host speed:`` line (the reference timing and its sample count, and
+the unscaled metrics) under ``"host_speed"`` and its ``# exact counts
+per pass`` under ``"exact_counts"``.
+
+Under ``"host"`` the JSON records, before the first pair and after the
+last, the time two threads take to draw 2**22 Philox doubles, half each,
+over the time one thread takes to draw them all (median of 9): near 0.5
+where the host runs two threads in parallel, near 1 where it does not.
 
 The JSON written to ``--out`` holds every run's result line (or failure
 record), each side's count of failed runs and, for each end-to-end
@@ -40,6 +49,8 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,10 +72,35 @@ def export(rev: str, dest: Path) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
+def fill_ratio(n: int = 1 << 22, repeats: int = 9) -> float:
+    """Median over ``repeats`` of the time two threads take to draw n
+    Philox doubles, n / 2 each, over the time one thread takes for all n."""
+    import numpy as np
+
+    out = np.empty(n)
+    gens = [np.random.Generator(np.random.Philox(k)) for k in range(2)]
+    halves = [(gens[0], out[: n // 2]), (gens[1], out[n // 2:])]
+    ratios = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        gens[0].random(out=out)
+        one = time.perf_counter() - start
+        threads = [threading.Thread(target=g.random, kwargs={"out": part})
+                   for g, part in halves]
+        start = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        ratios.append((time.perf_counter() - start) / one)
+    return statistics.median(ratios)
+
+
 def run_once(tree: Path, bench: dict, workload: str, seed: int) -> dict:
-    """The run's result line, with its "failed_lines" if it is not correct,
-    or {"exit": code, "stderr": last stderr line} for a run that exits
-    non-zero or prints no JSON result line."""
+    """The run's result line, with its "host_speed" and "exact_counts"
+    lines and, if it is not correct, its "failed_lines", or {"exit": code,
+    "stderr": last stderr line} for a run that exits non-zero or prints no
+    JSON result line."""
     cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
            "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -75,6 +111,12 @@ def run_once(tree: Path, bench: dict, workload: str, seed: int) -> dict:
         except (IndexError, ValueError):
             pass
         else:
+            for ln in lines:
+                if ln.startswith("# host speed: "):
+                    result["host_speed"] = ln.removeprefix("# host speed: ")
+                elif ln.startswith("# exact counts per pass "):
+                    result["exact_counts"] = json.loads(
+                        ln.removeprefix("# exact counts per pass "))
             if not result["correct"]:
                 result["failed_lines"] = [ln for ln in lines
                                           if ln.startswith("# FAILED")]
@@ -145,7 +187,8 @@ def main() -> int:
     result = {"parent": revs["parent"], "change": revs["change"],
               "host": {"machine": platform.machine(),
                        "python": platform.python_version(),
-                       "cpus": len(os.sched_getaffinity(0))},
+                       "cpus": len(os.sched_getaffinity(0)),
+                       "fill_ratio_two_threads": {"before": fill_ratio()}},
               "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
@@ -184,6 +227,8 @@ def main() -> int:
                 "runs": runs,
             }
             args.out.write_text(json.dumps(result, indent=1) + "\n")
+    result["host"]["fill_ratio_two_threads"]["after"] = fill_ratio()
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 1 if any_failed else 0
 
 

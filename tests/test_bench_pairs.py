@@ -155,3 +155,46 @@ def test_an_incorrect_run_keeps_its_failed_lines(bench_pairs, monkeypatch,
         assert f"# w pair 1 seed 1 {side}: {reason}\n" in err
     assert "FAILED" not in err.replace(reason, "")
     assert not got["all_correct"] and got["failed"] == {"parent": 1, "change": 1}
+
+
+# a benchmark command that prints the lines that explain its numbers
+EXPLAINED = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print("# host speed: NUMPY reference median 0.010000 s over %d samples, "
+      "scale 1.000000; unscaled wall_s = 1" % (seed + 2))
+print("# exact counts per pass " + json.dumps({"curve.branch_calls": 7 * seed}))
+print(json.dumps({"correct": True, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+
+def test_each_run_keeps_its_host_speed_and_exact_counts(bench_pairs, monkeypatch,
+                                                        tmp_path):
+    bench = {"command": [sys.executable, "-c", EXPLAINED], "run_seconds": 1,
+             "end_to_end": [WALL]}
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: (
+        dest / "BENCHMARK.json").write_text(json.dumps(bench)))
+    ratios = iter([0.55, 1.08])
+    monkeypatch.setattr(bench_pairs, "fill_ratio", lambda: next(ratios))
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--parent", "p", "--workload", "w", "--pairs", "2",
+        "--seed0", "3", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    got = json.loads(out.read_text())
+    # measured once before the first pair and once after the last
+    assert got["host"]["fill_ratio_two_threads"] == {"before": 0.55, "after": 1.08}
+    for k, pair in enumerate(got["workloads"]["w"]["runs"]):
+        for side in ("parent", "change"):
+            run = pair[side]
+            assert run["host_speed"] == (
+                f"NUMPY reference median 0.010000 s over {k + 5} samples, "
+                "scale 1.000000; unscaled wall_s = 1")
+            assert run["exact_counts"] == {"curve.branch_calls": 7 * (k + 3)}
+
+
+def test_fill_ratio_is_a_positive_time_ratio(bench_pairs):
+    ratio = bench_pairs.fill_ratio(n=1 << 12, repeats=3)
+    assert 0.0 < ratio < float("inf")
