@@ -49,8 +49,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,28 +70,41 @@ def export(rev: str, dest: Path) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
-def fill_ratio(n: int = 1 << 22, repeats: int = 9) -> float:
-    """Median over ``repeats`` of the time two threads take to draw n
-    Philox doubles, n / 2 each, over the time one thread takes for all n."""
-    import numpy as np
+# Prints the median over repeats of the time two threads take to draw n
+# Philox doubles, n / 2 each, over the time one thread takes for all n.
+FILL_RATIO = """
+import statistics, sys, threading, time
+import numpy as np
 
-    out = np.empty(n)
-    gens = [np.random.Generator(np.random.Philox(k)) for k in range(2)]
-    halves = [(gens[0], out[: n // 2]), (gens[1], out[n // 2:])]
-    ratios = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        gens[0].random(out=out)
-        one = time.perf_counter() - start
-        threads = [threading.Thread(target=g.random, kwargs={"out": part})
-                   for g, part in halves]
-        start = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        ratios.append((time.perf_counter() - start) / one)
-    return statistics.median(ratios)
+n, repeats = map(int, sys.argv[1:])
+out = np.empty(n)
+gens = [np.random.Generator(np.random.Philox(k)) for k in range(2)]
+halves = [(gens[0], out[: n // 2]), (gens[1], out[n // 2:])]
+ratios = []
+for _ in range(repeats):
+    start = time.perf_counter()
+    gens[0].random(out=out)
+    one = time.perf_counter() - start
+    threads = [threading.Thread(target=g.random, kwargs={"out": part})
+               for g, part in halves]
+    start = time.perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    ratios.append((time.perf_counter() - start) / one)
+print(statistics.median(ratios))
+"""
+
+
+def fill_ratio(n: int = 1 << 22, repeats: int = 9) -> float:
+    """The two-thread Philox fill ratio of FILL_RATIO, measured in a fresh
+    interpreter: a run started from this process inherits its peak RSS
+    (``ru_maxrss`` survives fork and exec), so this process never holds
+    numpy or the buffer."""
+    done = subprocess.run((sys.executable, "-c", FILL_RATIO, str(n), str(repeats)),
+                          check=True, capture_output=True, text=True)
+    return float(done.stdout)
 
 
 def run_once(tree: Path, bench: dict, workload: str, seed: int) -> dict:
