@@ -307,25 +307,21 @@ def _switch(geom: CurveGeometry, a: float, count: int):
     return new_a, new_b
 
 
-def _stored_sequence(geom: CurveGeometry, start, tol: float, imin: int, key=None):
+def _stored_sequence(geom: CurveGeometry, start, tol: float, imin: int):
     """The sequence stored for ``start`` and ``tol``, of imin at most ``imin``.
 
-    ``key``, the start's exact bits, is read off ``start`` unless given.  A
-    lower ``imin`` than the stored one grows its chain at both ends to the
-    ``_term_range`` of that degree, checks it whole and rebinds it whole,
-    memo kept: a concurrent caller sees the old sequence or the new one.
+    A lower ``imin`` than the stored one grows its chain at both ends to
+    the ``_term_range`` of that degree, checks it whole and rebinds it
+    whole, memo kept: a concurrent caller sees the old sequence or the
+    new one.
     """
     if not (tol > 0):
         raise ValueError("truncation_tol must be positive")
-    if key is None:
-        key = (float(start[0]).hex(), float(start[1]).hex())
-    seq = geom._chains.get((key, tol))
-    if seq is not None:
-        if seq.imin <= imin:
-            return seq
-        (a0, b0), lo, hi, memo = seq.start, seq.n_min, seq.n_max, seq._ranges
-        a, b = seq.a_vals, seq.b_vals
-    else:  # a start that fails the gate is never stored
+    key = (float(start[0]).hex(), float(start[1]).hex()), tol
+    seq = geom._chains.get(key)
+    if seq is not None and seq.imin <= imin:
+        return seq
+    if seq is None:  # a start that fails the gate is never stored
         # Snap exactly onto whichever graph piece the start sits on, so the
         # switching recursion does not inherit the caller's rounding.
         snapped = _snap_to_G0(geom, float(start[0]), float(start[1]))
@@ -333,6 +329,9 @@ def _stored_sequence(geom: CurveGeometry, start, tol: float, imin: int, key=None
             raise ValueError(f"start {start!r} is not in G0; canonicalize it first")
         (a0, b0), lo, hi, memo = snapped, 0, 0, {}
         a, b = (a0, f_hat(geom, b0)), (b0,)  # term 0
+    else:
+        (a0, b0), lo, hi, memo = seq.start, seq.n_min, seq.n_max, seq._ranges
+        a, b = seq.a_vals, seq.b_vals
 
     n_pos, n_neg = _term_range(geom.c1, geom.c2, a0, b0, imin, tol)
     if max(n_pos, n_neg) > 100000:
@@ -346,7 +345,7 @@ def _stored_sequence(geom: CurveGeometry, start, tol: float, imin: int, key=None
     )
     _check_descent(seq)
     object.__setattr__(seq, "_ranges", memo)  # frozen: set past __init__
-    geom._chains[key, tol] = seq
+    geom._chains[key] = seq
     return seq
 
 
@@ -519,7 +518,7 @@ def escape_probability(
     seq = geom._chains.get((_ORIGIN_KEY, tol))
     win = None if seq is None else seq._ranges.get(m)
     if win is None:
-        seq = _stored_sequence(geom, (0.0, 0.0), tol, m, _ORIGIN_KEY)
+        seq = _stored_sequence(geom, (0.0, 0.0), tol, m)
         win = _sequence_window(seq, m)
     return _sum_range(i, j, win, seq.a0, seq.b0, geom.c1, geom.c2, tol)
 
