@@ -74,7 +74,7 @@ class PrecisionWarning(UserWarning):
     """The requested evaluation exceeds what the built truncation supports."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HarmonicValue:
     """A series value with a bound on the terms it left out.
 
@@ -88,6 +88,12 @@ class HarmonicValue:
     value: float
     tail_bound: float  # rigorous bound on the discarded mass
     terms_used: int
+
+    def __init__(self, value: float, tail_bound: float, terms_used: int):
+        # Every series value makes one: write the fields into the instance
+        # dict rather than through the frozen __setattr__, once per field.
+        d = self.__dict__
+        d["value"], d["tail_bound"], d["terms_used"] = value, tail_bound, terms_used
 
 
 @dataclass(frozen=True)
@@ -405,6 +411,11 @@ def _check_descent(seq: CompensationSequence) -> None:
 def _sum_range(i, j, win, a0, b0, c1, c2, tol) -> HarmonicValue:
     """The series at (i, j) over the terms of a ``_window``, with its tail.
 
+    Term n is exp(x*a_n + y*b_n) - exp(x*a_{n+1} + y*b_n).  Each term
+    forms y*b_n once and hands x*a_{n+1} on as the next term's x*a_n.  A
+    product of the same two floats rounds the same wherever it is formed,
+    so each exponent is still the float sum of its own two products, and
+    the value keeps every bit.
     The envelope anchored at (a0, b0) with gaps (c1, c2) bounds the terms
     left out.  Warns when that bound exceeds ``tol``.
     """
@@ -412,13 +423,16 @@ def _sum_range(i, j, win, a0, b0, c1, c2, tol) -> HarmonicValue:
     # i and j are below 2**53, so float(i) * x has the bits of i * x and
     # takes the interpreter's float fast path
     x, y = float(i), float(j)
-    # term n uses (a_n, b_n, a_{n+1}); fsum rounds once, so order is free
+    # fsum rounds once, so the order of the terms is free
     exp = math.exp
     terms = []
     push = terms.append
-    for an, an1, bn in zip(a, a1, b):
-        push(exp(x * an + y * bn))
-        push(-exp(x * an1 + y * bn))
+    xa = x * a[0]
+    for an1, bn in zip(a1, b):
+        yb = y * bn
+        push(exp(xa + yb))
+        xa = x * an1
+        push(-exp(xa + yb))
     value = math.fsum(terms)
     up, down = _tail_pieces(x, y, a0, b0, c1, c2, n_pos, n_neg, env)
     tail = up + down
@@ -474,6 +488,11 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     the sequences ``build_sequence`` returns for one start and tolerance
     share.
     """
+    if not isinstance(seq, CompensationSequence):
+        raise TypeError(
+            f"expected a CompensationSequence, got {type(seq).__name__}; "
+            "build one with build_sequence(geom, start)"
+        )
     i, j = _lattice(i, j)
     if i < 0 or j < 0:
         raise ValueError("lattice point must be in the closed quadrant")
