@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import sys
 import threading
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cornerwalk import compensation
 from cornerwalk.compensation import (
+    HarmonicValue,
     PrecisionWarning,
     boundary_harmonic,
     build_sequence,
@@ -550,8 +553,39 @@ class TestRangeMemo:
         assert geom._chains[key] is doctored  # the failed growth is not stored
 
 
+class TestHarmonicValue:
+    """A value from the series behaves as the one built from its fields."""
+
+    def test_contract(self, fib_geom):
+        got = escape_probability(fib_geom, 3, 2)
+        made = HarmonicValue(got.value, got.tail_bound, got.terms_used)
+        assert repr(got) == (
+            f"HarmonicValue(value={got.value!r}, tail_bound={got.tail_bound!r}, "
+            f"terms_used={got.terms_used!r})"
+        )
+        twins = [got, dataclasses.replace(got), copy.copy(got), copy.deepcopy(got)]
+        twins += [pickle.loads(pickle.dumps(got, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is HarmonicValue
+            assert twin == made and hash(twin) == hash(made)
+            assert repr(twin) == repr(made)
+        assert dataclasses.replace(got, terms_used=0) == HarmonicValue(
+            value=got.value, tail_bound=got.tail_bound, terms_used=0
+        )
+        assert dataclasses.astuple(got) == (got.value, got.tail_bound, got.terms_used)
+        assert got != HarmonicValue(got.value, got.tail_bound, got.terms_used + 1)
+        for name in ("value", "tail_bound", "terms_used", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del got.value
+        assert got == made
+
+
 class TestGeometryArgument:
-    """A model passed where its geometry belongs is a TypeError."""
+    """A model passed where its geometry belongs is a TypeError, and so is
+    anything but a sequence passed to ``harmonic_eval``."""
 
     @pytest.mark.parametrize("call", [
         lambda d: build_sequence(d, (0.0, 0.0), imin=2),
@@ -563,6 +597,14 @@ class TestGeometryArgument:
     def test_distribution_is_rejected(self, fib, call):
         with pytest.raises(TypeError, match=r"CurveGeometry.*find_extrema\(dist\)"):
             call(fib)
+
+    @pytest.mark.parametrize("wrong", ["geometry", "start"])
+    def test_harmonic_eval_wants_a_sequence(self, fib_geom, wrong):
+        arg = fib_geom if wrong == "geometry" else (0.0, 0.0)
+        with pytest.raises(
+            TypeError, match=r"CompensationSequence.*build_sequence\(geom, start\)"
+        ):
+            harmonic_eval(arg, 1, 1)
 
 
 @pytest.mark.parametrize("call", [
