@@ -90,8 +90,9 @@ class HarmonicValue:
     terms_used: int
 
     def __init__(self, value: float, tail_bound: float, terms_used: int):
-        # Every series value makes one: write the fields into the instance
-        # dict rather than through the frozen __setattr__, once per field.
+        # Every series value makes one, so the fields go straight into the
+        # instance dict: the generated frozen __init__ would make one
+        # object.__setattr__ call per field.
         d = self.__dict__
         d["value"], d["tail_bound"], d["terms_used"] = value, tail_bound, terms_used
 

@@ -66,10 +66,6 @@ TABLE_SHA256 = {
 }
 
 
-def test_pins_cover_every_pin_model():
-    assert sorted(ESCAPE_SHA256) == sorted(TABLE_SHA256) == sorted(PIN_MODELS)
-
-
 @pytest.mark.parametrize("name", PIN_MODELS)
 def test_escape_grid_is_pinned(request, name):
     geom = find_extrema(request.getfixturevalue(name))
