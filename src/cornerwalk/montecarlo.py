@@ -87,6 +87,7 @@ exp(-<phi, y - x>).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -211,11 +212,13 @@ def _alias_table(probs: np.ndarray):
 class _Law:
     """A step law as the simulator samples it, with what every call on it
     reads: ``steps`` and ``probs`` (from _twisted_probs), the alias
-    ``accept`` and two int8 ``tables``, one per coordinate, that map a
-    code to its step (entry 2k + 1 is step k, entry 2k its alias; entry k
-    is step k when the law is ``trivial``, every accept 1), the offsets'
-    ``dtype``, and the exit ``roots`` and ``visit_bounds``, each solved on
-    first read and cached (a law that only draws steps never solves them).
+    ``accept``, two int8 ``tables``, one per coordinate, that map a code
+    to its step (entry 2k + 1 is step k, entry 2k its alias; entry k is
+    step k when the law is ``trivial``, every accept 1), ``words``, the
+    same map to both coordinates at once, each entry a (dx, dy) pair of
+    the offsets' ``dtype`` packed into one word of twice its width, and
+    the exit ``roots`` and ``visit_bounds``, each solved on first read
+    and cached (a law that only draws steps never solves them).
 
     ``dtype`` is int8 when no step component exceeds 1, int16 otherwise.
     No component is below -1 on a valid law, so the offsets of a block of
@@ -241,7 +244,9 @@ class _Law:
             self.tables = np.empty((2, 2 * self.k), dtype=np.int8)
             self.tables[:, 1::2] = steps.T  # code 2k + 1 -> step k
             self.tables[:, 0::2] = steps[alias].T  # code 2k -> alias of k
-        for a in (steps, probs, accept, self.tables):
+        pairs = np.ascontiguousarray(self.tables.T, dtype=self.dtype)
+        self.words = pairs.view(np.int16 if self.dtype == np.int8 else np.int32)[:, 0]
+        for a in (steps, probs, accept, self.tables, self.words):
             a.flags.writeable = False
 
     @cached_property
@@ -317,7 +322,9 @@ _SHARD_MIN = 1 << 15  # uniforms per shard below which a block is not split
 _CHUNK = 1 << 16  # uniforms a shard draws, codes and gathers per pass
 _PHILOX_OUTPUTS = 4  # uint64 outputs per Philox counter step
 # blocks of fewer rows are prefix-scanned by one accumulate call (_scan)
-_SCAN_ROWS = 512
+_SCAN_ROWS = 256
+# two bools side by side, both True, read as one uint16
+_BOTH = np.array([True, True]).view(np.uint16)[0]
 _pool = None  # the shards' ThreadPoolExecutor, made on first use
 _pool_lock = threading.Lock()
 
@@ -396,9 +403,10 @@ def _jump(bit_gen, state, skip: int) -> None:
 
 class _StepSampler:
     """One call's draw from a _Law: a Philox generator for each extra shard
-    of a block, and per shard one chunk's buffers: the uniforms and codes
-    (8 bytes each), the alias compare's accept[k] (8) and the alias
-    decisions, then steps (1), about 1.6 MB at _CHUNK, inside a core's L2
+    of a block, and per shard one chunk's buffers: the uniforms (8 bytes
+    each, whose bytes then take the gathered steps), the codes (8), and,
+    unless the law is trivial, the alias compare's accept[k] (8) and the
+    alias decisions (1), about 1.6 MB at _CHUNK, inside a core's L2
     cache.  None of it outlives the call.
     """
 
@@ -406,80 +414,85 @@ class _StepSampler:
         self.law = law
         # no chunk holds more uniforms than the largest block of the run
         self._chunk = min(_CHUNK, min(n_paths, BATCH_SIZE) * min(horizon, _BLOCK))
-        self._bufs = []  # per shard (u, code, acc, picked), made on first use
+        self._bufs = []  # per shard (u, code, acc, take), made on first use
         self._gens = []
 
     def offsets(self, rng, rows: int, blk: int, axes=(0, 1)):
-        """Draw one block for ``rows`` rows; per axis, the (blk, rows)
-        prefix sums of the steps in the law's ``dtype``, step t in row t.
+        """Draw one block for ``rows`` rows: the (blk, rows, len(axes))
+        prefix sums of the steps on ``axes`` in the law's ``dtype``, step t
+        of a row at [t, row], its coordinates side by side.
 
         The rows are cut into the shards of _cuts.  Shard 0 draws from
         ``rng`` in this thread, each other one on the shard pool from a
         Philox copy jumped to its first row, and ``rng`` then takes the
         last shard's end state, so the uniforms and the state left are
-        those of one serial draw.  A shard draws, alias-codes and gathers
-        its rows in chunks of whole rows, at most _CHUNK uniforms each,
-        through its own buffers, taking its uniforms from its generator
-        in order.  Those buffers and the offsets are allocated here,
-        before the shards start (temporaries allocated on the pool threads
-        raised peak memory), and the prefix sums (_scan) stay here, after
-        the join (as many small calls per shard, they contend for the
-        interpreter lock).
+        those of one serial draw.  A shard draws and alias-codes its rows
+        in chunks of whole rows, at most _CHUNK uniforms each, through its
+        own buffers, taking its uniforms from its generator in order, and
+        gathers each chunk's steps by one take into the spent uniforms'
+        bytes, from ``words`` for both axes (or from the one-byte table of
+        a single axis), then copies them, transposed, into the block.
+        Those buffers and the block are allocated here, before the shards
+        start (temporaries allocated on the pool threads raised peak
+        memory), and the prefix sums (_scan) stay here, after the join
+        (as many small calls per shard, they contend for the interpreter
+        lock).
         """
         law = self.law
         cuts = _cuts(rows, blk)
         w = len(cuts) - 1
-        offs = [np.empty((blk, rows), dtype=law.dtype) for _ in axes]
+        off = np.empty((blk, rows, len(axes)), dtype=law.dtype)
+        if len(axes) == 2:  # one packed word per step
+            table, dest = law.words, off.view(law.words.dtype)[..., 0]
+        else:
+            table, dest = law.tables[axes[0]], off[..., 0]
         state = rng.bit_generator.state if w > 1 else None
         while len(self._gens) < w - 1:
             self._gens.append(np.random.Generator(np.random.Philox(0)))
         n = self._chunk
         while len(self._bufs) < w:
-            self._bufs.append((np.empty(n), np.empty(n, dtype=np.intp),
-                               None if law.trivial else np.empty(n),
-                               np.empty(n, dtype=np.int8)))
+            self._bufs.append((np.empty(n), np.empty(n, dtype=np.intp)) + (
+                (None, None) if law.trivial else (np.empty(n), np.empty(n, dtype=np.bool_))))
         step = n // blk  # rows per chunk
 
         def shard(s):
             """Draw, alias-code and gather the steps of shard s into its
-            columns of ``offs``, writing only through ``out=``."""
+            columns of ``off``, writing only through ``out=``."""
             r0, r1 = cuts[s], cuts[s + 1]
             gen = rng
             if s:
                 gen = self._gens[s - 1]
                 _jump(gen.bit_generator, state, r0 * blk)
-            u, code, acc, picked = self._bufs[s]
+            u, code, acc, take = self._bufs[s]
             for c0 in range(r0, r1, step):
                 c1 = min(c0 + step, r1)
                 m = (c1 - c0) * blk
-                v, c, p = u[:m], code[:m], picked[:m]  # alias decisions, then steps
+                v, c = u[:m], code[:m]
                 gen.random(out=v)
                 v *= law.k
                 c[...] = v  # u <= 1 - 2**-53, so u * k rounds below k
                 if not law.trivial:
                     v -= c  # v - k, exactly as the alias decision reads it
-                    take = p.view(np.bool_)
                     law.accept.take(c, out=acc[:m], mode="clip")
-                    np.less(v, acc[:m], out=take)
+                    np.less(v, acc[:m], out=take[:m])
                     c *= 2
-                    c += take
-                for off, a in zip(offs, axes):
-                    # mode="clip" writes straight into ``out``; "raise" buffers it
-                    law.tables[a].take(c, out=p, mode="clip")
-                    off[:, c0:c1] = p.reshape(c1 - c0, blk).T
+                    c += take[:m]
+                # the uniforms are spent: their bytes take the steps
+                picked = u.view(table.dtype)[:m]
+                # mode="clip" writes straight into ``out``; "raise" buffers it
+                table.take(c, out=picked, mode="clip")
+                dest[:, c0:c1] = picked.reshape(c1 - c0, blk).T
 
         _on_shards(shard, cuts)
         if w > 1:
             end = self._gens[w - 2].bit_generator.state
             end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
             rng.bit_generator.state = end
-        for off in offs:
-            _scan(np.add, off, off)
-        return offs
+        return _scan(np.add, off, off)
 
 
 def _scan(op, off, out):
-    """Per row t of the (blk, rows) block ``off``, ``op`` over its rows
+    """Per row t of the (blk, ...) block ``off``, ``op`` over its rows
     0..t, into ``out`` (``off`` itself scans in place).  Below _SCAN_ROWS
     rows one ``op.accumulate`` call; from there on running row operations,
     one call per row, each over every column: accumulate walks a column at
@@ -506,10 +519,11 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     whose visits before absorption are counted, or None, which counts
     nothing (survival uses one).  Target ti stops at its own horizon,
     horizons[ti], and the walk runs to the largest one.
-    ``bound(pos, ti)``, with ``pos`` a start's [x, y] row arrays, bounds
-    per row what a row there can still add to target ti: its further
-    visits to the point, or its chance of ever exiting.  Absorption is
-    tested on ``axes`` only; a coordinate off them keeps its start value.
+    ``bound(pos, ti)``, with ``pos`` a start's positions as one int32 row
+    array per axis of ``axes``, bounds per row what a row there can still
+    add to target ti: its further visits to the point, or its chance of
+    ever exiting.  Absorption is tested on ``axes`` only; a coordinate off
+    them keeps its start value and is never stored.
 
     Blocks are _BLOCK steps long when a target is a point, and otherwise
     those of _SURVIVAL_RAMP, then _SURVIVAL_BLOCK for good; the block
@@ -517,28 +531,28 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     for the live rows, and all starts of a row share its draws, but a
     visit from a start counts only at the steps the row takes alive from
     it, none once absorbed.
-    The absorption test compares the block's offsets, in the law's
-    narrow dtype, with each row's minus position and the visit match
-    with each target minus it, all clipped into that dtype by one
-    _narrow call per start, axis and block.  When a target is a point,
-    each axis's offsets also get running minima (_running_min), and each
-    shard of _cuts finds, for every start and point not yet at its
-    horizon, the steps at which its rows stand on the point; such a step
-    c counts iff the row is alive from the start and open for the point,
-    and both running minima at c lie above the row's floors, so no step
-    at or before c touched an axis.  The visits are added here with
-    bincount, and the running moments, bounds and retirements stay here
-    too, over the whole batch.
+    The absorption test compares the block's lowest offsets, in the law's
+    narrow dtype, with each row's minus position, and the visit match the
+    packed (dx, dy) word of every step with that of each target minus the
+    position, all clipped into that dtype by one _narrow call per start
+    and block.  When a target is a point, the offsets also get running
+    minima (_running_min), and visits are counted densely: per start, one
+    (blk, rows) mask of the steps at which both running minima lie above
+    the row's floors, so no step up to it touched an axis; per start and
+    point not yet at its horizon, one word compare with the point, ANDed
+    with that mask and summed as bytes down the steps, then kept for the
+    rows alive from the start at the block's start and open for the
+    point.  At most those two (blk, rows) masks are alive at once.
     After every block, the last included, a row retires from target ti
     once its bound times weights[si][ti] is below _RETIRE_EPS from every
-    start still alive in it; from then on it adds no visit to ti.  At
-    ti's horizon the rows still open for it are bounded there and ti
-    closes.  One rule drops rows, once per block, after its bounds: a
-    row retired from, or closed for, every target walks no further.  A
-    row absorbed from every start retires there from every target, its
-    bounds masked out of every sum.  With one horizon for every target,
-    as survival, Green and Martin runs pass, the cuts are those of that
-    horizon alone.
+    start still alive in it; from then on it adds no visit to ti.  Only
+    the rows open for ti and alive from some start are bounded: a row
+    absorbed from every start retires unbounded.  At ti's horizon the
+    rows still open for it are bounded there and ti closes.  One rule
+    drops rows, once per block, after its bounds: a row retired from, or
+    closed for, every target walks no further.  With one horizon for
+    every target, as survival, Green and Martin runs pass, the cuts are
+    those of that horizon alone.
 
     Returns (sums, sumsqs, crosses, open_counts, bounds, survived), each
     reduced in batch order:
@@ -568,12 +582,12 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
 
     for b_idx, rows in enumerate(_batch_sizes(n_paths)):
         rng = _batch_rng(seed, b_idx)
-        # a coordinate off ``axes`` never moves and is never tested
-        pos = [[np.full(rows, c, dtype=np.int32) if a in axes else c
-                for a, c in enumerate(s)] for s in starts]
+        # per start, one row of positions per axis of ``axes``
+        pos = [np.repeat(np.array([[s[a]] for a in axes], dtype=np.int32), rows, axis=1)
+               for s in starts]
         alive = [np.ones(rows, dtype=bool) for _ in starts]
         open_ = [np.ones(rows, dtype=bool) for _ in targets]  # not retired from ti
-        live = np.arange(rows) if points else None  # batch rows, for visits
+        live = slice(None)  # the batch rows of the rows left, for visits
         visits = [{ti: np.zeros(rows, dtype=np.int64) for ti in points} for _ in starts]
         lengths = (itertools.repeat(_BLOCK) if points else
                    itertools.chain(_SURVIVAL_RAMP, itertools.repeat(_SURVIVAL_BLOCK)))
@@ -583,90 +597,69 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
             walking = [ti for ti, h in enumerate(horizons) if h > t]
             blk = min(next(lengths), min(horizons[ti] for ti in walking) - t)
             at_points = [ti for ti in points if ti in walking]
-            n = len(alive[0])
-            offs = sampler.offsets(rng, n, blk, axes)
+            offs = sampler.offsets(rng, len(alive[0]), blk, axes)
             if points:
                 # per step, each axis's lowest offset so far: a row is
                 # alive at step c iff both stay above its floors
-                mins = [_running_min(off) for off in offs]
-                lows = [m[-1] for m in mins]
+                mins = _running_min(offs)
+                lows = mins[-1]
             else:
-                lows = [off.min(axis=0) for off in offs]
+                lows = offs.min(axis=0)
             # per start and axis, minus the position and each point's level
             # minus it, in the offsets' dtype: a row reaches 0 on the axis
             # at any offset at or below the first, and the point's level at
             # the others
-            levels = [[_narrow(p[a], [targets[ti][a] for ti in at_points], law.dtype)
-                       for a in axes] for p in pos]
-            floors = [[lv[0] for lv in lvs] for lvs in levels]
-            hits = []
-            for si, fl in enumerate(floors):
+            levels = [np.stack([_narrow(c, [targets[ti][a] for ti in at_points], law.dtype)
+                                for a, c in zip(axes, p)], axis=-1) for p in pos]
+            for si, lv in enumerate(levels):
                 # absorbed in this block: its lowest point reaches 0 on an axis
-                hit = lows[0] <= fl[0]
-                for low, f in zip(lows[1:], fl[1:]):
-                    hit |= low <= f
+                under = lows <= lv[0]
+                hit = under[:, 0]
+                for k in range(1, len(axes)):
+                    hit |= under[:, k]
                 hit &= alive[si]
                 survived[si] -= int(hit.sum())
-                hits.append(hit)
-            if at_points:
-                cuts = _cuts(n, blk)
-                # per start and point, the offsets at which a row stands on it
-                marks = [{ti: [lv[k] for lv in lvs] for k, ti in enumerate(at_points, 1)}
-                         for lvs in levels]
-
-                def match(s):
-                    """Per start and point, the batch rows of shard s that
-                    visit the point alive, once per visit."""
-                    r0, r1 = cuts[s], cuts[s + 1]
-                    off_x, off_y = (off[:, r0:r1] for off in offs)
-                    found = []
-                    for si, (fx, fy) in enumerate(floors):
-                        at_ti = {}
-                        for ti in at_points:
-                            mx, my = marks[si][ti]
-                            at = off_x == mx[r0:r1]
-                            at &= off_y == my[r0:r1]
-                            c, r = np.divmod(np.flatnonzero(at), r1 - r0)
-                            r += r0
-                            ok = alive[si][r] & open_[ti][r]
-                            ok &= mins[0][c, r] > fx[r]
-                            ok &= mins[1][c, r] > fy[r]
-                            at_ti[ti] = live[r[ok]]
-                        found.append(at_ti)
-                    return found
-
-                found = _on_shards(match, cuts)
-                for si in range(n_starts):
-                    for ti in at_points:
-                        r = np.concatenate([f[si][ti] for f in found])
-                        if len(r):
-                            visits[si][ti] += np.bincount(r, minlength=rows)
-            for si, p in enumerate(pos):
-                for off, a in zip(offs, axes):
-                    p[a] = p[a] + off[-1]
-                alive[si] &= ~hits[si]
+                if at_points:
+                    # the steps at which the row stands alive: both of its
+                    # running minima above its floors
+                    up = (mins > lv[0]).view(np.uint16)[..., 0] == _BOTH
+                    at = np.empty_like(up)
+                    # per point, the word of the offsets that stand a row on it
+                    marks = lv[1:].view(law.words.dtype)[..., 0]
+                    for k, ti in enumerate(at_points):
+                        np.equal(offs.view(law.words.dtype)[..., 0], marks[k], out=at)
+                        at &= up
+                        n_at = np.add.reduce(at.view(np.uint8), axis=0, dtype=np.uint8)
+                        n_at *= alive[si] & open_[ti]
+                        visits[si][ti][live] += n_at
+                    del up, at
+                alive[si] &= ~hit
+            for p in pos:
+                p += offs[-1].T
             t += blk
+            # a row absorbed from every start retires from every target unbounded
+            some = np.logical_or.reduce(alive)
+            if not some.all():
+                pos, alive, open_, live = _compact(some, pos, alive, open_, live)
             for ti in walking:
                 vb = [bound(p, ti) for p in pos]
                 done = open_[ti].copy()
                 for si, b in enumerate(vb):
                     done &= ~alive[si] | (b < _RETIRE_EPS / weights[si][ti])
                 for si, b in enumerate(vb):
-                    bounds[si][ti].append(float(b[done & alive[si]].sum()))
+                    bounds[si][ti].append(_masked_sum(b, done & alive[si]))
                 open_[ti] &= ~done
                 if horizons[ti] == t:
                     # the rows still open at ti's horizon, bounded where they stop
                     for si, b in enumerate(vb):
                         still = alive[si] & open_[ti]
                         open_parts[si][ti].append(int(still.sum()))
-                        bounds[si][ti].append(float(b[still].sum()))
+                        bounds[si][ti].append(_masked_sum(b, still))
                     open_[ti][:] = False
             # walk on only the rows still open for some target
             keep = np.logical_or.reduce(open_)
             if not keep.all():
-                pos = [[c[keep] if a in axes else c for a, c in enumerate(p)] for p in pos]
-                alive, open_ = [a[keep] for a in alive], [o[keep] for o in open_]
-                live = live[keep] if points else None
+                pos, alive, open_, live = _compact(keep, pos, alive, open_, live)
         for si in range(n_starts):
             for ti, v in visits[si].items():
                 v = v.astype(np.float64)
@@ -683,13 +676,62 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     return red(sums), red(sumsqs), cross_r, red(open_parts), red(bounds), survived
 
 
+_POWERS_MAX = 1 << 14  # the longest table _power_table keeps
+
+
+@functools.lru_cache(maxsize=64)
+def _power_table(c: float):
+    """For a root c in (0, 1], c ** arange(n), numpy's power as c ** e
+    takes it elementwise, cut after its first entry that rounds to 0.0:
+    every later power rounds to 0.0 too, so the entry at min(e, n - 1)
+    has the bits of c ** e for every exponent e >= 0 (n = 1 for c = 1,
+    whose powers are all 1.0).  None when the cut lies past _POWERS_MAX
+    entries, for a root within about 745 / _POWERS_MAX of 1.  Cached per
+    root, a few per law; the tables are read-only."""
+    # c ** (n - 1) <= 2**-1100 rounds to 0.0
+    n = 1 if c == 1.0 else int(1100 / -math.log2(c)) + 2
+    if n > _POWERS_MAX:
+        return None
+    table = c ** np.arange(n)
+    table = table[: np.argmax(table == 0.0) + 1]
+    table.flags.writeable = False
+    return table
+
+
+def _powers(c: float, e):
+    """c ** max(e, 0) for the integer array ``e``, with the bits of numpy's
+    elementwise power: gathered from _power_table(c), each exponent clipped
+    into the table, or, for a root too near 1 to tabulate, the power
+    itself."""
+    table = _power_table(c)
+    if table is None:
+        return c ** np.maximum(e, 0)
+    return table.take(e, mode="clip")
+
+
+def _compact(keep, pos, alive, open_, live):
+    """The walk's per-row state, positions, alive and open masks and batch
+    rows, cut to the rows of the mask ``keep``."""
+    keep = np.flatnonzero(keep)
+    return ([p.take(keep, axis=1) for p in pos], [a.take(keep) for a in alive],
+            [o.take(keep) for o in open_],
+            keep if isinstance(live, slice) else live.take(keep))
+
+
+def _masked_sum(b, mask) -> float:
+    """float(b[mask].sum()): the same elements in the same order, so the
+    same bits, gathered by index (boolean indexing is slower)."""
+    return float(b.take(np.flatnonzero(mask)).sum())
+
+
 def _survival_estimate(dist, start, cfg: SimConfig, axes) -> SimEstimate:
     """Escape or survival by the walk from ``start`` with one target, None,
     whose bound is the chance of ever exiting: at most the sum over
-    ``axes`` of c**z, c the axis's exit root (see estimate_escape)."""
+    ``axes`` of c**z, c the axis's exit root (see estimate_escape), each
+    power gathered by _powers."""
     law = _law(dist, cfg.twist)
-    roots = law.roots  # solved before the first block draws
-    bound = lambda p, ti: np.minimum(sum(roots[a] ** p[a] for a in axes), 1.0)
+    roots = [law.roots[a] for a in axes]  # solved before the first block draws
+    bound = lambda p, ti: np.minimum(sum(map(_powers, roots, p)), 1.0)
     _, _, _, open_counts, bounds, survived = _walk(
         law, [start], [None], [[1.0]], bound, [cfg.horizon], cfg.seed, cfg.n_paths, axes,
     )
@@ -751,11 +793,11 @@ def _visit_bound(axis_bounds, z, y):
     Validation admits no step that lowers x + y, so a walk never returns
     below its anti-diagonal: from z with z_x + z_y > y_x + y_y it never
     visits y and the bound is exactly 0.  The gambler's-ruin term is
-    computed only for the other rows.
+    computed only for the other rows, its powers gathered by _powers.
     """
     rows = np.flatnonzero(np.add(z[0], z[1], dtype=np.int64) <= y[0] + y[1])
     b = np.zeros(len(z[0]))
-    b[rows] = np.minimum(*(g * c ** np.maximum(p[rows] - q, 0)
+    b[rows] = np.minimum(*(g * _powers(c, np.subtract(p[rows], q, dtype=np.intp))
                            for (c, g), p, q in zip(axis_bounds, z, y)))
     return b
 

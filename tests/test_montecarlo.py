@@ -46,6 +46,7 @@ from cornerwalk.montecarlo import (
     _visit_walk,
 )
 
+from conftest import PIN_MODELS
 from test_stream_contract import ESTIMATES, EXPECTED
 from oracles import (
     fib_escape_exact,
@@ -66,6 +67,12 @@ def exact_steps(dist):
 
 def z_score(est, truth):
     return (est.mean - truth) / est.std_error
+
+
+def per_axis(off):
+    """The (blk, rows) offsets of each axis of one interleaved
+    (blk, rows, axes) block of _StepSampler.offsets."""
+    return [off[..., k] for k in range(off.shape[-1])]
 
 
 @pytest.fixture
@@ -526,6 +533,64 @@ class TestVisitBound:
             assert abs(est.mean - exact) <= 4 * est.std_error + est.bias_bound
 
 
+class TestPowerTable:
+    """_powers gathers c ** e from _power_table(c), cut after its first
+    entry that rounds to 0.0, with the bits of numpy's elementwise power,
+    by which the visit and exit bounds took them before the table."""
+
+    # every length up to two AVX-512 vectors and one past, then a batch
+    LENGTHS = (*range(1, 18), BATCH_SIZE)
+
+    @staticmethod
+    def roots(dist):
+        """The exit roots and visit-bound roots of the law, plain and
+        twisted toward (2, 1) and (1, 3)."""
+        geom = find_extrema(dist)
+        out = set()
+        for u in (None, (2, 1), (1, 3)):
+            twist = None if u is None else cramer_transform(
+                geom, (u[0] / math.hypot(*u), u[1] / math.hypot(*u)))
+            law = _law(dist, twist)
+            out.update(law.roots)
+            out.update(c for c, _ in law.visit_bounds)
+        return sorted(out)
+
+    @pytest.mark.parametrize("law", PIN_MODELS)
+    def test_gather_has_the_bits_of_the_power(self, request, law):
+        for c in self.roots(request.getfixturevalue(law)):
+            table = montecarlo._power_table(c)
+            # the first power that rounds to 0.0 ends the table
+            assert 0.0 < c < 1.0 and table[-1] == 0.0 and table[-2] > 0.0
+            exps = np.arange(2 * len(table) + 20)  # up to the cap and past it
+            for n in self.LENGTHS:
+                # the exponents cut into arrays of n, each raised on its own,
+                # as int32 (as the bounds raised positions) and as intp
+                e = np.resize(exps, max(n, len(exps) + (-len(exps)) % n))
+                for dtype in (np.int32, np.intp):
+                    e = e.astype(dtype)
+                    want = np.concatenate([c ** w for w in e.reshape(-1, n)])
+                    got = montecarlo._powers(c, e)
+                    assert got.dtype == np.float64
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (c, n)
+
+    def test_negative_exponents_read_the_first_entry(self):
+        # _powers(c, e) is c ** max(e, 0)
+        e = np.array([-5, -1, 0, 1, 3], dtype=np.intp)
+        np.testing.assert_array_equal(
+            montecarlo._powers(0.5, e), 0.5 ** np.maximum(e, 0))
+
+    def test_unit_root_and_roots_too_near_1(self):
+        # every power of 1.0 is 1.0: a table of one entry
+        np.testing.assert_array_equal(montecarlo._power_table(1.0), [1.0])
+        e = np.array([0, 7, 2**31 - 1], dtype=np.int32)
+        np.testing.assert_array_equal(montecarlo._powers(1.0, e), [1.0] * 3)
+        # a root whose powers reach 0.0 only past _POWERS_MAX entries takes
+        # the power itself, without a table
+        c = 1.0 - 1e-6
+        assert montecarlo._power_table(c) is None
+        np.testing.assert_array_equal(montecarlo._powers(c, e), c ** e)
+
+
 class TestSurvivalBlocks:
     """Survival runs draw blocks of 8, 16, then 32 steps, so a row
     absorbed in its first few steps stops drawing after 8, and a row
@@ -594,7 +659,7 @@ class TestStepSampler:
         # subset: a draw for fewer rows than the sampler was sized for, as
         # once the engines have dropped rows
         rows = 43 if subset else 300
-        offs = sampler.offsets(_batch_rng(5, 0), rows, blk)
+        offs = per_axis(sampler.offsets(_batch_rng(5, 0), rows, blk))
         ref = self.reference(dist, twist, _batch_rng(5, 0).random((rows, blk)))
         for off, r in zip(offs, ref):
             assert off.dtype == (np.int8 if max(map(max, dist.steps)) <= 1 else np.int16)
@@ -606,8 +671,8 @@ class TestStepSampler:
     def test_block_reaches_the_end_of_its_range(self, step, dtype, end):
         # one step, taken 64 times: the farthest a block's offsets can go
         dist = StepDistribution.from_pairs({step: 1})
-        offs = _StepSampler(_law(dist, None), 50, 64).offsets(
-            _batch_rng(5, 0), 50, 64)
+        offs = per_axis(_StepSampler(_law(dist, None), 50, 64).offsets(
+            _batch_rng(5, 0), 50, 64))
         ref = np.cumsum(np.full((64, 50), step[0], dtype=np.int64), axis=0)
         assert ref[-1, 0] == end
         for off in offs:
@@ -638,7 +703,7 @@ class TestStepSampler:
         assert all(3 * per_chunk < b - a < 4 * per_chunk for a, b in zip(cuts, cuts[1:]))
         sampler = _StepSampler(_law(dist, twist), rows, blk)
         rng = _batch_rng(5, 0)
-        offs = sampler.offsets(rng, rows, blk)
+        offs = per_axis(sampler.offsets(rng, rows, blk))
         ref_rng = _batch_rng(5, 0)
         ref = self.reference(dist, twist, ref_rng.random((rows, blk)))
         for off, r in zip(offs, ref):
@@ -721,7 +786,8 @@ class TestSharding:
             rng.bit_generator.random_raw(pre)  # start at buffer position pre
             if half:  # a 32-bit draw holds back the other half of its output
                 rng.integers(2**32, dtype=np.uint32)
-            offs = sampler.offsets(rng, rows, blk) + sampler.offsets(rng, rows - 1, blk)
+            offs = (per_axis(sampler.offsets(rng, rows, blk))
+                    + per_axis(sampler.offsets(rng, rows - 1, blk)))
             return offs, philox_state(rng)
 
         old = sys.getswitchinterval()
@@ -809,7 +875,8 @@ class TestVisitMatching:
         shards(w, 256)
         sums, sqs, crosses, _, _, _ = _visit_walk(
             dist, starts, [y], [[1.0], [1.0]], [64], SimConfig(seed=seed, n_paths=n))
-        offs = _StepSampler(_law(dist, None), n, 64).offsets(_batch_rng(seed, 0), n, 64)
+        offs = per_axis(_StepSampler(_law(dist, None), n, 64).offsets(
+            _batch_rng(seed, 0), n, 64))
         path = np.stack([off.T for off in offs], axis=-1).tolist()  # [row][t] -> (dx, dy)
         visits = np.zeros((2, n), dtype=np.int64)
         late = early = 0  # rows on y after, and before, their absorption step
@@ -864,7 +931,7 @@ def per_row_walk(dist, starts, ys, horizons, seed, n):
     late, rows, t = 0, list(range(n)), 0
     while t < max(horizons) and rows:
         blk = min(_BLOCK, min(h for h in horizons if h > t) - t)
-        offs = sampler.offsets(rng, len(rows), blk)
+        offs = per_axis(sampler.offsets(rng, len(rows), blk))
         path = np.stack([off.T for off in offs], axis=-1).tolist()  # [row][t] -> (dx, dy)
         for k, r in enumerate(rows):
             for si, (x0, y0) in enumerate(pos[r]):
@@ -1269,7 +1336,7 @@ class TestScanRule:
         rows = montecarlo._SCAN_ROWS + side
         sampled = _law(dist, twist)
         assert sampled.dtype == (np.int8 if law in ("fib", "all_five_twisted") else np.int16)
-        offs = _StepSampler(sampled, rows, 64).offsets(_batch_rng(5, 0), rows, 64)
+        offs = per_axis(_StepSampler(sampled, rows, 64).offsets(_batch_rng(5, 0), rows, 64))
         ref = TestStepSampler.reference(dist, twist, _batch_rng(5, 0).random((rows, 64)))
         for off, r in zip(offs, ref):
             np.testing.assert_array_equal(off, r.T)
