@@ -23,42 +23,42 @@ contiguous shards, at most one per available core and none under 2**15
 uniforms, drawn on their own threads, and each shard takes its uniforms
 from a copy of the batch's Philox stream jumped ahead to them, so the
 shard count changes no bit.
-A shard draws, codes and gathers its rows in chunks of whole rows, at
-most 2**16 uniforms each, through buffers of its own that fit a core's
-L2 cache, taking the chunks' uniforms from its stream in order, so the
-chunk size changes no bit either.
+A shard draws and codes its rows in chunks of whole rows, at most 2**16
+uniforms each, through buffers of its own that fit a core's L2 cache,
+taking the chunks' uniforms from its stream in order, so the chunk size
+changes no bit either.
 Every uniform u becomes one code per step: with v = u * K and
 k = floor(v), the code is 2k + (v - k < accept[k]), the alias decision
-written as an index.  Two int8 tables, one per coordinate, map a code
-to its step (entry 2k + 1 is step k, entry 2k its alias); when every
-accept is 1, as for uniform laws, the alias is never taken and the code
-is just k.  Each coordinate is gathered on its own and prefix-summed
-into a (blk, rows) array, step t in row t: a block of fewer than
-_SCAN_ROWS rows by one np.add.accumulate call, a wider one by running
-adds of one row onto the next (accumulate walks a column at a time,
-which costs more than a call per row once the rows are many).  The sums
-are int8 when no step component exceeds 1 and int16 otherwise: no
-component is below -1, so a block's offsets stay within [-64, 64], or
-within [-64, 4096] under model.MAX_SUPPORT_RADIUS.  Absorption is
-tested on those offsets, a row's lowest offset against minus its
-position, and visits by comparing them with each target minus the
-position; every such per-row threshold is first clipped into the
-offsets' dtype, which changes no compare, so only the int32 position
-update widens.  Visit runs also keep, per axis, running minima of the
-offsets (scanned by the same rule as the sums), the lowest offset up to
-each step, whose last row is the block's lowest point: a row stands
-alive at step c from a start iff it was alive there at the block's
-start and both its running minima at c stay above minus its position.
-The target matching runs on the draw's row shards, each shard returning
-the batch rows it matched; visit counts and every float reduction
-(moments, bounds) are then taken over the whole batch in one fixed
-order.
+written as an index, or just k when every accept is 1, as for uniform
+laws.  One gather per chunk maps the codes to their steps, from a table
+of (dx, dy) pairs packed one to a word (entry 2k + 1 is step k, entry
+2k its alias), into the spent uniforms' bytes, and one transposed copy
+puts them into the block: a (blk, rows, 2) array, step t of a row at
+[t, row], its coordinates side by side (half-plane runs gather y alone,
+a byte a step).  One prefix sum down the steps (_scan) makes the block's
+offsets, int8 when no step component exceeds 1 and int16 otherwise: no
+component is below -1, so they stay within [-64, 64], or within
+[-64, 4096] under model.MAX_SUPPORT_RADIUS.  Absorption is tested on
+those offsets, a row's lowest offset against minus its position; every
+such per-row threshold is first clipped into the offsets' dtype, which
+changes no compare, so only the int32 position update widens.  Visit
+runs also take running minima by the same rule, the lowest offset up to
+each step on each axis: a row stands alive at step c from a start iff it
+was alive there at the block's start and both minima at c stay above
+minus its position.  Visits are counted densely: per start, one mask of
+the steps at which a row stands alive, and per point one compare of
+each step's packed word with the point's minus the position, ANDed with
+that mask and summed down the steps.  Every float reduction (moments,
+bounds) is taken over the whole batch in one fixed order.
 
-What depends on the sampled law alone, the alias and code tables, the
+What depends on the sampled law alone, the alias and step tables, the
 exit roots and visit bounds, is computed once per model object and
 twist: a _Law, which caches its roots and bounds, kept in the object's
-memo (_law) beside the validation report of model.require_valid; what
-grows with a run (chunk buffers, positions) lives only as long as the call.
+memo (_law) beside the validation report of model.require_valid.  The
+bounds read each power c**e of a root from a table of c**arange, cut at
+its first entry that rounds to 0.0 (_power_table, cached per root);
+what grows with a run (chunk buffers, positions) lives only as long as
+the call.
 
 Every estimator reduces one engine, _walk: rows walk from one start, or
 from the two of a Martin profile, which share each row's draws, and are
@@ -72,8 +72,9 @@ which never touches x), for Green and Martin its further visits to the
 point (a gambler's-ruin bound per coordinate, see _Law.visit_bounds, and
 exactly 0 once the row is past the point's anti-diagonal, which the walk
 of a valid model, no step of which lowers x + y, cannot recross).  A row
-is dropped once absorbed from every start or retired from, or past the
-horizon of, every target, and later blocks draw only for the rows left.
+absorbed from every start is dropped unbounded, one retired from, or
+past the horizon of, every target after its bounds, and later blocks
+draw only for the rows left.
 The bounds of the retired rows, at retirement, and of the rows still
 open at the target's horizon, there, make up each estimate's
 ``bias_bound``.  The array layout may change, but these block lengths,
@@ -214,11 +215,10 @@ class _Law:
     reads: ``steps`` and ``probs`` (from _twisted_probs), the alias
     ``accept``, two int8 ``tables``, one per coordinate, that map a code
     to its step (entry 2k + 1 is step k, entry 2k its alias; entry k is
-    step k when the law is ``trivial``, every accept 1), ``words``, the
-    same map to both coordinates at once, each entry a (dx, dy) pair of
-    the offsets' ``dtype`` packed into one word of twice its width, and
-    the exit ``roots`` and ``visit_bounds``, each solved on first read
-    and cached (a law that only draws steps never solves them).
+    step k when the law is ``trivial``, every accept 1), ``words``, both
+    at once, a (dx, dy) pair of ``dtype`` packed into each entry, and the
+    exit ``roots`` and ``visit_bounds``, each solved on first read and
+    cached (a law that only draws steps never solves them).
 
     ``dtype`` is int8 when no step component exceeds 1, int16 otherwise.
     No component is below -1 on a valid law, so the offsets of a block of
@@ -309,10 +309,8 @@ def _check_stream_inputs(steps, points, horizon: int, seed: int, n_paths: int) -
     reach = horizon * int(np.abs(steps).max())
     for p in points:
         if max(abs(p[0]), abs(p[1])) + reach >= _POSITION_LIMIT:
-            raise ValueError(
-                f"point {tuple(p)} with horizon {horizon} can reach "
-                f"coordinates beyond the int32 position range"
-            )
+            raise ValueError(f"point {tuple(p)} with horizon {horizon} can reach "
+                             f"coordinates beyond the int32 position range")
 
 
 # the most shards one block is cut into: the cores this process may run on
@@ -419,24 +417,21 @@ class _StepSampler:
 
     def offsets(self, rng, rows: int, blk: int, axes=(0, 1)):
         """Draw one block for ``rows`` rows: the (blk, rows, len(axes))
-        prefix sums of the steps on ``axes`` in the law's ``dtype``, step t
-        of a row at [t, row], its coordinates side by side.
+        prefix sums of the steps on ``axes``, in the law's ``dtype``.
 
         The rows are cut into the shards of _cuts.  Shard 0 draws from
         ``rng`` in this thread, each other one on the shard pool from a
         Philox copy jumped to its first row, and ``rng`` then takes the
         last shard's end state, so the uniforms and the state left are
-        those of one serial draw.  A shard draws and alias-codes its rows
-        in chunks of whole rows, at most _CHUNK uniforms each, through its
-        own buffers, taking its uniforms from its generator in order, and
-        gathers each chunk's steps by one take into the spent uniforms'
-        bytes, from ``words`` for both axes (or from the one-byte table of
-        a single axis), then copies them, transposed, into the block.
-        Those buffers and the block are allocated here, before the shards
-        start (temporaries allocated on the pool threads raised peak
-        memory), and the prefix sums (_scan) stay here, after the join
-        (as many small calls per shard, they contend for the interpreter
-        lock).
+        those of one serial draw.  A shard codes its rows in chunks of
+        whole rows, at most _CHUNK uniforms each, taken from its generator
+        in order, gathers each chunk's steps (``words``, or one axis's
+        table) into the spent uniforms' bytes and copies them, transposed,
+        into the block.  The buffers and the block are allocated here,
+        before the shards start (temporaries allocated on the pool threads
+        raised peak memory), and the prefix sums (_scan) stay here, after
+        the join (as many small calls per shard, they contend for the
+        interpreter lock).
         """
         law = self.law
         cuts = _cuts(rows, blk)
@@ -519,8 +514,8 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     whose visits before absorption are counted, or None, which counts
     nothing (survival uses one).  Target ti stops at its own horizon,
     horizons[ti], and the walk runs to the largest one.
-    ``bound(pos, ti)``, with ``pos`` a start's positions as one int32 row
-    array per axis of ``axes``, bounds per row what a row there can still
+    ``bound(pos, ti)``, with ``pos`` a start's int32 positions, one row
+    per axis of ``axes``, bounds per row what a row there can still
     add to target ti: its further visits to the point, or its chance of
     ever exiting.  Absorption is tested on ``axes`` only; a coordinate off
     them keeps its start value and is never stored.
@@ -531,35 +526,29 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     for the live rows, and all starts of a row share its draws, but a
     visit from a start counts only at the steps the row takes alive from
     it, none once absorbed.
-    The absorption test compares the block's lowest offsets, in the law's
-    narrow dtype, with each row's minus position, and the visit match the
-    packed (dx, dy) word of every step with that of each target minus the
-    position, all clipped into that dtype by one _narrow call per start
-    and block.  When a target is a point, the offsets also get running
-    minima (_running_min), and visits are counted densely: per start, one
-    (blk, rows) mask of the steps at which both running minima lie above
-    the row's floors, so no step up to it touched an axis; per start and
-    point not yet at its horizon, one word compare with the point, ANDed
-    with that mask and summed as bytes down the steps, then kept for the
-    rows alive from the start at the block's start and open for the
-    point.  At most those two (blk, rows) masks are alive at once.
-    After every block, the last included, a row retires from target ti
-    once its bound times weights[si][ti] is below _RETIRE_EPS from every
-    start still alive in it; from then on it adds no visit to ti.  Only
-    the rows open for ti and alive from some start are bounded: a row
-    absorbed from every start retires unbounded.  At ti's horizon the
-    rows still open for it are bounded there and ti closes.  One rule
-    drops rows, once per block, after its bounds: a row retired from, or
-    closed for, every target walks no further.  With one horizon for
-    every target, as survival, Green and Martin runs pass, the cuts are
-    those of that horizon alone.
+    Per start and block, one _narrow call clips minus the positions, and
+    each point not yet at its horizon minus them, into the law's dtype;
+    the block's lowest offsets at or below the first are its absorptions.
+    When a target is a point, the running minima (_running_min) give per
+    start one (blk, rows) mask of the steps at which both lie above the
+    row's floors (none of its steps up to there on an axis), and per point
+    one compare of the packed (dx, dy) words with the point's, ANDed with
+    that mask and summed as bytes down the steps, counts the visits of the
+    rows alive from the start at the block's start and open for the point.
+    After every block, a row absorbed from every start is dropped, and a
+    row retires from target ti once its bound times weights[si][ti] is
+    below _RETIRE_EPS from every start still alive in it; from then on it
+    adds no visit to ti.  At ti's horizon the rows still open for it are
+    bounded there and ti closes.  Then a row retired from, or closed for,
+    every target is dropped too.  With one horizon for every target, as
+    survival, Green and Martin runs pass, the cuts are those of that
+    horizon alone.
 
     Returns (sums, sumsqs, crosses, open_counts, bounds, survived), each
     reduced in batch order:
       sums[si][ti], sumsqs[si][ti]: per-path visit count moments (0 for a
-      None target);
-      crosses[ti]: sum over paths of visits-from-start0 * visits-from-start1
-      (None unless two starts are given);
+      None target); crosses[ti]: sum over paths of visits-from-start0 *
+      visits-from-start1 (None unless two starts are given);
       open_counts[si][ti]: paths neither absorbed from si nor retired from
       ti at ti's horizon;
       bounds[si][ti]: summed bounds from si for ti, of each path retired
@@ -598,17 +587,11 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
             blk = min(next(lengths), min(horizons[ti] for ti in walking) - t)
             at_points = [ti for ti in points if ti in walking]
             offs = sampler.offsets(rng, len(alive[0]), blk, axes)
-            if points:
-                # per step, each axis's lowest offset so far: a row is
-                # alive at step c iff both stay above its floors
-                mins = _running_min(offs)
-                lows = mins[-1]
-            else:
-                lows = offs.min(axis=0)
-            # per start and axis, minus the position and each point's level
-            # minus it, in the offsets' dtype: a row reaches 0 on the axis
-            # at any offset at or below the first, and the point's level at
-            # the others
+            # visit runs: per step, each axis's lowest offset so far
+            mins = _running_min(offs) if points else None
+            lows = offs.min(axis=0) if mins is None else mins[-1]
+            # per start, minus the positions and each point minus them, in
+            # the offsets' dtype: [0] the floors, [1 + k] point k's offsets
             levels = [np.stack([_narrow(c, [targets[ti][a] for ti in at_points], law.dtype)
                                 for a, c in zip(axes, p)], axis=-1) for p in pos]
             for si, lv in enumerate(levels):
@@ -667,9 +650,8 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
                 sumsqs[si][ti].append(float((v * v).sum()))
         if n_starts == 2:
             for ti in points:
-                crosses[ti].append(
-                    float((visits[0][ti].astype(np.float64) * visits[1][ti]).sum())
-                )
+                v = visits[0][ti].astype(np.float64)
+                crosses[ti].append(float((v * visits[1][ti]).sum()))
 
     red = lambda g: [[math.fsum(parts) for parts in row] for row in g]
     cross_r = [math.fsum(c) for c in crosses] if n_starts == 2 else None
@@ -681,15 +663,12 @@ _POWERS_MAX = 1 << 14  # the longest table _power_table keeps
 
 @functools.lru_cache(maxsize=64)
 def _power_table(c: float):
-    """For a root c in (0, 1], c ** arange(n), numpy's power as c ** e
-    takes it elementwise, cut after its first entry that rounds to 0.0:
-    every later power rounds to 0.0 too, so the entry at min(e, n - 1)
-    has the bits of c ** e for every exponent e >= 0 (n = 1 for c = 1,
-    whose powers are all 1.0).  None when the cut lies past _POWERS_MAX
-    entries, for a root within about 745 / _POWERS_MAX of 1.  Cached per
-    root, a few per law; the tables are read-only."""
-    # c ** (n - 1) <= 2**-1100 rounds to 0.0
-    n = 1 if c == 1.0 else int(1100 / -math.log2(c)) + 2
+    """For a root c in (0, 1], c ** arange(n) as numpy's power takes it
+    elementwise, cut after its first entry that rounds to 0.0 (every later
+    power does too; n = 1 for c = 1), or None when that lies past
+    _POWERS_MAX entries, for a root within about 745 / _POWERS_MAX of 1.
+    Cached per root, a few per law, and read-only."""
+    n = 1 if c == 1.0 else int(1100 / -math.log2(c)) + 2  # c**(n - 1) < 2**-1100
     if n > _POWERS_MAX:
         return None
     table = c ** np.arange(n)
@@ -700,13 +679,10 @@ def _power_table(c: float):
 
 def _powers(c: float, e):
     """c ** max(e, 0) for the integer array ``e``, with the bits of numpy's
-    elementwise power: gathered from _power_table(c), each exponent clipped
-    into the table, or, for a root too near 1 to tabulate, the power
-    itself."""
+    elementwise power: from _power_table(c), each exponent clipped into it,
+    or the power itself for a root too near 1 to tabulate."""
     table = _power_table(c)
-    if table is None:
-        return c ** np.maximum(e, 0)
-    return table.take(e, mode="clip")
+    return c ** np.maximum(e, 0) if table is None else table.take(e, mode="clip")
 
 
 def _compact(keep, pos, alive, open_, live):
@@ -830,14 +806,8 @@ def _green_estimate(walk, ti, w, horizon, n) -> SimEstimate:
     sums, sqs, _, open_counts, bounds, _ = walk
     mean_v = sums[0][ti] / n
     var_v = max(0.0, (sqs[0][ti] - n * mean_v * mean_v) / max(1, n - 1))
-    return SimEstimate(
-        mean=w * mean_v,
-        std_error=w * math.sqrt(var_v / n),
-        n_paths=n,
-        horizon=horizon,
-        censored_fraction=open_counts[0][ti] / n,
-        bias_bound=w * bounds[0][ti] / n,
-    )
+    return SimEstimate(w * mean_v, w * math.sqrt(var_v / n), n, horizon,
+                       open_counts[0][ti] / n, w * bounds[0][ti] / n)
 
 
 def _green_point(x) -> tuple[int, int]:
@@ -908,11 +878,8 @@ def martin_kernel_profile(
         raise ValueError("martin profile needs at least one target y; got an empty list")
     if min(x) < 1 or any(min(y) < 1 for y in ys):
         raise ValueError("martin endpoints must be strictly inside the quadrant")
-    horizon = (
-        cfg.horizon
-        if cfg.horizon is not None
-        else max(_default_horizon(x, y) for y in ys)
-    )
+    horizon = cfg.horizon if cfg.horizon is not None else max(
+        _default_horizon(x, y) for y in ys)
     starts = [x, _MARTIN_BASE]
     weights = [[_twist_weight(cfg.twist, s, y) for y in ys] for s in starts]
     sums, sqs, crosses, open_counts, bounds, _ = _visit_walk(
@@ -936,19 +903,9 @@ def martin_kernel_profile(
             0.0, (var_a + ratio * ratio * var_b - 2.0 * ratio * cov)
         ) / (n * mean_b * mean_b)
         beta_a, beta_b = w_a * bounds[0][ti] / n, w_b * bounds[1][ti] / n
-        out.append(
-            SimEstimate(
-                mean=ratio,
-                std_error=math.sqrt(var_r),
-                n_paths=n,
-                horizon=horizon,
-                censored_fraction=max(open_counts[0][ti], open_counts[1][ti]) / n,
-                bias_bound=max(
-                    ratio - mean_a / (mean_b + beta_b),
-                    (mean_a + beta_a) / mean_b - ratio,
-                ),
-            )
-        )
+        bias = max(ratio - mean_a / (mean_b + beta_b), (mean_a + beta_a) / mean_b - ratio)
+        out.append(SimEstimate(ratio, math.sqrt(var_r), n, horizon,
+                               max(open_counts[0][ti], open_counts[1][ti]) / n, bias))
     return out
 
 
