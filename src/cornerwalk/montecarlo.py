@@ -382,8 +382,7 @@ def _narrow(c, qs, dtype):
     for row, q in zip(wide[1:], qs):
         np.add(wide[0], q, out=row)
     info = np.iinfo(dtype)
-    np.minimum(wide, info.max, out=wide)
-    np.maximum(wide, info.min, out=wide)
+    np.clip(wide, info.min, info.max, out=wide)  # one pass, unlike minimum and maximum
     return wide.astype(dtype)
 
 
