@@ -524,8 +524,8 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     for the live rows, and all starts of a row share its draws, but a
     visit from a start counts only at the steps the row takes alive from
     it, none once absorbed.
-    Per start and block, one _narrow call clips minus the positions, and
-    each point not yet at its horizon minus them, into the law's dtype;
+    Per start and axis, a _narrow call per block clips minus the positions,
+    and each point not yet at its horizon minus them, into the law's dtype;
     the block's lowest offsets at or below the first are its absorptions.
     When a target is a point, the running minima (_running_min) give per
     start one (blk, rows) mask of the steps at which both lie above the
