@@ -88,14 +88,13 @@ exp(-<phi, y - x>).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -659,7 +658,7 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
 _POWERS_MAX = 1 << 14  # the longest table _power_table keeps
 
 
-@functools.lru_cache(maxsize=64)
+@lru_cache(maxsize=64)
 def _power_table(c: float):
     """For a root c in (0, 1], c ** arange(n) as numpy's power takes it
     elementwise, cut after its first entry that rounds to 0.0 (every later
