@@ -351,7 +351,7 @@ if hasattr(os, "register_at_fork"):
 def _cuts(rows: int, blk: int) -> list[int]:
     """Row bounds of a block's shards: up to _CORES contiguous runs of rows
     of at least _SHARD_MIN uniforms each, shard s holding rows
-    cuts[s]:cuts[s + 1].  The draw and the visit matching cut alike."""
+    cuts[s]:cuts[s + 1]."""
     w = max(1, min(_CORES, rows * blk // _SHARD_MIN))
     return [rows * s // w for s in range(w + 1)]
 
