@@ -600,9 +600,9 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
                 hit &= alive[si]
                 survived[si] -= int(hit.sum())
                 if at_points:
-                    # the steps at which the row stands alive: both of its
-                    # running minima above its floors
-                    up = (mins > lv[0]).view(np.uint16)[..., 0] == _BOTH
+                    up = np.empty(mins.shape[:2], dtype=bool)  # alive: both minima above the floors
+                    for c in range(0, blk, 16):  # 16 steps at a time: no temporary over half a mask
+                        up[c:c + 16] = (mins[c:c + 16] > lv[0]).view(np.uint16)[..., 0] == _BOTH
                     at = np.empty_like(up)
                     # per point, the word of the offsets that stand a row on it
                     marks = lv[1:].view(law.words.dtype)[..., 0]
