@@ -600,9 +600,11 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
                 hit &= alive[si]
                 survived[si] -= int(hit.sum())
                 if at_points:
-                    up = np.empty(mins.shape[:2], dtype=bool)  # alive: both minima above the floors
-                    for c in range(0, blk, 16):  # 16 steps at a time: no temporary over half a mask
-                        up[c:c + 16] = (mins[c:c + 16] > lv[0]).view(np.uint16)[..., 0] == _BOTH
+                    up = np.empty(mins.shape[:2], dtype=bool)  # alive: both minima above floors
+                    q = -(-blk // 4)  # steps compared at once: its temporary is at most one mask
+                    for c in range(0, blk, q):
+                        np.equal((mins[c:c + q] > lv[0]).view(np.uint16)[..., 0], _BOTH,
+                                 out=up[c:c + q])
                     at = np.empty_like(up)
                     # per point, the word of the offsets that stand a row on it
                     marks = lv[1:].view(law.words.dtype)[..., 0]
