@@ -7,8 +7,8 @@ name of its own (``cornerwalk_a``, ``cornerwalk_b``), so both run in this
 process, on one heap.  Before any call it runs the host-speed warm-up of
 ``perfbench/hostspeed.py`` (its numpy reference computation), as a
 benchmark run does: its 8 MB arrays raise glibc's mmap threshold, and
-without them a fresh interpreter pays 1 000-2 500 minor page faults per
-visit call that a benchmark run never pays.
+without them a fresh interpreter pays hundreds to about 2 000 minor page
+faults per visit call that a benchmark run never pays.
 
 Then, for each round, every call shape of ``calls`` runs once in each
 tree at the round's seed, tree a first on even rounds and tree b first
