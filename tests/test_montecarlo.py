@@ -460,6 +460,30 @@ class TestVisitBound:
         assert sum(rows * blk for rows, blk in drawn_blocks) <= 810_000
         assert {blk for _, blk in drawn_blocks} == {64}
 
+    @pytest.mark.parametrize("call, exponents", [
+        ("scan", 940), ("martin", 318), ("twisted_green", 56_398)])
+    def test_gamblers_ruin_term_gathers_only_rows_alive(
+            self, fib, all_five, monkeypatch, call, exponents):
+        # the term is computed only for the rows before the target's
+        # anti-diagonal and alive from some start: counted per exponent
+        # gathered (both axes), on the benchmark's visit-call shapes
+        gathered = []
+        powers = montecarlo._powers
+        monkeypatch.setattr(montecarlo, "_powers",
+                            lambda c, e: gathered.append(len(e)) or powers(c, e))
+        if call == "scan":
+            green_direction_scan(fib, (1, 1), (1.0, 1.0), (15, 22, 30),
+                                 SimConfig(seed=1, n_paths=10_000))
+        elif call == "martin":
+            martin_kernel_profile(all_five, (2, 3), [(10, 10), (15, 15), (20, 20)],
+                                  SimConfig(seed=1, n_paths=12_500))
+        else:
+            norm = math.hypot(2.0, 1.0)
+            tw = cramer_transform(find_extrema(all_five), (2.0 / norm, 1.0 / norm))
+            estimate_green(all_five, (2, 2), (3, 3),
+                           SimConfig(seed=1, n_paths=131_072, horizon=4, twist=tw))
+        assert sum(gathered) == exponents
+
     def test_nonpositive_drift_never_retires(self):
         # x-drift -1/4 <= 0: the x axis gives no bound (g = inf), so before
         # y's anti-diagonal the bound is the y term alone, and a row far
