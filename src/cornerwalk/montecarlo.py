@@ -72,9 +72,10 @@ which never touches x), for Green and Martin its further visits to the
 point (a gambler's-ruin bound per coordinate, see _Law.visit_bounds, and
 exactly 0 once the row is past the point's anti-diagonal, which the walk
 of a valid model, no step of which lowers x + y, cannot recross).  A row
-absorbed from every start is dropped unbounded, one retired from, or
-past the horizon of, every target after its bounds, and later blocks
-draw only for the rows left.
+absorbed from every start so retires from every target, its bound summed
+nowhere (the visit bound skips it), and at one point per block, after
+its bounds, a row retired from, or past the horizon of, every target is
+dropped: later blocks draw only for the rows left.
 The bounds of the retired rows, at retirement, and of the rows still
 open at the target's horizon, there, make up each estimate's
 ``bias_bound``.  The array layout may change, but these block lengths,
@@ -511,11 +512,13 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     whose visits before absorption are counted, or None, which counts
     nothing (survival uses one).  Target ti stops at its own horizon,
     horizons[ti], and the walk runs to the largest one.
-    ``bound(pos, ti)``, with ``pos`` a start's int32 positions, one row
-    per axis of ``axes``, bounds per row what a row there can still
+    ``bound(pos, ti, some)``, with ``pos`` a start's int32 positions, one
+    row per axis of ``axes``, bounds per row what a row there can still
     add to target ti: its further visits to the point, or its chance of
-    ever exiting.  Absorption is tested on ``axes`` only; a coordinate off
-    them keeps its start value and is never stored.
+    ever exiting.  It may skip the rows off the mask ``some``, those
+    absorbed from every start, whose bounds nothing reads.  Absorption is
+    tested on ``axes`` only; a coordinate off them keeps its start value
+    and is never stored.
 
     Blocks are _BLOCK steps long when a target is a point, and otherwise
     those of _SURVIVAL_RAMP, then _SURVIVAL_BLOCK for good; the block
@@ -532,14 +535,14 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
     one compare of the packed (dx, dy) words with the point's, ANDed with
     that mask and summed as bytes down the steps, counts the visits of the
     rows alive from the start at the block's start and open for the point.
-    After every block, a row absorbed from every start is dropped, and a
-    row retires from target ti once its bound times weights[si][ti] is
-    below _RETIRE_EPS from every start still alive in it; from then on it
+    After every block, a row retires from target ti once its bound times
+    weights[si][ti] is below _RETIRE_EPS from every start still alive in
+    it, as a row absorbed from every start does at once; from then on it
     adds no visit to ti.  At ti's horizon the rows still open for it are
-    bounded there and ti closes.  Then a row retired from, or closed for,
-    every target is dropped too.  With one horizon for every target, as
-    survival, Green and Martin runs pass, the cuts are those of that
-    horizon alone.
+    bounded there and ti closes.  Then, at the block's one drop, a row
+    retired from, or closed for, every target is dropped.  With one
+    horizon for every target, as survival, Green and Martin runs pass,
+    the cuts are those of that horizon alone.
 
     Returns (sums, sumsqs, crosses, open_counts, bounds, survived), each
     reduced in batch order:
@@ -619,12 +622,9 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
             for p in pos:
                 p += offs[-1].T
             t += blk
-            # a row absorbed from every start retires from every target unbounded
-            some = np.logical_or.reduce(alive)
-            if not some.all():
-                pos, alive, open_, live = _compact(some, pos, alive, open_, live)
+            some = np.logical_or.reduce(alive)  # alive from some start
             for ti in walking:
-                vb = [bound(p, ti) for p in pos]
+                vb = [bound(p, ti, some) for p in pos]
                 done = open_[ti].copy()
                 for si, b in enumerate(vb):
                     done &= ~alive[si] | (b < _RETIRE_EPS / weights[si][ti])
@@ -641,7 +641,11 @@ def _walk(law, starts, targets, weights, bound, horizons, seed, n_paths, axes=(0
             # walk on only the rows still open for some target
             keep = np.logical_or.reduce(open_)
             if not keep.all():
-                pos, alive, open_, live = _compact(keep, pos, alive, open_, live)
+                keep = np.flatnonzero(keep)
+                pos = [p.take(keep, axis=1) for p in pos]
+                alive = [a.take(keep) for a in alive]
+                open_ = [o.take(keep) for o in open_]
+                live = keep if isinstance(live, slice) else live.take(keep)
         for si in range(n_starts):
             for ti, v in visits[si].items():
                 v = v.astype(np.float64)
@@ -684,15 +688,6 @@ def _powers(c: float, e):
     return c ** np.maximum(e, 0) if table is None else table.take(e, mode="clip")
 
 
-def _compact(keep, pos, alive, open_, live):
-    """The walk's per-row state, positions, alive and open masks and batch
-    rows, cut to the rows of the mask ``keep``."""
-    keep = np.flatnonzero(keep)
-    return ([p.take(keep, axis=1) for p in pos], [a.take(keep) for a in alive],
-            [o.take(keep) for o in open_],
-            keep if isinstance(live, slice) else live.take(keep))
-
-
 def _masked_sum(b, mask) -> float:
     """float(b[mask].sum()): the same elements in the same order, so the
     same bits, gathered by index (boolean indexing is slower)."""
@@ -706,7 +701,7 @@ def _survival_estimate(dist, start, cfg: SimConfig, axes) -> SimEstimate:
     power gathered by _powers."""
     law = _law(dist, cfg.twist)
     roots = [law.roots[a] for a in axes]  # solved before the first block draws
-    bound = lambda p, ti: np.minimum(sum(map(_powers, roots, p)), 1.0)
+    bound = lambda p, ti, some: np.minimum(sum(map(_powers, roots, p)), 1.0)
     _, _, _, open_counts, bounds, survived = _walk(
         law, [start], [None], [[1.0]], bound, [cfg.horizon], cfg.seed, cfg.n_paths, axes,
     )
@@ -759,7 +754,7 @@ def estimate_halfplane_survival(
     return _survival_estimate(dist, (0, height), cfg, (1,))
 
 
-def _visit_bound(axis_bounds, z, y):
+def _visit_bound(axis_bounds, z, y, some):
     """Per row of the [x, y] row arrays ``z``, a bound on the expected
     further visits to y of walks now there: a visit needs both
     coordinates at y's levels, so the smaller of the two axis bounds
@@ -768,9 +763,12 @@ def _visit_bound(axis_bounds, z, y):
     Validation admits no step that lowers x + y, so a walk never returns
     below its anti-diagonal: from z with z_x + z_y > y_x + y_y it never
     visits y and the bound is exactly 0.  The gambler's-ruin term is
-    computed only for the other rows, its powers gathered by _powers.
+    computed only for the other rows alive from some start (the mask
+    ``some``; _walk reads no bound of the rest), its powers gathered by
+    _powers.
     """
-    rows = np.flatnonzero(np.add(z[0], z[1], dtype=np.int64) <= y[0] + y[1])
+    near = np.add(z[0], z[1], dtype=np.int64) <= y[0] + y[1]
+    rows = np.flatnonzero(near & some)
     # the exponents, raised to 0 first: a gather whose clip must also raise
     # them branches on their signs, about three times slower
     e = [np.maximum(np.subtract(p[rows], q, dtype=np.intp), 0) for p, q in zip(z, y)]
@@ -784,7 +782,7 @@ def _visit_walk(dist, starts, ys, weights, horizons, cfg: SimConfig):
     ``horizons`` and each row bounded by _visit_bound on law.visit_bounds."""
     law = _law(dist, cfg.twist)
     axis_bounds = law.visit_bounds  # solved before the first block draws
-    bound = lambda p, ti: _visit_bound(axis_bounds, p, ys[ti])
+    bound = lambda p, ti, some: _visit_bound(axis_bounds, p, ys[ti], some)
     return _walk(law, starts, ys, weights, bound, horizons, cfg.seed, cfg.n_paths)
 
 

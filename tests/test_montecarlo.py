@@ -407,7 +407,7 @@ class TestMartinKernel:
 def visit_bounds_at(axis_bounds, zs, y):
     """_visit_bound at each lattice point of ``zs``, as a list of floats."""
     rows = [np.array([z[a] for z in zs], dtype=np.int32) for a in (0, 1)]
-    return _visit_bound(axis_bounds, rows, y).tolist()
+    return _visit_bound(axis_bounds, rows, y, np.ones(len(zs), dtype=bool)).tolist()
 
 
 def gamblers_ruin(axis_bounds, z, y):
