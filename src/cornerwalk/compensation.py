@@ -418,7 +418,8 @@ def _sum_range(i, j, win, a0, b0, c1, c2, tol) -> HarmonicValue:
     so each exponent is still the float sum of its own two products, and
     the value keeps every bit.
     The envelope anchored at (a0, b0) with gaps (c1, c2) bounds the terms
-    left out.  Warns when that bound exceeds ``tol``.
+    left out.  Warns when that bound exceeds ``tol``; a SolverError when a
+    term, their sum or the bound exceeds the float range.
     """
     n_pos, n_neg, a, a1, b, env = win
     # i and j are below 2**53, so float(i) * x has the bits of i * x and
@@ -428,15 +429,20 @@ def _sum_range(i, j, win, a0, b0, c1, c2, tol) -> HarmonicValue:
     exp = math.exp
     terms = []
     push = terms.append
-    xa = x * a[0]
-    for an1, bn in zip(a1, b):
-        yb = y * bn
-        push(exp(xa + yb))
-        xa = x * an1
-        push(-exp(xa + yb))
-    value = math.fsum(terms)
-    up, down = _tail_pieces(x, y, a0, b0, c1, c2, n_pos, n_neg, env)
-    tail = up + down
+    try:
+        xa = x * a[0]
+        for an1, bn in zip(a1, b):
+            yb = y * bn
+            push(exp(xa + yb))
+            xa = x * an1
+            push(-exp(xa + yb))
+        value = math.fsum(terms)
+        up, down = _tail_pieces(x, y, a0, b0, c1, c2, n_pos, n_neg, env)
+        tail = up + down
+    except OverflowError:  # exp of a term or in log space, or fsum, for a far point
+        tail = math.inf
+    if not tail < math.inf:
+        raise SolverError(f"harmonic value at ({i}, {j}) exceeds the float range")
     if tail > tol:
         warnings.warn(
             f"tail bound {tail:.3e} exceeds the built tolerance "
@@ -474,7 +480,8 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     On either axis the series telescopes to an exact zero, so 0.0 is
     returned directly with a zero bound.  Interior evaluations require
     i + j >= imin, the degree the truncation was built for.  A fractional
-    coordinate is a ValueError.
+    coordinate is a ValueError, and a point whose series or tail bound
+    exceeds the float range a SolverError.
 
     The sum runs over the range that degree i + j needs (``_term_range``),
     clipped to the stored one: the chain was built for degree ``imin``,

@@ -163,6 +163,40 @@ class TestHarmonicEval:
         with pytest.raises(ValueError):
             harmonic_eval(seq, -1, 2)
 
+    @staticmethod
+    def half_height_seq(geom):
+        # a start below the lower branch maximum, whose series grows like
+        # exp(i * a0) along the horizontal boundary
+        y = geom.y0 / 2
+        return build_sequence(geom, (g_branch(geom, y), y), imin=2)
+
+    def test_beyond_float_range_is_a_solver_error(self, fib_geom):
+        seq = self.half_height_seq(fib_geom)
+        assert harmonic_eval(seq, 7959, 5).value == pytest.approx(1.298e308, rel=1e-3)
+        # a term's exp overflows
+        with pytest.raises(SolverError, match=r"\(7970, 5\) exceeds the float range"):
+            harmonic_eval(seq, 7970, 5)
+
+    @pytest.mark.parametrize("stage", ["fsum", "log-space tail", "infinite tail"])
+    def test_overflow_past_the_terms_is_a_solver_error(self, fib_geom, monkeypatch,
+                                                       stage):
+        # no start of the pin models reaches these past the terms, so each
+        # stage is made to overflow as it would
+        seq = self.half_height_seq(fib_geom)
+
+        def overflow(*args):
+            raise OverflowError("math range error")
+
+        if stage == "fsum":
+            monkeypatch.setattr(math, "fsum", overflow)
+        elif stage == "log-space tail":
+            monkeypatch.setattr(compensation, "_tail_pieces", overflow)
+        else:
+            monkeypatch.setattr(compensation, "_tail_pieces",
+                                lambda *args: (math.inf, 0.0))
+        with pytest.raises(SolverError, match=r"\(7959, 5\) exceeds the float range"):
+            harmonic_eval(seq, 7959, 5)
+
     def test_tail_bound_is_honest(self, fib_geom):
         rough = fib_seq(fib_geom, tol=1e-8)
         sharp = fib_seq(fib_geom, tol=1e-16)
