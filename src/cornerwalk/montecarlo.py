@@ -36,9 +36,7 @@ of (dx, dy) pairs packed one to a word (entry 2k + 1 is step k, entry
 puts them into the block: a (blk, rows, 2) array, step t of a row at
 [t, row], its coordinates side by side (half-plane runs gather y alone,
 a byte a step).  One prefix sum down the steps (_scan) makes the block's
-offsets, int8 when no step component exceeds 1 and int16 otherwise: no
-component is below -1, so they stay within [-64, 64], or within
-[-64, 4096] under model.MAX_SUPPORT_RADIUS.  Absorption is tested on
+offsets, in the law's int8 or int16 (see _Law).  Absorption is tested on
 those offsets, a row's lowest offset against minus its position; every
 such per-row threshold is first clipped into the offsets' dtype, which
 changes no compare, so only the int32 position update widens.  Visit
@@ -142,8 +140,8 @@ class SimConfig:
     """Simulation request.
 
     ``horizon`` may be None where an operation defines a default (the
-    Green-function estimators use 10 * |y - x|_1); escape estimation has
-    no sensible default and requires it.  ``twist`` switches sampling to
+    Green-function estimators use 10 * |y - x|_1, and refuse it where
+    that is 0); escape estimation has no sensible default and requires it.  ``twist`` switches sampling to
     the exponentially tilted law of the given curve point.
     """
 
@@ -699,6 +697,8 @@ def _survival_estimate(dist, start, cfg: SimConfig, axes) -> SimEstimate:
     whose bound is the chance of ever exiting: at most the sum over
     ``axes`` of c**z, c the axis's exit root (see estimate_escape), each
     power gathered by _powers."""
+    if cfg.horizon is None:
+        raise ValueError("escape and survival estimation require an explicit horizon")
     law = _law(dist, cfg.twist)
     roots = [law.roots[a] for a in axes]  # solved before the first block draws
     bound = lambda p, ti, some: np.minimum(sum(map(_powers, roots, p)), 1.0)
@@ -732,8 +732,6 @@ def estimate_escape(dist: StepDistribution, x, cfg: SimConfig) -> SimEstimate:
     i, j = _lattice(x[0], x[1])
     if i < 1 or j < 1:
         raise ValueError("escape start must be strictly inside the quadrant")
-    if cfg.horizon is None:
-        raise ValueError("escape estimation requires an explicit horizon")
     return _survival_estimate(dist, (i, j), cfg, (0, 1))
 
 
@@ -749,8 +747,6 @@ def estimate_halfplane_survival(
     _, height = _lattice(0, height)
     if height < 1:
         raise ValueError("height must be >= 1")
-    if cfg.horizon is None:
-        raise ValueError("half-plane survival requires an explicit horizon")
     return _survival_estimate(dist, (0, height), cfg, (1,))
 
 
@@ -786,8 +782,15 @@ def _visit_walk(dist, starts, ys, weights, horizons, cfg: SimConfig):
     return _walk(law, starts, ys, weights, bound, horizons, cfg.seed, cfg.n_paths)
 
 
-def _default_horizon(x, y) -> int:
-    return max(1, 10 * (abs(y[0] - x[0]) + abs(y[1] - x[1])))
+def _horizon(cfg: SimConfig, x, ys) -> int:
+    """cfg.horizon, or else 10 * the largest |y - x|_1 over ``ys``, if not 0."""
+    if cfg.horizon is not None:
+        return cfg.horizon
+    span = max(abs(y[0] - x[0]) + abs(y[1] - x[1]) for y in ys)
+    if span == 0:
+        raise ValueError(f"y = x = {x} has no default horizon (10 * |y - x|_1 = 0); "
+                         "give an explicit one")
+    return 10 * span
 
 
 def _twist_weight(twist: CramerData | None, x, y) -> float:
@@ -812,13 +815,15 @@ def _green_estimate(walk, ti, w, horizon, n) -> SimEstimate:
 def _green_point(x) -> tuple[int, int]:
     x = _lattice(x[0], x[1])
     if min(x) < 1:
-        raise ValueError("green endpoints must be strictly inside the quadrant")
+        raise ValueError(f"endpoint {x} must be strictly inside the quadrant")
     return x
 
 
 def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     """Expected pre-absorption visits to y from x (the killed Green value).
 
+    Visits count at times 1..horizon, as tests/oracles.green_enum counts
+    them, so G(x, x) has no time-0 visit; y = x has no default horizon.
     Under a twist the sampling law is tilted and every visit carries the
     constant weight exp(-<phi, y - x>), which undoes the tilt exactly
     because all paths from x to y share the displacement y - x.
@@ -841,7 +846,7 @@ def estimate_green(dist: StepDistribution, x, y, cfg: SimConfig) -> SimEstimate:
     """
     require_valid(dist)
     x, y = _green_point(x), _green_point(y)
-    horizon = cfg.horizon if cfg.horizon is not None else _default_horizon(x, y)
+    horizon = _horizon(cfg, x, [y])
     w = _twist_weight(cfg.twist, x, y)
     walk = _visit_walk(dist, [x], [y], [[w]], [horizon], cfg)
     return _green_estimate(walk, 0, w, horizon, cfg.n_paths)
@@ -871,14 +876,10 @@ def martin_kernel_profile(
     from y at the horizon.
     """
     require_valid(dist)
-    x = _lattice(x[0], x[1])
-    ys = [_lattice(y[0], y[1]) for y in ys]
+    x, ys = _green_point(x), [_green_point(y) for y in ys]
     if not ys:
         raise ValueError("martin profile needs at least one target y; got an empty list")
-    if min(x) < 1 or any(min(y) < 1 for y in ys):
-        raise ValueError("martin endpoints must be strictly inside the quadrant")
-    horizon = cfg.horizon if cfg.horizon is not None else max(
-        _default_horizon(x, y) for y in ys)
+    horizon = _horizon(cfg, x, ys)
     starts = [x, _MARTIN_BASE]
     weights = [[_twist_weight(cfg.twist, s, y) for y in ys] for s in starts]
     sums, sqs, crosses, open_counts, bounds, _ = _visit_walk(
@@ -954,8 +955,7 @@ def green_direction_scan(
         groups.setdefault(_law(dist, twist), (twist, []))[1].append(y)
     scanned = {}  # per distinct y, its point but for the radius
     for twist, targets in groups.values():
-        horizons = [cfg.horizon if cfg.horizon is not None else _default_horizon(x, y)
-                    for y in targets]
+        horizons = [_horizon(cfg, x, [y]) for y in targets]
         weights = [_twist_weight(twist, x, y) for y in targets]
         walk = _visit_walk(dist, [x], targets, [weights], horizons,
                            replace(cfg, twist=twist))

@@ -311,6 +311,43 @@ class TestGreen:
         assert est.horizon == 10 * 5
         assert 0.0 <= est.censored_fraction <= 1.0
 
+    @pytest.mark.parametrize("call", ["green", "scan", "scan_with_others", "martin"])
+    def test_no_default_horizon_for_y_equal_to_x(self, fib, call):
+        # the default 10 * |y - x|_1 would be 0, so no walk at all
+        cfg = SimConfig(seed=1, n_paths=100)
+        with pytest.raises(ValueError, match=r"\(2, 2\) has no default horizon"):
+            if call == "green":
+                estimate_green(fib, (2, 2), (2, 2), cfg)
+            elif call == "scan":  # the radius rounds onto x
+                green_direction_scan(fib, (2, 2), (1.0, 1.0), [2 * 2**0.5], cfg)
+            elif call == "scan_with_others":
+                green_direction_scan(fib, (2, 2), (1.0, 1.0), [2 * 2**0.5, 6.0], cfg)
+            else:
+                martin_kernel_profile(fib, (2, 2), [(2, 2)], cfg)
+
+    def test_green_at_x_counts_no_time_zero_visit(self, fib):
+        # fibonacci's steps need two to return, so by step 1 no visit counts
+        est = estimate_green(fib, (2, 2), (2, 2), SimConfig(seed=1, n_paths=100, horizon=1))
+        assert est.mean == 0.0
+        # a Martin profile takes its default from the targets off x
+        prof = martin_kernel_profile(fib, (2, 2), [(2, 2), (4, 4)],
+                                     SimConfig(seed=1, n_paths=2000))
+        assert [p.horizon for p in prof] == [40, 40]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "models/all_five.txt", "green", "2", "2", "2", "2",
+         "--seed", "1", "--n-paths", "1000"],
+        ["green-scan", "models/fibonacci.txt", "1", "1", "--u", "1", "1",
+         "--radii", "0.1", "--seed", "1", "--n-paths", "100"],
+    ])
+    def test_cli_y_equal_to_x_is_a_usage_error(self, capsys, monkeypatch, argv):
+        from cornerwalk.cli import main
+
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "explicit" in captured.err
+
     def test_bias_bound_reported(self, all_five):
         for horizon in (6, 20):
             cfg = SimConfig(seed=2, n_paths=2048, horizon=horizon)
