@@ -26,7 +26,13 @@ record), each side's count of failed runs and, for each end-to-end
 metric of ``BENCHMARK.json``, summarised over the pairs in which both
 sides printed a result: each side's median and quartiles, the
 change-over-parent median ratio, the number of pairs the change won
-(ties count for neither side) and a verdict:
+(ties count for neither side), a verdict and, under ``"pair_ratios"``,
+the per-pair change/parent ratios summarised by their median, quartiles
+and the pairs the change won: ``"scaled"`` for the metric as judged,
+``"unscaled"`` for its value in each run's ``# host speed:`` line (None
+where a run has none, or a parent value is 0).  Both trees of a pair run
+back to back, so host drift moves the ratio within a pair least; the
+verdict does not read these summaries.  The verdicts:
 
 * ``gain``: the change won at least nine tenths of the pairs and its
   median is better than the parent's by more than the parent's
@@ -141,6 +147,24 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def unscaled(run: dict) -> dict:
+    """Per metric name, its unscaled value in the run's host-speed line
+    ("...; unscaled wall_s = 0.229411, setup_s = ..."), {} without one."""
+    _, _, listed = run.get("host_speed", "").partition("; unscaled ")
+    items = (item.split(" = ") for item in listed.split(", ") if item)
+    return {name: float(value) for name, value in items}
+
+
+def pair_ratios(parent: list, change: list, lower: bool) -> dict | None:
+    """The spread of the per-pair ratios change / parent, with the pairs
+    the change won, or None where a value is missing or a parent's is 0."""
+    if None in parent or None in change or 0 in parent:
+        return None
+    ratios = [c / p for p, c in zip(parent, change)]
+    wins = sum((r < 1.0) if lower else (r > 1.0) for r in ratios)
+    return {**spread(ratios), "change_wins": wins}
+
+
 def verdict(metric: dict, parent: dict, change: dict, wins: int,
             pairs: int) -> str:
     """Judge one metric from each side's spread and the change's wins."""
@@ -166,6 +190,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {s: [r[s]["metrics"][name]["value"] for r in runs] for s in SIDES}
+        bare = {s: [unscaled(r[s]).get(name) for r in runs] for s in SIDES}
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(values["parent"], values["change"]))
         ties = sum(p == c for p, c in zip(values["parent"], values["change"]))
@@ -177,6 +202,9 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
                       if parent["median"] else None),
             "change_wins": wins, "ties": ties, "pairs": len(runs),
             "verdict": verdict(metric, parent, change, wins, len(runs)),
+            "pair_ratios": {
+                "scaled": pair_ratios(values["parent"], values["change"], lower),
+                "unscaled": pair_ratios(bare["parent"], bare["change"], lower)},
         }
     return out
 

@@ -86,6 +86,57 @@ def test_parent_spread_wider_than_the_bound_is_unresolved(bench_pairs):
     assert out["verdict"] == "unresolved"
 
 
+def host_speed(value):
+    return ("NUMPY reference median 0.010000 s over 2 samples, scale 0.500000; "
+            f"unscaled wall_s = {value:g}, peak_rss_mb = 60.5")
+
+
+def test_unscaled_values_read_from_the_host_speed_line(bench_pairs):
+    assert bench_pairs.unscaled({"host_speed": host_speed(0.25)}) == {
+        "wall_s": 0.25, "peak_rss_mb": 60.5}
+    assert bench_pairs.unscaled({}) == {}
+
+
+def test_per_pair_ratios_of_scaled_and_unscaled_values(bench_pairs):
+    pairs = runs([1.0, 2.0, 4.0, 1.0], [0.5, 1.0, 4.0, 2.0])
+    for pair, p, c in zip(pairs, [2.0, 4.0, 8.0, 2.0], [2.0, 2.0, 8.0, 4.0]):
+        pair["parent"]["host_speed"] = host_speed(p)
+        pair["change"]["host_speed"] = host_speed(c)
+    out = bench_pairs.summarise(pairs, [WALL])["wall_s"]
+    # scaled ratios 0.5, 0.5, 1, 2: two won; unscaled 1, 0.5, 1, 2: one won
+    assert out["pair_ratios"] == {
+        "scaled": {"median": 0.75, "q1": 0.5, "q3": 1.25, "iqr": 0.75,
+                   "change_wins": 2},
+        "unscaled": {"median": 1.0, "q1": 0.875, "q3": 1.25, "iqr": 0.375,
+                     "change_wins": 1},
+    }
+    # the verdict reads neither
+    plain = judge(bench_pairs, [1.0, 2.0, 4.0, 1.0], [0.5, 1.0, 4.0, 2.0])
+    assert plain["pair_ratios"]["unscaled"] is None
+    del out["pair_ratios"], plain["pair_ratios"]
+    assert out == plain
+
+
+def test_ratios_on_a_higher_is_better_metric_count_higher_as_won(bench_pairs):
+    out = judge(bench_pairs, PARENT, [2.0 * v for v in PARENT], WORK)
+    assert out["pair_ratios"]["scaled"]["median"] == pytest.approx(2.0)
+    assert out["pair_ratios"]["scaled"]["change_wins"] == 10
+
+
+@pytest.mark.parametrize("name", ["BENCH_33.json", "BENCH_34.json", "BENCH_35.json"])
+def test_stored_runs_reproduce_their_stored_summaries(bench_pairs, name):
+    root = SCRIPT.parent.parent
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    stored = json.loads((root / name).read_text())
+    for workload in stored["workloads"].values():
+        got = bench_pairs.summarise(workload["runs"], metrics)
+        for metric, summary in workload["metrics"].items():
+            ratios = got[metric].pop("pair_ratios")
+            assert got[metric] == summary
+            # every run of these files keeps its host-speed line
+            assert ratios["unscaled"] is not None
+
+
 # a benchmark command that exits 1 for the change at seed 2 and prints a
 # result line otherwise
 FLAKY = """
