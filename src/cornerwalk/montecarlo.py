@@ -140,9 +140,9 @@ class SimConfig:
     """Simulation request.
 
     ``horizon`` may be None where an operation defines a default (the
-    Green-function estimators use 10 * |y - x|_1, and refuse it where
-    that is 0); escape estimation has no sensible default and requires it.  ``twist`` switches sampling to
-    the exponentially tilted law of the given curve point.
+    Green-function estimators use 10 * |y - x|_1, and refuse y = x); escape
+    estimation has no sensible default and requires it.  ``twist`` switches
+    sampling to the exponentially tilted law of the given curve point.
     """
 
     seed: int
