@@ -37,7 +37,9 @@ from .curve import (
     g_hat,
     f_tilde,
     g_tilde,
+    _SNAP,
     _slope,
+    _snap_to_G0,
 )
 from .model import _lattice, log_kernel_eval
 
@@ -138,22 +140,7 @@ class CompensationSequence:
 
 # a start whose kernel residual exceeds this is not on the curve
 _ON_CURVE_TOL = 1e-6
-# a point this close to a G0 graph piece is snapped onto it
-_SNAP = 1e-7
 _MAX_HOPS = 1000
-
-
-def _snap_to_G0(geom: CurveGeometry, a: float, b: float):
-    """(a, b) moved exactly onto the G0 graph piece within ``_SNAP`` of it, or None."""
-    if geom.x0 < a <= _SNAP:
-        fa = f_branch(geom, min(a, 0.0))
-        if abs(b - fa) <= _SNAP:
-            return (min(a, 0.0), fa)
-    if geom.y0 < b <= _SNAP:
-        gb = g_branch(geom, min(b, 0.0))
-        if abs(a - gb) <= _SNAP:
-            return (gb, min(b, 0.0))
-    return None
 
 
 def canonicalize_start(geom: CurveGeometry, point):

@@ -47,8 +47,9 @@ quadrant:
   stretches y in [0, f(x0)] and x in [0, g(y0)].
 
 The open arc G0 runs from (x0, f(x0)) through (0, 0) to (g(y0), y0),
-endpoints excluded; ``in_G0`` tests membership and ``cramer_transform``
-inverts the gradient direction map along the closed arc.
+endpoints excluded; ``in_G0`` tests membership by ``build_sequence``'s
+gate (within 1e-7 of a graph piece along its value's axis), and
+``cramer_transform`` inverts the gradient direction map along the arc.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ AGREE_ULPS = 4
 DRIFT_FLOOR = 1e-10
 # a branch argument at most this far outside its domain is clamped into it
 _DOMAIN_TOL = 1e-12
+# a point this close to a G0 graph piece, along its value's axis, is on G0
+_SNAP = 1e-7
 
 
 class SolverError(ArithmeticError):
@@ -466,25 +469,28 @@ def find_extrema(dist: StepDistribution) -> CurveGeometry:
     )
 
 
-def in_G0(geom: CurveGeometry, point, tol_perp: float = 1e-9) -> bool:
+def _snap_to_G0(geom: CurveGeometry, a: float, b: float):
+    """(a, b) moved exactly onto the G0 graph piece within ``_SNAP`` of it, or None."""
+    if geom.x0 < a <= _SNAP:
+        fa = f_branch(geom, min(a, 0.0))
+        if abs(b - fa) <= _SNAP:
+            return (min(a, 0.0), fa)
+    if geom.y0 < b <= _SNAP:
+        gb = g_branch(geom, min(b, 0.0))
+        if abs(a - gb) <= _SNAP:
+            return (gb, min(b, 0.0))
+    return None
+
+
+def in_G0(geom: CurveGeometry, point) -> bool:
     """Membership in the open arc between the branch maxima.
 
     The arc is the union of {(x, f(x)) : x0 < x <= 0} and
-    {(g(y), y) : y0 < y <= 0}; both endpoints are excluded.  Distance to
-    a graph is measured perpendicular to its local tangent.
+    {(g(y), y) : y0 < y <= 0}; both endpoints are excluded.  This is the
+    gate ``compensation.build_sequence`` applies to a start: within
+    ``_SNAP`` = 1e-7 of a graph piece, along the axis of its value.
     """
-    x, y = float(point[0]), float(point[1])
-    if geom.x0 < x <= tol_perp:  # strict at x0: endpoints excluded
-        fy = f_branch(geom, min(x, 0.0))
-        slope = _slope(geom.dist, min(x, 0.0), fy, "x")
-        if abs(y - fy) <= tol_perp * math.hypot(1.0, slope):
-            return True
-    if geom.y0 < y <= tol_perp:
-        gx = g_branch(geom, min(y, 0.0))
-        slope = _slope(geom.dist, gx, min(y, 0.0), "y")
-        if abs(x - gx) <= tol_perp * math.hypot(1.0, slope):
-            return True
-    return False
+    return _snap_to_G0(geom, float(point[0]), float(point[1])) is not None
 
 
 def _arc_point(geom: CurveGeometry, t: float) -> tuple[float, float]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cornerwalk import curve
+from cornerwalk.compensation import build_sequence
 from cornerwalk.curve import (
     _Section,
     _section_extreme_root,
@@ -219,11 +220,20 @@ class TestInG0:
         x = FIB_X0 / 2
         assert not in_G0(fib_geom, (x, f_branch(fib_geom, x) + 1e-6))
 
-    def test_perpendicular_tolerance(self, fib_geom):
-        x = FIB_X0 / 2
-        y = f_branch(fib_geom, x)
-        assert in_G0(fib_geom, (x, y + 5e-10), tol_perp=1e-9)
-        assert not in_G0(fib_geom, (x, y + 5e-10), tol_perp=1e-11)
+    @pytest.mark.parametrize("model", ["fib", "all_five", "diag_heavy", "big_jump"])
+    def test_agrees_with_build_sequence_gate(self, model, request):
+        # in_G0 is the gate build_sequence applies to a start, also within
+        # the band where a perpendicular test would read otherwise; a fresh
+        # geometry keeps the shared one's chain store as it was
+        geom = find_extrema(request.getfixturevalue(model))
+        x, y = geom.x0 / 2, geom.y0 / 2
+        fx, gy = f_branch(geom, x), g_branch(geom, y)
+        points = [(5e-8, 0.0)]
+        for off in (0.0, 5e-10, 5e-9, 5e-8, 5e-7):
+            points += [(x, fx + off), (gy + off, y)]
+        for p in points:
+            accepted = outcome(build_sequence, geom, p) != "ValueError"
+            assert in_G0(geom, p) == accepted, p
 
     def test_lower_arc_not_in_G0(self, fib_geom):
         y = -0.3
