@@ -406,7 +406,8 @@ def _sum_range(i, j, win, a0, b0, c1, c2, tol) -> HarmonicValue:
     the value keeps every bit.
     The envelope anchored at (a0, b0) with gaps (c1, c2) bounds the terms
     left out.  Warns when that bound exceeds ``tol``; a SolverError when a
-    term, their sum or the bound exceeds the float range.
+    term, their sum or the bound exceeds the float range, or the sum
+    underflows to zero.
     """
     n_pos, n_neg, a, a1, b, env = win
     # i and j are below 2**53, so float(i) * x has the bits of i * x and
@@ -430,6 +431,8 @@ def _sum_range(i, j, win, a0, b0, c1, c2, tol) -> HarmonicValue:
         tail = math.inf
     if not tail < math.inf:
         raise SolverError(f"harmonic value at ({i}, {j}) exceeds the float range")
+    if value == 0.0:  # every h from a G0 start is positive inside the quadrant
+        raise SolverError(f"harmonic value at ({i}, {j}) underflows the float range")
     if tail > tol:
         warnings.warn(
             f"tail bound {tail:.3e} exceeds the built tolerance "
@@ -468,7 +471,8 @@ def harmonic_eval(seq: CompensationSequence, i: int, j: int) -> HarmonicValue:
     returned directly with a zero bound.  Interior evaluations require
     i + j >= imin, the degree the truncation was built for.  A fractional
     coordinate is a ValueError, and a point whose series or tail bound
-    exceeds the float range a SolverError.
+    exceeds the float range, or whose series underflows to zero, a
+    SolverError.
 
     The sum runs over the range that degree i + j needs (``_term_range``),
     clipped to the stored one: the chain was built for degree ``imin``,

@@ -176,6 +176,13 @@ class TestHarmonicEval:
         # a term's exp overflows
         with pytest.raises(SolverError, match=r"\(7970, 5\) exceeds the float range"):
             harmonic_eval(seq, 7970, 5)
+        # the series decays like exp(j * b0) up the vertical axis and would
+        # read an exact 0.0, with a zero tail bound, once every term underflows
+        assert harmonic_eval(seq, 5, 5000).value > 0.0
+        for j in (7000, 7970):
+            message = rf"\(5, {j}\) underflows the float range"
+            with pytest.raises(SolverError, match=message):
+                harmonic_eval(seq, 5, j)
 
     @pytest.mark.parametrize("stage", ["fsum", "log-space tail", "infinite tail"])
     def test_overflow_past_the_terms_is_a_solver_error(self, fib_geom, monkeypatch,
