@@ -306,6 +306,16 @@ class TestCramer:
         assert d.mu_u[1] / m == pytest.approx(u[1], abs=1e-9)
 
 
+class TestSolve:
+    def test_root_at_a_bracket_end_is_that_end(self):
+        # a zero value at an end is the root itself: no probe is evaluated
+        def fdf(t):
+            raise AssertionError(f"probe at {t!r}")
+
+        assert repr(curve._solve(fdf, -0.75, 2.5, 0.0, 3.0)) == "-0.75"
+        assert repr(curve._solve(fdf, -0.75, 2.5, -3.0, 0.0)) == "2.5"
+
+
 class TestSolverWork:
     """Kernel evaluations (G, its gradient and its Hessian, each one call)
     that the safeguarded Newton solves spend, counted through ``curve``.
