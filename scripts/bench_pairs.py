@@ -76,6 +76,16 @@ def export(rev: str, dest: Path) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
+def export_trees(revs: dict, tmp: str) -> dict:
+    """Per key of ``revs``, its revision exported into ``tmp``/key."""
+    trees = {}
+    for side, rev in revs.items():
+        trees[side] = Path(tmp) / side
+        trees[side].mkdir()
+        export(rev, trees[side])
+    return trees
+
+
 # Prints the median over repeats of the time two threads take to draw n
 # Philox doubles, n / 2 each, over the time one thread takes for all n.
 FILL_RATIO = """
@@ -230,11 +240,7 @@ def main() -> int:
                        "fill_ratio_two_threads": {"before": fill_ratio()}},
               "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {}
-        for side in SIDES:
-            trees[side] = Path(tmp) / side
-            trees[side].mkdir()
-            export(revs[side], trees[side])
+        trees = export_trees(revs, tmp)
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         result["command"] = bench["command"]
         result["run_seconds"] = bench["run_seconds"]

@@ -30,7 +30,6 @@ import argparse
 import importlib.util
 import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -41,21 +40,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("a", "b")
 
 
-def export(rev: str, dest: Path) -> None:
-    archive = subprocess.Popen(("git", "archive", rev), cwd=ROOT,
-                               stdout=subprocess.PIPE)
-    subprocess.run(("tar", "-x", "-C", str(dest)), stdin=archive.stdout,
-                   check=True)
-    archive.stdout.close()
-    if archive.wait() != 0:
-        raise SystemExit(f"git archive {rev} failed")
-
-
 def load_file(name: str, path: Path):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# for its tree export
+bench_pairs = load_file("call_pairs_bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 
 
 def load_package(tree: Path, name: str):
@@ -159,11 +152,7 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=21)
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {}
-        for s in SIDES:
-            trees[s] = Path(tmp) / s
-            trees[s].mkdir()
-            export(getattr(args, s), trees[s])
+        trees = bench_pairs.export_trees({s: getattr(args, s) for s in SIDES}, tmp)
         summary = compare(trees, args.rounds)
     print(f"{'call':<20} {'b/a':>6} {'b wins':>8} {'faults a':>9} {'faults b':>9}")
     for name, r in summary.items():
