@@ -222,9 +222,9 @@ class TestInG0:
 
     @pytest.mark.parametrize("model", ["fib", "all_five", "diag_heavy", "big_jump"])
     def test_agrees_with_build_sequence_gate(self, model, request):
-        # in_G0 is the gate build_sequence applies to a start, also within
-        # the band where a perpendicular test would read otherwise; a fresh
-        # geometry keeps the shared one's chain store as it was
+        # in_G0 accepts exactly the starts build_sequence accepts, on both
+        # sides of the 1e-7 tolerance; a fresh geometry keeps the shared
+        # one's chain store as it was
         geom = find_extrema(request.getfixturevalue(model))
         x, y = geom.x0 / 2, geom.y0 / 2
         fx, gy = f_branch(geom, x), g_branch(geom, y)
